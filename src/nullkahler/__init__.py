@@ -9,7 +9,6 @@ residual-based acceptance checks.
 
 from .expressions import EvaluationError, Expr, ExpressionError, parse
 from .fields import (
-    BoundaryError,
     Chart,
     DomainError,
     ExcludedBand,
@@ -19,8 +18,6 @@ from .fields import (
     OrderOverflowError,
     SampledField,
     ScalarField,
-    differentiate,
-    evaluate,
     grid_from_csv,
     grid_to_csv,
     sample_to_grid,
@@ -52,7 +49,6 @@ from .geometry import (
     wedge,
 )
 from .curvature import (
-    KAPPA,
     KAPPA_PAPER,
     CurvatureReport,
     NullKahlerReport,

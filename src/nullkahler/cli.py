@@ -6,7 +6,9 @@ sets the seed and sample count; each ``[fixture:<id>]`` section declares
 one fixture by kind (``nk``, ``nk_family``, ``dkp``, ``ew``) with
 expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
-0 suite passed, 1 at least one check failed, 2 usage or config error.
+0 suite passed, 1 at least one check failed, 2 usage, config or domain
+error (a check name the fixture's kind does not compute is a config
+error).
 
 Reports are JSON with ``schema: 1`` and are byte-identical across runs
 with the same config and seed; wall-times are printed to the console
@@ -42,12 +44,14 @@ from .evolver import (
 from .expressions import ExpressionError
 from .fields import (
     Chart,
+    DomainError,
     EvaluationError,
     ExcludedBand,
     ExprField,
     GridSpec,
     SampledField,
     grid_to_csv,
+    sample_to_grid,
 )
 from .geometry import DegeneracyError, dkp_coframe, nk_coframe, nk_metric
 from .nk_system import NKSolution, example_family, commutator_sweep, residual_nk1, residual_nk2
@@ -80,6 +84,13 @@ NK_CHECKS = ("nk1", "nk2", "sd_weyl", "scalar", "ricci_null",
 DKP_CHECKS = ("heqn", "lindkp", "monopole", "ew", "dkp_sd_weyl",
               "dkp_scalar", "dsigma00", "dsigma01", "jones_tod")
 EW_CHECKS = ("ew",)
+
+#: every check a fixture kind computes, selectable with ``checks =``
+KIND_CHECKS = {
+    "nk": NK_CHECKS + ("ricci_flat",),
+    "dkp": DKP_CHECKS + ("ricci_flat", "nonvacuum"),
+    "ew": EW_CHECKS,
+}
 
 
 class ConfigError(ValueError):
@@ -127,6 +138,18 @@ def _parse_excluded(text: str) -> tuple:
     return tuple(bands)
 
 
+def _parse_checks(name, kind, section, default) -> tuple:
+    checks = tuple(c.strip() for c in section.get(
+        "checks", ", ".join(default)).split(",") if c.strip())
+    unknown = [c for c in checks if c not in KIND_CHECKS[kind]]
+    if unknown:
+        raise ConfigError(
+            f"[fixture:{name}] has checks {unknown} that kind {kind!r} "
+            f"does not compute (expected some of {list(KIND_CHECKS[kind])})"
+        )
+    return checks
+
+
 def _nk_fixture(name, section) -> Fixture:
     excluded = _parse_excluded(section.get("exclude", ""))
     box = _parse_box(section.get("box", "w:-1:1, z:-1:1, x:-1:1, y:-1:1"),
@@ -149,8 +172,7 @@ def _nk_fixture(name, section) -> Fixture:
             sol = NKSolution(theta, f, box)
         return {"solution": sol}
 
-    checks = tuple(c.strip() for c in section.get(
-        "checks", ", ".join(NK_CHECKS)).split(",") if c.strip())
+    checks = _parse_checks(name, "nk", section, NK_CHECKS)
     return Fixture(name, "nk", checks, section.get("expect", "pass"), build)
 
 
@@ -170,8 +192,7 @@ def _dkp_fixture(name, section) -> Fixture:
         default.append("ricci_flat")
     if section.get("vacuum", "").lower() in ("false", "0", "no"):
         default.append("nonvacuum")
-    checks = tuple(c.strip() for c in section.get(
-        "checks", ", ".join(default)).split(",") if c.strip())
+    checks = _parse_checks(name, "dkp", section, default)
     return Fixture(name, "dkp", checks, section.get("expect", "pass"), build)
 
 
@@ -185,8 +206,7 @@ def _ew_fixture(name, section) -> Fixture:
         u = ExprField.from_text(section["u"], chart)
         return {"u": u, "box": box}
 
-    checks = tuple(c.strip() for c in section.get(
-        "checks", ", ".join(EW_CHECKS)).split(",") if c.strip())
+    checks = _parse_checks(name, "ew", section, EW_CHECKS)
     return Fixture(name, "ew", checks, section.get("expect", "pass"), build)
 
 
@@ -231,7 +251,7 @@ def load_config(path) -> dict:
 
 # --- check implementations ------------------------------------------------------
 
-def _run_nk_checks(fixture, payload, plan, tolerances, scale):
+def _run_nk_checks(fixture, payload, plan):
     sol = payload["solution"]
     pts = plan.points()
     results = []
@@ -258,7 +278,7 @@ def _run_nk_checks(fixture, payload, plan, tolerances, scale):
     return results
 
 
-def _run_dkp_checks(fixture, payload, plan, tolerances, scale):
+def _run_dkp_checks(fixture, payload, plan):
     h_pot, w_pot, box = payload["h_pot"], payload["w_pot"], payload["box"]
     box3 = Box(box.bounds[:3])
     pts3 = SamplePlan(box3, plan.count, plan.seed).points()
@@ -302,7 +322,7 @@ def _run_dkp_checks(fixture, payload, plan, tolerances, scale):
     return results
 
 
-def _run_ew_checks(fixture, payload, plan, tolerances, scale):
+def _run_ew_checks(fixture, payload, plan):
     box3 = Box(payload["box"].bounds[:3])
     pts3 = SamplePlan(box3, plan.count, plan.seed).points()
     ew = dkp_mod.ew_from_u(payload["u"])
@@ -318,8 +338,7 @@ def run_fixture(fixture: Fixture, config) -> list:
     plan = SamplePlan(box, config["samples"], config["seed"])
     scale = config.get("tolerance_scale", 1.0)
     start = time.perf_counter()
-    raw_results = _RUNNERS[fixture.kind](fixture, payload, plan,
-                                         config["tolerances"], scale)
+    raw_results = _RUNNERS[fixture.kind](fixture, payload, plan)
     wall = (time.perf_counter() - start) * 1000.0
     out = []
     for name, value, require in raw_results:
@@ -487,7 +506,7 @@ def _export_command(args) -> int:
             raise ConfigError("ew fixtures export quantity 'ew', not 'metric'")
         for i in range(len(coords)):
             for j in range(i, len(coords)):
-                sampled = _sample_component(metric.component(i, j), spec, coords)
+                sampled = sample_to_grid(metric.component(i, j), spec)
                 grid_to_csv(sampled, out / f"g_{coords[i]}{coords[j]}.csv")
         count = len(coords) * (len(coords) + 1) // 2
         sys.stdout.write(f"wrote {count} metric component grids to {out}\n")
@@ -511,7 +530,7 @@ def _export_command(args) -> int:
         for label, form in zip(labels, primed):
             for key, comp in form.comps.items():
                 tag = "".join(coords[k] for k in key)
-                sampled = _sample_component(comp, spec, coords)
+                sampled = sample_to_grid(comp, spec)
                 grid_to_csv(sampled, out / f"sigma{label}_{tag}.csv")
         sys.stdout.write(f"wrote sigma component grids to {out}\n")
         return 0
@@ -522,18 +541,12 @@ def _export_command(args) -> int:
     coords3 = ("x", "y", "t")
     for i in range(3):
         for j in range(i, 3):
-            sampled = _sample_component(ew.h.component(i, j), spec, coords3)
+            sampled = sample_to_grid(ew.h.component(i, j), spec)
             grid_to_csv(sampled, out / f"h_{coords3[i]}{coords3[j]}.csv")
     nu_t = ew.nu.component((2,))
-    grid_to_csv(_sample_component(nu_t, spec, coords3), out / "nu_t.csv")
+    grid_to_csv(sample_to_grid(nu_t, spec), out / "nu_t.csv")
     sys.stdout.write(f"wrote ew component grids to {out}\n")
     return 0
-
-
-def _sample_component(fieldobj, spec, coords) -> SampledField:
-    from .fields import sample_to_grid
-
-    return sample_to_grid(fieldobj, spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -596,7 +609,7 @@ def main(argv=None) -> int:
             configparser.Error) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (DegeneracyError, EvaluationError) as err:
+    except (DegeneracyError, DomainError, EvaluationError) as err:
         sys.stderr.write(f"fixture error: {err}\n")
         return 2
     return 2

@@ -9,11 +9,19 @@ linear solve per point, differentiated implicitly for exactness),
 curvature two-forms R = dGamma + Gamma ^ Gamma, then expansion in the
 Sigma basis.
 
-The two paths use different factor conventions.  Rather than chasing
-those factors analytically, the finitely many proportionality constants
-between the paths were determined once on two designated fixtures and
-frozen below (``KAPPA``); every fixture must then agree, which turns the
-sign/factor ambiguity into a testable contract.
+Both paths report one convention, so their components agree with no
+conversion factor.  The Riemann tensor is the one of R = dGamma +
+Gamma ^ Gamma with Ricci R_{bd} = R^a_{bad}, and the curvature spinors
+follow Penrose & Rindler (*Spinors and Space-Time* vol. 1, sec. 4.6;
+Dunajski, *Solitons, Instantons and Twistors*, OUP 2010, ch. 9):
+
+    R_{abcd} = X_{ABCD} eps_{A'B'} eps_{C'D'}
+               + Phi_{ABC'D'} eps_{A'B'} eps_{CD} + (primed mirror),
+    X_{ABCD} = Psi_{ABCD} + (R/24)(eps_{AC} eps_{BD} + eps_{AD} eps_{BC}),
+    Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}),
+
+with g_{ab} = eps_{AB} eps_{A'B'}.  ``c_asd``/``c_sd`` are Psi and its
+primed mirror, ``phi`` is Phi and ``scalar`` is R.
 """
 
 from __future__ import annotations
@@ -76,27 +84,38 @@ def _phi_basis(u_pair, p_pair) -> np.ndarray:
     return t
 
 
+#: eps_{AC} eps_{BD} + eps_{AD} eps_{BC}, the Lambda = R/24 term of X_{ABCD}
+_EPS_SYM = (np.einsum("ac,bd->abcd", EPS_LOWER, EPS_LOWER)
+            + np.einsum("ad,bc->abcd", EPS_LOWER, EPS_LOWER))
+
+
+def _model_block(x_spinor, phi, sig_same, sig_other) -> np.ndarray:
+    """Soldered structure-equation block R^A_B from lowered spinors.
+
+    The lowered block is R_{AB} = X_{ABCD} Sigma^{CD} + Phi_{ABC'D'}
+    Sigma^{C'D'}.  The structure equations carry delta^{A'}_{B'} beside
+    Gamma^A_B, and g_{ab} = eps_{AB} eps_{A'B'} lowers it to
+    eps_{B'A'} = -eps_{A'B'}; R_{ab} = R_{AB} eps_{A'B'} + eps_{AB} R_{A'B'}
+    therefore holds for R_{AB} = eps_{AC} R^C_B, so R^A_B = R_{EB} eps^{EA}.
+    """
+    lowered = (np.einsum("abcd,cdCPDR->abCPDR", x_spinor, sig_same)
+               + np.einsum("abcd,cdCPDR->abCPDR", phi, sig_other))
+    return np.einsum("ea,ebCPDR->abCPDR", EPS_UPPER, lowered)
+
+
 def _model_unprimed(c_asd, phi, r_scalar) -> np.ndarray:
-    """Soldered R^A_B from (C_{ABCD}, Phi, R), all lower-index inputs."""
-    c_up = np.einsum("ae,ebcd->abcd", EPS_UPPER, c_asd)  # C^A_{BCD}
-    term_c = np.einsum("abcd,cdCPDR->abCPDR", c_up, _SIG_U_SOLD)
-    sig_mixed = np.einsum("acCPDR,cb->abCPDR", _SIG_U_SOLD, EPS_LOWER)
-    term_r = (r_scalar / 12.0) * sig_mixed
-    phi_up = np.einsum("ae,ebcd->abcd", EPS_UPPER, phi)  # Phi^A_{B C'D'}
-    term_phi = np.einsum("abcd,cdCPDR->abCPDR", phi_up, _SIG_P_SOLD)
-    return term_c + term_r + term_phi
+    """Soldered R^A_B from (Psi_{ABCD}, Phi_{ABC'D'}, R), lower-index inputs.
+
+    X_{ABCD} = Psi_{ABCD} + (R/24)(eps_{AC} eps_{BD} + eps_{AD} eps_{BC}).
+    """
+    return _model_block(c_asd + (r_scalar / 24.0) * _EPS_SYM, phi,
+                        _SIG_U_SOLD, _SIG_P_SOLD)
 
 
 def _model_primed(c_sd, phi, r_scalar) -> np.ndarray:
-    """Soldered R^{A'}_{B'}; shares Phi and R with the unprimed block."""
-    c_up = np.einsum("ae,ebcd->abcd", EPS_UPPER, c_sd)
-    term_c = np.einsum("abcd,cdCPDR->abCPDR", c_up, _SIG_P_SOLD)
-    sig_mixed = np.einsum("acCPDR,cb->abCPDR", _SIG_P_SOLD, EPS_LOWER)
-    term_r = (r_scalar / 12.0) * sig_mixed
-    # Phi^{A'}_{B' CD}: phi stored as [C, D, E', B']
-    phi_up = np.einsum("ae,cdeb->abcd", EPS_UPPER, phi)
-    term_phi = np.einsum("abcd,cdCPDR->abCPDR", phi_up, _SIG_U_SOLD)
-    return term_c + term_r + term_phi
+    """Soldered R^{A'}_{B'}; shares Phi (stored [A, B, A', B']) and R."""
+    return _model_block(c_sd + (r_scalar / 24.0) * _EPS_SYM,
+                        np.einsum("cdab->abcd", phi), _SIG_P_SOLD, _SIG_U_SOLD)
 
 
 def _curvature_model_matrix() -> np.ndarray:
@@ -130,19 +149,10 @@ def _curvature_model_matrix() -> np.ndarray:
 _MODEL_M = _curvature_model_matrix()
 _MODEL_PINV = np.linalg.pinv(_MODEL_M)
 
-# Frozen path-conversion constants (oracle units per cartan units),
-# calibrated once on the theta = x*y^3 and theta = x^2*y^2 fixtures and
-# clean rationals there; every other fixture must reproduce them.
-KAPPA = {
-    "asd_weyl": -1.0,
-    "sd_weyl": -1.0,
-    "phi": 2.0,
-    "scalar": -1.0,
-}
-
-# Frozen closed-form anchors on the same two fixtures: the oracle ASD
-# component per delta^4(theta) with delta_0 = d/dy, delta_1 = -d/dx, and
-# the oracle SD component (slot 0'0'0'0') per box(f).
+# Frozen closed-form anchors on the theta = x*y^3 and theta = x^2*y^2
+# fixtures: the oracle ASD component per delta^4(theta) with
+# delta_0 = d/dy, delta_1 = -d/dx, and the oracle SD component
+# (slot 0'0'0'0') per box(f).
 KAPPA_PAPER = {"asd": 2.0, "sd": 0.5}
 
 
@@ -171,8 +181,9 @@ class CurvatureReport:
 
     ``c_asd``/``c_sd`` hold the five independent components of the
     anti-self-dual / self-dual Weyl spinors (all indices lowered, ordered
-    by the number of 1-indices); ``phi`` is the 3x3 trace-free Ricci
-    block indexed by (unprimed pair, primed pair).
+    by the number of 1-indices); ``phi`` is the 3x3 block of
+    Phi_{ABA'B'} = -1/2 (trace-free Ricci), indexed by (unprimed pair,
+    primed pair).
     """
 
     c_asd: np.ndarray
@@ -288,17 +299,6 @@ def _weyl_from_riemann(riem_low, ricci, scalar, gv) -> np.ndarray:
 
 
 # --- cartan path ---------------------------------------------------------------
-
-def _pair_sign_table(dim: int = 4):
-    table = {}
-    for idx, (mu, nu) in enumerate(PAIRS6):
-        table[(mu, nu)] = (idx, 1.0)
-        table[(nu, mu)] = (idx, -1.0)
-    return table
-
-
-_PAIR_INDEX = _pair_sign_table()
-
 
 def _mixed_coefficients() -> np.ndarray:
     """M[A, B, p]: weight of symmetric unknown Gamma_p in Gamma^A_B."""
@@ -478,7 +478,9 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureRep
     The Weyl tensor is soldered onto spinor slots with the dual frame,
     then split by the exact inversion of the two-form decomposition:
     C_{A'B'C'D'} = 1/4 eps^{AB} eps^{CD} C_{AA'BB'CC'DD'} (mirror for
-    the unprimed part).  Everything carries lower spinor labels.
+    the unprimed part); the trace-free Ricci part is soldered as
+    Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).  Everything carries lower
+    spinor labels.
     """
     raw = coordinate_curvature(metric, points)
     dual = coframe.dual_vectors(points)
@@ -499,7 +501,8 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureRep
         float(np.max(np.abs(c_asd_full - np.einsum("nxyzw->nxzyw", c_asd_full)))),
     )
 
-    phi_ab = raw.ricci - 0.25 * np.einsum("n,nab->nab", raw.scalar, raw.metric)
+    trace = 0.25 * np.einsum("n,nab->nab", raw.scalar, raw.metric)
+    phi_ab = -0.5 * (raw.ricci - trace)
     phi_bis = np.einsum("nab,nxpa,nyqb->nxpyq", phi_ab, dual, dual)
     # reorder to (unprimed pair, primed pair) with symmetrization
     phi_full = 0.5 * (
@@ -546,7 +549,14 @@ def check_null_kahler(coframe: CoFrame, metric: MetricField, points) -> NullKahl
 
 
 def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:
-    """Relative disagreement per sector after applying the frozen KAPPA.
+    """Relative disagreement per sector, components compared directly.
+
+    Both reports carry the module convention, so no factor enters: the
+    Cartan fit raises the lowered block with R^A_B = R_{EB} eps^{EA}
+    (the delta^{A'}_{B'} of the structure equations lowers to
+    -eps_{A'B'}), and the oracle projects the Weyl tensor with
+    1/4 eps^{AB} eps^{CD} and the trace-free Ricci tensor as
+    Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).
 
     A sector that vanishes at working precision (its magnitude is
     negligible against the report as a whole) is compared absolutely at
@@ -558,16 +568,16 @@ def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:
         np.max(np.abs(oracle.phi)), np.max(np.abs(oracle.scalar)), 1.0,
     )
 
-    def rel(a, b, kappa):
-        gap = float(np.max(np.abs(a - kappa * b)))
+    def rel(a, b):
+        gap = float(np.max(np.abs(a - b)))
         scale = np.max(np.abs(a))
         if scale < 1e-9 * global_scale:
             return gap / global_scale
         return gap / scale
 
     return {
-        "c_asd": rel(oracle.c_asd, cartan.c_asd, KAPPA["asd_weyl"]),
-        "c_sd": rel(oracle.c_sd, cartan.c_sd, KAPPA["sd_weyl"]),
-        "phi": rel(oracle.phi, cartan.phi, KAPPA["phi"]),
-        "scalar": rel(oracle.scalar, cartan.scalar, KAPPA["scalar"]),
+        "c_asd": rel(oracle.c_asd, cartan.c_asd),
+        "c_sd": rel(oracle.c_sd, cartan.c_sd),
+        "phi": rel(oracle.phi, cartan.phi),
+        "scalar": rel(oracle.scalar, cartan.scalar),
     }

@@ -40,9 +40,6 @@ EW_CHART = Chart(("x", "y", "t"))
 #: closed-form star relations *dt = dt^dy, *dy = 2 dt^dx
 EW_ORIENTATION = 1
 
-#: orientation induced by the dkp coframe volume form on (x, y, t, z)
-DKP_ORIENTATION = -1
-
 #: orientation used inside the Jones-Tod one-form; the opposite choice
 #: flips nu, and this one reproduces nu = -4 u_x dt modulo the gauge
 #: term d ln(Wx^2) on every circle-bundle fixture
@@ -348,24 +345,8 @@ def hyperkahler_specialize(h_pot: ExprField, box: Box = None) -> MetricField:
     away from zero (degenerate conformal factor otherwise).
     """
     _require_ew_chart(h_pot)
-    hxx = h_pot.deriv(x=2)
-    hxy = h_pot.deriv(x=1, y=1)
-    hx = h_pot.deriv(x=1)
     if box is not None:
         from .geometry import _check_nonvanishing
 
-        _check_nonvanishing(hxx, box, "H_xx")
-    chart4 = Chart(("x", "y", "t", "z"), h_pot.chart.excluded)
-    hxx4, hxy4, hx4 = (f.on_chart(chart4) for f in (hxx, hxy, hx))
-    zero = ExprField.constant(0.0, chart4)
-    x, y, t, z = 0, 1, 2, 3
-    comps = [[zero for _ in range(4)] for _ in range(4)]
-    comps[x][t] = comps[t][x] = -1.0 * hxx4
-    comps[y][z] = comps[z][y] = ExprField.constant(1.0, chart4)
-    comps[y][t] = comps[t][y] = -1.0 * hxy4
-    comps[z][z] = -2.0 / hxx4
-    comps[z][t] = comps[t][z] = 2.0 * hxy4 / hxx4
-    comps[t][t] = -2.0 * (hxx4 * hx4) - 2.0 * (hxy4 * hxy4) / hxx4
-    metric = MetricField(chart4, comps)
-    metric.orientation = DKP_ORIENTATION
-    return metric
+        _check_nonvanishing(h_pot.deriv(x=2), box, "H_xx")
+    return dkp_metric(h_pot, 0.5 * h_pot.deriv(x=1))

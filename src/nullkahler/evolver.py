@@ -167,7 +167,8 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
     if dt > bound:
         raise CFLError(
             f"dt = {dt:g} exceeds the stability bound {bound:g} "
-            f"(min of 0.25 min(dx, dy^2/dx)/(1 + max|u|) and 8 dy^2/Lx)"
+            f"(min of {CFL_SAFETY:g} min(dx, dy^2/dx)/(1 + max|u|) and "
+            f"{DISPERSIVE_SAFETY:g} dy^2/Lx)"
         )
     threshold = blowup_factor * (1.0 + float(np.max(np.abs(state.u))))
     grid, boundary = state.grid, state.boundary

@@ -1,14 +1,13 @@
 """Scalar fields on coordinate charts with derivatives up to fourth order.
 
-Two backends share one interface: a closed-form backend that
-differentiates expression trees exactly, and a sampled-grid backend that
-applies fourth-order central stencils.  Either can serve as an oracle for
-the other; the test suite pins their agreement on polynomial fixtures.
+``ExprField`` is the one field backend: it differentiates expression
+trees exactly.  ``SampledField`` is a plain container for field values
+on a uniform grid, written to and read from CSV; it does no calculus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from .expressions import (
 #: half-width of the exclusion band around a declared singular locus
 EXCLUDED_BAND_HALF_WIDTH = 0.05
 
-#: weights of the 4th-order central first-derivative stencil, offsets -2..2
-_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-
 MAX_DERIVATIVE_ORDER = 4
 
 
@@ -35,10 +31,6 @@ class DomainError(ValueError):
 
 class OrderOverflowError(ValueError):
     """Derivative request beyond total order four."""
-
-
-class BoundaryError(ValueError):
-    """Sampled-backend evaluation too close to the grid boundary."""
 
 
 @dataclass(frozen=True)
@@ -218,10 +210,6 @@ class ExprField(ScalarField):
         return ExprField(-self.expr, self.chart, self.params)
 
 
-#: minimum nodes per axis for the sampled backend (stencil support)
-MIN_SAMPLED_NODES = 9
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Per-axis (min, max, points)."""
@@ -246,139 +234,31 @@ class GridSpec:
     def coordinates(self):
         return [np.linspace(lo, hi, n) for lo, hi, n in self.axes]
 
-    def spacing(self):
-        return [(hi - lo) / (n - 1) for lo, hi, n in self.axes]
-
     def meshpoints(self) -> np.ndarray:
         mesh = np.meshgrid(*self.coordinates(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-class SampledField(ScalarField):
-    """Grid-sampled backend with 4th-order central-difference stencils.
+class SampledField:
+    """Field values at the nodes of a grid, on a chart."""
 
-    Mixed partials are taken by repeated first-derivative application;
-    each application widens the invalid boundary margin by two cells.
-    Off-node evaluation uses separable 4-point Lagrange interpolation.
-    """
-
-    backend = "sampled"
-
-    def __init__(self, grid: GridSpec, values: np.ndarray, chart: Chart, margin=None):
+    def __init__(self, grid: GridSpec, values: np.ndarray, chart: Chart):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid {grid.shape}")
         if grid.dim != chart.dim:
             raise ValueError("grid dimension does not match chart")
-        if min(grid.shape) < MIN_SAMPLED_NODES:
-            raise ValueError(
-                f"sampled backend needs >= {MIN_SAMPLED_NODES} nodes per axis"
-            )
         self.grid = grid
         self.values = values
         self.chart = chart
-        self.margin = tuple(margin or (0,) * grid.dim)
-        self._axes = grid.coordinates()
-        self._spacing = grid.spacing()
-
-    def differentiate(self, idx: MultiIndex) -> "SampledField":
-        if len(idx.orders) != self.chart.dim:
-            raise DomainError("multi-index does not match chart dimension")
-        values = self.values
-        margin = list(self.margin)
-        for axis, order in enumerate(idx.orders):
-            for _ in range(order):
-                values = self._apply_stencil(values, axis)
-                margin[axis] += 2
-        if any(2 * m >= n for m, n in zip(margin, self.grid.shape)):
-            raise BoundaryError("stencil margin consumed the whole grid")
-        return SampledField(self.grid, values, self.chart, tuple(margin))
-
-    def _apply_stencil(self, values, axis):
-        h = self._spacing[axis]
-        moved = np.moveaxis(values, axis, 0)
-        out = np.zeros_like(moved)
-        # interior-only sliced accumulation; the two-cell rim joins the margin
-        out[2:-2] = (
-            _STENCIL[0] * moved[:-4]
-            + _STENCIL[1] * moved[1:-3]
-            + _STENCIL[3] * moved[3:-1]
-            + _STENCIL[4] * moved[4:]
-        ) / h
-        return np.moveaxis(out, 0, axis)
-
-    def _interp_weights(self, x, axis):
-        """Indices and 4-point Lagrange weights along one axis."""
-        nodes = self._axes[axis]
-        h = self._spacing[axis]
-        n = len(nodes)
-        lo = self.margin[axis]
-        hi = n - 1 - self.margin[axis]
-        if np.any(x < nodes[lo] - 1e-12) or np.any(x > nodes[hi] + 1e-12):
-            raise BoundaryError(
-                f"evaluation within stencil margin on axis {self.chart.coords[axis]}"
-            )
-        t = (x - nodes[0]) / h
-        nearest = np.rint(t)
-        on_node = np.abs(t - nearest) < 1e-9
-        base = np.clip(np.floor(t).astype(int), lo, hi - 1)
-        # 4-point stencil [base-1, base+2], clipped to the valid window
-        start = np.clip(base - 1, lo, max(hi - 3, lo))
-        idx = start[:, None] + np.arange(4)[None, :]
-        xs = nodes[idx]
-        w = np.ones((x.shape[0], 4))
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
-                w[:, i] *= (x[:, None][:, 0] - xs[:, j]) / (xs[:, i] - xs[:, j])
-        # snap exactly onto nodes: kills interpolation error at grid points
-        snap = on_node & (np.abs(nearest - t) < 1e-9)
-        if np.any(snap):
-            k = nearest.astype(int)
-            inside = (k[:, None] == idx)
-            w[snap] = np.where(inside[snap], 1.0, 0.0)
-        return idx, w
-
-    def evaluate(self, points):
-        pts, single = _as_points(points, self.chart.dim)
-        self.chart.check_domain(pts)
-        idx_w = [self._interp_weights(pts[:, a], a) for a in range(self.chart.dim)]
-        npts = pts.shape[0]
-        result = np.zeros(npts)
-        # tensor-product accumulation over the 4^d interpolation nodes
-        from itertools import product
-
-        for combo in product(range(4), repeat=self.chart.dim):
-            weights = np.ones(npts)
-            gather = []
-            for axis, pick in enumerate(combo):
-                idx, w = idx_w[axis]
-                weights *= w[:, pick]
-                gather.append(idx[:, pick])
-            result += weights * self.values[tuple(gather)]
-        if not np.all(np.isfinite(result)):
-            raise EvaluationError("non-finite sampled value")
-        return float(result[0]) if single else result
 
 
 def sample_to_grid(field: ScalarField, grid: GridSpec) -> SampledField:
-    """Sample any field onto a grid; node values match evaluation exactly."""
+    """Sample a field onto a grid; node values match evaluation exactly."""
     if grid.dim != field.chart.dim:
         raise ValueError("grid dimension does not match field chart")
     values = field.evaluate(grid.meshpoints()).reshape(grid.shape)
-    margin = getattr(field, "margin", (0,) * grid.dim)
-    return SampledField(grid, values, field.chart, margin)
-
-
-# Functional forms of the field operations.
-
-def differentiate(field: ScalarField, idx: MultiIndex) -> ScalarField:
-    return field.differentiate(idx)
-
-
-def evaluate(field: ScalarField, point):
-    return field.evaluate(point)
+    return SampledField(grid, values, field.chart)
 
 
 # --- CSV serialization of sampled grids --------------------------------------

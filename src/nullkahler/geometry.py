@@ -15,7 +15,7 @@ import numpy as np
 from .expressions import Const
 from .fields import Chart, DomainError, ExprField, MultiIndex, ScalarField
 from .sampling import Box, SamplePlan
-from .spinors import SYM_PAIRS, hodge_star_values, sigma_basis
+from .spinors import SYM_PAIRS, hodge_star_values
 
 NK_CHART = Chart(("w", "z", "x", "y"))
 
@@ -72,10 +72,6 @@ class FormField:
                 continue
             comps[(k,)] = field
         return cls(chart, 1, comps)
-
-    @classmethod
-    def from_scalar(cls, field: ScalarField) -> "FormField":
-        return cls(field.chart, 0, {(): field})
 
     def component(self, key) -> ScalarField:
         return self.comps.get(tuple(key), _zero_field(self.chart))
@@ -521,8 +517,3 @@ def dkp_coframe(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> CoFrame:
         (z,): zc * (0.5 / wx4),
     })
     return CoFrame(chart4, [[e00, e01], [e10, e11]])
-
-
-def sigma_basis_values(coframe: CoFrame, points):
-    """(sigma_primed, sigma_unprimed) value arrays from a coframe."""
-    return sigma_basis(coframe.evaluate(points))

@@ -222,10 +222,3 @@ def sigma_basis(coframe_values: np.ndarray):
         sigma_p[..., k, :, :] = sp_full[..., i, j, :, :]
         sigma_u[..., k, :, :] = su_full[..., i, j, :, :]
     return sigma_p, sigma_u
-
-
-def coframe_determinant(coframe_values: np.ndarray) -> np.ndarray:
-    """det of the 4x4 matrix e^{AA'}_mu, rows ordered 00',01',10',11'."""
-    e = np.asarray(coframe_values, dtype=float)
-    mat = e.reshape(e.shape[:-3] + (4, 4))
-    return np.linalg.det(mat)

@@ -177,7 +177,7 @@ def test_criterion_04_two_path_agreement():
         worst = max(worst, *gaps.values())
     report_line(4, worst < 1e-6,
                 f"cartan/oracle agreement {worst:.2e} < 1e-6 across all "
-                f"fixtures with frozen conversion constants")
+                f"fixtures, components compared directly")
 
 
 def test_criterion_05_weyl_value():

@@ -112,6 +112,15 @@ def test_evolve_zero_data(tmp_path):
     assert np.all(values == 0.0)
 
 
+def test_evolve_small_grid_writes_snapshots(tmp_path):
+    # the CSV container sets no minimum grid size
+    code = main(["evolve", "--nx", "8", "--ny", "8", "--dt", "1e-4",
+                 "--steps", "3", "--initial", "0",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert len(list(tmp_path.glob("u_t*.csv"))) == 2
+
+
 def test_evolve_cfl_refusal(tmp_path, capsys):
     code = main(["evolve", "--nx", "33", "--ny", "33", "--dt", "0.5",
                  "--steps", "1", "--initial", "0",
@@ -174,3 +183,22 @@ def test_load_config_validates_tolerances(tmp_path):
     path.write_text("[tolerances]\nnk1 = -1\n" + SMALL_CFG)
     with pytest.raises(ValueError):
         load_config(path)
+
+
+@pytest.mark.parametrize("section", [
+    "kind = nk\ntheta = 0\nchecks = nk1, lxa\n",
+    "kind = ew\nu = x\nchecks = ew, nk1\n",
+], ids=["nk", "ew"])
+def test_unknown_check_exit_code(tmp_path, capsys, section):
+    path = tmp_path / "checks.cfg"
+    path.write_text("[fixture:f]\n" + section)
+    assert main(["check", "--config", str(path)]) == 2
+    assert "does not compute" in capsys.readouterr().err
+
+
+def test_excluded_band_sample_exit_code(tmp_path, capsys):
+    path = tmp_path / "band.cfg"
+    path.write_text("[suite]\nsamples = 100\n\n"
+                    "[fixture:band]\nkind = nk\ntheta = x*y^3\nexclude = y:0\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert "fixture error" in capsys.readouterr().err
