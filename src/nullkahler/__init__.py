@@ -54,7 +54,6 @@ from .curvature import (
     NullKahlerReport,
     RawCurvature,
     cartan_report,
-    check_asd,
     check_null_kahler,
     coordinate_curvature,
     curvature_two_forms,

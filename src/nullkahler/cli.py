@@ -7,8 +7,16 @@ one fixture by kind (``nk``, ``nk_family``, ``dkp``, ``ew``) with
 expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
-error (a check name the fixture's kind does not compute is a config
-error).
+error (a check name the fixture's kind does not compute, or an empty
+``checks =`` line, is a config error).
+
+Each fixture is checked on one sample set.  A sample object per fixture
+holds its points, metric and coframe, and computes each quantity that
+several checks share (the oracle curvature, the null-Kahler residuals,
+the Einstein-Weyl structure, the dKP coframe) once, when the first
+selected check reads it; a check that is not selected is not computed.
+A dKP fixture builds its metric whatever the selection, so a W_x that
+vanishes on the declared box is always a fixture error.
 
 Reports are JSON with ``schema: 1`` and are byte-identical across runs
 with the same config and seed; wall-times are printed to the console
@@ -23,22 +31,20 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dkp as dkp_mod
-from .curvature import coordinate_curvature, oracle_report
+from .curvature import check_null_kahler, oracle_report
 from .evolver import (
     BlowUpError,
     BoundarySource,
     CFLError,
     DKPState,
     Grid2D,
-    cfl_bound,
     dkp_evolve,
-    manufactured_reference,
     mms_convergence,
 )
 from .expressions import ExpressionError
@@ -54,7 +60,8 @@ from .fields import (
     sample_to_grid,
 )
 from .geometry import DegeneracyError, dkp_coframe, nk_coframe, nk_metric
-from .nk_system import NKSolution, example_family, commutator_sweep, residual_nk1, residual_nk2
+from .nk_system import (NKSolution, commutator_sweep, example_family, induced_f,
+                        residual_nk1, residual_nk2)
 from .sampling import Box, SamplePlan
 
 SCHEMA_VERSION = 1
@@ -79,18 +86,12 @@ DEFAULT_TOLERANCES = {
     "nonvacuum": 1e-3,  # passes when max|Ric| is ABOVE this
 }
 
+#: default check selections, in report order
 NK_CHECKS = ("nk1", "nk2", "sd_weyl", "scalar", "ricci_null",
              "dsigma00", "dsigma01", "lax")
 DKP_CHECKS = ("heqn", "lindkp", "monopole", "ew", "dkp_sd_weyl",
               "dkp_scalar", "dsigma00", "dsigma01", "jones_tod")
 EW_CHECKS = ("ew",)
-
-#: every check a fixture kind computes, selectable with ``checks =``
-KIND_CHECKS = {
-    "nk": NK_CHECKS + ("ricci_flat",),
-    "dkp": DKP_CHECKS + ("ricci_flat", "nonvacuum"),
-    "ew": EW_CHECKS,
-}
 
 
 class ConfigError(ValueError):
@@ -141,6 +142,8 @@ def _parse_excluded(text: str) -> tuple:
 def _parse_checks(name, kind, section, default) -> tuple:
     checks = tuple(c.strip() for c in section.get(
         "checks", ", ".join(default)).split(",") if c.strip())
+    if not checks:
+        raise ConfigError(f"[fixture:{name}] has an empty checks line")
     unknown = [c for c in checks if c not in KIND_CHECKS[kind]]
     if unknown:
         raise ConfigError(
@@ -164,8 +167,6 @@ def _nk_fixture(name, section) -> Fixture:
         else:
             chart = Chart(("w", "z", "x", "y"), excluded)
             theta = ExprField.from_text(section["theta"], chart)
-            from .nk_system import induced_f
-
             f_text = section.get("f", "")
             f = (ExprField.from_text(f_text, chart) if f_text
                  else induced_f(theta))
@@ -249,87 +250,126 @@ def load_config(path) -> dict:
     }
 
 
-# --- check implementations ------------------------------------------------------
+# --- sample sets and check tables ----------------------------------------------
 
-def _run_nk_checks(fixture, payload, plan):
-    sol = payload["solution"]
-    pts = plan.points()
-    results = []
-    coframe = nk_coframe(sol.theta)
-    metric = nk_metric(sol.theta)
-    report = oracle_report(metric, coframe, pts)
-    raw = coordinate_curvature(metric, pts)
-    from .curvature import check_null_kahler
-
-    nk_report = check_null_kahler(coframe, metric, pts)
-    values = {
-        "nk1": float(np.max(np.abs(residual_nk1(sol.theta, sol.f).evaluate(pts)))),
-        "nk2": float(np.max(np.abs(residual_nk2(sol.theta, sol.f).evaluate(pts)))),
-        "sd_weyl": report.max_sd(),
-        "scalar": float(np.max(np.abs(report.scalar))),
-        "ricci_null": float(np.max(np.abs(raw.ricci_square()))),
-        "ricci_flat": float(np.max(np.abs(raw.ricci))),
-        "dsigma00": nk_report.d_sigma00,
-        "dsigma01": nk_report.d_sigma01,
-        "lax": commutator_sweep(sol, count=plan.count, seed=plan.seed),
-    }
-    for check in fixture.checks:
-        results.append((check, values[check], "below"))
-    return results
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values)))
 
 
-def _run_dkp_checks(fixture, payload, plan):
-    h_pot, w_pot, box = payload["h_pot"], payload["w_pot"], payload["box"]
-    box3 = Box(box.bounds[:3])
-    pts3 = SamplePlan(box3, plan.count, plan.seed).points()
-    pts4 = plan.points()
-    values = {}
-    if "heqn" in fixture.checks:
-        values["heqn"] = float(np.max(np.abs(
-            dkp_mod.residual_heqn(h_pot).evaluate(pts3))))
-    if "lindkp" in fixture.checks:
-        values["lindkp"] = float(np.max(np.abs(
-            dkp_mod.residual_lindkp(h_pot, w_pot).evaluate(pts3))))
-    ew = dkp_mod.ew_from_u(h_pot.deriv(x=1))
-    if "ew" in fixture.checks:
-        values["ew"] = dkp_mod.ew_residual(ew, pts3)
-    if "monopole" in fixture.checks:
-        pair = dkp_mod.monopole_from_w(h_pot, w_pot)
-        values["monopole"] = dkp_mod.monopole_residual(ew, pair, pts3)
-    need_curv = {"dkp_sd_weyl", "dkp_scalar", "ricci_flat", "nonvacuum"}
-    metric = dkp_mod.build_metric(h_pot, w_pot, box)
-    if need_curv & set(fixture.checks):
-        coframe = dkp_coframe(h_pot, w_pot, box)
-        report = oracle_report(metric, coframe, pts4)
-        raw = coordinate_curvature(metric, pts4)
-        values["dkp_sd_weyl"] = report.max_sd()
-        values["dkp_scalar"] = float(np.max(np.abs(report.scalar)))
-        values["ricci_flat"] = float(np.max(np.abs(raw.ricci)))
-        values["nonvacuum"] = float(np.max(np.abs(raw.ricci)))
-    if {"dsigma00", "dsigma01"} & set(fixture.checks):
-        _, _, _, dsig = dkp_mod.sd_two_forms(h_pot, w_pot, pts4, box)
-        values["dsigma00"] = dsig.d_sigma00
-        values["dsigma01"] = dsig.d_sigma01
-    if "jones_tod" in fixture.checks:
-        reduction = dkp_mod.jones_tod_reduce(metric)
-        wx2 = (w_pot.deriv(x=1).evaluate(pts3)) ** 2
-        gap = reduction.h.evaluate(pts3) + wx2[:, None, None] * ew.h.evaluate(pts3)
-        values["jones_tod"] = float(np.max(np.abs(gap)))
-    results = []
-    for check in fixture.checks:
-        require = "above" if check == "nonvacuum" else "below"
-        results.append((check, values[check], require))
-    return results
+class _shared:
+    """Cached per sample.  ``functools.cached_property`` locks per class
+    before Python 3.12, so fixture threads would compute one at a time."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sample, owner=None):
+        value = sample.__dict__[self.name] = self.compute(sample)
+        return value
 
 
-def _run_ew_checks(fixture, payload, plan):
-    box3 = Box(payload["box"].bounds[:3])
-    pts3 = SamplePlan(box3, plan.count, plan.seed).points()
-    ew = dkp_mod.ew_from_u(payload["u"])
-    return [("ew", dkp_mod.ew_residual(ew, pts3), "below")]
+class _CurvedSample:
+    """Sample set with a four-metric and a coframe: one oracle pass."""
+
+    @_shared
+    def oracle(self):
+        return oracle_report(self.metric, self.coframe, self.points)
 
 
-_RUNNERS = {"nk": _run_nk_checks, "dkp": _run_dkp_checks, "ew": _run_ew_checks}
+class NKSample(_CurvedSample):
+    """An nk fixture's points, with the metric and coframe of theta."""
+
+    def __init__(self, payload, plan):
+        self.solution = payload["solution"]
+        self.theta, self.f = self.solution.theta, self.solution.f
+        self.plan = plan
+        self.points = plan.points()
+        self.metric = nk_metric(self.theta)
+        self.coframe = nk_coframe(self.theta)
+
+    @_shared
+    def null_kahler(self):
+        return check_null_kahler(self.coframe, self.oracle.raw, self.points)
+
+
+class DKPSample(_CurvedSample):
+    """A dkp fixture's points on (x, y, t, z) and on (x, y, t)."""
+
+    def __init__(self, payload, plan):
+        self.h, self.w, self.box = payload["h_pot"], payload["w_pot"], payload["box"]
+        self.points = plan.points()
+        self.points3 = SamplePlan(Box(self.box.bounds[:3]), plan.count,
+                                  plan.seed).points()
+        # built whatever the selection: it rejects a vanishing W_x
+        self.metric = dkp_mod.build_metric(self.h, self.w, self.box)
+
+    @_shared
+    def coframe(self):
+        return dkp_coframe(self.h, self.w, self.box)
+
+    @_shared
+    def ew(self):
+        return dkp_mod.ew_from_u(self.h.deriv(x=1))
+
+    @_shared
+    def dsigma(self):
+        return dkp_mod.sd_two_forms(self.h, self.w, self.points, self.box)[3]
+
+
+class EWSample:
+    """An ew fixture's points on (x, y, t) and its Einstein-Weyl structure."""
+
+    def __init__(self, payload, plan):
+        self.points3 = plan.points()
+        self.ew = dkp_mod.ew_from_u(payload["u"])
+
+
+def _jones_tod_gap(s):
+    """h of the Jones-Tod reduction against -W_x^2 times the EW h."""
+    reduction = dkp_mod.jones_tod_reduce(s.metric)
+    wx2 = s.w.deriv(x=1).evaluate(s.points3) ** 2
+    return _max_abs(reduction.h.evaluate(s.points3)
+                    + wx2[:, None, None] * s.ew.h.evaluate(s.points3))
+
+
+NK_TABLE = {
+    "nk1": lambda s: _max_abs(residual_nk1(s.theta, s.f).evaluate(s.points)),
+    "nk2": lambda s: _max_abs(residual_nk2(s.theta, s.f).evaluate(s.points)),
+    "sd_weyl": lambda s: s.oracle.max_sd(),
+    "scalar": lambda s: _max_abs(s.oracle.scalar),
+    "ricci_null": lambda s: _max_abs(s.oracle.raw.ricci_square()),
+    "dsigma00": lambda s: s.null_kahler.d_sigma00,
+    "dsigma01": lambda s: s.null_kahler.d_sigma01,
+    "lax": lambda s: commutator_sweep(s.solution, count=s.plan.count,
+                                      seed=s.plan.seed),
+    "ricci_flat": lambda s: _max_abs(s.oracle.raw.ricci),
+}
+
+DKP_TABLE = {
+    "heqn": lambda s: _max_abs(dkp_mod.residual_heqn(s.h).evaluate(s.points3)),
+    "lindkp": lambda s: _max_abs(
+        dkp_mod.residual_lindkp(s.h, s.w).evaluate(s.points3)),
+    "monopole": lambda s: dkp_mod.monopole_residual(
+        s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3),
+    "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3),
+    "dkp_sd_weyl": lambda s: s.oracle.max_sd(),
+    "dkp_scalar": lambda s: _max_abs(s.oracle.scalar),
+    "dsigma00": lambda s: s.dsigma.d_sigma00,
+    "dsigma01": lambda s: s.dsigma.d_sigma01,
+    "jones_tod": _jones_tod_gap,
+    "ricci_flat": lambda s: _max_abs(s.oracle.raw.ricci),
+    "nonvacuum": lambda s: _max_abs(s.oracle.raw.ricci),  # required above
+}
+
+#: per kind, the sample set class and the checks it computes
+_KINDS = {"nk": (NKSample, NK_TABLE), "dkp": (DKPSample, DKP_TABLE),
+          "ew": (EWSample, {"ew": DKP_TABLE["ew"]})}
+
+#: every check a fixture kind computes, selectable with ``checks =``
+KIND_CHECKS = {kind: tuple(table) for kind, (_, table) in _KINDS.items()}
 
 
 def run_fixture(fixture: Fixture, config) -> list:
@@ -338,14 +378,17 @@ def run_fixture(fixture: Fixture, config) -> list:
     plan = SamplePlan(box, config["samples"], config["seed"])
     scale = config.get("tolerance_scale", 1.0)
     start = time.perf_counter()
-    raw_results = _RUNNERS[fixture.kind](fixture, payload, plan)
+    sample_class, table = _KINDS[fixture.kind]
+    sample = sample_class(payload, plan)
+    values = [(name, table[name](sample)) for name in fixture.checks]
     wall = (time.perf_counter() - start) * 1000.0
     out = []
-    for name, value, require in raw_results:
+    for name, value in values:
+        require = "above" if name == "nonvacuum" else "below"
         tol = config["tolerances"][name] * scale
         passed = value > tol if require == "above" else value <= tol
         out.append(CheckResult(fixture.name, name, float(value), tol,
-                               require, bool(passed), wall / len(raw_results)))
+                               require, bool(passed), wall / len(values)))
     if fixture.expect == "fail":
         # negative control: the fixture passes when something failed
         flipped = not all(r.passed for r in out)
@@ -481,29 +524,25 @@ def _export_command(args) -> int:
         raise ConfigError(f"fixture {args.fixture!r} not found in config")
     if args.quantity not in ("metric", "curvature", "sigma", "ew"):
         raise ConfigError(f"unknown quantity {args.quantity!r}")
+    if (args.quantity == "ew") != (fixture.kind == "ew"):
+        raise ConfigError(f"quantity {args.quantity!r} does not apply to "
+                          f"{fixture.kind} fixtures")
     payload = fixture.build()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if fixture.kind == "nk":
-        sol = payload["solution"]
-        coords = ("w", "z", "x", "y")
-        metric = nk_metric(sol.theta)
-        coframe = nk_coframe(sol.theta)
+        theta = payload["solution"].theta
+        metric, coframe = nk_metric(theta), nk_coframe(theta)
     elif fixture.kind == "dkp":
-        coords = ("x", "y", "t", "z")
-        metric = dkp_mod.build_metric(payload["h_pot"], payload["w_pot"],
-                                      payload["box"])
-        coframe = dkp_coframe(payload["h_pot"], payload["w_pot"],
-                              payload["box"])
+        parts = payload["h_pot"], payload["w_pot"], payload["box"]
+        metric, coframe = dkp_mod.build_metric(*parts), dkp_coframe(*parts)
     else:
-        coords = ("x", "y", "t")
         metric = coframe = None
+    coords = metric.chart.coords if metric is not None else dkp_mod.EW_CHART.coords
 
     names, spec = _parse_grid_spec(args.grid)
     if args.quantity == "metric":
-        if metric is None:
-            raise ConfigError("ew fixtures export quantity 'ew', not 'metric'")
         for i in range(len(coords)):
             for j in range(i, len(coords)):
                 sampled = sample_to_grid(metric.component(i, j), spec)
@@ -534,15 +573,11 @@ def _export_command(args) -> int:
                 grid_to_csv(sampled, out / f"sigma{label}_{tag}.csv")
         sys.stdout.write(f"wrote sigma component grids to {out}\n")
         return 0
-    # ew export
-    if fixture.kind != "ew":
-        raise ConfigError("quantity 'ew' requires an ew fixture")
     ew = dkp_mod.ew_from_u(payload["u"])
-    coords3 = ("x", "y", "t")
     for i in range(3):
         for j in range(i, 3):
             sampled = sample_to_grid(ew.h.component(i, j), spec)
-            grid_to_csv(sampled, out / f"h_{coords3[i]}{coords3[j]}.csv")
+            grid_to_csv(sampled, out / f"h_{coords[i]}{coords[j]}.csv")
     nu_t = ew.nu.component((2,))
     grid_to_csv(sample_to_grid(nu_t, spec), out / "nu_t.csv")
     sys.stdout.write(f"wrote ew component grids to {out}\n")

@@ -27,6 +27,7 @@ primed mirror, ``phi`` is Phi and ``scalar`` is R.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -34,7 +35,9 @@ from .geometry import (
     CoFrame,
     DegeneracyError,
     MetricField,
+    dual_vector_values,
     exterior_derivative,
+    inverse_metric_values,
 )
 from .spinors import EPS_LOWER, EPS_UPPER, SYM_PAIRS
 
@@ -69,9 +72,7 @@ _SIG_U_SOLD, _SIG_P_SOLD = _soldered_sigma()
 
 def _sym4_basis(slot) -> np.ndarray:
     t = np.zeros((2, 2, 2, 2))
-    from itertools import permutations as _perms
-
-    for perm in set(_perms(slot)):
+    for perm in set(permutations(slot)):
         t[perm] = 1.0
     return t
 
@@ -183,7 +184,8 @@ class CurvatureReport:
     anti-self-dual / self-dual Weyl spinors (all indices lowered, ordered
     by the number of 1-indices); ``phi`` is the 3x3 block of
     Phi_{ABA'B'} = -1/2 (trace-free Ricci), indexed by (unprimed pair,
-    primed pair).
+    primed pair).  ``raw`` is the coordinate curvature the oracle path
+    projected (so Ricci needs no second pass); ``None`` on the Cartan path.
     """
 
     c_asd: np.ndarray
@@ -192,6 +194,7 @@ class CurvatureReport:
     scalar: np.ndarray
     fit_residual: float
     path: str
+    raw: RawCurvature | None
 
     def max_sd(self) -> float:
         return float(np.max(np.abs(self.c_sd)))
@@ -265,7 +268,7 @@ def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
 def coordinate_curvature(metric: MetricField, points) -> RawCurvature:
     """Independent curvature oracle from coordinate formulas."""
     gv = metric.evaluate(points)
-    ginv = metric.inverse(points)
+    ginv = inverse_metric_values(gv)
     dg = metric.first_derivatives(points)
     ddg = metric.second_derivatives(points)
     gamma = christoffel(gv, dg, ginv)
@@ -322,7 +325,8 @@ class SpinConnection:
 
     ``unprimed``/``primed`` have shape (n, 3, 4): symmetric-pair index
     then coordinate component; derivative arrays add a leading coordinate
-    axis (n, 4, 3, 4).  ``residual`` is the structure-equation residual.
+    axis (n, 4, 3, 4).  ``residual`` is the structure-equation residual
+    and ``frame`` the coframe values E[n, A, A', mu] it was solved for.
     """
 
     unprimed: np.ndarray
@@ -330,6 +334,7 @@ class SpinConnection:
     d_unprimed: np.ndarray
     d_primed: np.ndarray
     residual: float
+    frame: np.ndarray
 
 
 def _assemble_structure_matrix(e: np.ndarray) -> np.ndarray:
@@ -404,7 +409,7 @@ def spin_connection(coframe: CoFrame, points) -> SpinConnection:
 
     unprimed, primed = split(gamma_flat)
     d_unprimed, d_primed = split(dgamma_flat)
-    return SpinConnection(unprimed, primed, d_unprimed, d_primed, residual)
+    return SpinConnection(unprimed, primed, d_unprimed, d_primed, residual, e)
 
 
 def _mixed_connection(sym: np.ndarray) -> np.ndarray:
@@ -455,14 +460,14 @@ def decompose_curvature(r_unprimed, r_primed, dual_vectors) -> CurvatureReport:
     c_sd = theta[:, 5:10]
     phi = theta[:, 10:19].reshape(npts, 3, 3)
     scalar = theta[:, 19]
-    return CurvatureReport(c_asd, c_sd, phi, scalar, fit, path="cartan")
+    return CurvatureReport(c_asd, c_sd, phi, scalar, fit, path="cartan",
+                           raw=None)
 
 
 def cartan_report(coframe: CoFrame, points) -> CurvatureReport:
     conn = spin_connection(coframe, points)
     r_u, r_p = curvature_two_forms(conn)
-    dual = coframe.dual_vectors(points)
-    return decompose_curvature(r_u, r_p, dual)
+    return decompose_curvature(r_u, r_p, dual_vector_values(conn.frame))
 
 
 # --- oracle projections --------------------------------------------------------
@@ -514,17 +519,11 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureRep
         for (c, d), v in pair_of.items():
             phi[:, u, v] = phi_full[:, a, b, c, d]
 
-    return CurvatureReport(c_asd, c_sd, phi, raw.scalar, sym_gap, path="oracle")
+    return CurvatureReport(c_asd, c_sd, phi, raw.scalar, sym_gap, path="oracle",
+                           raw=raw)
 
 
 # --- checks --------------------------------------------------------------------
-
-def check_asd(report_or_coframe, points=None) -> float:
-    """Max |C_{A'B'C'D'}| over the sample points."""
-    if isinstance(report_or_coframe, CurvatureReport):
-        return report_or_coframe.max_sd()
-    return cartan_report(report_or_coframe, points).max_sd()
-
 
 @dataclass
 class NullKahlerReport:
@@ -537,12 +536,12 @@ class NullKahlerReport:
         return max(self.d_sigma00, self.d_sigma01, self.ricci_square) < tol
 
 
-def check_null_kahler(coframe: CoFrame, metric: MetricField, points) -> NullKahlerReport:
-    """Residuals of the closed-form conditions and Ricci nullness."""
+def check_null_kahler(coframe: CoFrame, raw: RawCurvature, points) -> NullKahlerReport:
+    """Residuals of the closed-form conditions and Ricci nullness, the
+    latter read off ``raw`` (e.g. the oracle report's) at ``points``."""
     sig_p, _ = coframe.sigma_fields()
     d00 = float(np.max(np.abs(exterior_derivative(sig_p[0]).evaluate(points))))
     d01 = float(np.max(np.abs(exterior_derivative(sig_p[1]).evaluate(points))))
-    raw = coordinate_curvature(metric, points)
     ric2 = float(np.max(np.abs(raw.ricci_square())))
     max_ric = float(np.max(np.abs(raw.ricci)))
     return NullKahlerReport(d00, d01, ric2, max_ric)

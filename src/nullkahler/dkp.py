@@ -22,13 +22,13 @@ import numpy as np
 from .curvature import christoffel, christoffel_derivatives
 from .fields import Chart, ExprField, MultiIndex
 from .geometry import (
-    CoFrame,
-    DegeneracyError,
     FormField,
     MetricField,
+    _check_nonvanishing,
     dkp_coframe,
     dkp_metric,
     exterior_derivative,
+    inverse_metric_values,
     wedge,
 )
 from .sampling import Box
@@ -128,13 +128,13 @@ def ew_from_u(u: ExprField) -> EWStructure:
 
 
 def weyl_connection(ew: EWStructure, points):
-    """Coefficients and exact first derivatives of the Weyl connection.
+    """Weyl connection coefficients, their exact first derivatives, h, h^{-1}.
 
     gamma^i_jk = LC(h) - 1/2 (d^i_j nu_k + d^i_k nu_j - h_jk nu^i),
     the unique torsion-free connection with D h = nu x h.
     """
     hv = ew.h.evaluate(points)
-    hinv = ew.h.inverse(points)
+    hinv = inverse_metric_values(hv)
     dh = ew.h.first_derivatives(points)
     ddh = ew.h.second_derivatives(points)
     gamma = christoffel(hv, dh, hinv)
@@ -167,12 +167,12 @@ def weyl_connection(ew: EWStructure, points):
         - np.einsum("nljk,ni->nlijk", dh, nu_up)
         - np.einsum("njk,nli->nlijk", hv, dnu_up)
     )
-    return gamma + correction, dgamma + dcorrection
+    return gamma + correction, dgamma + dcorrection, hv, hinv
 
 
 def ew_residual(ew: EWStructure, points) -> float:
     """Max trace-free symmetrized Ricci of the Weyl connection."""
-    gamma, dgamma = weyl_connection(ew, points)
+    gamma, dgamma, hv, hinv = weyl_connection(ew, points)
     ricci = (
         np.einsum("nkkij->nij", dgamma)
         - np.einsum("nikkj->nij", dgamma)
@@ -180,8 +180,6 @@ def ew_residual(ew: EWStructure, points) -> float:
         - np.einsum("nkil,nlkj->nij", gamma, gamma)
     )
     sym = 0.5 * (ricci + np.swapaxes(ricci, -1, -2))
-    hv = ew.h.evaluate(points)
-    hinv = ew.h.inverse(points)
     trace = np.einsum("nij,nij->n", hinv, sym)
     tracefree = sym - np.einsum("n,nij->nij", trace / 3.0, hv)
     return float(np.max(np.abs(tracefree)))
@@ -346,7 +344,5 @@ def hyperkahler_specialize(h_pot: ExprField, box: Box = None) -> MetricField:
     """
     _require_ew_chart(h_pot)
     if box is not None:
-        from .geometry import _check_nonvanishing
-
         _check_nonvanishing(h_pot.deriv(x=2), box, "H_xx")
     return dkp_metric(h_pot, 0.5 * h_pot.deriv(x=1))

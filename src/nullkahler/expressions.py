@@ -20,7 +20,6 @@ Exponents must fold to a numeric constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -13,7 +13,6 @@ import numpy as np
 
 from .expressions import (
     EvaluationError,
-    Expr,
     ExpressionError,
     as_expr,
     parse,

@@ -8,16 +8,13 @@ so a displayed ``dw dx`` contributes 1/2 to each of g_wx and g_xw.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import permutations
 
 import numpy as np
 
-from .expressions import Const
 from .fields import Chart, DomainError, ExprField, MultiIndex, ScalarField
 from .sampling import Box, SamplePlan
 from .spinors import SYM_PAIRS, hodge_star_values
-
-NK_CHART = Chart(("w", "z", "x", "y"))
 
 DEGENERACY_TOL = 1e-10
 
@@ -64,15 +61,6 @@ class FormField:
     def zero(cls, chart: Chart, degree: int) -> "FormField":
         return cls(chart, degree)
 
-    @classmethod
-    def one_form(cls, chart: Chart, components) -> "FormField":
-        comps = {}
-        for k, field in enumerate(components):
-            if _is_zero(field):
-                continue
-            comps[(k,)] = field
-        return cls(chart, 1, comps)
-
     def component(self, key) -> ScalarField:
         return self.comps.get(tuple(key), _zero_field(self.chart))
 
@@ -104,11 +92,9 @@ class FormField:
                 return np.asarray(self.component(()).evaluate(pts))
             return np.zeros(pts.shape[0])
         out = np.zeros((pts.shape[0],) + (n,) * self.degree)
-        from itertools import permutations as _perms
-
         for key, field in self.comps.items():
             values = field.evaluate(pts)
-            for perm in _perms(range(self.degree)):
+            for perm in permutations(range(self.degree)):
                 sign = 1
                 for i in range(self.degree):
                     for j in range(i + 1, self.degree):
@@ -117,14 +103,6 @@ class FormField:
                 idx = tuple(key[p] for p in perm)
                 out[(slice(None),) + idx] = sign * values
         return out
-
-
-def _is_zero(field) -> bool:
-    return (
-        isinstance(field, ExprField)
-        and isinstance(field.expr, Const)
-        and field.expr.value == 0.0
-    )
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -196,11 +174,7 @@ class MetricField:
         return out
 
     def inverse(self, points) -> np.ndarray:
-        gv = self.evaluate(points)
-        det = np.linalg.det(gv)
-        if np.any(np.abs(det) < DEGENERACY_TOL):
-            raise DegeneracyError("metric degenerate at a sample point")
-        return np.linalg.inv(gv)
+        return inverse_metric_values(self.evaluate(points))
 
     def _derivative_field(self, i, j, orders):
         key = (i, j, orders)
@@ -343,13 +317,25 @@ class CoFrame:
 
     def dual_vectors(self, points) -> np.ndarray:
         """Frame vectors D[n, A, A', mu] with e^{BB'}(D_{AA'}) = delta."""
-        e = self.evaluate(points)
-        mat = e.reshape(e.shape[0], 4, 4)  # rows 00',01',10',11'
-        det = np.linalg.det(mat)
-        if np.any(np.abs(det) < DEGENERACY_TOL):
-            raise DegeneracyError("degenerate coframe")
-        dual = np.linalg.inv(mat)  # columns are the dual vectors
-        return np.transpose(dual, (0, 2, 1)).reshape(e.shape[0], 2, 2, -1)
+        return dual_vector_values(self.evaluate(points))
+
+
+def inverse_metric_values(gv: np.ndarray) -> np.ndarray:
+    """g^{-1} at each point from metric values g[n, i, j]."""
+    det = np.linalg.det(gv)
+    if np.any(np.abs(det) < DEGENERACY_TOL):
+        raise DegeneracyError("metric degenerate at a sample point")
+    return np.linalg.inv(gv)
+
+
+def dual_vector_values(e: np.ndarray) -> np.ndarray:
+    """Frame vectors D[n, A, A', mu] from coframe values E[n, A, A', mu]."""
+    mat = e.reshape(e.shape[0], 4, 4)  # rows 00',01',10',11'
+    det = np.linalg.det(mat)
+    if np.any(np.abs(det) < DEGENERACY_TOL):
+        raise DegeneracyError("degenerate coframe")
+    dual = np.linalg.inv(mat)  # columns are the dual vectors
+    return np.transpose(dual, (0, 2, 1)).reshape(e.shape[0], 2, 2, -1)
 
 
 def metric_from_coframe(e: CoFrame) -> MetricField:
@@ -418,16 +404,10 @@ def nk_coframe(theta: ExprField) -> CoFrame:
     zero = _zero_field(chart)
     w, z, x, y = 0, 1, 2, 3
 
-    def one_form(entries):
-        comps = {}
-        for axis, field in entries.items():
-            comps[(axis,)] = field
-        return FormField(chart, 1, comps)
-
-    e00 = one_form({w: one})
-    e10 = one_form({z: one})
-    e01 = one_form({y: one * -0.5, w: txy * -0.5, z: txx * 0.5})
-    e11 = one_form({x: one * 0.5, w: tyy * -0.5, z: txy * 0.5})
+    e00 = FormField(chart, 1, {(w,): one})
+    e10 = FormField(chart, 1, {(z,): one})
+    e01 = FormField(chart, 1, {(y,): one * -0.5, (w,): txy * -0.5, (z,): txx * 0.5})
+    e11 = FormField(chart, 1, {(x,): one * 0.5, (w,): tyy * -0.5, (z,): txy * 0.5})
     return CoFrame(chart, [[e00, e01], [e10, e11]])
 
 

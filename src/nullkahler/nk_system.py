@@ -14,20 +14,19 @@ families, and the Lax pair with a numerical commutator check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import (
     Expr,
-    ExpressionError,
     Var,
     as_expr,
     integrate_polynomial,
     parse,
 )
-from .fields import Chart, ExcludedBand, ExprField
-from .sampling import Box
+from .fields import Chart, ExcludedBand, ExprField, MultiIndex
+from .sampling import Box, SamplePlan
 
 NK_COORDS = ("w", "z", "x", "y")
 
@@ -147,9 +146,6 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
 
 # --- Lax pair -----------------------------------------------------------------
 
-LAX_COORDS = ("w", "z", "x", "y", "lambda")
-
-
 @dataclass
 class LaxFields:
     """Two vector fields on (w, z, x, y, lambda).
@@ -192,8 +188,6 @@ def _poly_diff_coord(poly, axis, chart):
     out = []
     for power, coeff in poly:
         orders = tuple(1 if k == axis else 0 for k in range(chart.dim))
-        from .fields import MultiIndex
-
         out.append((power, coeff.differentiate(MultiIndex(orders))))
     return out
 
@@ -245,8 +239,6 @@ def lax_commutator(lax: LaxFields, points, lambdas) -> np.ndarray:
 def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240,
                      lambda_window=(-2.0, 2.0)) -> float:
     """Max |[L0, L1]| component over a deterministic (point, lambda) sweep."""
-    from .sampling import SamplePlan
-
     plan = SamplePlan(solution.box, count=count, seed=seed)
     pts = plan.points()
     lam = plan.rng().uniform(*lambda_window, size=pts.shape[0])

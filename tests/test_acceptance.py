@@ -109,14 +109,13 @@ def test_criterion_02_system_geometry_equivalence():
         )
         metric, coframe = nk_metric(sol.theta), nk_coframe(sol.theta)
         report = oracle_report(metric, coframe, pts)
-        raw = coordinate_curvature(metric, pts)
         worst["sd"] = max(worst["sd"], report.max_sd())
         worst["scalar"] = max(worst["scalar"], float(np.max(np.abs(report.scalar))))
         worst["ricci2"] = max(worst["ricci2"],
-                              float(np.max(np.abs(raw.ricci_square()))))
+                              float(np.max(np.abs(report.raw.ricci_square()))))
         from nullkahler.curvature import check_null_kahler
 
-        nk_rep = check_null_kahler(coframe, metric, pts)
+        nk_rep = check_null_kahler(coframe, report.raw, pts)
         worst["dsigma"] = max(worst["dsigma"], nk_rep.d_sigma00, nk_rep.d_sigma01)
         worst["lax"] = max(worst["lax"], commutator_sweep(sol, count=100))
     ok = (worst["nk"] < 1e-10 and worst["sd"] < 1e-8 and worst["scalar"] < 1e-8

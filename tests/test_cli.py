@@ -164,6 +164,20 @@ def test_export_bad_quantity(tmp_path, small_cfg, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, quantity", [
+    ("nk", "ew"), ("ew", "metric"), ("ew", "curvature"), ("ew", "sigma"),
+])
+def test_export_quantity_kind_mismatch(tmp_path, capsys, kind, quantity):
+    path = tmp_path / "export.cfg"
+    body = "theta = 0\n" if kind == "nk" else "u = x\n"
+    path.write_text(f"[fixture:f]\nkind = {kind}\n{body}")
+    code = main(["export", "--config", str(path), "--fixture", "f",
+                 "--quantity", quantity, "--grid", "x:-1:1:3",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "does not apply" in capsys.readouterr().err
+
+
 def test_evolve_mms_table(tmp_path, monkeypatch, capsys):
     import nullkahler.cli as cli
 
@@ -185,15 +199,16 @@ def test_load_config_validates_tolerances(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("section", [
-    "kind = nk\ntheta = 0\nchecks = nk1, lxa\n",
-    "kind = ew\nu = x\nchecks = ew, nk1\n",
-], ids=["nk", "ew"])
-def test_unknown_check_exit_code(tmp_path, capsys, section):
+@pytest.mark.parametrize("section, message", [
+    ("kind = nk\ntheta = 0\nchecks = nk1, lxa\n", "does not compute"),
+    ("kind = ew\nu = x\nchecks = ew, nk1\n", "does not compute"),
+    ("kind = nk\ntheta = 0\nchecks =\n", "empty checks line"),
+], ids=["nk", "ew", "empty"])
+def test_unknown_check_exit_code(tmp_path, capsys, section, message):
     path = tmp_path / "checks.cfg"
     path.write_text("[fixture:f]\n" + section)
     assert main(["check", "--config", str(path)]) == 2
-    assert "does not compute" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_excluded_band_sample_exit_code(tmp_path, capsys):
@@ -202,3 +217,72 @@ def test_excluded_band_sample_exit_code(tmp_path, capsys):
                     "[fixture:band]\nkind = nk\ntheta = x*y^3\nexclude = y:0\n")
     assert main(["check", "--config", str(path)]) == 2
     assert "fixture error" in capsys.readouterr().err
+
+
+SHARING_CFG = """
+[suite]
+samples = 10
+
+[fixture:nk]
+kind = nk
+theta = x*y^3
+
+[fixture:nk-residuals]
+kind = nk
+theta = x*y^3
+checks = nk1, nk2
+
+[fixture:dkp]
+kind = dkp
+H = -x^2/(2*(t-1))
+W = -x/(t-1)
+exclude = t:1
+
+[fixture:dkp-potentials]
+kind = dkp
+H = -x^2/(2*(t-1))
+W = -x/(t-1)
+exclude = t:1
+checks = heqn, lindkp
+
+[fixture:ew]
+kind = ew
+u = -x/(t-1)
+exclude = t:1
+"""
+
+
+def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
+    import nullkahler.cli as cli
+    from nullkahler import curvature
+
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(curvature, "coordinate_curvature",
+                        counted("curvature", curvature.coordinate_curvature))
+    monkeypatch.setattr(cli, "commutator_sweep",
+                        counted("lax", cli.commutator_sweep))
+    path = tmp_path / "sharing.cfg"
+    path.write_text(SHARING_CFG)
+    config = load_config(path)
+    # (curvature passes, Lax sweeps) per fixture
+    expected = {"nk": (1, 1), "nk-residuals": (0, 0), "dkp": (1, 0),
+                "dkp-potentials": (0, 0), "ew": (0, 0)}
+    for fixture in config["fixtures"]:
+        calls.update(curvature=0, lax=0)
+        results = cli.run_fixture(fixture, config)
+        assert [r.name for r in results] == list(fixture.checks)
+        assert all(r.passed for r in results), fixture.name
+        assert (calls["curvature"], calls["lax"]) == expected[fixture.name], \
+            fixture.name
+
+    # the metric is still built when no check reads it
+    path.write_text("[fixture:f]\nkind = dkp\nH = 0\nW = y\nchecks = heqn\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert "W_x vanishes" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import pytest
 from nullkahler.curvature import (
     KAPPA_PAPER,
     cartan_report,
-    check_asd,
     check_null_kahler,
     coordinate_curvature,
     curvature_two_forms,
@@ -148,7 +147,8 @@ def test_curvature_two_forms_abelian():
     unprimed[:, 0, :] = rng.uniform(-1, 1, size=(n, 4))
     d_unprimed[:, :, 0, :] = rng.uniform(-1, 1, size=(n, 4, 4))
     conn = SpinConnection(unprimed, np.zeros((n, 3, 4)),
-                          d_unprimed, np.zeros((n, 4, 3, 4)), 0.0)
+                          d_unprimed, np.zeros((n, 4, 3, 4)), 0.0,
+                          np.zeros((n, 2, 2, 4)))
     r_u, r_p = curvature_two_forms(conn)
     dmixed = np.einsum("abp,nlpk->nlabk", np.asarray(
         __import__("nullkahler.curvature", fromlist=["_MIXED"])._MIXED),
@@ -207,23 +207,26 @@ def test_sd_weyl_value_x2y2(pts):
 
 def test_check_asd(pts):
     metric, coframe, _ = nk_fixture("z*y^3/3")
-    assert check_asd(cartan_report(coframe, pts)) < 1e-8
+    assert cartan_report(coframe, pts).max_sd() < 1e-8
     bad_metric, bad_coframe, _ = nk_fixture("x^2*y^2")
     near_ones = np.array([[0.9, 0.9, 0.95, 1.0]])
-    assert check_asd(bad_coframe, near_ones) > 1e-2
+    assert cartan_report(bad_coframe, near_ones).max_sd() > 1e-2
     flat_metric, flat_coframe, _ = nk_fixture("0")
-    assert check_asd(flat_coframe, pts) < 1e-14
+    assert cartan_report(flat_coframe, pts).max_sd() < 1e-14
 
 
 def test_check_null_kahler(pts):
     metric, coframe, _ = nk_fixture("z*y^3/3")
-    report = check_null_kahler(coframe, metric, pts)
+    report = check_null_kahler(coframe, coordinate_curvature(metric, pts), pts)
     assert report.d_sigma00 < 1e-8
     assert report.d_sigma01 < 1e-8
     assert report.ricci_square < 1e-8
-    at_one = check_null_kahler(coframe, metric, np.array([[0.2, 0.3, 0.1, 1.0]]))
+    one = np.array([[0.2, 0.3, 0.1, 1.0]])
+    at_one = check_null_kahler(coframe, coordinate_curvature(metric, one), one)
     assert at_one.max_ricci > 0.1
-    flat = check_null_kahler(*nk_fixture("0")[1::-1], pts)
+    flat_metric, flat_coframe, _ = nk_fixture("0")
+    flat = check_null_kahler(flat_coframe, coordinate_curvature(flat_metric, pts),
+                             pts)
     assert flat.passes() and flat.max_ricci < 1e-12
 
 
@@ -232,8 +235,8 @@ def test_dkp_null_kahler_closure():
     w_pot = ExprField.from_text("-x/(t-1)", CHART3)
     metric = build_metric(h_pot, w_pot, DKP_BOX)
     coframe = dkp_coframe(h_pot, w_pot, DKP_BOX)
-    report = check_null_kahler(coframe, metric,
-                               SamplePlan(DKP_BOX, count=60).points())
+    pts = SamplePlan(DKP_BOX, count=60).points()
+    report = check_null_kahler(coframe, coordinate_curvature(metric, pts), pts)
     assert report.d_sigma00 < 1e-9
     assert report.d_sigma01 < 1e-9
 

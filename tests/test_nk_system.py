@@ -164,19 +164,19 @@ def test_lax_commutator_negative_control():
 def test_equivalence_of_formulations(pts):
     # residuals vanish <=> commutator vanishes <=> SD Weyl vanishes,
     # in both the positive and negative directions
-    from nullkahler.curvature import check_asd
+    from nullkahler.curvature import cartan_report
     from nullkahler.geometry import nk_coframe
 
     good = example_family(1, {"A": "y^2"})
     assert np.max(np.abs(residual_nk2(good.theta, good.f).evaluate(pts))) < 1e-10
     assert commutator_sweep(good) < 1e-8
-    assert check_asd(nk_coframe(good.theta), pts) < 1e-8
+    assert cartan_report(nk_coframe(good.theta), pts).max_sd() < 1e-8
 
     theta = field("x^2*y^2")
     bad = NKSolution(theta, induced_f(theta), BOX4)
     assert np.max(np.abs(residual_nk2(bad.theta, bad.f).evaluate(pts))) > 1e-2
     assert commutator_sweep(bad) > 1e-2
-    assert check_asd(nk_coframe(bad.theta), pts) > 1e-2
+    assert cartan_report(nk_coframe(bad.theta), pts).max_sd() > 1e-2
 
 
 def test_box_operator_matches_nk2(pts):
