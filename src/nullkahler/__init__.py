@@ -17,7 +17,6 @@ from .fields import (
     MultiIndex,
     OrderOverflowError,
     SampledField,
-    ScalarField,
     grid_from_csv,
     grid_to_csv,
     sample_to_grid,

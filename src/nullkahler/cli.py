@@ -308,7 +308,8 @@ class DKPSample(_CurvedSample):
 
     @_shared
     def coframe(self):
-        return dkp_coframe(self.h, self.w, self.box)
+        # W_x was checked on the same box when the metric was built
+        return dkp_coframe(self.h, self.w)
 
     @_shared
     def ew(self):
@@ -316,7 +317,7 @@ class DKPSample(_CurvedSample):
 
     @_shared
     def dsigma(self):
-        return dkp_mod.sd_two_forms(self.h, self.w, self.points, self.box)[3]
+        return dkp_mod.sd_two_forms(self.coframe, self.h, self.w, self.points)[3]
 
 
 class EWSample:
@@ -535,8 +536,9 @@ def _export_command(args) -> int:
         theta = payload["solution"].theta
         metric, coframe = nk_metric(theta), nk_coframe(theta)
     elif fixture.kind == "dkp":
-        parts = payload["h_pot"], payload["w_pot"], payload["box"]
-        metric, coframe = dkp_mod.build_metric(*parts), dkp_coframe(*parts)
+        h_pot, w_pot = payload["h_pot"], payload["w_pot"]
+        metric = dkp_mod.build_metric(h_pot, w_pot, payload["box"])
+        coframe = dkp_coframe(h_pot, w_pot)
     else:
         metric = coframe = None
     coords = metric.chart.coords if metric is not None else dkp_mod.EW_CHART.coords

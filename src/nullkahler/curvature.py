@@ -226,18 +226,10 @@ class CurvatureReport:
 
 # --- coordinate oracle --------------------------------------------------------
 
-def christoffel(gv, dg, ginv) -> np.ndarray:
-    """Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)."""
-    bracket = (
-        np.einsum("nbdc->nbcd", dg)
-        + np.einsum("ncbd->nbcd", dg)
-        - np.einsum("ndbc->nbcd", dg)
-    )
-    return 0.5 * np.einsum("nad,nbcd->nabc", ginv, bracket)
-
-
-def christoffel_derivatives(gv, dg, ddg, ginv) -> np.ndarray:
-    """d_k Gamma^a_{bc}, exact given exact metric derivatives."""
+def christoffel(dg, ddg, ginv) -> tuple:
+    """Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), its
+    partials d_k Gamma^a_{bc} and d_k g^{ab}, exact given exact metric
+    derivatives."""
     dginv = -np.einsum("nae,nkef,nfd->nkad", ginv, dg, ginv)
     bracket = (
         np.einsum("nbdc->nbcd", dg)
@@ -249,10 +241,12 @@ def christoffel_derivatives(gv, dg, ddg, ginv) -> np.ndarray:
         + np.einsum("nkcbd->nkbcd", ddg)
         - np.einsum("nkdbc->nkbcd", ddg)
     )
-    return 0.5 * (
+    gamma = 0.5 * np.einsum("nad,nbcd->nabc", ginv, bracket)
+    dgamma = 0.5 * (
         np.einsum("nkad,nbcd->nkabc", dginv, bracket)
         + np.einsum("nad,nkbcd->nkabc", ginv, dbracket)
     )
+    return gamma, dgamma, dginv
 
 
 def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
@@ -271,8 +265,7 @@ def coordinate_curvature(metric: MetricField, points) -> RawCurvature:
     ginv = inverse_metric_values(gv)
     dg = metric.first_derivatives(points)
     ddg = metric.second_derivatives(points)
-    gamma = christoffel(gv, dg, ginv)
-    dgamma = christoffel_derivatives(gv, dg, ddg, ginv)
+    gamma, dgamma, _ = christoffel(dg, ddg, ginv)
     riem = riemann_from_christoffel(gamma, dgamma)
     riem_low = np.einsum("nae,nebcd->nabcd", gv, riem)
     ricci = np.einsum("nabad->nbd", riem)

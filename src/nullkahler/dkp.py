@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import christoffel, christoffel_derivatives
-from .fields import Chart, ExprField, MultiIndex
+from .curvature import christoffel
+from .fields import Chart, ExprField
 from .geometry import (
+    CoFrame,
     FormField,
     MetricField,
     _check_nonvanishing,
-    dkp_coframe,
     dkp_metric,
     exterior_derivative,
+    field_jet,
     inverse_metric_values,
     wedge,
 )
@@ -122,7 +123,7 @@ def ew_from_u(u: ExprField) -> EWStructure:
     comps[y][y] = one
     comps[x][t] = comps[t][x] = ExprField.constant(-2.0, chart)
     comps[t][t] = -4.0 * u
-    h = MetricField(chart, comps, orientation=EW_ORIENTATION)
+    h = MetricField(chart, comps)
     nu = FormField(chart, 1, {(t,): -4.0 * u.deriv(x=1)})
     return EWStructure(h, nu)
 
@@ -137,18 +138,10 @@ def weyl_connection(ew: EWStructure, points):
     hinv = inverse_metric_values(hv)
     dh = ew.h.first_derivatives(points)
     ddh = ew.h.second_derivatives(points)
-    gamma = christoffel(hv, dh, hinv)
-    dgamma = christoffel_derivatives(hv, dh, ddh, hinv)
-
+    gamma, dgamma, dhinv = christoffel(dh, ddh, hinv)
     n = hv.shape[-1]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    nu = np.zeros((pts.shape[0], n))
-    dnu = np.zeros((pts.shape[0], n, n))
-    for (axis,), field in ew.nu.comps.items():
-        nu[:, axis] = field.evaluate(pts)
-        for k in range(n):
-            orders = tuple(1 if c == k else 0 for c in range(n))
-            dnu[:, k, axis] = field.differentiate(MultiIndex(orders)).evaluate(pts)
+    nu = ew.nu.evaluate(points)
+    dnu = field_jet(ew.nu.jet_entries(), (n,), points, 1)
 
     eye = np.eye(n)
     nu_up = np.einsum("nij,nj->ni", hinv, nu)
@@ -157,7 +150,6 @@ def weyl_connection(ew: EWStructure, points):
         + np.einsum("ik,nj->nijk", eye, nu)
         - np.einsum("njk,ni->nijk", hv, nu_up)
     )
-    dhinv = -np.einsum("nia,nkab,nbj->nkij", hinv, dh, hinv)
     dnu_up = np.einsum("nkij,nj->nki", dhinv, nu) + np.einsum(
         "nij,nkj->nki", hinv, dnu
     )
@@ -193,7 +185,6 @@ class MonopolePair:
 
     v: ExprField
     alpha: FormField
-    weight: int = -1
 
 
 def monopole_from_w(h_pot: ExprField, w_pot: ExprField) -> MonopolePair:
@@ -253,15 +244,14 @@ class DSigmaReport:
     d_sigma11_vs_rhs: float
 
 
-def sd_two_forms(h_pot: ExprField, w_pot: ExprField, points,
-                 box: Box = None):
-    """The printed SD two-form basis and its closedness report.
+def sd_two_forms(coframe: CoFrame, h_pot: ExprField, w_pot: ExprField, points):
+    """The printed SD two-form basis of the dkp coframe of (H, W) and its
+    closedness report.
 
     Returns (sigma00, sigma01, sigma11, report) where the forms use the
     display normalization Sigma^{0'0'} = e00'^e10',
     Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11'.
     """
-    coframe = dkp_coframe(h_pot, w_pot, box)
     e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
     e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
     sigma00 = wedge(e00, e10)
@@ -294,8 +284,7 @@ class JonesTodReduction:
     nu_at: object  # callable(points4) -> (n, 4) component array
 
 
-def jones_tod_reduce(metric: MetricField,
-                     orientation: int = JONES_TOD_ORIENTATION) -> JonesTodReduction:
+def jones_tod_reduce(metric: MetricField) -> JonesTodReduction:
     """h = |K|^{-2} g - |K|^{-4} Kb o Kb, nu = 2 |K|^{-2} *_g (Kb ^ dKb)
     for K = d_z; the metric components must not depend on z."""
     chart4 = metric.chart
@@ -326,7 +315,8 @@ def jones_tod_reduce(metric: MetricField,
     def nu_at(points4) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points4, dtype=float))
         gv = metric.evaluate(pts)
-        star = hodge_star_values(three_form.evaluate(pts), 3, gv, orientation)
+        star = hodge_star_values(three_form.evaluate(pts), 3, gv,
+                                 JONES_TOD_ORIENTATION)
         scale = 2.0 / norm2.on_chart(chart4).evaluate(pts)
         return star * scale[:, None]
 

@@ -38,6 +38,12 @@ CFL_SAFETY = 0.25
 #: cap (stiffness 8 pi ~ 25) carries a factor-two margin.
 DISPERSIVE_SAFETY = 8.0
 
+#: ``reference_run_error`` steps at this fraction of ``cfl_bound``
+REFERENCE_CFL_FACTOR = 0.9
+
+#: (x0, x1, y0, y1) of the manufactured-solution study
+MMS_BOX = (0.0, 2.0, 0.0, 2.0)
+
 
 class CFLError(ValueError):
     """Requested time step exceeds the documented stability bound."""
@@ -214,12 +220,12 @@ def uniform_reference(expr_text: str):
 
 
 def reference_run_error(boundary: BoundarySource, grid: Grid2D,
-                        t_end: float, cfl_factor: float = 0.9) -> float:
+                        t_end: float) -> float:
     """Relative L2 error against the reference at t_end."""
     u0 = boundary.u_on(grid, 0.0)
     state = DKPState(grid, u0, 0.0, boundary)
     dt_max = cfl_bound(state)
-    steps = int(np.ceil(t_end / (cfl_factor * dt_max)))
+    steps = int(np.ceil(t_end / (REFERENCE_CFL_FACTOR * dt_max)))
     dt = t_end / steps
     final = dkp_evolve(state, dt, steps)[-1]
     exact = boundary.u_on(grid, t_end)
@@ -228,15 +234,14 @@ def reference_run_error(boundary: BoundarySource, grid: Grid2D,
     return float(err / scale) if scale > 0 else float(err)
 
 
-def mms_convergence(resolutions=(64, 128, 256), t_end: float = 0.1,
-                    box=(0.0, 2.0, 0.0, 2.0)) -> dict:
+def mms_convergence(resolutions=(64, 128, 256), t_end: float = 0.1) -> dict:
     """Self-convergence study on the manufactured solution.
 
     Returns {"errors": [...], "orders": [...]} with observed orders
     log2(e_N / e_2N) between successive grids; dt scales with dx so the
     second-order spatial stencils dominate.
     """
-    x0, x1, y0, y1 = box
+    x0, x1, y0, y1 = MMS_BOX
     boundary = manufactured_reference(x0)
     errors = []
     for n in resolutions:

@@ -109,28 +109,8 @@ def _as_points(points, dim):
     return pts, False
 
 
-class ScalarField:
-    """Common field interface: ``evaluate`` and ``differentiate``."""
-
-    chart: Chart
-
-    def evaluate(self, points):
-        raise NotImplementedError
-
-    def differentiate(self, idx: MultiIndex) -> "ScalarField":
-        raise NotImplementedError
-
-    def deriv(self, **orders) -> "ScalarField":
-        return self.differentiate(MultiIndex.of(self.chart, **orders))
-
-    def __call__(self, points):
-        return self.evaluate(points)
-
-
-class ExprField(ScalarField):
+class ExprField:
     """Closed-form backend: exact differentiation of an expression tree."""
-
-    backend = "closed-form"
 
     def __init__(self, expr, chart: Chart, params=None):
         self.expr = as_expr(expr)
@@ -173,6 +153,30 @@ class ExprField(ScalarField):
             for _ in range(order):
                 expr = expr.diff(name)
         return ExprField(expr, self.chart, self.params)
+
+    def deriv(self, **orders) -> "ExprField":
+        return self.differentiate(MultiIndex.of(self.chart, **orders))
+
+    def partial(self, *axes) -> "ExprField":
+        """The partial derivative along the chart axes ``axes``, in order.
+
+        Memoised on this field.  ``partial(k, l)`` is ``partial(k)``
+        differentiated once more along ``l``: for sorted axes, the tree
+        that ``differentiate`` builds for the same multi-index.
+        """
+        if not axes:
+            return self
+        memo = self.__dict__.get("_partials")
+        if memo is None:  # most fields are never differentiated
+            memo = self._partials = {}
+        if axes not in memo:
+            *head, last = axes
+            onehot = tuple(int(k == last) for k in range(self.chart.dim))
+            memo[axes] = self.partial(*head).differentiate(MultiIndex(onehot))
+        return memo[axes]
+
+    def __call__(self, points):
+        return self.evaluate(points)
 
     # Field arithmetic builds new trees; handy for residual operators.
     def _binary(self, other, op):
@@ -252,7 +256,7 @@ class SampledField:
         self.chart = chart
 
 
-def sample_to_grid(field: ScalarField, grid: GridSpec) -> SampledField:
+def sample_to_grid(field: ExprField, grid: GridSpec) -> SampledField:
     """Sample a field onto a grid; node values match evaluation exactly."""
     if grid.dim != field.chart.dim:
         raise ValueError("grid dimension does not match field chart")

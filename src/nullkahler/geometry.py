@@ -8,13 +8,13 @@ so a displayed ``dw dx`` contributes 1/2 to each of g_wx and g_xw.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .fields import Chart, DomainError, ExprField, MultiIndex, ScalarField
+from .fields import Chart, DomainError, ExprField
 from .sampling import Box, SamplePlan
-from .spinors import SYM_PAIRS, hodge_star_values
+from .spinors import SYM_PAIRS, hodge_star_values, permutation_parity
 
 DEGENERACY_TOL = 1e-10
 
@@ -27,15 +27,28 @@ def _merge_sign(left: tuple, right: tuple):
     """Sorted concatenation of disjoint index tuples and its parity."""
     if set(left) & set(right):
         return None, 0
-    merged = list(left)
-    sign = 1
-    for idx in right:
-        pos = 0
-        while pos < len(merged) and merged[pos] < idx:
-            pos += 1
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, idx)
-    return tuple(merged), sign
+    return tuple(sorted(left + right)), permutation_parity(left + right)
+
+
+def field_jet(entries, shape, points, order: int) -> np.ndarray:
+    """Values (order 0), first (1) or second (2) partials of a field array.
+
+    ``entries`` lists ``(field, [(index, sign), ...])``: the field, times
+    the sign, fills each index of an array of ``shape``; unlisted slots
+    are zero.  Returns ``out[n, k..., *index]`` with ``order`` derivative
+    axes.  Each partial is evaluated once per sorted axis tuple (k <= l)
+    and mirrored into the symmetric slots.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = pts.shape[-1]
+    out = np.zeros((pts.shape[0],) + (dim,) * order + tuple(shape))
+    for field, slots in entries:
+        for axes in combinations_with_replacement(range(dim), order):
+            values = field.partial(*axes).evaluate(pts)
+            for mirrored in set(permutations(axes)):
+                for index, sign in slots:
+                    out[(slice(None),) + mirrored + tuple(index)] = sign * values
+    return out
 
 
 def _zero_field(chart: Chart) -> ExprField:
@@ -61,7 +74,7 @@ class FormField:
     def zero(cls, chart: Chart, degree: int) -> "FormField":
         return cls(chart, degree)
 
-    def component(self, key) -> ScalarField:
+    def component(self, key) -> ExprField:
         return self.comps.get(tuple(key), _zero_field(self.chart))
 
     def __add__(self, other: "FormField") -> "FormField":
@@ -79,30 +92,21 @@ class FormField:
         comps = {key: value * factor for key, value in self.comps.items()}
         return FormField(self.chart, self.degree, comps)
 
-    def mul_scalar(self, field: ScalarField) -> "FormField":
+    def mul_scalar(self, field: ExprField) -> "FormField":
         comps = {key: value * field for key, value in self.comps.items()}
         return FormField(self.chart, self.degree, comps)
 
+    def jet_entries(self) -> list:
+        """``field_jet`` entries: each component in its antisymmetric slots."""
+        perms = list(permutations(range(self.degree)))
+        return [(field, [(tuple(key[p] for p in perm), permutation_parity(perm))
+                         for perm in perms])
+                for key, field in self.comps.items()]
+
     def evaluate(self, points) -> np.ndarray:
         """Dense antisymmetric component array of shape (n, 4, ..., 4)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        if self.degree == 0:
-            if self.comps:
-                return np.asarray(self.component(()).evaluate(pts))
-            return np.zeros(pts.shape[0])
-        out = np.zeros((pts.shape[0],) + (n,) * self.degree)
-        for key, field in self.comps.items():
-            values = field.evaluate(pts)
-            for perm in permutations(range(self.degree)):
-                sign = 1
-                for i in range(self.degree):
-                    for j in range(i + 1, self.degree):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                idx = tuple(key[p] for p in perm)
-                out[(slice(None),) + idx] = sign * values
-        return out
+        return field_jet(self.jet_entries(), (self.chart.dim,) * self.degree,
+                         points, 0)
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -130,10 +134,8 @@ def exterior_derivative(a: FormField) -> FormField:
         for axis in range(a.chart.dim):
             if axis in key:
                 continue
-            orders = tuple(1 if c == axis else 0 for c in range(a.chart.dim))
-            partial = field.differentiate(MultiIndex(orders))
             new_key, sign = _merge_sign((axis,), key)
-            term = partial * float(sign)
+            term = field.partial(axis) * float(sign)
             comps[new_key] = comps[new_key] + term if new_key in comps else term
     return FormField(a.chart, a.degree + 1, comps)
 
@@ -148,72 +150,29 @@ def hodge_star(a: FormField, g: "MetricField", orientation: int, points) -> np.n
 class MetricField:
     """Symmetric matrix of scalar-field components on a chart."""
 
-    def __init__(self, chart: Chart, comps, orientation: int = 1):
+    def __init__(self, chart: Chart, comps):
         self.chart = chart
         n = chart.dim
-        self.comps = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                entry = comps[i][j]
-                self.comps[i][j] = entry
-        self.orientation = orientation
-        self._deriv_cache = {}
+        self.comps = [list(row) for row in comps]
+        self._entries = [(self.comps[i][j], [((i, j), 1), ((j, i), 1)])
+                         for i in range(n) for j in range(i, n)]
 
-    def component(self, i: int, j: int) -> ScalarField:
+    def component(self, i: int, j: int) -> ExprField:
         return self.comps[i][j]
 
     def evaluate(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        out = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                values = self.comps[i][j].evaluate(pts)
-                out[:, i, j] = values
-                out[:, j, i] = values
-        return out
+        return field_jet(self._entries, (self.chart.dim,) * 2, points, 0)
 
     def inverse(self, points) -> np.ndarray:
         return inverse_metric_values(self.evaluate(points))
 
-    def _derivative_field(self, i, j, orders):
-        key = (i, j, orders)
-        if key not in self._deriv_cache:
-            self._deriv_cache[key] = self.comps[i][j].differentiate(MultiIndex(orders))
-        return self._deriv_cache[key]
-
     def first_derivatives(self, points) -> np.ndarray:
         """dg[n, k, i, j] = partial_k g_ij, exact."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        out = np.empty((pts.shape[0], n, n, n))
-        for k in range(n):
-            orders = tuple(1 if a == k else 0 for a in range(n))
-            for i in range(n):
-                for j in range(i, n):
-                    values = self._derivative_field(i, j, orders).evaluate(pts)
-                    out[:, k, i, j] = values
-                    out[:, k, j, i] = values
-        return out
+        return field_jet(self._entries, (self.chart.dim,) * 2, points, 1)
 
     def second_derivatives(self, points) -> np.ndarray:
         """ddg[n, k, l, i, j] = partial_k partial_l g_ij, exact."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        out = np.empty((pts.shape[0], n, n, n, n))
-        for k in range(n):
-            for l in range(k, n):
-                orders = tuple(
-                    (1 if a == k else 0) + (1 if a == l else 0) for a in range(n)
-                )
-                for i in range(n):
-                    for j in range(i, n):
-                        values = self._derivative_field(i, j, orders).evaluate(pts)
-                        out[:, k, l, i, j] = values
-                        out[:, k, l, j, i] = values
-                        out[:, l, k, i, j] = values
-                        out[:, l, k, j, i] = values
-        return out
+        return field_jet(self._entries, (self.chart.dim,) * 2, points, 2)
 
     def signature_counts(self, points):
         """(positive, negative) eigenvalue counts at each point."""
@@ -227,55 +186,24 @@ class CoFrame:
     def __init__(self, chart: Chart, forms):
         self.chart = chart
         self.forms = forms  # forms[A][Ap] is a degree-1 FormField
+        self._entries = [(field, [((a, ap, mu), 1)])
+                         for a in range(2) for ap in range(2)
+                         for (mu,), field in forms[a][ap].comps.items()]
 
     def form(self, a: int, ap: int) -> FormField:
         return self.forms[a][ap]
 
     def evaluate(self, points) -> np.ndarray:
         """E[n, A, A', mu]."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        out = np.empty((pts.shape[0], 2, 2, n))
-        for a in range(2):
-            for ap in range(2):
-                form = self.forms[a][ap]
-                for mu in range(n):
-                    out[:, a, ap, mu] = form.component((mu,)).evaluate(pts)
-        return out
+        return field_jet(self._entries, (2, 2, self.chart.dim), points, 0)
 
     def first_derivatives(self, points) -> np.ndarray:
         """dE[n, k, A, A', mu] = partial_k e^{AA'}_mu, exact."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        out = np.zeros((pts.shape[0], n, 2, 2, n))
-        for a in range(2):
-            for ap in range(2):
-                for mu, field in self.forms[a][ap].comps.items():
-                    for k in range(n):
-                        orders = tuple(1 if c == k else 0 for c in range(n))
-                        out[:, k, a, ap, mu[0]] = field.differentiate(
-                            MultiIndex(orders)
-                        ).evaluate(pts)
-        return out
+        return field_jet(self._entries, (2, 2, self.chart.dim), points, 1)
 
     def second_derivatives(self, points) -> np.ndarray:
         """ddE[n, k, l, A, A', mu], exact."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.chart.dim
-        out = np.zeros((pts.shape[0], n, n, 2, 2, n))
-        for a in range(2):
-            for ap in range(2):
-                for mu, field in self.forms[a][ap].comps.items():
-                    for k in range(n):
-                        for l in range(k, n):
-                            orders = tuple(
-                                (1 if c == k else 0) + (1 if c == l else 0)
-                                for c in range(n)
-                            )
-                            values = field.differentiate(MultiIndex(orders)).evaluate(pts)
-                            out[:, k, l, a, ap, mu[0]] = values
-                            out[:, l, k, a, ap, mu[0]] = values
-        return out
+        return field_jet(self._entries, (2, 2, self.chart.dim), points, 2)
 
     def volume_form(self) -> FormField:
         """nu = e^{01'} ^ e^{10'} ^ e^{11'} ^ e^{00'} (orientation fix)."""
@@ -383,9 +311,7 @@ def nk_metric(theta: ExprField) -> MetricField:
     comps[w][w] = -tyy
     comps[z][z] = -txx
     comps[w][z] = comps[z][w] = txy
-    metric = MetricField(chart, comps)
-    metric.orientation = 1
-    return metric
+    return MetricField(chart, comps)
 
 
 def nk_coframe(theta: ExprField) -> CoFrame:
@@ -429,21 +355,26 @@ def _check_nonvanishing(field: ExprField, box: Box, what: str):
         raise DegeneracyError(f"{what} vanishes on the declared domain")
 
 
-def dkp_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricField:
-    """g = Wx (dy^2 - 4 dx dt - 4 Hx dt^2) - Wx^{-1} (dz - Wx dy - 2 Wy dt)^2.
+def _dkp_blocks(h_pot: ExprField, w_pot: ExprField, box: Box):
+    """The chart (x, y, t, z) and H_x, W_x, W_y lifted to it.
 
-    Chart (x, y, t, z); Wx must be bounded away from zero on the domain
-    box (checked on a deterministic sample when a box is supplied).
+    Wx must be bounded away from zero on the domain box (checked on a
+    deterministic sample when a box is supplied).
     """
     _require_dkp_chart(h_pot)
     _require_dkp_chart(w_pot)
-    hx = h_pot.deriv(x=1)
     wx = w_pot.deriv(x=1)
-    wy = w_pot.deriv(y=1)
     if box is not None:
         _check_nonvanishing(wx, box, "W_x")
     chart4 = Chart(DKP_CHART_COORDS, h_pot.chart.excluded)
-    hx4, wx4, wy4 = (f.on_chart(chart4) for f in (hx, wx, wy))
+    blocks = (h_pot.deriv(x=1), wx, w_pot.deriv(y=1))
+    return (chart4,) + tuple(f.on_chart(chart4) for f in blocks)
+
+
+def dkp_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricField:
+    """g = Wx (dy^2 - 4 dx dt - 4 Hx dt^2) - Wx^{-1} (dz - Wx dy - 2 Wy dt)^2
+    on the chart (x, y, t, z); see ``_dkp_blocks`` for ``box``."""
+    chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot, box)
     zero = _zero_field(chart4)
     x, y, t, z = 0, 1, 2, 3
     comps = [[zero for _ in range(4)] for _ in range(4)]
@@ -453,9 +384,7 @@ def dkp_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricFie
     comps[z][z] = -1.0 / wx4
     comps[z][t] = comps[t][z] = 2.0 * wy4 / wx4
     comps[t][t] = -4.0 * (wx4 * hx4) - 4.0 * (wy4 * wy4) / wx4
-    metric = MetricField(chart4, comps)
-    metric.orientation = -1  # induced by the dkp coframe volume form
-    return metric
+    return MetricField(chart4, comps)
 
 
 def dkp_coframe(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> CoFrame:
@@ -471,15 +400,7 @@ def dkp_coframe(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> CoFrame:
     reproducing the metric, and it also matches the closed-form
     Sigma^{0'1'} and Sigma^{1'1'} expressions used by the dkp pipeline.
     """
-    _require_dkp_chart(h_pot)
-    _require_dkp_chart(w_pot)
-    hx = h_pot.deriv(x=1)
-    wx = w_pot.deriv(x=1)
-    wy = w_pot.deriv(y=1)
-    if box is not None:
-        _check_nonvanishing(wx, box, "W_x")
-    chart4 = Chart(DKP_CHART_COORDS, h_pot.chart.excluded)
-    hx4, wx4, wy4 = (f.on_chart(chart4) for f in (hx, wx, wy))
+    chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot, box)
     zc = ExprField.from_text("z", chart4)
     one = ExprField.constant(1.0, chart4)
     x, y, t, z = 0, 1, 2, 3

@@ -25,7 +25,7 @@ from .expressions import (
     integrate_polynomial,
     parse,
 )
-from .fields import Chart, ExcludedBand, ExprField, MultiIndex
+from .fields import Chart, ExcludedBand, ExprField
 from .sampling import Box, SamplePlan
 
 NK_COORDS = ("w", "z", "x", "y")
@@ -37,19 +37,17 @@ def _nk_chart(excluded=()) -> Chart:
 
 DEFAULT_NK_BOX = Box(((-1.0, 1.0),) * 4)
 
+#: range of the spectral parameter lambda in ``commutator_sweep``
+LAMBDA_WINDOW = (-2.0, 2.0)
+
 
 @dataclass(frozen=True)
 class NKSolution:
-    """A (Theta, f) pair with its sampling box.
-
-    Objects labelled valid satisfy both residual operators on the box;
-    the label is asserted by tests, not enforced here.
-    """
+    """A (Theta, f) pair with its sampling box."""
 
     theta: ExprField
     f: ExprField
     box: Box = DEFAULT_NK_BOX
-    label: str = ""
 
 
 def induced_f(theta: ExprField) -> ExprField:
@@ -109,8 +107,7 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
         b = _parse_in(params.get("B", "0"), ("w", "y"))
         theta = as_expr(b) + Var("z") * integrate_polynomial(a, "y")
         chart = _nk_chart()
-        return NKSolution(ExprField(theta, chart), ExprField(a, chart), box,
-                          label="family-1")
+        return NKSolution(ExprField(theta, chart), ExprField(a, chart), box)
     if kind == 2:
         p = _parse_in(params["P"], ("w", "y"))
         q = _parse_in(params.get("Q", "0"), ("w", "y"))
@@ -123,15 +120,13 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
                  + Var("z") * n_zz + n_q)
         chart = _nk_chart()
         theta_field = ExprField(theta, chart)
-        return NKSolution(theta_field, theta_field.deriv(x=1), box,
-                          label="family-2")
+        return NKSolution(theta_field, theta_field.deriv(x=1), box)
     if kind == 3:
         a = _parse_in(params["A"], ("s",))
         theta = a.substitute("s", Var("x") / Var("y"))
         chart = _nk_chart(excluded=(ExcludedBand("y", 0.0),))
         theta_field = ExprField(theta, chart)
-        return NKSolution(theta_field, induced_f(theta_field), box,
-                          label="family-3")
+        return NKSolution(theta_field, induced_f(theta_field), box)
     if kind == 4:
         a = _parse_in(params["A"], ("y",))
         b = _parse_in(params.get("B", "0"), ("y",))
@@ -139,8 +134,7 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
         a_y = a.diff("y")
         chart = _nk_chart()
         return NKSolution(ExprField(theta, chart),
-                          ExprField(-(a_y * a_y), chart), box,
-                          label="family-4")
+                          ExprField(-(a_y * a_y), chart), box)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -184,12 +178,8 @@ def lax_fields(theta: ExprField, f: ExprField) -> LaxFields:
     return LaxFields(l0, l1, chart)
 
 
-def _poly_diff_coord(poly, axis, chart):
-    out = []
-    for power, coeff in poly:
-        orders = tuple(1 if k == axis else 0 for k in range(chart.dim))
-        out.append((power, coeff.differentiate(MultiIndex(orders))))
-    return out
+def _poly_diff_coord(poly, axis):
+    return [(power, coeff.partial(axis)) for power, coeff in poly]
 
 
 def _poly_diff_lambda(poly):
@@ -220,14 +210,14 @@ def lax_commutator(lax: LaxFields, points, lambdas) -> np.ndarray:
         for j, coeff_j in lax.l0.items():
             target = lax.l1.get(k, [])
             if j < 4:
-                dtarget = _poly_diff_coord(target, j, chart)
+                dtarget = _poly_diff_coord(target, j)
             else:
                 dtarget = _poly_diff_lambda(target)
             _poly_scale_add(poly, dtarget, coeff_j)
         for j, coeff_j in lax.l1.items():
             target = lax.l0.get(k, [])
             if j < 4:
-                dtarget = _poly_diff_coord(target, j, chart)
+                dtarget = _poly_diff_coord(target, j)
             else:
                 dtarget = _poly_diff_lambda(target)
             _poly_scale_add(poly, [(p, c * -1.0) for p, c in dtarget], coeff_j)
@@ -236,11 +226,10 @@ def lax_commutator(lax: LaxFields, points, lambdas) -> np.ndarray:
     return out
 
 
-def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240,
-                     lambda_window=(-2.0, 2.0)) -> float:
+def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240) -> float:
     """Max |[L0, L1]| component over a deterministic (point, lambda) sweep."""
     plan = SamplePlan(solution.box, count=count, seed=seed)
     pts = plan.points()
-    lam = plan.rng().uniform(*lambda_window, size=pts.shape[0])
+    lam = plan.rng().uniform(*LAMBDA_WINDOW, size=pts.shape[0])
     lax = lax_fields(solution.theta, solution.f)
     return float(np.max(np.abs(lax_commutator(lax, pts, lam))))

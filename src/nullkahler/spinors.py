@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -130,16 +130,19 @@ class TwoFormValue:
         object.__setattr__(self, "components", arr)
 
 
+def permutation_parity(seq) -> int:
+    """+1 or -1 by the number of inversions of a sequence of distinct items."""
+    sign = 1
+    for i, j in combinations(range(len(seq)), 2):
+        if seq[i] > seq[j]:
+            sign = -sign
+    return sign
+
+
 def _perm_symbol(n: int) -> np.ndarray:
     symbol = np.zeros((n,) * n)
     for perm in permutations(range(n)):
-        parity = 1
-        seen = list(perm)
-        for i in range(n):  # count inversions
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    parity = -parity
-        symbol[perm] = parity
+        symbol[perm] = permutation_parity(perm)
     return symbol
 
 

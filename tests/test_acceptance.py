@@ -267,7 +267,8 @@ def test_criterion_09_sigma_identities():
     worst_quad = 0.0
     for w_text in ("-x/(t-1)", "x^3 + 2*x + y^2/3"):
         w_pot = ExprField.from_text(w_text, CHART3)
-        s00, s01, s11, rep = sd_two_forms(h_pot, w_pot, pts4)
+        s00, s01, s11, rep = sd_two_forms(dkp_coframe(h_pot, w_pot),
+                                          h_pot, w_pot, pts4)
         worst_rhs = max(worst_rhs, rep.d_sigma11_vs_rhs)
         quad = wedge(s00, s11).scaled(-2.0).evaluate(pts4) \
             - wedge(s01, s01).evaluate(pts4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -254,7 +255,7 @@ exclude = t:1
 
 def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
     import nullkahler.cli as cli
-    from nullkahler import curvature
+    from nullkahler import curvature, geometry
 
     calls = {}
 
@@ -268,21 +269,52 @@ def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
                         counted("curvature", curvature.coordinate_curvature))
     monkeypatch.setattr(cli, "commutator_sweep",
                         counted("lax", cli.commutator_sweep))
+    monkeypatch.setattr(cli, "dkp_coframe", counted("coframe", cli.dkp_coframe))
+    monkeypatch.setattr(geometry, "_check_nonvanishing",
+                        counted("wx", geometry._check_nonvanishing))
     path = tmp_path / "sharing.cfg"
     path.write_text(SHARING_CFG)
     config = load_config(path)
-    # (curvature passes, Lax sweeps) per fixture
-    expected = {"nk": (1, 1), "nk-residuals": (0, 0), "dkp": (1, 0),
-                "dkp-potentials": (0, 0), "ew": (0, 0)}
+    # (curvature passes, Lax sweeps, dkp coframe builds, W_x checks)
+    expected = {"nk": (1, 1, 0, 0), "nk-residuals": (0, 0, 0, 0),
+                "dkp": (1, 0, 1, 1), "dkp-potentials": (0, 0, 0, 1),
+                "ew": (0, 0, 0, 0)}
     for fixture in config["fixtures"]:
-        calls.update(curvature=0, lax=0)
+        calls.update(curvature=0, lax=0, coframe=0, wx=0)
         results = cli.run_fixture(fixture, config)
         assert [r.name for r in results] == list(fixture.checks)
         assert all(r.passed for r in results), fixture.name
-        assert (calls["curvature"], calls["lax"]) == expected[fixture.name], \
-            fixture.name
+        counts = (calls["curvature"], calls["lax"], calls["coframe"], calls["wx"])
+        assert counts == expected[fixture.name], fixture.name
 
     # the metric is still built when no check reads it
     path.write_text("[fixture:f]\nkind = dkp\nH = 0\nW = y\nchecks = heqn\n")
     assert main(["check", "--config", str(path)]) == 2
     assert "W_x vanishes" in capsys.readouterr().err
+
+
+#: sha256 of ``render_report`` for the shipped configs, serial and
+#: threaded alike; the paper.cfg values are the ones recorded at 02b5d8a
+#: in perfbench/report_sha256.json
+REPORT_SHA256 = {
+    ("paper.cfg", 0):
+        "2f9eb1d732826626514e27d3fdc0559eee732436ad03d0a6199e4da915ebf491",
+    ("paper.cfg", 7):
+        "822e3fead9c843dcf653769cb98bec831c6744e1475fd36ebff462866447fa68",
+    ("paper.cfg", 20240):
+        "a31b7021d446d977b8e4b3831fa0fe6c3e9d4142d436e1eef6edc9da339c6621",
+    ("negative.cfg", 0):
+        "fb93c21f41bac435577685aa963b8f8ec24221390caabba471b02dc9cca77353",
+    ("negative.cfg", 7):
+        "2638d1853ec4d364d5f2fdcc9b83e55de2c57ca88b612ed19b0e16e87cb14e11",
+    ("negative.cfg", 20240):
+        "a6df287579dcf1a59fb93df9f341cc039c0066f1b5a8e7f228e1145839f69d21",
+}
+
+
+@pytest.mark.parametrize("config, seed", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(config, seed):
+    for serial in (True, False):
+        report, _ = run_suite(FIXTURES / config, seed=seed, serial=serial)
+        digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert digest == REPORT_SHA256[config, seed], ("serial", serial)

@@ -127,7 +127,8 @@ def test_monopole_examples(p3):
 
 def test_sd_two_forms_report(p4):
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
-    s00, s01, s11, report = sd_two_forms(h_pot, w_pot, p4, BOX4)
+    coframe = dkp_coframe(h_pot, w_pot, BOX4)
+    s00, s01, s11, report = sd_two_forms(coframe, h_pot, w_pot, p4)
     assert report.d_sigma00 < 1e-9
     assert report.d_sigma01 < 1e-9
     assert report.d_sigma11_vs_rhs < 1e-8
@@ -140,7 +141,8 @@ def test_sd_two_forms_report(p4):
 def test_sd_two_forms_parallel_frame(p4):
     h_pot = f3(H_MAIN)
     w_half = symmetry_w(h_pot, b=0.5)  # W = H_x/2
-    _, _, _, report = sd_two_forms(h_pot, w_half, p4, BOX4)
+    coframe = dkp_coframe(h_pot, w_half, BOX4)
+    _, _, _, report = sd_two_forms(coframe, h_pot, w_half, p4)
     assert report.d_sigma11_max < 1e-8
     assert report.d_sigma00 < 1e-9 and report.d_sigma01 < 1e-9
 

@@ -1,13 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from nullkahler.fields import Chart, ExprField
+from nullkahler.fields import Chart, ExprField, MultiIndex
 from nullkahler.geometry import (
     DegeneracyError,
     FormField,
     dkp_coframe,
     dkp_metric,
     exterior_derivative,
+    field_jet,
     hodge_star,
     metric_from_coframe,
     nk_coframe,
@@ -234,3 +237,83 @@ def test_dkp_orientation_sign():
 def test_nk_orientation_sign():
     coframe = nk_coframe(ExprField.from_text("x^2*y^2", CHART4))
     assert coframe.orientation_sign(plan_points()) == 1
+
+
+def reference_jet(component, shape, pts, order):
+    """out[n, k..., *index]: each slot's field differentiated on its own.
+
+    ``component(index)`` returns (field, sign) for one slot.
+    """
+    dim = pts.shape[1]
+    out = np.empty((pts.shape[0],) + (dim,) * order + shape)
+    for axes in product(range(dim), repeat=order):
+        idx = MultiIndex(tuple(axes.count(c) for c in range(dim)))
+        for index in np.ndindex(*shape):
+            field, sign = component(index)
+            out[(slice(None),) + axes + index] = \
+                sign * field.differentiate(idx).evaluate(pts)
+    return out
+
+
+def two_form_slot(form, index):
+    key = tuple(sorted(index))
+    if key not in form.comps:  # the diagonal included: a +0 slot
+        return form.component(key), 1
+    return form.comps[key], 1 if index == key else -1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (nk_metric, nk_coframe,
+             (ExprField.from_text("x^2*y^2 + w*x*y + z*x^3/2", CHART4),),
+             BOX4),
+    lambda: (dkp_metric, dkp_coframe,
+             (ExprField.from_text("-x^2/(2*(t-1))", CHART3),
+              ExprField.from_text("x^3 + 2*x + y^2/3", CHART3)),
+             DKP_BOX),
+], ids=["nk", "dkp"])
+def test_jets_match_per_component_reference(build):
+    make_metric, make_coframe, potentials, box = build()
+    metric, coframe = make_metric(*potentials), make_coframe(*potentials)
+    pts = plan_points(box, count=7)
+    metric_jets = (metric.evaluate, metric.first_derivatives,
+                   metric.second_derivatives)
+    coframe_jets = (coframe.evaluate, coframe.first_derivatives,
+                    coframe.second_derivatives)
+    for order in range(3):
+        got = metric_jets[order](pts)
+        ref = reference_jet(lambda ij: (metric.component(*ij), 1), (4, 4),
+                            pts, order)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+        got = coframe_jets[order](pts)
+        ref = reference_jet(
+            lambda slot: (coframe.form(*slot[:2]).component(slot[2:]), 1),
+            (2, 2, 4), pts, order)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+        for form in coframe.sigma_fields()[0]:
+            got = field_jet(form.jet_entries(), (4, 4), pts, order)
+            ref = reference_jet(lambda ij: two_form_slot(form, ij), (4, 4),
+                                pts, order)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            if order == 0:
+                assert form.evaluate(pts).tobytes() == ref.tobytes()
+
+
+def test_coframe_jets_are_memoised(monkeypatch):
+    coframe = nk_coframe(ExprField.from_text("x^2*y^2 + w*x*y", CHART4))
+    pts = plan_points(count=5)
+    calls = []
+    differentiate = ExprField.differentiate
+
+    def counted(self, idx):
+        calls.append(idx)
+        return differentiate(self, idx)
+
+    monkeypatch.setattr(ExprField, "differentiate", counted)
+    first = coframe.second_derivatives(pts)
+    assert calls  # the wrapper sees the trees being built
+    calls.clear()
+    second = coframe.second_derivatives(pts)
+    assert calls == []
+    assert second.tobytes() == first.tobytes()
