@@ -39,13 +39,15 @@ import numpy as np
 from . import dkp as dkp_mod
 from .curvature import check_null_kahler, oracle_report
 from .evolver import (
+    EVOLVER_CHART,
     BlowUpError,
-    BoundarySource,
     CFLError,
     DKPState,
     Grid2D,
     dkp_evolve,
+    field_on,
     mms_convergence,
+    uniform_reference,
 )
 from .expressions import ExpressionError
 from .fields import (
@@ -63,6 +65,7 @@ from .geometry import DegeneracyError, dkp_coframe, nk_coframe, nk_metric
 from .nk_system import (NKSolution, commutator_sweep, example_family, induced_f,
                         residual_nk1, residual_nk2)
 from .sampling import Box, SamplePlan
+from .spinors import SYM_PAIRS
 
 SCHEMA_VERSION = 1
 
@@ -118,25 +121,36 @@ class CheckResult:
     wall_ms: float
 
 
+def _parse_axes(text: str, what: str, *kinds) -> list:
+    """(name, value, ...) per ``name:value:...`` entry, via ``kinds``."""
+    axes = []
+    for part in filter(str.strip, text.split(",")):
+        name, *values = (p.strip() for p in part.split(":"))
+        try:
+            if len(values) != len(kinds):
+                raise ValueError(f"expected {len(kinds)} values after the name")
+            axes.append((name, *(kind(v) for kind, v in zip(kinds, values))))
+        except ValueError as err:
+            raise ConfigError(
+                f"malformed {what} entry {part.strip()!r}: {err}") from None
+    return axes
+
+
 def _parse_box(text: str, expected_names) -> Box:
-    bounds = {}
-    for part in text.split(","):
-        name, lo, hi = (p.strip() for p in part.strip().split(":"))
-        bounds[name] = (float(lo), float(hi))
+    bounds = {name: (lo, hi)
+              for name, lo, hi in _parse_axes(text, "box", float, float)}
     missing = [n for n in expected_names if n not in bounds]
     if missing:
         raise ConfigError(f"box is missing coordinates {missing}")
-    return Box(tuple(bounds[n] for n in expected_names))
+    try:
+        return Box(tuple(bounds[n] for n in expected_names))
+    except ValueError as err:
+        raise ConfigError(f"box {text!r}: {err}") from None
 
 
 def _parse_excluded(text: str) -> tuple:
-    bands = []
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        name, center = (p.strip() for p in part.strip().split(":"))
-        bands.append(ExcludedBand(name, float(center)))
-    return tuple(bands)
+    return tuple(ExcludedBand(name, center)
+                 for name, center in _parse_axes(text, "exclude", float))
 
 
 def _parse_checks(name, kind, section, default) -> tuple:
@@ -480,15 +494,9 @@ def _evolve_command(args) -> int:
         return 0
 
     grid = Grid2D(args.x0, args.x1, args.nx, args.y0, args.y1, args.ny)
-    chart = Chart(("x", "y", "t"))
-    initial = ExprField.from_text(args.initial, chart)
-    boundary = None
-    if args.reference:
-        boundary = BoundarySource(ExprField.from_text(args.reference, chart))
-    xg, yg = grid.mesh()
-    pts = np.stack([xg.ravel(), yg.ravel(), np.zeros(xg.size)], axis=-1)
-    u0 = initial.evaluate(pts).reshape(xg.shape)
-    state = DKPState(grid, u0, 0.0, boundary)
+    initial = ExprField.from_text(args.initial, EVOLVER_CHART)
+    boundary = uniform_reference(args.reference) if args.reference else None
+    state = DKPState(grid, field_on(initial, *grid.mesh(), 0.0), 0.0, boundary)
     try:
         states = dkp_evolve(state, args.dt, args.steps,
                             save_every=args.save_every)
@@ -498,23 +506,25 @@ def _evolve_command(args) -> int:
     except BlowUpError as err:
         sys.stderr.write(f"run aborted: {err}\n")
         return 1
-    chart2 = Chart(("x", "y"))
-    for state in (states if args.save_every else [states[0], states[-1]]):
-        spec = GridSpec(((grid.x0, grid.x1, grid.nx),
-                         (grid.y0, grid.y1, grid.ny)))
-        sampled = SampledField(spec, state.u, chart2)
+    spec = GridSpec(((grid.x0, grid.x1, grid.nx), (grid.y0, grid.y1, grid.ny)))
+    for state in states:  # the first and last, and every save_every-th
+        sampled = SampledField(spec, state.u, Chart(("x", "y")))
         grid_to_csv(sampled, out / f"u_t{state.t:.6f}.csv")
     sys.stdout.write(f"wrote {len(states)} snapshots to {out}\n")
     return 0
 
 
-def _parse_grid_spec(text: str) -> tuple:
-    axes, names = [], []
-    for part in text.split(","):
-        name, lo, hi, count = (p.strip() for p in part.strip().split(":"))
-        names.append(name)
-        axes.append((float(lo), float(hi), int(count)))
-    return tuple(names), GridSpec(tuple(axes))
+def _parse_grid_spec(text: str, coords) -> GridSpec:
+    """The export grid; its axes must be ``coords``, in order."""
+    axes = _parse_axes(text, "grid", float, float, int)
+    names = [name for name, *_ in axes]
+    if names != list(coords):
+        raise ConfigError(f"grid axes {names} must be the fixture's "
+                          f"coordinates {list(coords)}, in order")
+    try:
+        return GridSpec(tuple(axis[1:] for axis in axes))
+    except ValueError as err:
+        raise ConfigError(f"grid {text!r}: {err}") from None
 
 
 def _export_command(args) -> int:
@@ -529,8 +539,6 @@ def _export_command(args) -> int:
         raise ConfigError(f"quantity {args.quantity!r} does not apply to "
                           f"{fixture.kind} fixtures")
     payload = fixture.build()
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     if fixture.kind == "nk":
         theta = payload["solution"].theta
@@ -543,7 +551,9 @@ def _export_command(args) -> int:
         metric = coframe = None
     coords = metric.chart.coords if metric is not None else dkp_mod.EW_CHART.coords
 
-    names, spec = _parse_grid_spec(args.grid)
+    spec = _parse_grid_spec(args.grid, coords)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if args.quantity == "metric":
         for i in range(len(coords)):
             for j in range(i, len(coords)):
@@ -566,13 +576,11 @@ def _export_command(args) -> int:
         sys.stdout.write(f"wrote curvature table to {out}\n")
         return 0
     if args.quantity == "sigma":
-        primed, _ = coframe.sigma_fields()
-        labels = ("00", "01", "11")
-        for label, form in zip(labels, primed):
-            for key, comp in form.comps.items():
+        for i, j in SYM_PAIRS:
+            for key, comp in coframe.sigma(i, j).comps.items():
                 tag = "".join(coords[k] for k in key)
                 sampled = sample_to_grid(comp, spec)
-                grid_to_csv(sampled, out / f"sigma{label}_{tag}.csv")
+                grid_to_csv(sampled, out / f"sigma{i}{j}_{tag}.csv")
         sys.stdout.write(f"wrote sigma component grids to {out}\n")
         return 0
     ew = dkp_mod.ew_from_u(payload["u"])

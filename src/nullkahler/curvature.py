@@ -532,9 +532,10 @@ class NullKahlerReport:
 def check_null_kahler(coframe: CoFrame, raw: RawCurvature, points) -> NullKahlerReport:
     """Residuals of the closed-form conditions and Ricci nullness, the
     latter read off ``raw`` (e.g. the oracle report's) at ``points``."""
-    sig_p, _ = coframe.sigma_fields()
-    d00 = float(np.max(np.abs(exterior_derivative(sig_p[0]).evaluate(points))))
-    d01 = float(np.max(np.abs(exterior_derivative(sig_p[1]).evaluate(points))))
+    d00 = float(np.max(np.abs(
+        exterior_derivative(coframe.sigma(0, 0)).evaluate(points))))
+    d01 = float(np.max(np.abs(
+        exterior_derivative(coframe.sigma(0, 1)).evaluate(points))))
     ric2 = float(np.max(np.abs(raw.ricci_square())))
     max_ric = float(np.max(np.abs(raw.ricci)))
     return NullKahlerReport(d00, d01, ric2, max_ric)

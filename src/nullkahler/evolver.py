@@ -9,7 +9,7 @@ obtained by integrating the conservation form from the left x-boundary.
 In validation mode the boundary closure u_t(x0) and the Dirichlet ring
 come from a closed-form reference solution (plus an optional
 manufactured source S); in free mode the closure terms are zero, which
-assumes decaying data.
+assumes decaying data.  u* and u*_t are evaluated on the ring only.
 
 The scheme is a fixed-step four-stage Runge-Kutta in time with
 second-order central stencils and trapezoid accumulation for the
@@ -76,6 +76,12 @@ class Grid2D:
         return np.meshgrid(x, y, indexing="ij")
 
 
+def field_on(field: ExprField, x, y, t: float) -> np.ndarray:
+    """A closed form on EVOLVER_CHART at the points (x, y), time t."""
+    pts = np.stack([x.ravel(), y.ravel(), np.full(x.size, t)], axis=-1)
+    return field.evaluate(pts).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class BoundarySource:
     """Closed-form reference data for validation-mode runs."""
@@ -83,22 +89,16 @@ class BoundarySource:
     reference: ExprField          # u*(x, y, t)
     source: ExprField = None      # manufactured forcing, may be None
 
-    def u_on(self, grid: Grid2D, t: float) -> np.ndarray:
-        xg, yg = grid.mesh()
-        pts = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, t)], axis=-1)
-        return self.reference.evaluate(pts).reshape(xg.shape)
+    def u_on(self, x, y, t: float) -> np.ndarray:
+        return field_on(self.reference, x, y, t)
 
-    def udot_on(self, grid: Grid2D, t: float) -> np.ndarray:
-        xg, yg = grid.mesh()
-        pts = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, t)], axis=-1)
-        return self.reference.deriv(t=1).evaluate(pts).reshape(xg.shape)
+    def udot_on(self, x, y, t: float) -> np.ndarray:
+        return field_on(self.reference.partial(2), x, y, t)
 
-    def source_on(self, grid: Grid2D, t: float) -> np.ndarray:
+    def source_on(self, x, y, t: float):
         if self.source is None:
             return 0.0
-        xg, yg = grid.mesh()
-        pts = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, t)], axis=-1)
-        return self.source.evaluate(pts).reshape(xg.shape)
+        return field_on(self.source, x, y, t)
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,10 @@ def cfl_bound(state: DKPState) -> float:
     return min(advective, dispersive)
 
 
-def _cumtrapz_x(values: np.ndarray, dx: float) -> np.ndarray:
-    csum = np.cumsum(values, axis=0)
-    return dx * (csum - 0.5 * (values + values[0:1, :]))
-
-
-def _rhs(u: np.ndarray, t: float, grid: Grid2D, boundary) -> np.ndarray:
+def _rhs(u: np.ndarray, grid: Grid2D, ring: np.ndarray, rate: np.ndarray,
+         source) -> np.ndarray:
+    """u_t of the evolution form, given u_t on the ``ring`` points in C
+    order (the first ny are the x0 row) and the source S."""
     dx, dy = grid.dx, grid.dy
     ux = np.zeros_like(u)
     ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * dx)
@@ -139,23 +137,13 @@ def _rhs(u: np.ndarray, t: float, grid: Grid2D, boundary) -> np.ndarray:
     advect = u * ux
     uyy = np.zeros_like(u)
     uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dy ** 2
-    nonlocal_term = _cumtrapz_x(uyy, dx)
+    # trapezoid antiderivative of u_yy from x0
+    nonlocal_term = dx * (np.cumsum(uyy, axis=0) - 0.5 * (uyy + uyy[0:1, :]))
 
     rhs = (advect - advect[0:1, :]) + nonlocal_term
-    if boundary is not None:
-        udot = boundary.udot_on(grid, t)
-        rhs += udot[0:1, :]
-        rhs += boundary.source_on(grid, t)
-        # Dirichlet ring evolves with the exact reference rate
-        rhs[0, :] = udot[0, :]
-        rhs[-1, :] = udot[-1, :]
-        rhs[:, 0] = udot[:, 0]
-        rhs[:, -1] = udot[:, -1]
-    else:
-        rhs[:, 0] = 0.0
-        rhs[:, -1] = 0.0
-        rhs[0, :] = 0.0
-        rhs[-1, :] = 0.0
+    rhs += rate[:grid.ny]
+    rhs += source
+    rhs[ring] = rate
     return rhs
 
 
@@ -178,19 +166,28 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
         )
     threshold = blowup_factor * (1.0 + float(np.max(np.abs(state.u))))
     grid, boundary = state.grid, state.boundary
+    xg, yg = grid.mesh()
+    ring = np.ones(xg.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    xr, yr = xg[ring], yg[ring]
+
+    def rhs(v, s):
+        if boundary is None:  # free mode: the ring holds, no forcing
+            return _rhs(v, grid, ring, np.zeros(xr.size), 0.0)
+        return _rhs(v, grid, ring, boundary.udot_on(xr, yr, s),
+                    boundary.source_on(xg, yg, s))
+
     out = [state]
     u, t = state.u.copy(), state.t
     for step in range(1, steps + 1):
-        k1 = _rhs(u, t, grid, boundary)
-        k2 = _rhs(u + 0.5 * dt * k1, t + 0.5 * dt, grid, boundary)
-        k3 = _rhs(u + 0.5 * dt * k2, t + 0.5 * dt, grid, boundary)
-        k4 = _rhs(u + dt * k3, t + dt, grid, boundary)
+        k1 = rhs(u, t)
+        k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(u + dt * k3, t + dt)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = state.t + step * dt
         if boundary is not None:
-            exact = boundary.u_on(grid, t)
-            u[0, :], u[-1, :] = exact[0, :], exact[-1, :]
-            u[:, 0], u[:, -1] = exact[:, 0], exact[:, -1]
+            u[ring] = boundary.u_on(xr, yr, t)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > threshold:
             raise BlowUpError(f"solution blew up at step {step} (t = {t:g})")
         if save_every and step % save_every == 0 and step != steps:
@@ -219,18 +216,22 @@ def uniform_reference(expr_text: str):
     return BoundarySource(ExprField.from_text(expr_text, EVOLVER_CHART))
 
 
+def _run_reference(boundary: BoundarySource, grid: Grid2D, t_end: float,
+                   cfl_factor: float):
+    """RMS error against u* at t_end, and RMS of u*, of a run from t = 0
+    in equal steps of at most ``cfl_factor`` times the CFL bound."""
+    xg, yg = grid.mesh()
+    state = DKPState(grid, boundary.u_on(xg, yg, 0.0), 0.0, boundary)
+    steps = int(np.ceil(t_end / (cfl_factor * cfl_bound(state))))
+    final = dkp_evolve(state, t_end / steps, steps)[-1]
+    exact = boundary.u_on(xg, yg, t_end)
+    return np.sqrt(np.mean((final.u - exact) ** 2)), np.sqrt(np.mean(exact ** 2))
+
+
 def reference_run_error(boundary: BoundarySource, grid: Grid2D,
                         t_end: float) -> float:
     """Relative L2 error against the reference at t_end."""
-    u0 = boundary.u_on(grid, 0.0)
-    state = DKPState(grid, u0, 0.0, boundary)
-    dt_max = cfl_bound(state)
-    steps = int(np.ceil(t_end / (REFERENCE_CFL_FACTOR * dt_max)))
-    dt = t_end / steps
-    final = dkp_evolve(state, dt, steps)[-1]
-    exact = boundary.u_on(grid, t_end)
-    err = np.sqrt(np.mean((final.u - exact) ** 2))
-    scale = np.sqrt(np.mean(exact ** 2))
+    err, scale = _run_reference(boundary, grid, t_end, REFERENCE_CFL_FACTOR)
     return float(err / scale) if scale > 0 else float(err)
 
 
@@ -245,15 +246,10 @@ def mms_convergence(resolutions=(64, 128, 256), t_end: float = 0.1) -> dict:
     boundary = manufactured_reference(x0)
     errors = []
     for n in resolutions:
-        grid = Grid2D(x0, x1, n, y0, y1, n)
-        u0 = boundary.u_on(grid, 0.0)
-        state = DKPState(grid, u0, 0.0, boundary)
         # dt proportional to dx keeps the spatial error dominant
-        steps = int(np.ceil(t_end / (0.5 * cfl_bound(state))))
-        dt = t_end / steps
-        final = dkp_evolve(state, dt, steps)[-1]
-        exact = boundary.u_on(grid, t_end)
-        errors.append(float(np.sqrt(np.mean((final.u - exact) ** 2))))
+        err, _ = _run_reference(boundary, Grid2D(x0, x1, n, y0, y1, n),
+                                t_end, 0.5)
+        errors.append(float(err))
     orders = [
         float(np.log2(errors[k] / errors[k + 1])) for k in range(len(errors) - 1)
     ]

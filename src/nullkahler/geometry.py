@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import Chart, DomainError, ExprField
 from .sampling import Box, SamplePlan
-from .spinors import SYM_PAIRS, hodge_star_values, permutation_parity
+from .spinors import hodge_star_values, permutation_parity
 
 DEGENERACY_TOL = 1e-10
 
@@ -223,25 +223,14 @@ class CoFrame:
             raise DegeneracyError("orientation flips across the sample set")
         return int(signs[0])
 
-    def sigma_fields(self):
-        """Sigma^{A'B'} and Sigma^{AB} as exact form fields.
+    def sigma(self, i: int, j: int) -> FormField:
+        """Sigma^{A'B'} for (A', B') = (i, j) as an exact form field.
 
         Same normalization as :func:`nullkahler.spinors.sigma_basis`:
-        Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}.
+        Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}, with eps_{01} = 1.
         """
-        eps = ((0.0, 1.0), (-1.0, 0.0))
-        primed, unprimed = [], []
-        for (i, j) in SYM_PAIRS:
-            acc_p = FormField.zero(self.chart, 2)
-            acc_u = FormField.zero(self.chart, 2)
-            for a in range(2):
-                for b in range(2):
-                    if eps[a][b]:
-                        acc_p = acc_p + wedge(self.form(a, i), self.form(b, j)).scaled(0.5 * eps[a][b])
-                        acc_u = acc_u + wedge(self.form(i, a), self.form(j, b)).scaled(0.5 * eps[a][b])
-            primed.append(acc_p)
-            unprimed.append(acc_u)
-        return primed, unprimed
+        return (wedge(self.form(0, i), self.form(1, j)).scaled(0.5)
+                + wedge(self.form(1, i), self.form(0, j)).scaled(-0.5))
 
     def dual_vectors(self, points) -> np.ndarray:
         """Frame vectors D[n, A, A', mu] with e^{BB'}(D_{AA'}) = delta."""

@@ -122,6 +122,19 @@ def test_evolve_small_grid_writes_snapshots(tmp_path):
     assert len(list(tmp_path.glob("u_t*.csv"))) == 2
 
 
+def test_evolve_reference_mode(tmp_path):
+    # u = t is exact: the ring and the x0 closure carry the reference rate
+    code = main(["evolve", "--nx", "17", "--ny", "17", "--dt", "1e-4",
+                 "--steps", "3", "--initial", "t", "--reference", "t",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    body = (tmp_path / "u_t0.000300.csv").read_text().splitlines()
+    values = np.array([[float(v) for v in line.split(",")]
+                       for line in body[1:]])
+    assert values.shape == (17, 17)
+    assert np.max(np.abs(values - 3e-4)) <= 1e-15
+
+
 def test_evolve_cfl_refusal(tmp_path, capsys):
     code = main(["evolve", "--nx", "33", "--ny", "33", "--dt", "0.5",
                  "--steps", "1", "--initial", "0",
@@ -177,6 +190,39 @@ def test_export_quantity_kind_mismatch(tmp_path, capsys, kind, quantity):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("w:-1:1:3,z:-1:1:3,x:-1:1:3", "must be the fixture's coordinates"),
+    ("w:-1:1:3,z:-1:1:3,x:-1:1:3,y:-1:1:3,t:0:1:3",
+     "must be the fixture's coordinates"),
+    ("z:-1:1:3,w:-1:1:3,x:-1:1:3,y:-1:1:3", "in order"),
+    ("w:-1:1:3,z:-1:1,x:-1:1:3,y:-1:1:3", "malformed grid entry"),
+    ("w:-1:1:3.5,z:-1:1:3,x:-1:1:3,y:-1:1:3", "malformed grid entry"),
+    ("w:1:-1:3,z:-1:1:3,x:-1:1:3,y:-1:1:3", "degenerate grid axis"),
+])
+def test_export_bad_grid_exit_code(tmp_path, small_cfg, capsys, grid, message):
+    out = tmp_path / "out"
+    code = main(["export", "--config", str(small_cfg), "--fixture", "flat",
+                 "--quantity", "metric", "--grid", grid,
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("box = w:-1, z:-1:1, x:-1:1, y:-1:1", "malformed box entry"),
+    ("box = w:-1:one, z:-1:1, x:-1:1, y:-1:1", "malformed box entry"),
+    ("box = w:1:-1, z:-1:1, x:-1:1, y:-1:1", "empty box edge"),
+    ("box = w:-1:1, z:-1:1, x:-1:1", "missing coordinates"),
+    ("exclude = x 0.5", "malformed exclude entry"),
+])
+def test_malformed_box_or_exclude_exit_code(tmp_path, capsys, line, message):
+    path = tmp_path / "box.cfg"
+    path.write_text(f"[fixture:f]\nkind = nk\ntheta = 0\n{line}\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_evolve_mms_table(tmp_path, monkeypatch, capsys):

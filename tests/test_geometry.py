@@ -19,6 +19,7 @@ from nullkahler.geometry import (
 )
 from nullkahler.dkp import ew_from_u
 from nullkahler.sampling import Box, SamplePlan
+from nullkahler.spinors import SYM_PAIRS
 
 CHART4 = Chart(("w", "z", "x", "y"))
 CHART3 = Chart(("x", "y", "t"))
@@ -62,9 +63,9 @@ def test_nk_coframe_reproduces_metric():
 
 def test_nk_sigma01_closed():
     theta = ExprField.from_text("x^2*y^2 + w*x*y", CHART4)
-    primed, _ = nk_coframe(theta).sigma_fields()
+    sigma01 = nk_coframe(theta).sigma(0, 1)
     pts = plan_points()
-    assert np.max(np.abs(exterior_derivative(primed[1]).evaluate(pts))) < 1e-12
+    assert np.max(np.abs(exterior_derivative(sigma01).evaluate(pts))) < 1e-12
 
 
 def test_dkp_metric_flat_fixture():
@@ -175,10 +176,11 @@ def test_d_squared_zero():
 def test_dkp_sigma_closedness():
     h_pot = ExprField.from_text("-x^2/(2*(t-1))", CHART3)
     w_pot = ExprField.from_text("-x/(t-1)", CHART3)
-    primed, _ = dkp_coframe(h_pot, w_pot).sigma_fields()
+    coframe = dkp_coframe(h_pot, w_pot)
     pts = SamplePlan(DKP_BOX, count=60).points()
-    assert np.max(np.abs(exterior_derivative(primed[0]).evaluate(pts))) < 1e-12
-    assert np.max(np.abs(exterior_derivative(primed[1]).evaluate(pts))) < 1e-12
+    for pair in ((0, 0), (0, 1)):
+        sigma = coframe.sigma(*pair)
+        assert np.max(np.abs(exterior_derivative(sigma).evaluate(pts))) < 1e-12
 
 
 def test_hodge_star_ew_relations():
@@ -291,7 +293,7 @@ def test_jets_match_per_component_reference(build):
             (2, 2, 4), pts, order)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
-        for form in coframe.sigma_fields()[0]:
+        for form in (coframe.sigma(*pair) for pair in SYM_PAIRS):
             got = field_jet(form.jet_entries(), (4, 4), pts, order)
             ref = reference_jet(lambda ij: two_form_slot(form, ij), (4, 4),
                                 pts, order)
