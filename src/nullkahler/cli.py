@@ -19,8 +19,9 @@ A dKP fixture builds its metric whatever the selection, so a W_x that
 vanishes on the declared box is always a fixture error.
 
 Reports are JSON with ``schema: 1`` and are byte-identical across runs
-with the same config and seed; wall-times are printed to the console
-only, never written into the report.
+with the same config and seed.  The fixtures run one after another;
+each fixture's wall time is printed to the console once, never written
+into the report.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import configparser
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,6 @@ class CheckResult:
     tolerance: float
     require: str
     passed: bool
-    wall_ms: float
 
 
 def _parse_axes(text: str, what: str, *kinds) -> list:
@@ -270,25 +270,10 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
-class _shared:
-    """Cached per sample.  ``functools.cached_property`` locks per class
-    before Python 3.12, so fixture threads would compute one at a time."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, sample, owner=None):
-        value = sample.__dict__[self.name] = self.compute(sample)
-        return value
-
-
 class _CurvedSample:
     """Sample set with a four-metric and a coframe: one oracle pass."""
 
-    @_shared
+    @cached_property
     def oracle(self):
         return oracle_report(self.metric, self.coframe, self.points)
 
@@ -304,7 +289,7 @@ class NKSample(_CurvedSample):
         self.metric = nk_metric(self.theta)
         self.coframe = nk_coframe(self.theta)
 
-    @_shared
+    @cached_property
     def null_kahler(self):
         return check_null_kahler(self.coframe, self.oracle.raw, self.points)
 
@@ -320,16 +305,16 @@ class DKPSample(_CurvedSample):
         # built whatever the selection: it rejects a vanishing W_x
         self.metric = dkp_mod.build_metric(self.h, self.w, self.box)
 
-    @_shared
+    @cached_property
     def coframe(self):
         # W_x was checked on the same box when the metric was built
         return dkp_coframe(self.h, self.w)
 
-    @_shared
+    @cached_property
     def ew(self):
         return dkp_mod.ew_from_u(self.h.deriv(x=1))
 
-    @_shared
+    @cached_property
     def dsigma(self):
         return dkp_mod.sd_two_forms(self.coframe, self.h, self.w, self.points)[3]
 
@@ -392,18 +377,16 @@ def run_fixture(fixture: Fixture, config) -> list:
     box = (payload.get("box") or payload["solution"].box)
     plan = SamplePlan(box, config["samples"], config["seed"])
     scale = config.get("tolerance_scale", 1.0)
-    start = time.perf_counter()
     sample_class, table = _KINDS[fixture.kind]
     sample = sample_class(payload, plan)
     values = [(name, table[name](sample)) for name in fixture.checks]
-    wall = (time.perf_counter() - start) * 1000.0
     out = []
     for name, value in values:
         require = "above" if name == "nonvacuum" else "below"
         tol = config["tolerances"][name] * scale
         passed = value > tol if require == "above" else value <= tol
         out.append(CheckResult(fixture.name, name, float(value), tol,
-                               require, bool(passed), wall / len(values)))
+                               require, bool(passed)))
     if fixture.expect == "fail":
         # negative control: the fixture passes when something failed
         flipped = not all(r.passed for r in out)
@@ -411,25 +394,28 @@ def run_fixture(fixture: Fixture, config) -> list:
             r.passed = True
         out.append(CheckResult(fixture.name, "expected_failure",
                                0.0 if flipped else 1.0, 0.5, "below",
-                               flipped, 0.0))
+                               flipped))
     return out
 
 
 def run_suite(config_path, seed=None, serial=False, out_dir=None,
               tolerance_scale=1.0) -> tuple:
-    """Run every fixture's checks; returns (report dict, exit code)."""
+    """Run every fixture's checks; returns (report dict, exit code).
+
+    The fixtures always run one after another in this thread; ``serial``
+    is accepted for compatibility and changes nothing.
+    """
     config = load_config(config_path)
     if seed is not None:
         config["seed"] = seed
     config["tolerance_scale"] = tolerance_scale
-    fixtures = config["fixtures"]
-    if serial:
-        per_fixture = [run_fixture(f, config) for f in fixtures]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(fixtures))) as pool:
-            per_fixture = list(pool.map(lambda f: run_fixture(f, config),
-                                        fixtures))
-    checks = [r for results in per_fixture for r in results]
+    per_fixture = []
+    for fixture in config["fixtures"]:
+        start = time.perf_counter()
+        results = run_fixture(fixture, config)
+        per_fixture.append((fixture.name, results,
+                            (time.perf_counter() - start) * 1000.0))
+    checks = [r for _, results, _ in per_fixture for r in results]
     passed = sum(1 for c in checks if c.passed)
     report = {
         "schema": SCHEMA_VERSION,
@@ -458,13 +444,14 @@ def run_suite(config_path, seed=None, serial=False, out_dir=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(render_report(report))
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        sys.stdout.write(
-            f"{status} {c.fixture}/{c.name}: residual {c.max_residual:.3e} "
-            f"({'>' if c.require == 'above' else '<='} {c.tolerance:g}) "
-            f"[{c.wall_ms:.0f} ms]\n"
-        )
+    for name, results, wall_ms in per_fixture:
+        sys.stdout.write(f"fixture {name} [{wall_ms:.0f} ms]\n")
+        for c in results:
+            status = "PASS" if c.passed else "FAIL"
+            sys.stdout.write(
+                f"{status} {c.fixture}/{c.name}: residual {c.max_residual:.3e} "
+                f"({'>' if c.require == 'above' else '<='} {c.tolerance:g})\n"
+            )
     summary = report["summary"]
     sys.stdout.write(
         f"suite: {summary['passed']}/{summary['total']} checks passed\n"
@@ -479,6 +466,10 @@ def render_report(report: dict) -> str:
 # --- evolve and export commands ---------------------------------------------------
 
 def _evolve_command(args) -> int:
+    if not args.mms and min(args.nx, args.ny) < 3:
+        # the one-sided x stencil reads three columns, D_yy three rows
+        raise ConfigError(f"the evolver grid needs --nx and --ny of at least "
+                          f"3, got {args.nx} x {args.ny}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.mms:
@@ -606,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--config", required=True)
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--serial", action="store_true",
-                       help="force the deterministic serial reference mode")
+                       help="accepted for compatibility: the checks always "
+                            "run serially")
     check.add_argument("--out-dir", default=None)
     check.add_argument("--tolerance-scale", type=float, default=1.0)
 

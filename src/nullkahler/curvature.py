@@ -1,8 +1,11 @@
 """Two independent curvature pipelines and the ASD null-Kahler checkers.
 
 Oracle path: Christoffel symbols -> Riemann -> Ricci/scalar/Weyl in
-coordinates, then projection onto the Sigma basis and the dual frame to
-produce spinor-labelled components.
+coordinates.  The dual frame solders the bivectors Sigma^{ab}_{AB} and
+Sigma'^{ab}_{A'B'}, and contracting both pairs of the Weyl tensor with
+one of them reads off that chirality's Weyl spinor, by the split of a
+two-form into eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'} (Penrose &
+Rindler, *Spinors and Space-Time* vol. 1).
 
 Cartan path: spin connection from the first structure equations (a 24x24
 linear solve per point, differentiated implicitly for exactness),
@@ -363,6 +366,17 @@ def _structure_rows():
     return rows
 
 
+#: the structure matrix is linear in e: row k holds it for the k-th unit
+#: coframe.  Each entry reads at most one component of e, with weight +-1,
+#: so ``e @ _STRUCTURE_MAP`` equals the assembled matrix bit for bit
+_STRUCTURE_MAP = _assemble_structure_matrix(
+    np.eye(16).reshape(16, 2, 2, 4)).reshape(16, 576)
+
+
+def _structure_matrix(e: np.ndarray) -> np.ndarray:
+    return (e.reshape(e.shape[0], 16) @ _STRUCTURE_MAP).reshape(-1, 24, 24)
+
+
 def _structure_rhs(de: np.ndarray) -> np.ndarray:
     npts = de.shape[0]
     rhs = np.empty((npts, 24))
@@ -382,7 +396,7 @@ def spin_connection(coframe: CoFrame, points) -> SpinConnection:
     de = coframe.first_derivatives(points)
     dde = coframe.second_derivatives(points)
     npts = e.shape[0]
-    mat = _assemble_structure_matrix(e)
+    mat = _structure_matrix(e)
     rhs = _structure_rhs(de)
     try:
         gamma_flat = np.linalg.solve(mat, rhs[..., None])[..., 0]
@@ -392,7 +406,7 @@ def spin_connection(coframe: CoFrame, points) -> SpinConnection:
 
     dgamma_flat = np.empty((npts, 4, 24))
     for l in range(4):
-        dmat = _assemble_structure_matrix(de[:, l])
+        dmat = _structure_matrix(de[:, l])
         drhs = _structure_rhs(dde[:, l]) - np.einsum("nij,nj->ni", dmat, gamma_flat)
         dgamma_flat[:, l] = np.linalg.solve(mat, drhs[..., None])[..., 0]
 
@@ -473,22 +487,28 @@ def _extract_slots(t: np.ndarray) -> np.ndarray:
 def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureReport:
     """Spinor-labelled components from the coordinate oracle.
 
-    The Weyl tensor is soldered onto spinor slots with the dual frame,
-    then split by the exact inversion of the two-form decomposition:
-    C_{A'B'C'D'} = 1/4 eps^{AB} eps^{CD} C_{AA'BB'CC'DD'} (mirror for
-    the unprimed part); the trace-free Ricci part is soldered as
-    Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).  Everything carries lower
-    spinor labels.
+    A two-form splits as eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'}
+    (Penrose & Rindler, *Spinors and Space-Time* vol. 1), so
+    the soldered bivectors Sigma'^{ab}_{X'Y'} = eps^{xy} D^a_{xX'} D^b_{yY'}
+    and Sigma^{ab}_{xy} = eps^{X'Y'} D^a_{xX'} D^b_{yY'} of the dual frame
+    read each chirality off the Weyl tensor:
+    C_{X'Y'Z'W'} = 1/4 C_{abcd} Sigma'^{ab}_{X'Y'} Sigma'^{cd}_{Z'W'}
+    (mirror for the unprimed part).  The trace-free Ricci part is
+    soldered as Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).  Everything
+    carries lower spinor labels.
     """
     raw = coordinate_curvature(metric, points)
     dual = coframe.dual_vectors(points)
+    npts = dual.shape[0]
+    weyl = raw.weyl_low.reshape(npts, 16, 16)
 
-    weyl_spin = np.einsum("nabcd,nxXa,nyYb,nzZc,nwWd->nxXyYzZwW",
-                          raw.weyl_low, dual, dual, dual, dual)
-    c_sd_full = 0.25 * np.einsum("nxXyYzZwW,xy,zw->nXYZW", weyl_spin,
-                                 EPS_UPPER, EPS_UPPER)
-    c_asd_full = 0.25 * np.einsum("nxXyYzZwW,XY,ZW->nxyzw", weyl_spin,
-                                  EPS_UPPER, EPS_UPPER)
+    def project(sigma):  # sigma[n, X, Y, a, b] -> 1/4 C_abcd S^ab_XY S^cd_ZW
+        sigma = sigma.reshape(npts, 4, 16)
+        spin = sigma @ weyl @ sigma.transpose(0, 2, 1)
+        return 0.25 * spin.reshape(npts, 2, 2, 2, 2)
+
+    c_sd_full = project(np.einsum("xy,nxXa,nyYb->nXYab", EPS_UPPER, dual, dual))
+    c_asd_full = project(np.einsum("XY,nxXa,nyYb->nxyab", EPS_UPPER, dual, dual))
     c_sd = _extract_slots(c_sd_full)
     c_asd = _extract_slots(c_asd_full)
     # total symmetry of the extracted spinors validates the projection
@@ -547,8 +567,8 @@ def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:
     Both reports carry the module convention, so no factor enters: the
     Cartan fit raises the lowered block with R^A_B = R_{EB} eps^{EA}
     (the delta^{A'}_{B'} of the structure equations lowers to
-    -eps_{A'B'}), and the oracle projects the Weyl tensor with
-    1/4 eps^{AB} eps^{CD} and the trace-free Ricci tensor as
+    -eps_{A'B'}), and the oracle projects the Weyl tensor as
+    1/4 C_{abcd} Sigma^{ab} Sigma^{cd} and the trace-free Ricci tensor as
     Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).
 
     A sector that vanishes at working precision (its magnitude is

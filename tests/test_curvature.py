@@ -302,3 +302,56 @@ def test_nk_ansatz_scalar_flat_even_off_shell(pts):
         metric, _, _ = nk_fixture(text)
         raw = coordinate_curvature(metric, pts)
         assert np.max(np.abs(raw.scalar)) < 1e-10
+
+
+def _weyl_spinors_slot_by_slot(metric, coframe, points):
+    """Reference: the Weyl tensor soldered slot by slot, then split."""
+    from nullkahler.curvature import _extract_slots
+    from nullkahler.spinors import EPS_UPPER
+
+    dual = coframe.dual_vectors(points)
+    weyl_spin = np.einsum("nabcd,nxXa,nyYb,nzZc,nwWd->nxXyYzZwW",
+                          coordinate_curvature(metric, points).weyl_low,
+                          dual, dual, dual, dual)
+    c_sd = 0.25 * np.einsum("nxXyYzZwW,xy,zw->nXYZW", weyl_spin,
+                            EPS_UPPER, EPS_UPPER)
+    c_asd = 0.25 * np.einsum("nxXyYzZwW,XY,ZW->nxyzw", weyl_spin,
+                             EPS_UPPER, EPS_UPPER)
+    return _extract_slots(c_asd), _extract_slots(c_sd)
+
+
+def test_sigma_soldering_matches_slot_by_slot_reference():
+    from nullkahler.nk_system import example_family
+
+    family3_box = Box(((-1, 1), (-1, 1), (-1, 1), (0.7, 1.7)))
+    fixtures = []
+    for kind, params, box in ((1, {"A": "y^2"}, BOX4),
+                              (2, {"P": "w*y", "Q": "y^2"}, BOX4),
+                              (3, {"A": "s^2"}, family3_box),
+                              (4, {"A": "y^3"}, BOX4)):
+        theta = example_family(kind, params, box).theta
+        fixtures.append((nk_metric(theta), nk_coframe(theta), box))
+    for text in ("x^2*y^2", "x^2*y^2 + w*x*y + z*x^3/2"):
+        fixtures.append(nk_fixture(text)[:2] + (BOX4,))
+    h_pot = ExprField.from_text("-x^2/(2*(t-1))", CHART3)
+    for w_text in ("-x/(t-1)", "x^3 + 2*x"):
+        w_pot = ExprField.from_text(w_text, CHART3)
+        fixtures.append((build_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot),
+                         DKP_BOX))
+    for metric, coframe, box in fixtures:
+        sample = SamplePlan(box, count=40).points()
+        report = oracle_report(metric, coframe, sample)
+        c_asd, c_sd = _weyl_spinors_slot_by_slot(metric, coframe, sample)
+        scale = max(1.0, np.max(np.abs(c_asd)), np.max(np.abs(c_sd)))
+        assert np.max(np.abs(report.c_asd - c_asd)) <= 1e-12 * scale
+        assert np.max(np.abs(report.c_sd - c_sd)) <= 1e-12 * scale
+
+
+def test_structure_map_matches_assembler():
+    # the constant map reproduces the per-entry assembler bit for bit
+    from nullkahler.curvature import _assemble_structure_matrix, _structure_matrix
+
+    rng = np.random.default_rng(5)
+    e = rng.standard_normal((50, 2, 2, 4)) * 10.0 ** rng.uniform(-6, 6, (50, 2, 2, 4))
+    np.testing.assert_array_equal(_structure_matrix(e),
+                                  _assemble_structure_matrix(e))
