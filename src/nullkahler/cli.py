@@ -487,7 +487,7 @@ def _evolve_command(args) -> int:
     grid = Grid2D(args.x0, args.x1, args.nx, args.y0, args.y1, args.ny)
     initial = ExprField.from_text(args.initial, EVOLVER_CHART)
     boundary = uniform_reference(args.reference) if args.reference else None
-    state = DKPState(grid, field_on(initial, *grid.mesh(), 0.0), 0.0, boundary)
+    state = DKPState(grid, field_on(initial, *grid.axes(), 0.0), 0.0, boundary)
     try:
         states = dkp_evolve(state, args.dt, args.steps,
                             save_every=args.save_every)

@@ -70,16 +70,21 @@ class Grid2D:
     def dy(self):
         return (self.y1 - self.y0) / (self.ny - 1)
 
-    def mesh(self):
+    def axes(self):
+        """The nodes as an (nx, 1) column of x and a (1, ny) row of y."""
         x = np.linspace(self.x0, self.x1, self.nx)
         y = np.linspace(self.y0, self.y1, self.ny)
-        return np.meshgrid(x, y, indexing="ij")
+        return x[:, None], y[None, :]
+
+    def mesh(self):
+        return np.broadcast_arrays(*self.axes())
 
 
 def field_on(field: ExprField, x, y, t: float) -> np.ndarray:
-    """A closed form on EVOLVER_CHART at the points (x, y), time t."""
-    pts = np.stack([x.ravel(), y.ravel(), np.full(x.size, t)], axis=-1)
-    return field.evaluate(pts).reshape(x.shape)
+    """A closed form on EVOLVER_CHART at (x, y), time t, with x and y
+    broadcast against each other: an (nx, 1) column and a (1, ny) row
+    give the (nx, ny) grid, two equal-length arrays give those points."""
+    return field.evaluate_axes(x, y, t)
 
 
 @dataclass(frozen=True)
@@ -170,12 +175,13 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
     ring = np.ones(xg.shape, dtype=bool)
     ring[1:-1, 1:-1] = False
     xr, yr = xg[ring], yg[ring]
+    xs, ys = grid.axes()
 
     def rhs(v, s):
         if boundary is None:  # free mode: the ring holds, no forcing
             return _rhs(v, grid, ring, np.zeros(xr.size), 0.0)
         return _rhs(v, grid, ring, boundary.udot_on(xr, yr, s),
-                    boundary.source_on(xg, yg, s))
+                    boundary.source_on(xs, ys, s))
 
     out = [state]
     u, t = state.u.copy(), state.t
@@ -220,11 +226,11 @@ def _run_reference(boundary: BoundarySource, grid: Grid2D, t_end: float,
                    cfl_factor: float):
     """RMS error against u* at t_end, and RMS of u*, of a run from t = 0
     in equal steps of at most ``cfl_factor`` times the CFL bound."""
-    xg, yg = grid.mesh()
-    state = DKPState(grid, boundary.u_on(xg, yg, 0.0), 0.0, boundary)
+    xs, ys = grid.axes()
+    state = DKPState(grid, boundary.u_on(xs, ys, 0.0), 0.0, boundary)
     steps = int(np.ceil(t_end / (cfl_factor * cfl_bound(state))))
     final = dkp_evolve(state, t_end / steps, steps)[-1]
-    exact = boundary.u_on(xg, yg, t_end)
+    exact = boundary.u_on(xs, ys, t_end)
     return np.sqrt(np.mean((final.u - exact) ** 2)), np.sqrt(np.mean(exact ** 2))
 
 

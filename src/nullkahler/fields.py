@@ -62,9 +62,11 @@ class Chart:
         except ValueError:
             raise DomainError(f"{name!r} is not a coordinate of {self.coords}") from None
 
-    def check_domain(self, points: np.ndarray) -> None:
+    def check_domain(self, axes) -> None:
+        """Raise DomainError if a coordinate array of ``axes``, one per
+        chart axis, enters an excluded band."""
         for band in self.excluded:
-            values = points[..., self.axis(band.coord)]
+            values = axes[self.axis(band.coord)]
             if np.any(np.abs(values - band.center) < band.half_width):
                 raise DomainError(
                     f"evaluation inside excluded band {band.coord} = {band.center}"
@@ -134,16 +136,32 @@ class ExprField:
         """The same expression viewed on a larger chart."""
         return ExprField(self.expr, chart, self.params)
 
-    def evaluate(self, points):
-        pts, single = _as_points(points, self.chart.dim)
-        self.chart.check_domain(pts)
-        env = {name: pts[:, k] for k, name in enumerate(self.chart.coords)}
+    def evaluate_axes(self, *axes) -> np.ndarray:
+        """The field at the coordinates ``axes``, one array per chart axis,
+        broadcast against each other with numpy's rules.
+
+        The one evaluation routine: on a tensor grid pass each axis shaped
+        to broadcast (x as a column, y as a row, t as a scalar), so every
+        function of one coordinate is evaluated once per node of its axis.
+        """
+        if len(axes) != self.chart.dim:
+            raise DomainError(f"expected {self.chart.dim} coordinate arrays")
+        self.chart.check_domain(axes)
+        env = dict(zip(self.chart.coords, axes))
         env.update(self.params)
-        values = self.expr.evaluate(env)
-        values = np.broadcast_to(np.asarray(values, dtype=float), (pts.shape[0],))
-        if not np.all(np.isfinite(values)):
+        values = np.asarray(self.expr.evaluate(env), dtype=float)
+        shape = np.broadcast(*axes).shape
+        if values.shape != shape:  # a tree that does not read every axis
+            values = np.broadcast_to(values, shape)
+        if not np.isfinite(values).all():
             raise EvaluationError("non-finite field value")
-        return float(values[0]) if single else np.array(values)
+        return np.array(values)
+
+    def evaluate(self, points):
+        """The field at ``points`` of shape (n, dim), or at one point."""
+        pts, single = _as_points(points, self.chart.dim)
+        values = self.evaluate_axes(*pts.T)
+        return float(values[0]) if single else values
 
     def differentiate(self, idx: MultiIndex) -> "ExprField":
         if len(idx.orders) != self.chart.dim:
@@ -260,8 +278,9 @@ def sample_to_grid(field: ExprField, grid: GridSpec) -> SampledField:
     """Sample a field onto a grid; node values match evaluation exactly."""
     if grid.dim != field.chart.dim:
         raise ValueError("grid dimension does not match field chart")
-    values = field.evaluate(grid.meshpoints()).reshape(grid.shape)
-    return SampledField(grid, values, field.chart)
+    axes = [axis.reshape([-1 if k == j else 1 for k in range(grid.dim)])
+            for j, axis in enumerate(grid.coordinates())]
+    return SampledField(grid, field.evaluate_axes(*axes), field.chart)
 
 
 # --- CSV serialization of sampled grids --------------------------------------

@@ -82,17 +82,18 @@ def test_boundary_data_read_only_on_the_ring(monkeypatch):
     grid = Grid2D(0, 2, n, 0, 2, n)
     state = DKPState(grid, boundary.u_on(*grid.mesh(), 0.0), 0.0, boundary)
     evaluated, differentiated = [], []
-    evaluate, differentiate = ExprField.evaluate, ExprField.differentiate
+    evaluate, differentiate = ExprField.evaluate_axes, ExprField.differentiate
 
-    def counted_evaluate(self, points):
-        evaluated.append((self is boundary.source, len(points)))
-        return evaluate(self, points)
+    def counted_evaluate(self, *axes):
+        size = np.prod(np.broadcast_shapes(*map(np.shape, axes)), dtype=int)
+        evaluated.append((self is boundary.source, size))
+        return evaluate(self, *axes)
 
     def counted_differentiate(self, idx):
         differentiated.append(idx)
         return differentiate(self, idx)
 
-    monkeypatch.setattr(ExprField, "evaluate", counted_evaluate)
+    monkeypatch.setattr(ExprField, "evaluate_axes", counted_evaluate)
     monkeypatch.setattr(ExprField, "differentiate", counted_differentiate)
     dkp_evolve(state, 0.5 * cfl_bound(state), steps)
     assert [size for is_source, size in evaluated if is_source] \
