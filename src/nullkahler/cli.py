@@ -40,6 +40,7 @@ import numpy as np
 from . import dkp as dkp_mod
 from .curvature import check_null_kahler, oracle_report
 from .evolver import (
+    CFL_SAFETY,
     EVOLVER_CHART,
     BlowUpError,
     CFLError,
@@ -609,7 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--x1", type=float, default=1.0)
     evolve.add_argument("--y0", type=float, default=-1.0)
     evolve.add_argument("--y1", type=float, default=1.0)
-    evolve.add_argument("--dt", type=float, default=1e-4)
+    evolve.add_argument("--dt", type=float, default=1e-4,
+                        help="fixed time step; ARS(2,3,3) treats the "
+                             "non-local term implicitly, so dt needs only "
+                             f"the advective bound {CFL_SAFETY:g} "
+                             "min(dx, dy^2/dx) / (1 + max|u|), checked "
+                             "before the run")
     evolve.add_argument("--steps", type=int, default=100)
     evolve.add_argument("--initial", default="0")
     evolve.add_argument("--reference", default=None,

@@ -1,4 +1,4 @@
-"""Validation-grade explicit evolver for the dispersionless KP equation.
+"""Validation-grade IMEX evolver for the dispersionless KP equation.
 
 The equation (u_t - u u_x)_x = u_yy is integrated in the evolution form
 
@@ -11,9 +11,14 @@ come from a closed-form reference solution (plus an optional
 manufactured source S); in free mode the closure terms are zero, which
 assumes decaying data.  u* and u*_t are evaluated on the ring only.
 
-The scheme is a fixed-step four-stage Runge-Kutta in time with
-second-order central stencils and trapezoid accumulation for the
-antiderivative: deterministic, serial, and deliberately simple.  Runs
+Space: second-order central stencils, and the trapezoid rule for the
+antiderivative.  Time: fixed steps of the implicit-explicit Runge-Kutta
+scheme ARS(2,3,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25,
+1997).  Advection, the x0 closure, the source and the ring are explicit;
+the linear non-local term N u = int_{x0}^{x} u_yy dx' is implicit.  A
+sine transform in y diagonalises N on the interior nodes, so each stage
+solve is a forward recurrence in x per y-mode (see ``cfl_bound``), and
+the step is bounded by advection alone.  Deterministic and serial; runs
 stop with a diagnostic when the CFL bound is violated or the solution
 blows up (the equation develops gradient catastrophes).
 """
@@ -28,15 +33,11 @@ from .fields import Chart, ExprField
 
 EVOLVER_CHART = Chart(("x", "y", "t"))
 
-#: advective part: dt <= CFL_SAFETY * min(dx, dy^2/dx) / (1 + max|u|)
+#: dt <= CFL_SAFETY * min(dx, dy^2/dx) / (1 + max|u|); see ``cfl_bound``
 CFL_SAFETY = 0.25
 
-#: dispersive part: dt <= DISPERSIVE_SAFETY * dy^2 / Lx.  The nonlocal
-#: term behaves like y-frequency^2 integrated across the whole x-extent;
-#: empirically the scheme is stable for dt * pi * Lx / dy^2 up to ~50
-#: and diverges beyond ~100, uniformly over 64..256 point grids, so this
-#: cap (stiffness 8 pi ~ 25) carries a factor-two margin.
-DISPERSIVE_SAFETY = 8.0
+#: diagonal of ARS(2,3,3)'s implicit tableau, (3 + sqrt 3)/6
+GAMMA = (3.0 + np.sqrt(3.0)) / 6.0
 
 #: ``reference_run_error`` steps at this fraction of ``cfl_bound``
 REFERENCE_CFL_FACTOR = 0.9
@@ -78,6 +79,12 @@ class Grid2D:
 
     def mesh(self):
         return np.broadcast_arrays(*self.axes())
+
+    def ring(self):
+        """Boolean (nx, ny) mask, True on the boundary nodes."""
+        ring = np.ones((self.nx, self.ny), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        return ring
 
 
 def field_on(field: ExprField, x, y, t: float) -> np.ndarray:
@@ -123,74 +130,168 @@ class DKPState:
 
 
 def cfl_bound(state: DKPState) -> float:
+    """The largest dt ``dkp_evolve`` accepts: the advective cap
+    CFL_SAFETY min(dx, dy^2/dx) / (1 + max|u|).
+
+    The non-local term sets no cap.  On the interior nodes, with the
+    ring as data, N = V' (x) D_yy: V' is the trapezoid Volterra matrix on
+    the rows off the x0 ring (dx/2 on its diagonal, dx below it, zero
+    above) and D_yy the Dirichlet second difference in y.  A sine
+    transform diagonalises D_yy with eigenvalues -mu_k, where
+    mu_k = (2/dy)^2 sin^2(k pi / (2 (ny - 1))) > 0, so y-mode k sees
+    -mu_k V'.  Since V' + V'^T = dx 11^T is positive semidefinite,
+
+        Re <w, -mu_k V' w> = -mu_k (dx/2) (sum_i w_i)^2 <= 0:
+
+    the numerical range of -mu_k V' lies in the closed left half-plane.
+    A rational function bounded by one there is then a contraction of
+    the matrix (von Neumann's theorem; Hairer & Wanner, Solving Ordinary
+    Differential Equations II, section IV.11).  The implicit part of
+    ARS(2,3,3) is A-stable, so its stage solves (I + GAMMA dt mu_k V')^{-1}
+    and its step contract for every dt.
+
+    An explicit scheme cannot do that.  V' has the one eigenvalue dx/2,
+    but it is far from normal: ||V'||_2 tends to 2 Lx/pi, the norm of the
+    Volterra operator on L^2[0, Lx] (Halmos, A Hilbert Space Problem
+    Book), so the numerical range of -mu_max V' reaches out to
+    about 8 Lx / (pi dy^2).  An explicit step such as classical
+    four-stage Runge-Kutta, whose stability region is bounded, therefore
+    needs dt proportional to dy^2 / Lx (Trefethen & Embree, Spectra and
+    Pseudospectra, 2005, on the non-normal case).
+    """
     grid = state.grid
     umax = float(np.max(np.abs(state.u)))
-    advective = CFL_SAFETY * min(grid.dx, grid.dy ** 2 / grid.dx) / (1.0 + umax)
-    dispersive = DISPERSIVE_SAFETY * grid.dy ** 2 / (grid.x1 - grid.x0)
-    return min(advective, dispersive)
+    return CFL_SAFETY * min(grid.dx, grid.dy ** 2 / grid.dx) / (1.0 + umax)
 
 
-def _rhs(u: np.ndarray, grid: Grid2D, ring: np.ndarray, rate: np.ndarray,
-         source) -> np.ndarray:
-    """u_t of the evolution form, given u_t on the ``ring`` points in C
-    order (the first ny are the x0 row) and the source S."""
-    dx, dy = grid.dx, grid.dy
-    ux = np.zeros_like(u)
-    ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * dx)
-    ux[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * dx)
-    ux[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * dx)
-    advect = u * ux
+def _explicit_rhs(u: np.ndarray, grid: Grid2D, ring: np.ndarray,
+                  rate: np.ndarray, source) -> np.ndarray:
+    """The explicit part of u_t: advection, the x0 closure and the source
+    inside, given u_t on the ``ring`` points in C order (the first ny are
+    the x0 row), which it holds on the ring."""
+    dx = grid.dx
+    advect = np.empty_like(u)
+    advect[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * dx)
+    advect[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * dx)
+    advect[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * dx)
+    advect *= u
+    advect -= advect[0].copy()
+    advect += rate[:grid.ny]
+    advect += source
+    advect[ring] = rate
+    return advect
+
+
+def nonlocal_term(u: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """N u = int_{x0}^{x} u_yy dx' by the trapezoid rule from the x0 row,
+    with u's y-boundary columns as the Dirichlet data of u_yy.  Zero on
+    the y-boundary columns and the x0 row; the ring rows are not used."""
     uyy = np.zeros_like(u)
-    uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dy ** 2
-    # trapezoid antiderivative of u_yy from x0
-    nonlocal_term = dx * (np.cumsum(uyy, axis=0) - 0.5 * (uyy + uyy[0:1, :]))
+    uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / grid.dy ** 2
+    out = np.cumsum(uyy, axis=0)
+    out -= 0.5 * (uyy + uyy[0])
+    out *= grid.dx
+    return out
 
-    rhs = (advect - advect[0:1, :]) + nonlocal_term
-    rhs += rate[:grid.ny]
-    rhs += source
-    rhs[ring] = rate
-    return rhs
+
+class ImplicitSolve:
+    """r -> (I - c N)^{-1} r on the interior nodes of ``grid``, zero on
+    the ring, where N acts on arrays that vanish on the ring.
+
+    A type-I sine transform in y turns I - c N into I + c mu_k V' on
+    y-mode k (see ``cfl_bound``): lower triangular with diagonal 1 + a_k,
+    a_k = c mu_k dx/2, so row i reads
+
+        z_i (1 + a_k) = r_i - 2 a_k sum_{l<i} z_l,
+
+    a forward recurrence in x, vectorised over the modes.  The transform
+    is the real FFT of the odd extension, kept in one buffer per solver.
+    """
+
+    def __init__(self, grid: Grid2D, c: float):
+        m = grid.ny - 2
+        k = np.arange(1, m + 1)
+        mu = (2.0 / grid.dy * np.sin(0.5 * np.pi * k / (m + 1))) ** 2
+        a = 0.5 * c * grid.dx * mu
+        self.scale, self.decay = 1.0 / (1.0 + a), 2.0 * a / (1.0 + a)
+        self.odd = np.zeros((grid.nx - 2, 2 * m + 2))
+
+    def _dst(self, v: np.ndarray) -> np.ndarray:
+        """sum_j v_j sin(pi j k / (m + 1)) along rows, j, k = 1..m."""
+        m = v.shape[1]
+        self.odd[:, 1:m + 1] = v
+        np.negative(v[:, ::-1], out=self.odd[:, m + 2:])
+        return -0.5 * np.fft.rfft(self.odd, axis=1)[:, 1:m + 1].imag
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """Solve in place: r is overwritten with the solution."""
+        z = self._dst(r[1:-1, 1:-1])
+        z *= self.scale
+        partial_sum = np.zeros(z.shape[1])
+        for row in z:
+            row -= self.decay * partial_sum
+            partial_sum += row
+        r[1:-1, 1:-1] = self._dst(z)
+        r[1:-1, 1:-1] *= 2.0 / (z.shape[1] + 1)
+        r[[0, -1], :] = 0.0
+        r[:, [0, -1]] = 0.0
+        return r
 
 
 def dkp_evolve(state: DKPState, dt: float, steps: int,
                save_every: int = None, blowup_factor: float = 1e3):
-    """Advance ``steps`` fixed RK4 steps; returns the saved state list.
+    """Advance ``steps`` fixed ARS(2,3,3) steps; returns the saved state list.
 
     The initial state is always first in the returned sequence and the
     final state last; intermediate states are kept every ``save_every``
     steps when requested.  Raises :class:`CFLError` up front when dt
-    exceeds the documented bound and :class:`BlowUpError` if max|u|
-    passes ``blowup_factor * (1 + max|u0|)`` during the run.
+    exceeds ``cfl_bound`` and :class:`BlowUpError` if max|u| passes
+    ``blowup_factor * (1 + max|u0|)`` during the run.
     """
     bound = cfl_bound(state)
     if dt > bound:
         raise CFLError(
             f"dt = {dt:g} exceeds the stability bound {bound:g} "
-            f"(min of {CFL_SAFETY:g} min(dx, dy^2/dx)/(1 + max|u|) and "
-            f"{DISPERSIVE_SAFETY:g} dy^2/Lx)"
+            f"({CFL_SAFETY:g} min(dx, dy^2/dx)/(1 + max|u|))"
         )
     threshold = blowup_factor * (1.0 + float(np.max(np.abs(state.u))))
     grid, boundary = state.grid, state.boundary
     xg, yg = grid.mesh()
-    ring = np.ones(xg.shape, dtype=bool)
-    ring[1:-1, 1:-1] = False
+    ring = grid.ring()
     xr, yr = xg[ring], yg[ring]
     xs, ys = grid.axes()
+    gdt = GAMMA * dt
+    solve = ImplicitSolve(grid, gdt)
 
-    def rhs(v, s):
+    def explicit(v, s):
         if boundary is None:  # free mode: the ring holds, no forcing
-            return _rhs(v, grid, ring, np.zeros(xr.size), 0.0)
-        return _rhs(v, grid, ring, boundary.udot_on(xr, yr, s),
-                    boundary.source_on(xs, ys, s))
+            return _explicit_rhs(v, grid, ring, np.zeros(xr.size), 0.0)
+        return _explicit_rhs(v, grid, ring, boundary.udot_on(xr, yr, s),
+                             boundary.source_on(xs, ys, s))
+
+    def implicit(v):
+        """N(v + gdt n) = n, solved for n: the implicit stage's N."""
+        return solve(nonlocal_term(v, grid))
 
     out = [state]
-    u, t = state.u.copy(), state.t
+    u, t = np.array(state.u, dtype=float), state.t
     for step in range(1, steps + 1):
-        k1 = rhs(u, t)
-        k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(u + dt * k3, t + dt)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # ARS(2,3,3): explicit tableau rows (), (g), (g - 1, 2 - 2g);
+        # implicit rows (), (0, g), (0, 1 - 2g, g); weights (0, 1/2, 1/2)
+        f1 = explicit(u, t)
+        v = u + gdt * f1
+        n2 = implicit(v)
+        v += gdt * n2
+        f2 = explicit(v, t + gdt)
+        v = u + dt * ((GAMMA - 1.0) * f1 + (2.0 - 2.0 * GAMMA) * f2
+                      + (1.0 - 2.0 * GAMMA) * n2)
+        del f1
+        n3 = implicit(v)
+        v += gdt * n3
+        f2 += n2
+        f2 += explicit(v, t + dt - gdt)
+        f2 += n3
+        u += 0.5 * dt * f2
         t = state.t + step * dt
         if boundary is not None:
             u[ring] = boundary.u_on(xr, yr, t)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nullkahler.expressions import EvaluationError
 from nullkahler.fields import (
     Chart,
     DomainError,
@@ -61,6 +62,63 @@ def test_excluded_band():
     assert field.evaluate(np.array([1.0, 0.5])) == 2.0
     with pytest.raises(DomainError):
         field.evaluate(np.array([1.0, 0.03]))
+
+
+CHART3 = Chart(("x", "y", "t"))
+
+
+@pytest.mark.parametrize("text", [
+    "sin(a*x)*cos(y)*exp(-b*t) + x^2*y",
+    "-(sin(x) - sin(a))*cos(y)^2*exp(-2*t) - (cos(x) - cos(a))*exp(-t)/b",
+    "exp(x*y - t)/(2 + cos(a*t)) + y^3",
+    "t^2 + b",
+    "1.5",
+])
+@pytest.mark.parametrize("t", [0.0, 0.37, -1.25])
+def test_axis_evaluation_matches_point_evaluation(text, t):
+    # one tree, two layouts: (n, 1) x (1, m) x scalar against n*m points
+    field = ExprField.from_text(text, CHART3, params={"a": 0.3, "b": 1.7})
+    x = np.linspace(-1.0, 1.3, 23)
+    y = np.linspace(-0.7, 2.0, 17)
+    on_axes = field.evaluate_axes(x[:, None], y[None, :], t)
+    xg, yg = np.meshgrid(x, y, indexing="ij")
+    points = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, t)], axis=-1)
+    assert on_axes.shape == (23, 17)
+    assert np.array_equal(on_axes, field.evaluate(points).reshape(23, 17))
+
+
+def test_axis_evaluation_three_axes():
+    field = ExprField.from_text("cos(x - t)*exp(y*t)", CHART3)
+    x, y, t = (np.linspace(0, 1, n) for n in (5, 4, 3))
+    on_axes = field.evaluate_axes(x[:, None, None], y[None, :, None],
+                                  t[None, None, :])
+    grid = GridSpec(((0, 1, 5), (0, 1, 4), (0, 1, 3)))
+    assert np.array_equal(on_axes, field.evaluate(grid.meshpoints()).reshape(5, 4, 3))
+    assert np.array_equal(on_axes, sample_to_grid(field, grid).values)
+
+
+def test_axis_evaluation_band_on_one_axis():
+    chart = Chart(("x", "y", "t"), (ExcludedBand("y", 0.5),))
+    field = ExprField.from_text("x + y", chart)
+    x = np.linspace(-1, 1, 5)[:, None]
+    assert field.evaluate_axes(x, np.array([[0.0, 1.0]]), 0.0).shape == (5, 2)
+    with pytest.raises(DomainError):
+        field.evaluate_axes(x, np.array([[0.0, 0.52]]), 0.0)
+    with pytest.raises(DomainError):
+        Chart(("x", "t"), (ExcludedBand("t", 1.0),)).check_domain((x, 1.01))
+
+
+def test_axis_evaluation_non_finite_on_the_broadcast_grid():
+    # every axis value is finite; only the product of two overflows
+    field = ExprField.from_text("x*y", CHART3)
+    assert np.isfinite(field.evaluate_axes(np.array([[1e200]]),
+                                           np.array([[1e-200, 1e100]]), 0.0)[0, 0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(EvaluationError, match="non-finite field value"):
+        field.evaluate_axes(np.array([[1e200], [1.0]]),
+                            np.array([[1.0, 1e200]]), 0.0)
+    with pytest.raises(DomainError):
+        field.evaluate_axes(np.zeros((2, 1)), np.zeros((1, 2)))
 
 
 def test_sample_to_grid_nodes_exact():
