@@ -8,7 +8,8 @@ expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
 error (a check name the fixture's kind does not compute, or an empty
-``checks =`` line, is a config error).
+``checks =`` line, is a config error; a box that meets an excluded band
+is a fixture error, refused before any fixture runs).
 
 Each fixture is checked on one sample set.  A sample object per fixture
 holds its points, metric and coframe, and computes each quantity that
@@ -46,9 +47,11 @@ from .evolver import (
     CFLError,
     DKPState,
     Grid2D,
+    cfl_bound,
     dkp_evolve,
     field_on,
     mms_convergence,
+    saved_steps,
     uniform_reference,
 )
 from .expressions import ExpressionError
@@ -154,6 +157,23 @@ def _parse_excluded(text: str) -> tuple:
                  for name, center in _parse_axes(text, "exclude", float))
 
 
+def _parse_domain(name, section, default_box, names) -> tuple:
+    """The fixture's box and excluded bands; a box that meets a band on
+    one of its coordinates is a fixture error."""
+    excluded = _parse_excluded(section.get("exclude", ""))
+    box = _parse_box(section.get("box", default_box), names)
+    for band in excluded:
+        if band.coord in names:
+            lo, hi = box.bounds[names.index(band.coord)]
+            if max(lo, band.center - band.half_width) \
+                    < min(hi, band.center + band.half_width):
+                raise DomainError(
+                    f"[fixture:{name}] box {band.coord}:{lo:g}:{hi:g} meets the "
+                    f"excluded band |{band.coord} - {band.center:g}| < "
+                    f"{band.half_width:g}")
+    return box, excluded
+
+
 def _parse_checks(name, kind, section, default) -> tuple:
     checks = tuple(c.strip() for c in section.get(
         "checks", ", ".join(default)).split(",") if c.strip())
@@ -169,9 +189,9 @@ def _parse_checks(name, kind, section, default) -> tuple:
 
 
 def _nk_fixture(name, section) -> Fixture:
-    excluded = _parse_excluded(section.get("exclude", ""))
-    box = _parse_box(section.get("box", "w:-1:1, z:-1:1, x:-1:1, y:-1:1"),
-                     ("w", "z", "x", "y"))
+    box, excluded = _parse_domain(name, section,
+                                  "w:-1:1, z:-1:1, x:-1:1, y:-1:1",
+                                  ("w", "z", "x", "y"))
     kind = section.get("kind")
 
     def build():
@@ -193,9 +213,9 @@ def _nk_fixture(name, section) -> Fixture:
 
 
 def _dkp_fixture(name, section) -> Fixture:
-    excluded = _parse_excluded(section.get("exclude", ""))
-    box = _parse_box(section.get("box", "x:-1:1, y:-1:1, t:-1:0.5, z:-1:1"),
-                     ("x", "y", "t", "z"))
+    box, excluded = _parse_domain(name, section,
+                                  "x:-1:1, y:-1:1, t:-1:0.5, z:-1:1",
+                                  ("x", "y", "t", "z"))
 
     def build():
         chart = Chart(("x", "y", "t"), excluded)
@@ -213,9 +233,8 @@ def _dkp_fixture(name, section) -> Fixture:
 
 
 def _ew_fixture(name, section) -> Fixture:
-    excluded = _parse_excluded(section.get("exclude", ""))
-    box = _parse_box(section.get("box", "x:-1:1, y:-1:1, t:-1:0.5"),
-                     ("x", "y", "t"))
+    box, excluded = _parse_domain(name, section, "x:-1:1, y:-1:1, t:-1:0.5",
+                                  ("x", "y", "t"))
 
     def build():
         chart = Chart(("x", "y", "t"), excluded)
@@ -467,13 +486,9 @@ def render_report(report: dict) -> str:
 # --- evolve and export commands ---------------------------------------------------
 
 def _evolve_command(args) -> int:
-    if not args.mms and min(args.nx, args.ny) < 3:
-        # the one-sided x stencil reads three columns, D_yy three rows
-        raise ConfigError(f"the evolver grid needs --nx and --ny of at least "
-                          f"3, got {args.nx} x {args.ny}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mms:
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         study = mms_convergence()
         lines = ["# axes: resolution,error,order"]
         orders = study["orders"]
@@ -485,6 +500,20 @@ def _evolve_command(args) -> int:
         (out / "mms_convergence.csv").write_text("\n".join(lines) + "\n")
         return 0
 
+    if min(args.nx, args.ny) < 3:
+        # the one-sided x stencil reads three columns, D_yy three rows
+        raise ConfigError(f"the evolver grid needs --nx and --ny of at least "
+                          f"3, got {args.nx} x {args.ny}")
+    try:
+        saved = saved_steps(args.dt, args.steps, args.save_every)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    names = [f"u_t{k * args.dt:.6f}.csv" for k in saved]
+    if len(set(names)) < len(names):
+        raise ConfigError("saved times closer than 1e-6 would share a "
+                          "snapshot name: raise --dt or --save-every")
+    if args.log is not None and not Path(args.log).parent.is_dir():
+        raise ConfigError(f"no directory for --log {args.log}")
     grid = Grid2D(args.x0, args.x1, args.nx, args.y0, args.y1, args.ny)
     initial = ExprField.from_text(args.initial, EVOLVER_CHART)
     boundary = uniform_reference(args.reference) if args.reference else None
@@ -498,12 +527,30 @@ def _evolve_command(args) -> int:
     except BlowUpError as err:
         sys.stderr.write(f"run aborted: {err}\n")
         return 1
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     spec = GridSpec(((grid.x0, grid.x1, grid.nx), (grid.y0, grid.y1, grid.ny)))
-    for state in states:  # the first and last, and every save_every-th
-        sampled = SampledField(spec, state.u, Chart(("x", "y")))
-        grid_to_csv(sampled, out / f"u_t{state.t:.6f}.csv")
+    for state, name in zip(states, names):
+        grid_to_csv(SampledField(spec, state.u, Chart(("x", "y"))), out / name)
+    if args.log is not None:
+        _write_step_log(args.log, states, args.dt)
     sys.stdout.write(f"wrote {len(states)} snapshots to {out}\n")
     return 0
+
+
+def _write_step_log(path, states, dt) -> None:
+    """One CSV row per returned state: t, dt, the CFL margin
+    dt / cfl_bound, max|u| and max|u - u*| on the ring (0 in free mode)."""
+    ring = states[0].grid.ring()
+    lines = ["t,dt,cfl_margin,max_abs_u,ring_mismatch"]
+    for state in states:
+        mismatch = 0.0
+        if state.boundary is not None:
+            exact = state.boundary.u_on(*state.grid.axes(), state.t)
+            mismatch = _max_abs((state.u - exact)[ring])
+        lines.append(",".join(f"{v:.17g}" for v in (
+            state.t, dt, dt / cfl_bound(state), _max_abs(state.u), mismatch)))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _parse_grid_spec(text: str, coords) -> GridSpec:
@@ -624,6 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="manufactured-solution convergence study")
     evolve.add_argument("--save-every", type=int, default=None)
     evolve.add_argument("--out-dir", required=True)
+    evolve.add_argument("--log", default=None,
+                        help="CSV step log, one row per snapshot: t, dt, "
+                             "CFL margin, max|u|, ring mismatch")
 
     export = sub.add_parser("export", help="export fixture grids as CSV")
     export.add_argument("--config", required=True)

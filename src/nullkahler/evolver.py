@@ -238,16 +238,34 @@ class ImplicitSolve:
         return r
 
 
+def saved_steps(dt: float, steps: int, save_every: int = None) -> list:
+    """The steps whose states ``dkp_evolve`` returns: 0 (the initial
+    state), every ``save_every``-th when it is given, and the last.
+
+    Raises ValueError unless dt is finite and positive, ``steps`` is at
+    least 1 and ``save_every`` is None or at least 1.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps!r}")
+    if save_every is not None and save_every < 1:
+        raise ValueError(f"save_every must be at least 1, got {save_every!r}")
+    return [*range(0, steps, save_every or steps), steps]
+
+
 def dkp_evolve(state: DKPState, dt: float, steps: int,
                save_every: int = None, blowup_factor: float = 1e3):
-    """Advance ``steps`` fixed ARS(2,3,3) steps; returns the saved state list.
+    """Advance ``steps`` fixed ARS(2,3,3) steps; returns the states at
+    ``saved_steps(dt, steps, save_every)``, the initial state first and
+    the final state last.
 
-    The initial state is always first in the returned sequence and the
-    final state last; intermediate states are kept every ``save_every``
-    steps when requested.  Raises :class:`CFLError` up front when dt
-    exceeds ``cfl_bound`` and :class:`BlowUpError` if max|u| passes
+    Raises ValueError on the settings ``saved_steps`` refuses,
+    :class:`CFLError` up front when dt exceeds ``cfl_bound``, and
+    :class:`BlowUpError` if max|u| passes
     ``blowup_factor * (1 + max|u0|)`` during the run.
     """
+    saved = set(saved_steps(dt, steps, save_every))
     bound = cfl_bound(state)
     if dt > bound:
         raise CFLError(
@@ -297,9 +315,8 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
             u[ring] = boundary.u_on(xr, yr, t)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > threshold:
             raise BlowUpError(f"solution blew up at step {step} (t = {t:g})")
-        if save_every and step % save_every == 0 and step != steps:
+        if step in saved:
             out.append(replace(state, u=u.copy(), t=t))
-    out.append(replace(state, u=u.copy(), t=t))
     return out
 
 

@@ -163,6 +163,64 @@ def test_evolve_tiny_grid_exit_code(tmp_path, capsys, axis, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--steps", "-1"], "steps must be at least 1"),
+    (["--steps", "0"], "steps must be at least 1"),
+    (["--dt", "0"], "dt must be finite and positive"),
+    (["--dt=-1e-4"], "dt must be finite and positive"),
+    (["--dt=nan"], "dt must be finite and positive"),
+    (["--dt=inf"], "dt must be finite and positive"),
+    (["--save-every", "0"], "save_every must be at least 1"),
+    (["--dt", "1e-7", "--steps", "3"], "share a snapshot name"),
+    (["--dt", "4e-7", "--steps", "10", "--save-every", "1"],
+     "share a snapshot name"),
+])
+def test_evolve_bad_settings_exit_code(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    code = main(["evolve", "--nx", "9", "--ny", "9", *args,
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_step_log(tmp_path):
+    # the log is computed from the returned states; the snapshots do not
+    # change with it
+    args = ["evolve", "--nx", "17", "--ny", "13", "--dt", "1e-3",
+            "--steps", "6", "--save-every", "2", "--initial", "x + t",
+            "--reference", "t"]
+    log = tmp_path / "steps.csv"
+    assert main([*args, "--out-dir", str(tmp_path / "plain")]) == 0
+    assert main([*args, "--out-dir", str(tmp_path / "logged"),
+                 "--log", str(log)]) == 0
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain == sorted(p.name for p in (tmp_path / "logged").iterdir())
+    assert len(plain) == 4
+    for name in plain:
+        assert (tmp_path / "plain" / name).read_bytes() \
+            == (tmp_path / "logged" / name).read_bytes()
+    header, *rows = log.read_text().splitlines()
+    assert header == "t,dt,cfl_margin,max_abs_u,ring_mismatch"
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(table[:, 0], [0.0, 2e-3, 4e-3, 6e-3])
+    assert np.all(table[:, 1] == 1e-3)
+    # u0 = x on the ring, where u* = t = 0: max|x| = 1; later the ring is u*
+    assert table[0, 4] == 1.0 and np.all(table[1:, 4] == 0.0)
+    assert table[0, 3] == 1.0
+    # dt / (0.25 dx / (1 + max|u|)) with dx = 1/8
+    assert table[0, 2] == pytest.approx(1e-3 / (0.25 / 8 / 2.0), rel=1e-12)
+
+
+def test_evolve_log_free_mode_has_no_mismatch(tmp_path):
+    log = tmp_path / "steps.csv"
+    assert main(["evolve", "--nx", "9", "--ny", "9", "--steps", "2",
+                 "--initial", "x*y", "--out-dir", str(tmp_path / "out"),
+                 "--log", str(log)]) == 0
+    rows = log.read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["0", "0"]
+
+
 def test_evolve_cfl_refusal(tmp_path, capsys):
     code = main(["evolve", "--nx", "33", "--ny", "33", "--dt", "0.5",
                  "--steps", "1", "--initial", "0",
@@ -284,6 +342,33 @@ def test_unknown_check_exit_code(tmp_path, capsys, section, message):
     path.write_text("[fixture:f]\n" + section)
     assert main(["check", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [
+    "kind = nk\ntheta = x*y^3\nexclude = y:0\n",
+    "kind = dkp\nH = -x^2/(2*(t-1))\nW = -x/(t-1)\nexclude = t:0.52\n",
+    "kind = ew\nu = -x/(t-1)\nexclude = t:-1.04\nbox = x:-1:1, y:-1:1, t:-1:0\n",
+])
+def test_box_meeting_excluded_band_is_refused_on_load(tmp_path, monkeypatch,
+                                                      capsys, section):
+    import nullkahler.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("a fixture ran")
+
+    monkeypatch.setattr(cli, "run_fixture", no_work)
+    path = tmp_path / "band.cfg"
+    path.write_text(f"[fixture:band]\n{section}")
+    assert main(["check", "--config", str(path)]) == 2
+    assert "meets the excluded band" in capsys.readouterr().err
+
+
+def test_box_clear_of_excluded_band_loads(tmp_path):
+    # the band |t - 0.56| < 0.05 starts above the box edge t = 0.5
+    path = tmp_path / "band.cfg"
+    path.write_text("[fixture:f]\nkind = dkp\nH = -x^2/(2*(t-1))\n"
+                    "W = -x/(t-1)\nexclude = t:0.56\n")
+    assert [f.name for f in load_config(path)["fixtures"]] == ["f"]
 
 
 def test_excluded_band_sample_exit_code(tmp_path, capsys):

@@ -18,6 +18,7 @@ from nullkahler.evolver import (
     mms_convergence,
     nonlocal_term,
     reference_run_error,
+    saved_steps,
     uniform_reference,
 )
 from nullkahler.fields import Chart, ExprField
@@ -48,6 +49,24 @@ def test_blowup_detection():
     # stable-but-aggressive step
     with pytest.raises(BlowUpError):
         dkp_evolve(state, cfl_bound(state), 4000, blowup_factor=10.0)
+
+
+@pytest.mark.parametrize("dt, steps, save_every", [
+    (0.0, 1, None), (-1e-4, 1, None), (float("nan"), 1, None),
+    (float("inf"), 1, None), (1e-4, 0, None), (1e-4, -1, None),
+    (1e-4, 2, 0), (1e-4, 2, -1),
+])
+def test_run_settings_refused(dt, steps, save_every):
+    state = DKPState(Grid2D(-1, 1, 9, -1, 1, 9), np.zeros((9, 9)))
+    with pytest.raises(ValueError):
+        dkp_evolve(state, dt, steps, save_every=save_every)
+
+
+def test_saved_steps():
+    assert saved_steps(1e-4, 5) == [0, 5]
+    assert saved_steps(1e-4, 5, 2) == [0, 2, 4, 5]
+    assert saved_steps(1e-4, 4, 2) == [0, 2, 4]
+    assert saved_steps(1e-4, 3, 7) == [0, 3]
 
 
 def _interior_operator(grid):
