@@ -189,10 +189,10 @@ def test_boundary_data_read_only_on_the_ring(monkeypatch):
 
 
 #: sha256 of the final u of 20 ARS(2,3,3) steps on 33^2.  The uniform run
-#: has u_yy = 0, so its bits come from IEEE arithmetic alone and are those
-#: of the four-stage Runge-Kutta scheme before it; the free run's implicit
-#: stages go through numpy's FFT and sin, so its bits belong to one numpy
-#: build (recorded with numpy 2.4 on x86-64)
+#: has u_yy = 0, so its bits come from IEEE arithmetic alone and are
+#: portable; the free run's implicit stages go through numpy's FFT and
+#: sin, so its bits belong to one numpy build (recorded with numpy 2.4 on
+#: x86-64)
 PINNED_FINAL_U = {
     "free": "f6bd03995e1a4545ebb6d62015747a4509b3c70a4d004bb8242b921bbd358e4c",
     "uniform": "0d902962dc61bbe2105d543b853e7ab86bd60aa29301b154089a19ca6fd3b4eb",
