@@ -8,7 +8,8 @@ expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
 error (a check name the fixture's kind does not compute, or an empty
-``checks =`` line, is a config error; a box that meets an excluded band
+``checks =`` line, is a config error; a box that meets an excluded band,
+declared on the ``exclude`` line or carried by a solution family's chart,
 is a fixture error, refused before any fixture runs).
 
 Each fixture is checked on one sample set.  A sample object per fixture
@@ -67,8 +68,8 @@ from .fields import (
     sample_to_grid,
 )
 from .geometry import DegeneracyError, dkp_coframe, nk_coframe, nk_metric
-from .nk_system import (NKSolution, commutator_sweep, example_family, induced_f,
-                        residual_nk1, residual_nk2)
+from .nk_system import (FAMILY_EXCLUDED, NKSolution, commutator_sweep,
+                        example_family, induced_f, residual_nk1, residual_nk2)
 from .sampling import Box, SamplePlan
 from .spinors import SYM_PAIRS
 
@@ -157,12 +158,13 @@ def _parse_excluded(text: str) -> tuple:
                  for name, center in _parse_axes(text, "exclude", float))
 
 
-def _parse_domain(name, section, default_box, names) -> tuple:
-    """The fixture's box and excluded bands; a box that meets a band on
-    one of its coordinates is a fixture error."""
+def _parse_domain(name, section, default_box, names, implied=()) -> tuple:
+    """The fixture's box and the bands of its ``exclude`` line; a box that
+    meets one of those bands, or of the ``implied`` bands its chart will
+    carry, on one of its coordinates is a fixture error."""
     excluded = _parse_excluded(section.get("exclude", ""))
     box = _parse_box(section.get("box", default_box), names)
-    for band in excluded:
+    for band in excluded + implied:
         if band.coord in names:
             lo, hi = box.bounds[names.index(band.coord)]
             if max(lo, band.center - band.half_width) \
@@ -188,17 +190,27 @@ def _parse_checks(name, kind, section, default) -> tuple:
     return checks
 
 
+def _family(name, section) -> int:
+    try:
+        return int(section["family"])
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"[fixture:{name}] needs an integer family = 1..4") from None
+
+
 def _nk_fixture(name, section) -> Fixture:
+    kind = section.get("kind")
+    family = _family(name, section) if kind == "nk_family" else None
     box, excluded = _parse_domain(name, section,
                                   "w:-1:1, z:-1:1, x:-1:1, y:-1:1",
-                                  ("w", "z", "x", "y"))
-    kind = section.get("kind")
+                                  ("w", "z", "x", "y"),
+                                  FAMILY_EXCLUDED.get(family, ()))
 
     def build():
         if kind == "nk_family":
             params = {key.upper(): section[key]
                       for key in ("a", "b", "p", "q") if key in section}
-            sol = example_family(int(section["family"]), params, box)
+            sol = example_family(family, params, box)
         else:
             chart = Chart(("w", "z", "x", "y"), excluded)
             theta = ExprField.from_text(section["theta"], chart)

@@ -6,6 +6,19 @@ is a tree), so fourth-order derivatives of quotients stay exact.
 Simplification is deliberately limited to constant folding and zero/one
 elimination; no general rewriting is attempted.
 
+The product and quotient rules reuse their operands, so a derivative is a
+DAG that shares nodes with the tree it came from.  Each node therefore
+memoises its own derivatives and its variable set: ``derivative(var)``
+builds the node's derivative with the class's ``diff`` rule at most once
+per variable and keeps it, and ``variables()`` likewise.  Every rule
+differentiates its children through ``derivative``, so a fourth
+derivative costs one ``diff`` per distinct node and variable, not one per
+path through the unfolded tree.  A node that does not read the variable
+gets ``ZERO`` with no rule applied; the rules fold such a derivative to a
+zero constant as well.  The memo is one slot, created on first use and
+set with ``object.__setattr__``; it is not a dataclass field, so it takes
+no part in ``==``, ``hash`` or ``repr``.
+
 Grammar accepted by :func:`parse`::
 
     expr   := term (("+" | "-") term)*
@@ -43,9 +56,38 @@ class EvaluationError(ArithmeticError):
 
 
 class Expr:
-    """Base node.  Subclasses are immutable and hashable."""
+    """Base node.  Subclasses are immutable and hashable.
 
-    __slots__ = ()
+    Each subclass defines ``diff`` (its differentiation rule) and
+    ``_variables``; callers use the memoised ``derivative`` and
+    ``variables``.
+    """
+
+    __slots__ = ("_memo",)
+
+    def _memo_dict(self) -> dict:
+        """Derivatives keyed by variable name, the variable set by None."""
+        try:
+            return self._memo
+        except AttributeError:  # created on first use
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+            return memo
+
+    def derivative(self, var: str) -> "Expr":
+        """The derivative along ``var``, built by ``diff`` once per node;
+        ``ZERO`` with no rule applied when the tree does not read ``var``."""
+        memo = self._memo_dict()
+        if var not in memo:
+            memo[var] = self.diff(var) if var in self.variables() else ZERO
+        return memo[var]
+
+    def variables(self) -> frozenset:
+        """The names the tree reads, computed once per node."""
+        memo = self._memo_dict()
+        if None not in memo:
+            memo[None] = self._variables()
+        return memo[None]
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
@@ -53,7 +95,7 @@ class Expr:
     def evaluate(self, env: dict):
         raise NotImplementedError
 
-    def variables(self) -> frozenset:
+    def _variables(self) -> frozenset:
         raise NotImplementedError
 
     def substitute(self, name: str, replacement: "Expr") -> "Expr":
@@ -101,7 +143,7 @@ class Const(Expr):
     def evaluate(self, env):
         return self.value
 
-    def variables(self):
+    def _variables(self):
         return frozenset()
 
     def substitute(self, name, replacement):
@@ -124,7 +166,7 @@ class Var(Expr):
         except KeyError:
             raise EvaluationError(f"unbound variable {self.name!r}") from None
 
-    def variables(self):
+    def _variables(self):
         return frozenset((self.name,))
 
     def substitute(self, name, replacement):
@@ -140,12 +182,12 @@ class Add(Expr):
     right: Expr
 
     def diff(self, var):
-        return add(self.left.diff(var), self.right.diff(var))
+        return add(self.left.derivative(var), self.right.derivative(var))
 
     def evaluate(self, env):
         return self.left.evaluate(env) + self.right.evaluate(env)
 
-    def variables(self):
+    def _variables(self):
         return self.left.variables() | self.right.variables()
 
     def substitute(self, name, replacement):
@@ -162,13 +204,13 @@ class Mul(Expr):
     right: Expr
 
     def diff(self, var):
-        return add(mul(self.left.diff(var), self.right),
-                   mul(self.left, self.right.diff(var)))
+        return add(mul(self.left.derivative(var), self.right),
+                   mul(self.left, self.right.derivative(var)))
 
     def evaluate(self, env):
         return self.left.evaluate(env) * self.right.evaluate(env)
 
-    def variables(self):
+    def _variables(self):
         return self.left.variables() | self.right.variables()
 
     def substitute(self, name, replacement):
@@ -185,8 +227,8 @@ class Div(Expr):
     den: Expr
 
     def diff(self, var):
-        return div(add(mul(self.num.diff(var), self.den),
-                       neg(mul(self.num, self.den.diff(var)))),
+        return div(add(mul(self.num.derivative(var), self.den),
+                       neg(mul(self.num, self.den.derivative(var)))),
                    mul(self.den, self.den))
 
     def evaluate(self, env):
@@ -195,7 +237,7 @@ class Div(Expr):
             raise EvaluationError("division by zero")
         return self.num.evaluate(env) / den
 
-    def variables(self):
+    def _variables(self):
         return self.num.variables() | self.den.variables()
 
     def substitute(self, name, replacement):
@@ -216,7 +258,7 @@ class Pow(Expr):
         if n == 0:
             return ZERO
         return mul(mul(Const(float(n)), power(self.base, n - 1)),
-                   self.base.diff(var))
+                   self.base.derivative(var))
 
     def evaluate(self, env):
         base = self.base.evaluate(env)
@@ -230,7 +272,7 @@ class Pow(Expr):
             raise EvaluationError("fractional power of a negative base")
         return base ** n
 
-    def variables(self):
+    def _variables(self):
         return self.base.variables()
 
     def substitute(self, name, replacement):
@@ -245,12 +287,12 @@ class Neg(Expr):
     arg: Expr
 
     def diff(self, var):
-        return neg(self.arg.diff(var))
+        return neg(self.arg.derivative(var))
 
     def evaluate(self, env):
         return -self.arg.evaluate(env)
 
-    def variables(self):
+    def _variables(self):
         return self.arg.variables()
 
     def substitute(self, name, replacement):
@@ -276,7 +318,7 @@ class Call(Expr):
     arg: Expr
 
     def diff(self, var):
-        return mul(_DERIVATIVES[self.fn](self.arg), self.arg.diff(var))
+        return mul(_DERIVATIVES[self.fn](self.arg), self.arg.derivative(var))
 
     def evaluate(self, env):
         x = self.arg.evaluate(env)
@@ -287,7 +329,7 @@ class Call(Expr):
             raise EvaluationError(f"non-finite result from {self.fn}")
         return value
 
-    def variables(self):
+    def _variables(self):
         return self.arg.variables()
 
     def substitute(self, name, replacement):

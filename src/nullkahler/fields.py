@@ -169,7 +169,7 @@ class ExprField:
         expr = self.expr
         for name, order in zip(self.chart.coords, idx.orders):
             for _ in range(order):
-                expr = expr.diff(name)
+                expr = expr.derivative(name)
         return ExprField(expr, self.chart, self.params)
 
     def deriv(self, **orders) -> "ExprField":

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from .expressions import Const, EvaluationError
 from .fields import Chart, DomainError, ExprField
 from .sampling import Box, SamplePlan
 from .spinors import hodge_star_values, permutation_parity
@@ -38,13 +39,25 @@ def field_jet(entries, shape, points, order: int) -> np.ndarray:
     are zero.  Returns ``out[n, k..., *index]`` with ``order`` derivative
     axes.  Each partial is evaluated once per sorted axis tuple (k <= l)
     and mirrored into the symmetric slots.
+
+    Most partials of a metric or coframe are constants (zero above all).
+    Their value is written into the slots as it is, with no tree walk; the
+    points are still checked against the chart's excluded bands, and a
+    non-finite constant still raises, as evaluation would.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
     out = np.zeros((pts.shape[0],) + (dim,) * order + tuple(shape))
     for field, slots in entries:
         for axes in combinations_with_replacement(range(dim), order):
-            values = field.partial(*axes).evaluate(pts)
+            part = field.partial(*axes)
+            if isinstance(part.expr, Const):
+                field.chart.check_domain(pts.T)
+                values = part.expr.value
+                if not np.isfinite(values):
+                    raise EvaluationError("non-finite field value")
+            else:
+                values = part.evaluate(pts)
             for mirrored in set(permutations(axes)):
                 for index, sign in slots:
                     out[(slice(None),) + mirrored + tuple(index)] = sign * values

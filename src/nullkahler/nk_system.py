@@ -37,6 +37,10 @@ def _nk_chart(excluded=()) -> Chart:
 
 DEFAULT_NK_BOX = Box(((-1.0, 1.0),) * 4)
 
+#: excluded bands that a solution family puts on its chart: family 3,
+#: Theta = A(x/y), is singular on y = 0
+FAMILY_EXCLUDED = {3: (ExcludedBand("y", 0.0),)}
+
 #: range of the spectral parameter lambda in ``commutator_sweep``
 LAMBDA_WINDOW = (-2.0, 2.0)
 
@@ -111,8 +115,8 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
     if kind == 2:
         p = _parse_in(params["P"], ("w", "y"))
         q = _parse_in(params.get("Q", "0"), ("w", "y"))
-        p_w = p.diff("w")
-        p_y = p.diff("y")
+        p_w = p.derivative("w")
+        p_y = p.derivative("y")
         source = p - p_w + 2.0 * (p * p_y)
         n_zz = integrate_polynomial(integrate_polynomial(source, "y"), "y")
         n_q = integrate_polynomial(integrate_polynomial(q, "y"), "y")
@@ -124,14 +128,14 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
     if kind == 3:
         a = _parse_in(params["A"], ("s",))
         theta = a.substitute("s", Var("x") / Var("y"))
-        chart = _nk_chart(excluded=(ExcludedBand("y", 0.0),))
+        chart = _nk_chart(FAMILY_EXCLUDED[3])
         theta_field = ExprField(theta, chart)
         return NKSolution(theta_field, induced_f(theta_field), box)
     if kind == 4:
         a = _parse_in(params["A"], ("y",))
         b = _parse_in(params.get("B", "0"), ("y",))
         theta = Var("x") * a + b
-        a_y = a.diff("y")
+        a_y = a.derivative("y")
         chart = _nk_chart()
         return NKSolution(ExprField(theta, chart),
                           ExprField(-(a_y * a_y), chart), box)

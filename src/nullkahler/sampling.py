@@ -19,14 +19,19 @@ INTERIOR_INSET = 0.05
 
 
 def _van_der_corput(count: int, base: int) -> np.ndarray:
+    """Radical inverses of 1..count in ``base`` (index 0, the origin, is
+    skipped), one pass over all points per digit.
+
+    Each point sees the operations of the scalar digit loop in the same
+    order; a point whose digits ran out adds exact zeros.
+    """
+    n = np.arange(1, count + 1)
     out = np.zeros(count)
-    for i in range(count):
-        n, f, x = i + 1, 1.0, 0.0  # start at index 1: skips the origin
-        while n > 0:
-            f /= base
-            x += f * (n % base)
-            n //= base
-        out[i] = x
+    f = 1.0
+    while n.any():
+        f /= base
+        out += f * (n % base)
+        n //= base
     return out
 
 

@@ -1,0 +1,15 @@
+import pytest
+
+from nullkahler.expressions import Expr
+
+
+@pytest.fixture()
+def diff_calls(monkeypatch):
+    """Every class-level ``diff`` call from here on, as (node, var)."""
+    calls = []
+    for cls in Expr.__subclasses__():
+        def counted(self, var, _rule=cls.diff):
+            calls.append((self, var))
+            return _rule(self, var)
+        monkeypatch.setattr(cls, "diff", counted)
+    return calls

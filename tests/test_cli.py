@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nullkahler.cli import load_config, main, render_report, run_suite
+from nullkahler.fields import ExprField
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src/nullkahler/fixtures"
 
@@ -348,6 +349,9 @@ def test_unknown_check_exit_code(tmp_path, capsys, section, message):
     "kind = nk\ntheta = x*y^3\nexclude = y:0\n",
     "kind = dkp\nH = -x^2/(2*(t-1))\nW = -x/(t-1)\nexclude = t:0.52\n",
     "kind = ew\nu = -x/(t-1)\nexclude = t:-1.04\nbox = x:-1:1, y:-1:1, t:-1:0\n",
+    # a flat fixture, then family 3, whose chart excludes |y| < 0.05
+    "kind = nk\ntheta = 0\n\n[fixture:family3]\nkind = nk_family\n"
+    "family = 3\nA = s^2\n",
 ])
 def test_box_meeting_excluded_band_is_refused_on_load(tmp_path, monkeypatch,
                                                       capsys, section):
@@ -450,6 +454,28 @@ def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
     path.write_text("[fixture:f]\nkind = dkp\nH = 0\nW = y\nchecks = heqn\n")
     assert main(["check", "--config", str(path)]) == 2
     assert "W_x vanishes" in capsys.readouterr().err
+
+
+#: class-level ``Expr.diff`` and ``ExprField.evaluate_axes`` calls in one
+#: ``run_suite`` of paper.cfg: each expression node is differentiated once
+#: per variable it reads, and constant jet slots are written unevaluated
+PAPER_SUITE_DIFFS = 1009
+PAPER_SUITE_EVALUATIONS = 585
+
+
+def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):
+    evaluated = []
+    evaluate_axes = ExprField.evaluate_axes
+
+    def recorded(self, *axes):
+        evaluated.append(self.expr)
+        return evaluate_axes(self, *axes)
+
+    monkeypatch.setattr(ExprField, "evaluate_axes", recorded)
+    _, code = run_suite(FIXTURES / "paper.cfg")
+    assert code == 0
+    assert len(diff_calls) <= PAPER_SUITE_DIFFS
+    assert len(evaluated) <= PAPER_SUITE_EVALUATIONS
 
 
 #: sha256 of ``render_report`` for the shipped configs, with ``serial``

@@ -10,6 +10,7 @@ from nullkahler.expressions import (
     Mul,
     Pow,
     Var,
+    ZERO,
     integrate_polynomial,
     parse,
     to_monomials,
@@ -148,3 +149,45 @@ def test_non_polynomial_antiderivative_rejected():
         integrate_polynomial(parse("sin(y)", ("y",)), "y")
     with pytest.raises(ExpressionError):
         integrate_polynomial(parse("1/y", ("y",)), "y")
+
+
+def test_memo_is_not_part_of_equality_hash_or_repr(diff_calls):
+    text = "x*y^3 - 2/(1+x^2) + sin(w)*exp(y/3)"
+    used, fresh = parse(text, NAMES), parse(text, NAMES)
+    for var in ("x", "y", "w", "t"):
+        used.derivative(var).derivative("y")
+    assert used.variables() == {"w", "x", "y"}
+    assert diff_calls  # the memo is filled
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and str(used) == str(fresh)
+    assert used.derivative("x") == fresh.diff("x")
+
+
+def test_derivative_is_built_once_per_node_and_variable(diff_calls):
+    tree = parse("(x^2 + y)*(x - y)^3/(1 + x^2)", NAMES)
+    fourth = tree.derivative("x").derivative("x").derivative("y").derivative("y")
+    built = len(diff_calls)
+    assert len({(id(node), var) for node, var in diff_calls}) == built
+    again = tree.derivative("x").derivative("x").derivative("y").derivative("y")
+    assert again is fourth and len(diff_calls) == built
+    # a variable the tree does not read costs no rule
+    assert tree.derivative("w") is ZERO and len(diff_calls) == built
+    env = {"x": 0.3, "y": -0.7}
+    assert fourth.evaluate(env) == \
+        tree.diff("x").diff("x").diff("y").diff("y").evaluate(env)
+
+
+def test_memo_leaves_substitute_and_monomials_alone():
+    text = "w*y^2 - 3*y*x + x^3/2"
+    used, fresh = parse(text, NAMES), parse(text, NAMES)
+    for var in ("w", "x", "y"):
+        used.derivative(var).derivative(var)
+    variables = ("w", "x", "y")
+    assert to_monomials(used, variables) == to_monomials(fresh, variables)
+    sub = used.substitute("x", parse("y^2", NAMES))
+    assert sub == fresh.substitute("x", parse("y^2", NAMES))
+    env = {"w": 0.5, "y": 1.5}
+    # the substituted tree gets its own derivatives, not the memo's
+    assert sub.derivative("y").evaluate(env) == \
+        fresh.substitute("x", parse("y^2", NAMES)).diff("y").evaluate(env)
+    assert sub.variables() == {"w", "y"}

@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nullkahler.fields import Chart, ExprField, MultiIndex
+from nullkahler.expressions import Const, EvaluationError
+from nullkahler.fields import Chart, DomainError, ExcludedBand, ExprField, MultiIndex
 from nullkahler.geometry import (
     DegeneracyError,
     FormField,
@@ -319,3 +320,53 @@ def test_coframe_jets_are_memoised(monkeypatch):
     second = coframe.second_derivatives(pts)
     assert calls == []
     assert second.tobytes() == first.tobytes()
+
+
+def test_second_coframe_over_same_theta_reuses_its_derivatives(diff_calls):
+    theta = ExprField.from_text("x^2*y^2 + w*x*y + z*x^3/(2 + y^2)", CHART4)
+    pts = plan_points(count=5)
+    first = nk_coframe(theta).second_derivatives(pts)
+    kept = list(diff_calls)  # keeps the nodes alive: no id is reused
+    first_calls = {(id(node), var) for node, var in kept}
+    del diff_calls[:]
+    second = nk_coframe(theta).second_derivatives(pts)
+    assert second.tobytes() == first.tobytes()
+    # no node of theta's derivatives is differentiated again: only the
+    # few product nodes the new coframe builds (T_xy * -1/2, ...) are
+    assert not first_calls & {(id(node), var) for node, var in diff_calls}
+    assert len(diff_calls) < len(first_calls) / 4
+
+
+def test_field_jet_writes_constant_partials_unevaluated(monkeypatch):
+    metric = nk_metric(ExprField.from_text("x^3*y^3 + w*x*y", CHART4))
+    pts = plan_points(count=5)
+    reference = metric.second_derivatives(pts)
+    evaluated = []
+    evaluate_axes = ExprField.evaluate_axes
+
+    def recorded(self, *axes):
+        evaluated.append(self.expr)
+        return evaluate_axes(self, *axes)
+
+    monkeypatch.setattr(ExprField, "evaluate_axes", recorded)
+    assert metric.second_derivatives(pts).tobytes() == reference.tobytes()
+    assert evaluated  # x^3 y^3 leaves non-constant second partials
+    assert not any(isinstance(expr, Const) for expr in evaluated)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_constant_jet_slot_in_excluded_band_raises(order):
+    chart = Chart(("w", "z", "x", "y"), (ExcludedBand("y", 0.0),))
+    pts = plan_points(count=5)
+    pts[2, 3] = 0.01
+    entries = [(ExprField.constant(2.0, chart), [((0,), 1)])]
+    with pytest.raises(DomainError):
+        field_jet(entries, (1,), pts, order)
+    assert field_jet(entries, (1,), pts[:2], 0).tobytes() == \
+        np.full((2, 1), 2.0).tobytes()
+
+
+def test_non_finite_constant_jet_slot_raises():
+    entries = [(ExprField.constant(float("inf"), CHART4), [((0,), 1)])]
+    with pytest.raises(EvaluationError):
+        field_jet(entries, (1,), plan_points(count=3), 0)
