@@ -14,7 +14,6 @@ from .fields import (
     ExcludedBand,
     ExprField,
     GridSpec,
-    MultiIndex,
     OrderOverflowError,
     SampledField,
     grid_from_csv,

@@ -7,8 +7,9 @@ one fixture by kind (``nk``, ``nk_family``, ``dkp``, ``ew``) with
 expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
-error (a check name the fixture's kind does not compute, or an empty
-``checks =`` line, is a config error; a box that meets an excluded band,
+error (a check name the fixture's kind does not compute, an empty
+``checks =`` line, a family outside 1..4 or a missing expression the
+fixture's kind reads is a config error; a box that meets an excluded band,
 declared on the ``exclude`` line or carried by a solution family's chart,
 is a fixture error, refused before any fixture runs).
 
@@ -50,7 +51,6 @@ from .evolver import (
     Grid2D,
     cfl_bound,
     dkp_evolve,
-    field_on,
     mms_convergence,
     saved_steps,
     uniform_reference,
@@ -190,17 +190,32 @@ def _parse_checks(name, kind, section, default) -> tuple:
     return checks
 
 
+def _require(name, section, *keys) -> None:
+    """Refuse a fixture that lacks one of the expression keys its build
+    reads."""
+    missing = [key for key in keys if key not in section]
+    if missing:
+        raise ConfigError(f"[fixture:{name}] needs {', '.join(missing)}")
+
+
 def _family(name, section) -> int:
     try:
-        return int(section["family"])
+        family = int(section["family"])
     except (KeyError, ValueError):
-        raise ConfigError(
-            f"[fixture:{name}] needs an integer family = 1..4") from None
+        family = None
+    if family not in (1, 2, 3, 4):
+        raise ConfigError(f"[fixture:{name}] needs an integer family = 1..4")
+    return family
 
 
 def _nk_fixture(name, section) -> Fixture:
     kind = section.get("kind")
-    family = _family(name, section) if kind == "nk_family" else None
+    if kind == "nk_family":
+        family = _family(name, section)
+        _require(name, section, "P" if family == 2 else "A")
+    else:
+        family = None
+        _require(name, section, "theta")
     box, excluded = _parse_domain(name, section,
                                   "w:-1:1, z:-1:1, x:-1:1, y:-1:1",
                                   ("w", "z", "x", "y"),
@@ -225,6 +240,7 @@ def _nk_fixture(name, section) -> Fixture:
 
 
 def _dkp_fixture(name, section) -> Fixture:
+    _require(name, section, "H", "W")
     box, excluded = _parse_domain(name, section,
                                   "x:-1:1, y:-1:1, t:-1:0.5, z:-1:1",
                                   ("x", "y", "t", "z"))
@@ -245,6 +261,7 @@ def _dkp_fixture(name, section) -> Fixture:
 
 
 def _ew_fixture(name, section) -> Fixture:
+    _require(name, section, "u")
     box, excluded = _parse_domain(name, section, "x:-1:1, y:-1:1, t:-1:0.5",
                                   ("x", "y", "t"))
 
@@ -344,7 +361,7 @@ class DKPSample(_CurvedSample):
 
     @cached_property
     def ew(self):
-        return dkp_mod.ew_from_u(self.h.deriv(x=1))
+        return dkp_mod.ew_from_u(self.h.differentiate("x"))
 
     @cached_property
     def dsigma(self):
@@ -362,7 +379,7 @@ class EWSample:
 def _jones_tod_gap(s):
     """h of the Jones-Tod reduction against -W_x^2 times the EW h."""
     reduction = dkp_mod.jones_tod_reduce(s.metric)
-    wx2 = s.w.deriv(x=1).evaluate(s.points3) ** 2
+    wx2 = s.w.differentiate("x").evaluate(s.points3) ** 2
     return _max_abs(reduction.h.evaluate(s.points3)
                     + wx2[:, None, None] * s.ew.h.evaluate(s.points3))
 
@@ -529,7 +546,8 @@ def _evolve_command(args) -> int:
     grid = Grid2D(args.x0, args.x1, args.nx, args.y0, args.y1, args.ny)
     initial = ExprField.from_text(args.initial, EVOLVER_CHART)
     boundary = uniform_reference(args.reference) if args.reference else None
-    state = DKPState(grid, field_on(initial, *grid.axes(), 0.0), 0.0, boundary)
+    state = DKPState(grid, initial.evaluate_axes(*grid.axes(), 0.0), 0.0,
+                     boundary)
     try:
         states = dkp_evolve(state, args.dt, args.steps,
                             save_every=args.save_every)

@@ -26,6 +26,7 @@ from .geometry import (
     FormField,
     MetricField,
     _check_nonvanishing,
+    _require_dkp_chart,
     dkp_metric,
     exterior_derivative,
     field_jet,
@@ -47,27 +48,23 @@ EW_ORIENTATION = 1
 JONES_TOD_ORIENTATION = 1
 
 
-def _require_ew_chart(field: ExprField):
-    if field.chart.coords != EW_CHART.coords:
-        raise ValueError("dkp potentials live on the chart (x, y, t)")
-
-
 def residual_heqn(h_pot: ExprField) -> ExprField:
     """H_yy - H_xt + H_x H_xx."""
-    _require_ew_chart(h_pot)
+    _require_dkp_chart(h_pot)
     return (
-        h_pot.deriv(y=2)
-        - h_pot.deriv(x=1, t=1)
-        + h_pot.deriv(x=1) * h_pot.deriv(x=2)
+        h_pot.differentiate("y", "y")
+        - h_pot.differentiate("x", "t")
+        + h_pot.differentiate("x") * h_pot.differentiate("x", "x")
     )
 
 
 def residual_lindkp(h_pot: ExprField, w_pot: ExprField) -> ExprField:
     """W_yy - W_xt + (H_x W_x)_x."""
-    _require_ew_chart(h_pot)
-    _require_ew_chart(w_pot)
-    hx_wx = h_pot.deriv(x=1) * w_pot.deriv(x=1)
-    return w_pot.deriv(y=2) - w_pot.deriv(x=1, t=1) + hx_wx.deriv(x=1)
+    _require_dkp_chart(h_pot)
+    _require_dkp_chart(w_pot)
+    hx_wx = h_pot.differentiate("x") * w_pot.differentiate("x")
+    return (w_pot.differentiate("y", "y") - w_pot.differentiate("x", "t")
+            + hx_wx.differentiate("x"))
 
 
 def symmetry_w(h_pot: ExprField, a=0.0, b=0.0, c=0.0, e=0.0) -> ExprField:
@@ -80,12 +77,12 @@ def symmetry_w(h_pot: ExprField, a=0.0, b=0.0, c=0.0, e=0.0) -> ExprField:
     is where the -H term of the a-generator comes from; the residual
     contract residual_lindkp(H, W) = 0 for every exact H pins it.
     """
-    _require_ew_chart(h_pot)
+    _require_dkp_chart(h_pot)
     chart = h_pot.chart
     x = ExprField.from_text("x", chart)
     y = ExprField.from_text("y", chart)
     t = ExprField.from_text("t", chart)
-    hx, hy, ht = h_pot.deriv(x=1), h_pot.deriv(y=1), h_pot.deriv(t=1)
+    hx, hy, ht = (h_pot.differentiate(name) for name in ("x", "y", "t"))
     out = ExprField.constant(0.0, chart)
     if a:
         out = out + (x * hx + y * hy + t * ht - h_pot) * a
@@ -114,7 +111,7 @@ class EWStructure:
 
 def ew_from_u(u: ExprField) -> EWStructure:
     """h = dy^2 - 4 dx dt - 4 u dt^2, nu = -4 u_x dt."""
-    _require_ew_chart(u)
+    _require_dkp_chart(u)
     chart = u.chart
     zero = ExprField.constant(0.0, chart)
     one = ExprField.constant(1.0, chart)
@@ -124,7 +121,7 @@ def ew_from_u(u: ExprField) -> EWStructure:
     comps[x][t] = comps[t][x] = ExprField.constant(-2.0, chart)
     comps[t][t] = -4.0 * u
     h = MetricField(chart, comps)
-    nu = FormField(chart, 1, {(t,): -4.0 * u.deriv(x=1)})
+    nu = FormField(chart, 1, {(t,): -4.0 * u.differentiate("x")})
     return EWStructure(h, nu)
 
 
@@ -190,13 +187,13 @@ class MonopolePair:
 def monopole_from_w(h_pot: ExprField, w_pot: ExprField) -> MonopolePair:
     """V = W_x with alpha = -W_x dy - 2 W_y dt (the gauge used by the
     circle-bundle metric)."""
-    _require_ew_chart(w_pot)
+    _require_dkp_chart(w_pot)
     x, y, t = 0, 1, 2
     alpha = FormField(w_pot.chart, 1, {
-        (y,): -1.0 * w_pot.deriv(x=1),
-        (t,): -2.0 * w_pot.deriv(y=1),
+        (y,): -1.0 * w_pot.differentiate("x"),
+        (t,): -2.0 * w_pot.differentiate("y"),
     })
-    return MonopolePair(w_pot.deriv(x=1), alpha)
+    return MonopolePair(w_pot.differentiate("x"), alpha)
 
 
 def monopole_residual(ew: EWStructure, pair: MonopolePair, points) -> float:
@@ -228,7 +225,7 @@ def sigma11_rhs(h_pot: ExprField, w_pot: ExprField) -> FormField:
     """
     chart4 = Chart(("x", "y", "t", "z"), h_pot.chart.excluded)
     x, y, t, z = 0, 1, 2, 3
-    f0 = (2.0 * w_pot - h_pot.deriv(x=1)).on_chart(chart4)
+    f0 = (2.0 * w_pot - h_pot.differentiate("x")).on_chart(chart4)
     df = exterior_derivative(FormField(chart4, 0, {(): f0}))
     dt_dz = FormField(chart4, 2, {(t, z): ExprField.constant(1.0, chart4)})
     dxdydt = FormField(chart4, 3, {(x, y, t): ExprField.constant(1.0, chart4)})
@@ -332,7 +329,7 @@ def hyperkahler_specialize(h_pot: ExprField, box: Box = None) -> MetricField:
     the covariantly-constant-frame case W = H_x/2; H_xx must be bounded
     away from zero (degenerate conformal factor otherwise).
     """
-    _require_ew_chart(h_pot)
+    _require_dkp_chart(h_pot)
     if box is not None:
-        _check_nonvanishing(h_pot.deriv(x=2), box, "H_xx")
-    return dkp_metric(h_pot, 0.5 * h_pot.deriv(x=1))
+        _check_nonvanishing(h_pot.differentiate("x", "x"), box, "H_xx")
+    return dkp_metric(h_pot, 0.5 * h_pot.differentiate("x"))

@@ -87,30 +87,26 @@ class Grid2D:
         return ring
 
 
-def field_on(field: ExprField, x, y, t: float) -> np.ndarray:
-    """A closed form on EVOLVER_CHART at (x, y), time t, with x and y
-    broadcast against each other: an (nx, 1) column and a (1, ny) row
-    give the (nx, ny) grid, two equal-length arrays give those points."""
-    return field.evaluate_axes(x, y, t)
-
-
 @dataclass(frozen=True)
 class BoundarySource:
-    """Closed-form reference data for validation-mode runs."""
+    """Closed-form reference data for validation-mode runs, on
+    EVOLVER_CHART: x and y broadcast against each other (an (nx, 1)
+    column and a (1, ny) row give the (nx, ny) grid, two equal-length
+    arrays give those points) at one time t."""
 
     reference: ExprField          # u*(x, y, t)
     source: ExprField = None      # manufactured forcing, may be None
 
     def u_on(self, x, y, t: float) -> np.ndarray:
-        return field_on(self.reference, x, y, t)
+        return self.reference.evaluate_axes(x, y, t)
 
     def udot_on(self, x, y, t: float) -> np.ndarray:
-        return field_on(self.reference.partial(2), x, y, t)
+        return self.reference.differentiate("t").evaluate_axes(x, y, t)
 
     def source_on(self, x, y, t: float):
         if self.source is None:
             return 0.0
-        return field_on(self.source, x, y, t)
+        return self.source.evaluate_axes(x, y, t)
 
 
 @dataclass(frozen=True)

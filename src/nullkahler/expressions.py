@@ -17,7 +17,9 @@ path through the unfolded tree.  A node that does not read the variable
 gets ``ZERO`` with no rule applied; the rules fold such a derivative to a
 zero constant as well.  The memo is one slot, created on first use and
 set with ``object.__setattr__``; it is not a dataclass field, so it takes
-no part in ``==``, ``hash`` or ``repr``.
+no part in ``==``, ``hash`` or ``repr``.  It is the package's one
+derivative memo: ``ExprField.differentiate``, the one field-level entry
+point, applies ``derivative`` once per order and keeps nothing itself.
 
 Grammar accepted by :func:`parse`::
 
@@ -125,9 +127,6 @@ class Expr:
 
     def __rtruediv__(self, other):
         return div(as_expr(other), self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __neg__(self):
         return neg(self)

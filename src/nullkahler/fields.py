@@ -1,8 +1,11 @@
 """Scalar fields on coordinate charts with derivatives up to fourth order.
 
 ``ExprField`` is the one field backend: it differentiates expression
-trees exactly.  ``SampledField`` is a plain container for field values
-on a uniform grid, written to and read from CSV; it does no calculus.
+trees exactly.  ``ExprField.differentiate(*coords)`` is the one way to
+take a partial derivative, and the one memo under it is the expression
+nodes' own (``Expr.derivative``); fields keep no derivative state.
+``SampledField`` is a plain container for field values on a uniform
+grid, written to and read from CSV; it does no calculus.
 """
 
 from __future__ import annotations
@@ -73,33 +76,6 @@ class Chart:
                 )
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Per-coordinate derivative orders, total order at most four."""
-
-    orders: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
-        if any(k < 0 for k in self.orders):
-            raise ValueError("derivative orders must be non-negative")
-        if self.total > MAX_DERIVATIVE_ORDER:
-            raise OrderOverflowError(
-                f"total derivative order {self.total} exceeds {MAX_DERIVATIVE_ORDER}"
-            )
-
-    @property
-    def total(self):
-        return sum(self.orders)
-
-    @classmethod
-    def of(cls, chart: Chart, **orders) -> "MultiIndex":
-        unknown = set(orders) - set(chart.coords)
-        if unknown:
-            raise DomainError(f"unknown coordinates {sorted(unknown)}")
-        return cls(tuple(orders.get(name, 0) for name in chart.coords))
-
-
 def _as_points(points, dim):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -163,38 +139,23 @@ class ExprField:
         values = self.evaluate_axes(*pts.T)
         return float(values[0]) if single else values
 
-    def differentiate(self, idx: MultiIndex) -> "ExprField":
-        if len(idx.orders) != self.chart.dim:
-            raise DomainError("multi-index does not match chart dimension")
-        expr = self.expr
-        for name, order in zip(self.chart.coords, idx.orders):
-            for _ in range(order):
-                expr = expr.derivative(name)
-        return ExprField(expr, self.chart, self.params)
+    def differentiate(self, *coords) -> "ExprField":
+        """The partial derivative along the chart coordinates ``coords``,
+        one name per order: ``differentiate("x", "y")`` is Theta_xy.
 
-    def deriv(self, **orders) -> "ExprField":
-        return self.differentiate(MultiIndex.of(self.chart, **orders))
-
-    def partial(self, *axes) -> "ExprField":
-        """The partial derivative along the chart axes ``axes``, in order.
-
-        Memoised on this field.  ``partial(k, l)`` is ``partial(k)``
-        differentiated once more along ``l``: for sorted axes, the tree
-        that ``differentiate`` builds for the same multi-index.
+        The one derivative entry point.  The names are sorted into chart
+        order, so ``("y", "x")`` and ``("x", "y")`` are one request, and
+        each is applied with ``Expr.derivative``: the memo lives on the
+        expression nodes, so asking again returns the same tree.
         """
-        if not axes:
-            return self
-        memo = self.__dict__.get("_partials")
-        if memo is None:  # most fields are never differentiated
-            memo = self._partials = {}
-        if axes not in memo:
-            *head, last = axes
-            onehot = tuple(int(k == last) for k in range(self.chart.dim))
-            memo[axes] = self.partial(*head).differentiate(MultiIndex(onehot))
-        return memo[axes]
-
-    def __call__(self, points):
-        return self.evaluate(points)
+        if len(coords) > MAX_DERIVATIVE_ORDER:
+            raise OrderOverflowError(
+                f"total derivative order {len(coords)} exceeds "
+                f"{MAX_DERIVATIVE_ORDER}")
+        expr = self.expr
+        for name in sorted(coords, key=self.chart.axis):
+            expr = expr.derivative(name)
+        return ExprField(expr, self.chart, self.params)
 
     # Field arithmetic builds new trees; handy for residual operators.
     def _binary(self, other, op):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .expressions import Const, EvaluationError
 from .fields import Chart, DomainError, ExprField
+from .nk_system import theta_blocks
 from .sampling import Box, SamplePlan
 from .spinors import hodge_star_values, permutation_parity
 
@@ -50,7 +51,7 @@ def field_jet(entries, shape, points, order: int) -> np.ndarray:
     out = np.zeros((pts.shape[0],) + (dim,) * order + tuple(shape))
     for field, slots in entries:
         for axes in combinations_with_replacement(range(dim), order):
-            part = field.partial(*axes)
+            part = field.differentiate(*(field.chart.coords[k] for k in axes))
             if isinstance(part.expr, Const):
                 field.chart.check_domain(pts.T)
                 values = part.expr.value
@@ -82,10 +83,6 @@ class FormField:
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise DomainError(f"bad component key {key} for degree {degree}")
             self.comps[key] = value
-
-    @classmethod
-    def zero(cls, chart: Chart, degree: int) -> "FormField":
-        return cls(chart, degree)
 
     def component(self, key) -> ExprField:
         return self.comps.get(tuple(key), _zero_field(self.chart))
@@ -141,14 +138,14 @@ def wedge(a: FormField, b: FormField) -> FormField:
 
 def exterior_derivative(a: FormField) -> FormField:
     if a.degree >= a.chart.dim:
-        return FormField.zero(a.chart, min(a.degree + 1, a.chart.dim))
+        return FormField(a.chart, min(a.degree + 1, a.chart.dim))
     comps = {}
     for key, field in a.comps.items():
         for axis in range(a.chart.dim):
             if axis in key:
                 continue
             new_key, sign = _merge_sign((axis,), key)
-            term = field.partial(axis) * float(sign)
+            term = field.differentiate(field.chart.coords[axis]) * float(sign)
             comps[new_key] = comps[new_key] + term if new_key in comps else term
     return FormField(a.chart, a.degree + 1, comps)
 
@@ -291,19 +288,12 @@ def metric_from_coframe(e: CoFrame) -> MetricField:
 
 # --- constructors ------------------------------------------------------------
 
-def _theta_blocks(theta: ExprField):
-    txx = theta.deriv(x=2)
-    tyy = theta.deriv(y=2)
-    txy = theta.deriv(x=1, y=1)
-    return txx, tyy, txy
-
-
 def nk_metric(theta: ExprField) -> MetricField:
     """g = dw dx + dz dy - Txx dz^2 - Tyy dw^2 + 2 Txy dw dz."""
     chart = theta.chart
     if chart.coords != ("w", "z", "x", "y"):
         raise DomainError("nk metric expects the chart (w, z, x, y)")
-    txx, tyy, txy = _theta_blocks(theta)
+    txx, tyy, txy = theta_blocks(theta)
     half = ExprField.constant(0.5, chart)
     zero = _zero_field(chart)
     w, z, x, y = 0, 1, 2, 3
@@ -327,7 +317,7 @@ def nk_coframe(theta: ExprField) -> CoFrame:
     chart = theta.chart
     if chart.coords != ("w", "z", "x", "y"):
         raise DomainError("nk coframe expects the chart (w, z, x, y)")
-    txx, tyy, txy = _theta_blocks(theta)
+    txx, tyy, txy = theta_blocks(theta)
     one = ExprField.constant(1.0, chart)
     zero = _zero_field(chart)
     w, z, x, y = 0, 1, 2, 3
@@ -365,11 +355,11 @@ def _dkp_blocks(h_pot: ExprField, w_pot: ExprField, box: Box):
     """
     _require_dkp_chart(h_pot)
     _require_dkp_chart(w_pot)
-    wx = w_pot.deriv(x=1)
+    wx = w_pot.differentiate("x")
     if box is not None:
         _check_nonvanishing(wx, box, "W_x")
     chart4 = Chart(DKP_CHART_COORDS, h_pot.chart.excluded)
-    blocks = (h_pot.deriv(x=1), wx, w_pot.deriv(y=1))
+    blocks = (h_pot.differentiate("x"), wx, w_pot.differentiate("y"))
     return (chart4,) + tuple(f.on_chart(chart4) for f in blocks)
 
 

@@ -54,13 +54,20 @@ class NKSolution:
     box: Box = DEFAULT_NK_BOX
 
 
+def theta_blocks(theta: ExprField) -> tuple:
+    """(Theta_xx, Theta_yy, Theta_xy), the second derivatives that enter
+    the metric, the coframe, the box operator and the Lax pair."""
+    return (theta.differentiate("x", "x"), theta.differentiate("y", "y"),
+            theta.differentiate("x", "y"))
+
+
 def induced_f(theta: ExprField) -> ExprField:
     """f := Theta_wx + Theta_zy + Theta_xx Theta_yy - Theta_xy^2."""
-    txy = theta.deriv(x=1, y=1)
+    txx, tyy, txy = theta_blocks(theta)
     return (
-        theta.deriv(w=1, x=1)
-        + theta.deriv(z=1, y=1)
-        + theta.deriv(x=2) * theta.deriv(y=2)
+        theta.differentiate("w", "x")
+        + theta.differentiate("z", "y")
+        + txx * tyy
         - txy * txy
     )
 
@@ -72,12 +79,13 @@ def residual_nk1(theta: ExprField, f: ExprField) -> ExprField:
 
 def box_operator(theta: ExprField, g: ExprField) -> ExprField:
     """box g = g_xw + g_yz + Tyy g_xx + Txx g_yy - 2 Txy g_xy."""
+    txx, tyy, txy = theta_blocks(theta)
     return (
-        g.deriv(x=1, w=1)
-        + g.deriv(y=1, z=1)
-        + theta.deriv(y=2) * g.deriv(x=2)
-        + theta.deriv(x=2) * g.deriv(y=2)
-        - 2.0 * (theta.deriv(x=1, y=1) * g.deriv(x=1, y=1))
+        g.differentiate("w", "x")
+        + g.differentiate("z", "y")
+        + tyy * g.differentiate("x", "x")
+        + txx * g.differentiate("y", "y")
+        - 2.0 * (txy * g.differentiate("x", "y"))
     )
 
 
@@ -124,7 +132,7 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
                  + Var("z") * n_zz + n_q)
         chart = _nk_chart()
         theta_field = ExprField(theta, chart)
-        return NKSolution(theta_field, theta_field.deriv(x=1), box)
+        return NKSolution(theta_field, theta_field.differentiate("x"), box)
     if kind == 3:
         a = _parse_in(params["A"], ("s",))
         theta = a.substitute("s", Var("x") / Var("y"))
@@ -164,26 +172,25 @@ def lax_fields(theta: ExprField, f: ExprField) -> LaxFields:
     L1 = (d_z + Txx d_y - Txy d_x) + lambda d_x - f_x d_lambda."""
     chart = theta.chart
     one = ExprField.constant(1.0, chart)
-    txx = theta.deriv(x=2)
-    tyy = theta.deriv(y=2)
-    txy = theta.deriv(x=1, y=1)
+    txx, tyy, txy = theta_blocks(theta)
     l0 = {
         0: [(0, one)],
         2: [(0, tyy)],
         3: [(0, -txy), (1, -one)],
-        4: [(0, f.deriv(y=1))],
+        4: [(0, f.differentiate("y"))],
     }
     l1 = {
         1: [(0, one)],
         2: [(0, -txy), (1, one)],
         3: [(0, txx)],
-        4: [(0, -f.deriv(x=1))],
+        4: [(0, -f.differentiate("x"))],
     }
     return LaxFields(l0, l1, chart)
 
 
 def _poly_diff_coord(poly, axis):
-    return [(power, coeff.partial(axis)) for power, coeff in poly]
+    return [(power, coeff.differentiate(coeff.chart.coords[axis]))
+            for power, coeff in poly]
 
 
 def _poly_diff_lambda(poly):

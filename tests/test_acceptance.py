@@ -182,7 +182,7 @@ def test_criterion_04_two_path_agreement():
 def test_criterion_05_weyl_value():
     theta = ExprField.from_text("x*y^3", CHART4)
     pts = SamplePlan(BOX4, count=50).points()
-    d4 = theta.deriv(x=1, y=3).evaluate(pts)
+    d4 = theta.differentiate("x", "y", "y", "y").evaluate(pts)
     exact = np.all(d4 == 6.0)
     report = oracle_report(nk_metric(theta), nk_coframe(theta), pts)
     component = np.abs(report.c_asd[:, 1])
@@ -203,7 +203,7 @@ def test_criterion_06_dkp_pipeline():
         "lindkp": float(np.max(np.abs(
             residual_lindkp(h_pot, w_pot).evaluate(pts3)))),
     }
-    ew = ew_from_u(h_pot.deriv(x=1))
+    ew = ew_from_u(h_pot.differentiate("x"))
     residuals["monopole"] = monopole_residual(
         ew, monopole_from_w(h_pot, w_pot), pts3)
     residuals["ew"] = ew_residual(ew, pts3)
@@ -212,7 +212,7 @@ def test_criterion_06_dkp_pipeline():
     sd = report.max_sd()
     scalar = float(np.max(np.abs(report.scalar)))
     reduction = jones_tod_reduce(metric)
-    wx2 = w_pot.deriv(x=1).evaluate(pts3) ** 2
+    wx2 = w_pot.differentiate("x").evaluate(pts3) ** 2
     jt = float(np.max(np.abs(
         reduction.h.evaluate(pts3) + wx2[:, None, None] * ew.h.evaluate(pts3))))
     ok = (max(residuals.values()) < 1e-6 and sd < 1e-7 and scalar < 1e-7

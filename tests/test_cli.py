@@ -367,6 +367,34 @@ def test_box_meeting_excluded_band_is_refused_on_load(tmp_path, monkeypatch,
     assert "meets the excluded band" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, message", [
+    ("kind = nk_family\nfamily = 5\nA = y^2\n", "family = 1..4"),
+    ("kind = nk_family\nfamily = 0\nA = y^2\n", "family = 1..4"),
+    ("kind = nk\nf = 0\n", "needs theta"),
+    ("kind = nk_family\nfamily = 1\nB = y\n", "needs A"),
+    ("kind = nk_family\nfamily = 2\nA = y\nQ = y^2\n", "needs P"),
+    ("kind = nk_family\nfamily = 3\n", "needs A"),
+    ("kind = dkp\nW = y^2 + 2*x*t\n", "needs H"),
+    ("kind = dkp\nH = 0\n", "needs W"),
+    ("kind = ew\nexclude = t:1\n", "needs u"),
+], ids=["family5", "family0", "nk-theta", "family1-A", "family2-P",
+        "family3-A", "dkp-H", "dkp-W", "ew-u"])
+def test_incomplete_fixture_is_refused_on_load(tmp_path, monkeypatch, capsys,
+                                               section, message):
+    import nullkahler.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("a fixture ran")
+
+    monkeypatch.setattr(cli, "run_fixture", no_work)
+    path = tmp_path / "incomplete.cfg"
+    path.write_text("[fixture:flat]\nkind = nk\ntheta = 0\n\n"
+                    f"[fixture:incomplete]\n{section}")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[fixture:incomplete]" in err and message in err
+
+
 def test_box_clear_of_excluded_band_loads(tmp_path):
     # the band |t - 0.56| < 0.05 starts above the box edge t = 0.5
     path = tmp_path / "band.cfg"

@@ -181,7 +181,7 @@ def test_asd_weyl_value_xy3(pts):
     # delta^4 theta = 6 for theta = x y^3; the oracle ASD component is
     # KAPPA_PAPER["asd"] times the delta-dressed value
     metric, coframe, theta = nk_fixture("x*y^3")
-    d4 = theta.deriv(x=1, y=3).evaluate(pts)
+    d4 = theta.differentiate("x", "y", "y", "y").evaluate(pts)
     np.testing.assert_array_equal(d4, np.full(len(pts), 6.0))
     report = oracle_report(metric, coframe, pts)
     live = np.where(np.max(np.abs(report.c_asd), axis=0) > 1e-9)[0]

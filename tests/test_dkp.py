@@ -98,7 +98,7 @@ def test_ew_structure_examples(p3):
     nu_t = flat.nu.component((2,))
     assert np.max(np.abs(nu_t.evaluate(p3))) == 0.0
 
-    u = f3(H_MAIN).deriv(x=1)
+    u = f3(H_MAIN).differentiate("x")
     ew = ew_from_u(u)
     assert ew.signature_ok(p3)
     assert ew_residual(ew, p3) < 1e-6
@@ -111,7 +111,7 @@ def test_ew_structure_examples(p3):
 
 def test_monopole_examples(p3):
     h_pot, w_pot = f3(H_MAIN), symmetry_w(f3(H_MAIN), b=1.0)
-    ew = ew_from_u(h_pot.deriv(x=1))
+    ew = ew_from_u(h_pot.differentiate("x"))
     pair = monopole_from_w(h_pot, w_pot)
     assert monopole_residual(ew, pair, p3) < 1e-8
 
@@ -165,8 +165,8 @@ def test_jones_tod_round_trip(p3, p4):
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
     metric = build_metric(h_pot, w_pot, BOX4)
     reduction = jones_tod_reduce(metric)
-    ew = ew_from_u(h_pot.deriv(x=1))
-    wx2 = w_pot.deriv(x=1).evaluate(p3) ** 2
+    ew = ew_from_u(h_pot.differentiate("x"))
+    wx2 = w_pot.differentiate("x").evaluate(p3) ** 2
     gap = reduction.h.evaluate(p3) + wx2[:, None, None] * ew.h.evaluate(p3)
     assert np.max(np.abs(gap)) < 1e-8
 
@@ -178,12 +178,16 @@ def test_jones_tod_nu_gauge(p4):
     metric = build_metric(h_pot, w_pot, BOX4)
     nu = jones_tod_reduce(metric).nu_at(p4)
     chart4 = metric.chart
-    wx = w_pot.deriv(x=1)
+    wx = w_pot.differentiate("x")
+
+    def on4(field):
+        return field.on_chart(chart4).evaluate(p4)
+
     expected = np.stack([
-        (2.0 * w_pot.deriv(x=2) / wx).on_chart(chart4).evaluate(p4),
-        (2.0 * w_pot.deriv(x=1, y=1) / wx).on_chart(chart4).evaluate(p4),
-        (2.0 * w_pot.deriv(x=1, t=1) / wx).on_chart(chart4).evaluate(p4)
-        - 4.0 * h_pot.deriv(x=2).on_chart(chart4).evaluate(p4),
+        on4(2.0 * w_pot.differentiate("x", "x") / wx),
+        on4(2.0 * w_pot.differentiate("x", "y") / wx),
+        on4(2.0 * w_pot.differentiate("x", "t") / wx)
+        - 4.0 * on4(h_pot.differentiate("x", "x")),
         np.zeros(len(p4)),
     ], axis=1)
     assert np.max(np.abs(nu - expected)) < 1e-8
@@ -266,8 +270,8 @@ def test_pipeline_coherence_negative_controls(p3, p4):
     for name, h_pot, w_pot in controls:
         heqn = np.max(np.abs(residual_heqn(h_pot).evaluate(p3)))
         lind = np.max(np.abs(residual_lindkp(h_pot, w_pot).evaluate(p3)))
-        ew = ew_residual(ew_from_u(h_pot.deriv(x=1)), p3)
-        mono = monopole_residual(ew_from_u(h_pot.deriv(x=1)),
+        ew = ew_residual(ew_from_u(h_pot.differentiate("x")), p3)
+        mono = monopole_residual(ew_from_u(h_pot.differentiate("x")),
                                  monopole_from_w(h_pot, w_pot), p3)
         coframe = dkp_coframe(h_pot, w_pot)
         report = oracle_report(build_metric(h_pot, w_pot), coframe, p4)

@@ -13,7 +13,6 @@ from nullkahler.evolver import (
     ImplicitSolve,
     cfl_bound,
     dkp_evolve,
-    field_on,
     manufactured_reference,
     mms_convergence,
     nonlocal_term,
@@ -117,9 +116,8 @@ def test_high_y_frequency_beyond_the_old_dispersive_cap():
     # 0.9 x the advective bound is 1.7 x the old cap 8 dy^2/Lx, where the
     # explicit four-stage scheme blew up at its second step
     grid = Grid2D(-1, 1, 65, -1, 1, 65)
-    u0 = field_on(ExprField.from_text("0.05*sin(24*3.141592653589793*y)"
-                                      "*exp(-4*x^2)", EVOLVER_CHART),
-                  *grid.axes(), 0.0)
+    u0 = ExprField.from_text("0.05*sin(24*3.141592653589793*y)*exp(-4*x^2)",
+                             EVOLVER_CHART).evaluate_axes(*grid.axes(), 0.0)
     state = DKPState(grid, u0)
     dt = 0.9 * cfl_bound(state)
     assert dt > 1.7 * 8.0 * grid.dy ** 2 / (grid.x1 - grid.x0)
@@ -155,16 +153,17 @@ def test_mms_convergence_order():
     assert all(order > 1.7 for order in study["orders"])
 
 
-def test_boundary_data_read_only_on_the_ring(monkeypatch):
+def test_boundary_data_read_only_on_the_ring(monkeypatch, diff_calls):
     # u* and u*_t are evaluated on the 4n - 4 ring points, the source on
     # the whole grid as an (n, 1) column times a (1, n) row, and u*_t is
-    # differentiated once per reference
+    # built once per reference: the expression nodes keep it, so no
+    # differentiation rule runs twice, nor at all in a second run
     n, steps = 33, 5
     boundary = manufactured_reference(x0=0.0)
     grid = Grid2D(0, 2, n, 0, 2, n)
     state = DKPState(grid, boundary.u_on(*grid.mesh(), 0.0), 0.0, boundary)
-    evaluated, differentiated = [], []
-    evaluate, differentiate = ExprField.evaluate_axes, ExprField.differentiate
+    evaluated = []
+    evaluate = ExprField.evaluate_axes
 
     def counted_evaluate(self, *axes):
         shapes = tuple(map(np.shape, axes))
@@ -174,18 +173,18 @@ def test_boundary_data_read_only_on_the_ring(monkeypatch):
             assert shapes == ((n, 1), (1, n), ())
         return evaluate(self, *axes)
 
-    def counted_differentiate(self, idx):
-        differentiated.append(idx)
-        return differentiate(self, idx)
-
     monkeypatch.setattr(ExprField, "evaluate_axes", counted_evaluate)
-    monkeypatch.setattr(ExprField, "differentiate", counted_differentiate)
+    del diff_calls[:]
     dkp_evolve(state, 0.5 * cfl_bound(state), steps)
     assert [size for is_source, size in evaluated if is_source] \
         == [n * n] * (3 * steps)
     assert [size for is_source, size in evaluated if not is_source] \
         == [4 * n - 4] * (4 * steps)  # u*_t per 3 stages, u* per step
-    assert len(differentiated) <= 1
+    rules = [(id(node), var) for node, var in diff_calls]
+    assert len(set(rules)) == len(rules)
+    del diff_calls[:]
+    dkp_evolve(state, 0.5 * cfl_bound(state), steps)
+    assert diff_calls == []
 
 
 #: sha256 of the final u of 20 ARS(2,3,3) steps on 33^2.  The uniform run

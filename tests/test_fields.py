@@ -8,7 +8,6 @@ from nullkahler.fields import (
     ExcludedBand,
     ExprField,
     GridSpec,
-    MultiIndex,
     OrderOverflowError,
     SampledField,
     grid_from_csv,
@@ -22,19 +21,40 @@ CHART2 = Chart(("x", "y"))
 
 def test_closed_form_mixed_fourth_derivative():
     theta = ExprField.from_text("x*y^3", CHART4)
-    d = theta.deriv(x=1, y=3)
+    d = theta.differentiate("x", "y", "y", "y")
     assert d.evaluate(np.array([0.3, -0.4, 1.7, 2.9])) == 6.0
 
 
 def test_closed_form_second_derivative():
     f = ExprField.from_text("-9*y^4", CHART4)
-    assert f.deriv(y=2).evaluate(np.array([0.0, 0.0, 0.0, 2.0])) == -108.0 * 4
+    fyy = f.differentiate("y", "y")
+    assert fyy.evaluate(np.array([0.0, 0.0, 0.0, 2.0])) == -108.0 * 4
 
 
 def test_order_overflow():
     theta = ExprField.from_text("x*y^3", CHART4)
     with pytest.raises(OrderOverflowError):
-        theta.deriv(x=3, y=2)
+        theta.differentiate("x", "x", "x", "y", "y")
+
+
+def test_differentiate_sorts_names_into_one_request():
+    theta = ExprField.from_text("x^3*y^2 + w*z*x/(1 + y^2)", CHART4)
+    assert theta.differentiate("y", "x").expr \
+        is theta.differentiate("x", "y").expr
+    # the node memo returns the same tree to a second field on the same
+    # expression: the field keeps no derivative state of its own
+    again = ExprField(theta.expr, CHART4)
+    assert again.differentiate("y", "w", "x").expr \
+        is theta.differentiate("w", "x", "y").expr
+    assert theta.differentiate().expr is theta.expr
+
+
+def test_differentiate_unknown_name():
+    theta = ExprField.from_text("x*y^3", CHART4)
+    with pytest.raises(DomainError):
+        theta.differentiate("t")
+    with pytest.raises(DomainError):
+        theta.differentiate("x", "q")
 
 
 def test_evaluate_examples():
@@ -148,25 +168,25 @@ def test_linearity_both_backends():
     g = ExprField.from_text("y^3 - x", CHART2)
     combo = f * 2.5 + g * (-1.5)
     pts = np.random.default_rng(0).uniform(0.3, 0.7, size=(20, 2))
-    idx = MultiIndex((1, 1))
-    lhs = combo.differentiate(idx).evaluate(pts)
-    rhs = 2.5 * f.differentiate(idx).evaluate(pts) \
-        - 1.5 * g.differentiate(idx).evaluate(pts)
+    idx = ("x", "y")
+    lhs = combo.differentiate(*idx).evaluate(pts)
+    rhs = 2.5 * f.differentiate(*idx).evaluate(pts) \
+        - 1.5 * g.differentiate(*idx).evaluate(pts)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     # the grid container holds the same derivative values node by node
     grid = GridSpec(((0.3, 0.7, 9), (0.3, 0.7, 9)))
-    lhs_s = sample_to_grid(combo.differentiate(idx), grid).values
-    rhs_s = 2.5 * sample_to_grid(f.differentiate(idx), grid).values \
-        - 1.5 * sample_to_grid(g.differentiate(idx), grid).values
+    lhs_s = sample_to_grid(combo.differentiate(*idx), grid).values
+    rhs_s = 2.5 * sample_to_grid(f.differentiate(*idx), grid).values \
+        - 1.5 * sample_to_grid(g.differentiate(*idx), grid).values
     np.testing.assert_allclose(lhs_s, rhs_s, atol=1e-14)
 
 
 def test_mixed_partial_symmetry():
     f = ExprField.from_text("x^3*y^2 + x*y^4", CHART2)
     pts = np.random.default_rng(1).uniform(0.3, 0.7, size=(20, 2))
-    a = f.deriv(x=1).deriv(y=1).evaluate(pts)
-    b = f.deriv(y=1).deriv(x=1).evaluate(pts)
+    a = f.differentiate("x").differentiate("y").evaluate(pts)
+    b = f.differentiate("y").differentiate("x").evaluate(pts)
     np.testing.assert_array_equal(a, b)  # exact for the closed form
 
 
@@ -204,7 +224,7 @@ def test_backend_agreement_quartic_polynomials():
                 term = term * falling(ea, k) * pts[:, axis] ** max(ea - k, 0)
             terms[:, m] = term
         exact = terms.sum(axis=1)
-        got = field.differentiate(MultiIndex(orders)).evaluate(pts)
+        got = field.differentiate(*(names[a] for a in combo)).evaluate(pts)
         scale = np.abs(terms).sum(axis=1)
         assert np.all(np.abs(got - exact) <= 1e-12 * scale), orders
 

@@ -100,7 +100,7 @@ def test_family4_values():
     assert sol.theta.evaluate(p) == 2.0  # x A(y) with B = 0
     assert sol.f.evaluate(p) == -9.0
     # nonzero ASD Weyl witness: the fourth delta-derivative is 6
-    assert sol.theta.deriv(x=1, y=3).evaluate(p) == 6.0
+    assert sol.theta.differentiate("x", "y", "y", "y").evaluate(p) == 6.0
 
 
 def test_family1_constant_a_is_vacuum(pts):
@@ -182,9 +182,11 @@ def test_equivalence_of_formulations(pts):
 def test_box_operator_matches_nk2(pts):
     theta = field("x*y^3 + z*x^2/4")
     g = field("w*x^2 - y^3/3")
-    direct = (g.deriv(x=1, w=1) + g.deriv(y=1, z=1)
-              + theta.deriv(y=2) * g.deriv(x=2)
-              + theta.deriv(x=2) * g.deriv(y=2)
-              - 2.0 * (theta.deriv(x=1, y=1) * g.deriv(x=1, y=1)))
+    txx, tyy, txy = (theta.differentiate(*pair)
+                     for pair in (("x", "x"), ("y", "y"), ("x", "y")))
+    direct = (g.differentiate("x", "w") + g.differentiate("y", "z")
+              + tyy * g.differentiate("x", "x")
+              + txx * g.differentiate("y", "y")
+              - 2.0 * (txy * g.differentiate("x", "y")))
     np.testing.assert_allclose(box_operator(theta, g).evaluate(pts),
                                direct.evaluate(pts), atol=1e-14)
