@@ -8,18 +8,21 @@ expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
 error (a check name the fixture's kind does not compute, an empty
-``checks =`` line, a family outside 1..4 or a missing expression the
-fixture's kind reads is a config error; a box that meets an excluded band,
-declared on the ``exclude`` line or carried by a solution family's chart,
-is a fixture error, refused before any fixture runs).
+``checks =`` line, a family outside 1..4, a missing expression the
+fixture's kind reads, or a key that neither its kind nor its family
+reads is a config error; a box that meets an excluded band, declared on
+the ``exclude`` line or carried by a solution family's chart, is a
+fixture error, refused before any fixture runs).
 
-Each fixture is checked on one sample set.  A sample object per fixture
-holds its points, metric and coframe, and computes each quantity that
+Each fixture is checked on one sample set: its ``build`` takes the sample
+plan on the fixture's box and returns the kind's sample object, which
+holds the points, metric and coframe, and computes each quantity that
 several checks share (the oracle curvature, the null-Kahler residuals,
 the Einstein-Weyl structure, the dKP coframe) once, when the first
 selected check reads it; a check that is not selected is not computed.
-A dKP fixture builds its metric whatever the selection, so a W_x that
-vanishes on the declared box is always a fixture error.
+``export`` reads its geometry from the same object.  A dKP fixture
+builds its metric whatever the selection, so a W_x that vanishes on the
+declared box is always a fixture error.
 
 Reports are JSON with ``schema: 1`` and are byte-identical across runs
 with the same config and seed.  The fixtures run one after another;
@@ -68,8 +71,9 @@ from .fields import (
     sample_to_grid,
 )
 from .geometry import DegeneracyError, dkp_coframe, nk_coframe, nk_metric
-from .nk_system import (FAMILY_EXCLUDED, NKSolution, commutator_sweep,
-                        example_family, induced_f, residual_nk1, residual_nk2)
+from .nk_system import (FAMILY_EXCLUDED, FAMILY_PARAMS, NKSolution,
+                        commutator_sweep, example_family, induced_f,
+                        residual_nk1, residual_nk2)
 from .sampling import Box, SamplePlan
 from .spinors import SYM_PAIRS
 
@@ -113,7 +117,14 @@ class Fixture:
     kind: str
     checks: tuple
     expect: str
-    build: object  # callable() -> payload dict
+    box: Box
+    build: object  # callable(plan) -> the fixture's sample set
+
+    def sample(self, config):
+        """The sample set on this fixture's box at the config's count and
+        seed."""
+        return self.build(SamplePlan(self.box, config["samples"],
+                                     config["seed"]))
 
 
 @dataclass
@@ -190,12 +201,22 @@ def _parse_checks(name, kind, section, default) -> tuple:
     return checks
 
 
-def _require(name, section, *keys) -> None:
-    """Refuse a fixture that lacks one of the expression keys its build
-    reads."""
-    missing = [key for key in keys if key not in section]
+#: keys every fixture section may set, whatever its kind
+_COMMON_KEYS = ("kind", "box", "exclude", "checks", "expect")
+
+
+def _check_keys(name, section, required, optional=()) -> None:
+    """Refuse a fixture that lacks a key its build reads, or that sets a
+    key nothing reads (a misspelt name, or one another kind or family
+    reads), so a config cannot check other than what it states."""
+    missing = [key for key in required if key not in section]
     if missing:
         raise ConfigError(f"[fixture:{name}] needs {', '.join(missing)}")
+    allowed = {key.lower() for key in _COMMON_KEYS + required + optional}
+    unread = sorted(set(section) - allowed)
+    if unread:
+        raise ConfigError(f"[fixture:{name}] sets {unread}, which it never "
+                          f"reads (expected some of {sorted(allowed)})")
 
 
 def _family(name, section) -> int:
@@ -203,53 +224,50 @@ def _family(name, section) -> int:
         family = int(section["family"])
     except (KeyError, ValueError):
         family = None
-    if family not in (1, 2, 3, 4):
+    if family not in FAMILY_PARAMS:
         raise ConfigError(f"[fixture:{name}] needs an integer family = 1..4")
     return family
 
 
 def _nk_fixture(name, section) -> Fixture:
-    kind = section.get("kind")
-    if kind == "nk_family":
+    if section.get("kind") == "nk_family":
         family = _family(name, section)
-        _require(name, section, "P" if family == 2 else "A")
+        required, optional = FAMILY_PARAMS[family]
+        _check_keys(name, section, required, ("family",) + optional)
+        params = {key: section[key] for key in required + optional
+                  if key in section}
     else:
         family = None
-        _require(name, section, "theta")
+        _check_keys(name, section, ("theta",), ("f",))
     box, excluded = _parse_domain(name, section,
                                   "w:-1:1, z:-1:1, x:-1:1, y:-1:1",
                                   ("w", "z", "x", "y"),
                                   FAMILY_EXCLUDED.get(family, ()))
 
-    def build():
-        if kind == "nk_family":
-            params = {key.upper(): section[key]
-                      for key in ("a", "b", "p", "q") if key in section}
-            sol = example_family(family, params, box)
-        else:
-            chart = Chart(("w", "z", "x", "y"), excluded)
-            theta = ExprField.from_text(section["theta"], chart)
-            f_text = section.get("f", "")
-            f = (ExprField.from_text(f_text, chart) if f_text
-                 else induced_f(theta))
-            sol = NKSolution(theta, f, box)
-        return {"solution": sol}
+    def build(plan):
+        if family is not None:
+            return NKSample(example_family(family, params, box), plan)
+        chart = Chart(("w", "z", "x", "y"), excluded)
+        theta = ExprField.from_text(section["theta"], chart)
+        f_text = section.get("f", "")
+        f = ExprField.from_text(f_text, chart) if f_text else induced_f(theta)
+        return NKSample(NKSolution(theta, f, box), plan)
 
     checks = _parse_checks(name, "nk", section, NK_CHECKS)
-    return Fixture(name, "nk", checks, section.get("expect", "pass"), build)
+    return Fixture(name, "nk", checks, section.get("expect", "pass"), box,
+                   build)
 
 
 def _dkp_fixture(name, section) -> Fixture:
-    _require(name, section, "H", "W")
+    _check_keys(name, section, ("H", "W"), ("vacuum",))
     box, excluded = _parse_domain(name, section,
                                   "x:-1:1, y:-1:1, t:-1:0.5, z:-1:1",
                                   ("x", "y", "t", "z"))
 
-    def build():
+    def build(plan):
         chart = Chart(("x", "y", "t"), excluded)
-        h_pot = ExprField.from_text(section["h"], chart)
-        w_pot = ExprField.from_text(section["w"], chart)
-        return {"h_pot": h_pot, "w_pot": w_pot, "box": box}
+        return DKPSample(ExprField.from_text(section["h"], chart),
+                         ExprField.from_text(section["w"], chart), plan)
 
     default = list(DKP_CHECKS)
     if section.get("vacuum", "").lower() in ("true", "1", "yes"):
@@ -257,21 +275,22 @@ def _dkp_fixture(name, section) -> Fixture:
     if section.get("vacuum", "").lower() in ("false", "0", "no"):
         default.append("nonvacuum")
     checks = _parse_checks(name, "dkp", section, default)
-    return Fixture(name, "dkp", checks, section.get("expect", "pass"), build)
+    return Fixture(name, "dkp", checks, section.get("expect", "pass"), box,
+                   build)
 
 
 def _ew_fixture(name, section) -> Fixture:
-    _require(name, section, "u")
+    _check_keys(name, section, ("u",))
     box, excluded = _parse_domain(name, section, "x:-1:1, y:-1:1, t:-1:0.5",
                                   ("x", "y", "t"))
 
-    def build():
+    def build(plan):
         chart = Chart(("x", "y", "t"), excluded)
-        u = ExprField.from_text(section["u"], chart)
-        return {"u": u, "box": box}
+        return EWSample(ExprField.from_text(section["u"], chart), plan)
 
     checks = _parse_checks(name, "ew", section, EW_CHECKS)
-    return Fixture(name, "ew", checks, section.get("expect", "pass"), build)
+    return Fixture(name, "ew", checks, section.get("expect", "pass"), box,
+                   build)
 
 
 def load_config(path) -> dict:
@@ -330,9 +349,9 @@ class _CurvedSample:
 class NKSample(_CurvedSample):
     """An nk fixture's points, with the metric and coframe of theta."""
 
-    def __init__(self, payload, plan):
-        self.solution = payload["solution"]
-        self.theta, self.f = self.solution.theta, self.solution.f
+    def __init__(self, solution, plan):
+        self.solution = solution
+        self.theta, self.f = solution.theta, solution.f
         self.plan = plan
         self.points = plan.points()
         self.metric = nk_metric(self.theta)
@@ -346,13 +365,13 @@ class NKSample(_CurvedSample):
 class DKPSample(_CurvedSample):
     """A dkp fixture's points on (x, y, t, z) and on (x, y, t)."""
 
-    def __init__(self, payload, plan):
-        self.h, self.w, self.box = payload["h_pot"], payload["w_pot"], payload["box"]
+    def __init__(self, h, w, plan):
+        self.h, self.w = h, w
         self.points = plan.points()
-        self.points3 = SamplePlan(Box(self.box.bounds[:3]), plan.count,
-                                  plan.seed).points()
+        # Halton column k is the k-th prime's in any dimension
+        self.points3 = self.points[:, :3]
         # built whatever the selection: it rejects a vanishing W_x
-        self.metric = dkp_mod.build_metric(self.h, self.w, self.box)
+        self.metric = dkp_mod.build_metric(h, w, plan.box)
 
     @cached_property
     def coframe(self):
@@ -371,9 +390,9 @@ class DKPSample(_CurvedSample):
 class EWSample:
     """An ew fixture's points on (x, y, t) and its Einstein-Weyl structure."""
 
-    def __init__(self, payload, plan):
+    def __init__(self, u, plan):
         self.points3 = plan.points()
-        self.ew = dkp_mod.ew_from_u(payload["u"])
+        self.ew = dkp_mod.ew_from_u(u)
 
 
 def _jones_tod_gap(s):
@@ -413,21 +432,17 @@ DKP_TABLE = {
     "nonvacuum": lambda s: _max_abs(s.oracle.raw.ricci),  # required above
 }
 
-#: per kind, the sample set class and the checks it computes
-_KINDS = {"nk": (NKSample, NK_TABLE), "dkp": (DKPSample, DKP_TABLE),
-          "ew": (EWSample, {"ew": DKP_TABLE["ew"]})}
+#: per kind, the checks its sample set computes
+_TABLES = {"nk": NK_TABLE, "dkp": DKP_TABLE, "ew": {"ew": DKP_TABLE["ew"]}}
 
 #: every check a fixture kind computes, selectable with ``checks =``
-KIND_CHECKS = {kind: tuple(table) for kind, (_, table) in _KINDS.items()}
+KIND_CHECKS = {kind: tuple(table) for kind, table in _TABLES.items()}
 
 
 def run_fixture(fixture: Fixture, config) -> list:
-    payload = fixture.build()
-    box = (payload.get("box") or payload["solution"].box)
-    plan = SamplePlan(box, config["samples"], config["seed"])
+    sample = fixture.sample(config)
     scale = config.get("tolerance_scale", 1.0)
-    sample_class, table = _KINDS[fixture.kind]
-    sample = sample_class(payload, plan)
+    table = _TABLES[fixture.kind]
     values = [(name, table[name](sample)) for name in fixture.checks]
     out = []
     for name, value in values:
@@ -607,18 +622,9 @@ def _export_command(args) -> int:
     if (args.quantity == "ew") != (fixture.kind == "ew"):
         raise ConfigError(f"quantity {args.quantity!r} does not apply to "
                           f"{fixture.kind} fixtures")
-    payload = fixture.build()
-
-    if fixture.kind == "nk":
-        theta = payload["solution"].theta
-        metric, coframe = nk_metric(theta), nk_coframe(theta)
-    elif fixture.kind == "dkp":
-        h_pot, w_pot = payload["h_pot"], payload["w_pot"]
-        metric = dkp_mod.build_metric(h_pot, w_pot, payload["box"])
-        coframe = dkp_coframe(h_pot, w_pot)
-    else:
-        metric = coframe = None
-    coords = metric.chart.coords if metric is not None else dkp_mod.EW_CHART.coords
+    sample = fixture.sample(config)
+    coords = (dkp_mod.EW_CHART.coords if fixture.kind == "ew"
+              else sample.metric.chart.coords)
 
     spec = _parse_grid_spec(args.grid, coords)
     out = Path(args.out_dir)
@@ -626,14 +632,14 @@ def _export_command(args) -> int:
     if args.quantity == "metric":
         for i in range(len(coords)):
             for j in range(i, len(coords)):
-                sampled = sample_to_grid(metric.component(i, j), spec)
+                sampled = sample_to_grid(sample.metric.component(i, j), spec)
                 grid_to_csv(sampled, out / f"g_{coords[i]}{coords[j]}.csv")
         count = len(coords) * (len(coords) + 1) // 2
         sys.stdout.write(f"wrote {count} metric component grids to {out}\n")
         return 0
     if args.quantity == "curvature":
         pts = spec.meshpoints()
-        report = oracle_report(metric, coframe, pts)
+        report = oracle_report(sample.metric, sample.coframe, pts)
         header = ([f"c_asd_{k}" for k in range(5)]
                   + [f"c_sd_{k}" for k in range(5)] + ["scalar"])
         rows = np.concatenate(
@@ -646,18 +652,17 @@ def _export_command(args) -> int:
         return 0
     if args.quantity == "sigma":
         for i, j in SYM_PAIRS:
-            for key, comp in coframe.sigma(i, j).comps.items():
+            for key, comp in sample.coframe.sigma(i, j).comps.items():
                 tag = "".join(coords[k] for k in key)
                 sampled = sample_to_grid(comp, spec)
                 grid_to_csv(sampled, out / f"sigma{i}{j}_{tag}.csv")
         sys.stdout.write(f"wrote sigma component grids to {out}\n")
         return 0
-    ew = dkp_mod.ew_from_u(payload["u"])
     for i in range(3):
         for j in range(i, 3):
-            sampled = sample_to_grid(ew.h.component(i, j), spec)
+            sampled = sample_to_grid(sample.ew.h.component(i, j), spec)
             grid_to_csv(sampled, out / f"h_{coords[i]}{coords[j]}.csv")
-    nu_t = ew.nu.component((2,))
+    nu_t = sample.ew.nu.component((2,))
     grid_to_csv(sample_to_grid(nu_t, spec), out / "nu_t.csv")
     sys.stdout.write(f"wrote ew component grids to {out}\n")
     return 0

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .expressions import parse
 from .fields import Chart, ExprField
 
 EVOLVER_CHART = Chart(("x", "y", "t"))
@@ -327,7 +328,8 @@ def manufactured_reference(x0: float):
         " - (sin(x)*cos(x) - sin(x0)*cos(x0))*cos(y)^2*exp(-2*t)"
         " - (cos(x) - cos(x0))*cos(y)*exp(-t)"
     )
-    source = ExprField.from_text(source_text, EVOLVER_CHART, params={"x0": x0})
+    source = ExprField(parse(source_text, EVOLVER_CHART.coords, {"x0": x0}),
+                       EVOLVER_CHART)
     return BoundarySource(u_star, source)
 
 

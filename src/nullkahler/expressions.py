@@ -29,8 +29,9 @@ Grammar accepted by :func:`parse`::
     power  := atom ("^" unary)?          # right associative
     atom   := NUMBER | NAME | NAME "(" expr ")" | "(" expr ")"
 
-NAME is a declared variable/parameter or one of ``sin cos exp log``.
-Exponents must fold to a numeric constant.
+NAME is a declared variable, a bound name (replaced by its value, an
+``Expr`` or a number, as the text is parsed) or one of ``sin cos exp
+log``.  Exponents must fold to a numeric constant.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-FUNCTIONS = ("sin", "cos", "exp", "log")
-
 
 class ExpressionError(ValueError):
     """Malformed expression text or an unsupported construction."""
@@ -100,9 +98,6 @@ class Expr:
     def _variables(self) -> frozenset:
         raise NotImplementedError
 
-    def substitute(self, name: str, replacement: "Expr") -> "Expr":
-        raise NotImplementedError
-
     # Operator sugar used when building residuals in code.
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -145,9 +140,6 @@ class Const(Expr):
     def _variables(self):
         return frozenset()
 
-    def substitute(self, name, replacement):
-        return self
-
     def __str__(self):
         return repr(self.value)
 
@@ -168,9 +160,6 @@ class Var(Expr):
     def _variables(self):
         return frozenset((self.name,))
 
-    def substitute(self, name, replacement):
-        return replacement if name == self.name else self
-
     def __str__(self):
         return self.name
 
@@ -188,10 +177,6 @@ class Add(Expr):
 
     def _variables(self):
         return self.left.variables() | self.right.variables()
-
-    def substitute(self, name, replacement):
-        return add(self.left.substitute(name, replacement),
-                   self.right.substitute(name, replacement))
 
     def __str__(self):
         return f"({self.left} + {self.right})"
@@ -211,10 +196,6 @@ class Mul(Expr):
 
     def _variables(self):
         return self.left.variables() | self.right.variables()
-
-    def substitute(self, name, replacement):
-        return mul(self.left.substitute(name, replacement),
-                   self.right.substitute(name, replacement))
 
     def __str__(self):
         return f"({self.left} * {self.right})"
@@ -238,10 +219,6 @@ class Div(Expr):
 
     def _variables(self):
         return self.num.variables() | self.den.variables()
-
-    def substitute(self, name, replacement):
-        return div(self.num.substitute(name, replacement),
-                   self.den.substitute(name, replacement))
 
     def __str__(self):
         return f"({self.num} / {self.den})"
@@ -274,9 +251,6 @@ class Pow(Expr):
     def _variables(self):
         return self.base.variables()
 
-    def substitute(self, name, replacement):
-        return power(self.base.substitute(name, replacement), self.exponent)
-
     def __str__(self):
         return f"({self.base} ^ {self.exponent!r})"
 
@@ -294,9 +268,6 @@ class Neg(Expr):
     def _variables(self):
         return self.arg.variables()
 
-    def substitute(self, name, replacement):
-        return neg(self.arg.substitute(name, replacement))
-
     def __str__(self):
         return f"(-{self.arg})"
 
@@ -309,6 +280,9 @@ _DERIVATIVES = {
 }
 
 _NUMPY_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+
+#: the function names the grammar accepts
+FUNCTIONS = tuple(_NUMPY_FN)
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,9 +304,6 @@ class Call(Expr):
 
     def _variables(self):
         return self.arg.variables()
-
-    def substitute(self, name, replacement):
-        return Call(self.fn, self.arg.substitute(name, replacement))
 
     def __str__(self):
         return f"{self.fn}({self.arg})"
@@ -459,11 +430,12 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, names):
+    def __init__(self, text, names, bindings):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = frozenset(names)
+        self.bindings = bindings
 
     def peek(self):
         return self.tokens[self.pos]
@@ -540,6 +512,8 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(value, arg)
+            if value in self.bindings:
+                return as_expr(self.bindings[value])
             if value not in self.names:
                 raise ExpressionError(f"unknown identifier {value!r}", offset)
             return Var(value)
@@ -550,13 +524,15 @@ class _Parser:
         raise ExpressionError("expected expression", offset)
 
 
-def parse(text: str, names) -> Expr:
+def parse(text: str, names, bindings=None) -> Expr:
     """Parse ``text`` over the declared variable ``names``.
 
-    Raises :class:`ExpressionError` with the character offset on syntax
-    errors and on identifiers outside ``names``.
+    An identifier in ``bindings`` stands for its value there, an ``Expr``
+    or a number (made a ``Const``), and the smart constructors build the
+    tree around it.  Raises :class:`ExpressionError` with the character
+    offset on syntax errors and on identifiers neither declared nor bound.
     """
-    return _Parser(text, names).parse()
+    return _Parser(text, names, bindings or {}).parse()
 
 
 # --- polynomial helpers (antiderivatives for the closed-form families) ------

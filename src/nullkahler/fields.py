@@ -1,7 +1,10 @@
 """Scalar fields on coordinate charts with derivatives up to fourth order.
 
-``ExprField`` is the one field backend: it differentiates expression
-trees exactly.  ``ExprField.differentiate(*coords)`` is the one way to
+``ExprField`` is the one field backend: an expression tree on a chart,
+differentiated exactly.  The tree reads the chart's coordinates and
+nothing else; a name that stands for a value was bound when the text
+was parsed (``parse(text, names, bindings)``), so a field carries no
+value environment.  ``ExprField.differentiate(*coords)`` is the one way to
 take a partial derivative, and the one memo under it is the expression
 nodes' own (``Expr.derivative``); fields keep no derivative state.
 ``SampledField`` is a plain container for field values on a uniform
@@ -90,19 +93,16 @@ def _as_points(points, dim):
 class ExprField:
     """Closed-form backend: exact differentiation of an expression tree."""
 
-    def __init__(self, expr, chart: Chart, params=None):
+    def __init__(self, expr, chart: Chart):
         self.expr = as_expr(expr)
         self.chart = chart
-        self.params = dict(params or {})
-        free = self.expr.variables() - set(chart.coords) - set(self.params)
+        free = self.expr.variables() - set(chart.coords)
         if free:
             raise ExpressionError(f"unbound variables {sorted(free)}")
 
     @classmethod
-    def from_text(cls, text: str, chart: Chart, params=None) -> "ExprField":
-        params = dict(params or {})
-        expr = parse(text, tuple(chart.coords) + tuple(params))
-        return cls(expr, chart, params)
+    def from_text(cls, text: str, chart: Chart) -> "ExprField":
+        return cls(parse(text, chart.coords), chart)
 
     @classmethod
     def constant(cls, value, chart: Chart) -> "ExprField":
@@ -110,7 +110,7 @@ class ExprField:
 
     def on_chart(self, chart: Chart) -> "ExprField":
         """The same expression viewed on a larger chart."""
-        return ExprField(self.expr, chart, self.params)
+        return ExprField(self.expr, chart)
 
     def evaluate_axes(self, *axes) -> np.ndarray:
         """The field at the coordinates ``axes``, one array per chart axis,
@@ -124,7 +124,6 @@ class ExprField:
             raise DomainError(f"expected {self.chart.dim} coordinate arrays")
         self.chart.check_domain(axes)
         env = dict(zip(self.chart.coords, axes))
-        env.update(self.params)
         values = np.asarray(self.expr.evaluate(env), dtype=float)
         shape = np.broadcast(*axes).shape
         if values.shape != shape:  # a tree that does not read every axis
@@ -155,16 +154,15 @@ class ExprField:
         expr = self.expr
         for name in sorted(coords, key=self.chart.axis):
             expr = expr.derivative(name)
-        return ExprField(expr, self.chart, self.params)
+        return ExprField(expr, self.chart)
 
     # Field arithmetic builds new trees; handy for residual operators.
     def _binary(self, other, op):
         if isinstance(other, ExprField):
             if other.chart != self.chart:
                 raise DomainError("field charts differ")
-            merged = {**self.params, **other.params}
-            return ExprField(op(self.expr, other.expr), self.chart, merged)
-        return ExprField(op(self.expr, as_expr(other)), self.chart, self.params)
+            return ExprField(op(self.expr, other.expr), self.chart)
+        return ExprField(op(self.expr, as_expr(other)), self.chart)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -189,7 +187,7 @@ class ExprField:
         return self._binary(other, lambda a, b: b / a)
 
     def __neg__(self):
-        return ExprField(-self.expr, self.chart, self.params)
+        return ExprField(-self.expr, self.chart)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import (
-    Expr,
-    Var,
-    as_expr,
-    integrate_polynomial,
-    parse,
-)
+from .expressions import Var, integrate_polynomial, parse
 from .fields import Chart, ExcludedBand, ExprField
 from .sampling import Box, SamplePlan
 
@@ -40,6 +34,11 @@ DEFAULT_NK_BOX = Box(((-1.0, 1.0),) * 4)
 #: excluded bands that a solution family puts on its chart: family 3,
 #: Theta = A(x/y), is singular on y = 0
 FAMILY_EXCLUDED = {3: (ExcludedBand("y", 0.0),)}
+
+#: the ``params`` keys each family of ``example_family`` reads:
+#: (required, optional)
+FAMILY_PARAMS = {1: (("A",), ("B",)), 2: (("P",), ("Q",)),
+                 3: (("A",), ()), 4: (("A",), ("B",))}
 
 #: range of the spectral parameter lambda in ``commutator_sweep``
 LAMBDA_WINDOW = (-2.0, 2.0)
@@ -96,14 +95,9 @@ def residual_nk2(theta: ExprField, f: ExprField) -> ExprField:
 
 # --- closed-form solution families -------------------------------------------
 
-def _parse_in(text, names):
-    if isinstance(text, Expr):
-        return text
-    return parse(str(text), names)
-
-
 def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolution:
-    """The four closed-form families.
+    """The four closed-form families; ``params`` maps A, B, P, Q to
+    expression text.
 
     1. Theta_x = 0:  Theta = B(w,y) + z * int A(w,y) dy, f = A.
        A, B polynomial (the y-antiderivative must be closed form).
@@ -115,14 +109,14 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
     4. Theta = x A(y) + B(y), f = -(A')^2.
     """
     if kind == 1:
-        a = _parse_in(params["A"], ("w", "y"))
-        b = _parse_in(params.get("B", "0"), ("w", "y"))
-        theta = as_expr(b) + Var("z") * integrate_polynomial(a, "y")
+        a = parse(params["A"], ("w", "y"))
+        b = parse(params.get("B", "0"), ("w", "y"))
+        theta = b + Var("z") * integrate_polynomial(a, "y")
         chart = _nk_chart()
         return NKSolution(ExprField(theta, chart), ExprField(a, chart), box)
     if kind == 2:
-        p = _parse_in(params["P"], ("w", "y"))
-        q = _parse_in(params.get("Q", "0"), ("w", "y"))
+        p = parse(params["P"], ("w", "y"))
+        q = parse(params.get("Q", "0"), ("w", "y"))
         p_w = p.derivative("w")
         p_y = p.derivative("y")
         source = p - p_w + 2.0 * (p * p_y)
@@ -134,14 +128,13 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
         theta_field = ExprField(theta, chart)
         return NKSolution(theta_field, theta_field.differentiate("x"), box)
     if kind == 3:
-        a = _parse_in(params["A"], ("s",))
-        theta = a.substitute("s", Var("x") / Var("y"))
+        theta = parse(params["A"], (), {"s": Var("x") / Var("y")})
         chart = _nk_chart(FAMILY_EXCLUDED[3])
         theta_field = ExprField(theta, chart)
         return NKSolution(theta_field, induced_f(theta_field), box)
     if kind == 4:
-        a = _parse_in(params["A"], ("y",))
-        b = _parse_in(params.get("B", "0"), ("y",))
+        a = parse(params["A"], ("y",))
+        b = parse(params.get("B", "0"), ("y",))
         theta = Var("x") * a + b
         a_y = a.derivative("y")
         chart = _nk_chart()

@@ -377,8 +377,14 @@ def test_box_meeting_excluded_band_is_refused_on_load(tmp_path, monkeypatch,
     ("kind = dkp\nW = y^2 + 2*x*t\n", "needs H"),
     ("kind = dkp\nH = 0\n", "needs W"),
     ("kind = ew\nexclude = t:1\n", "needs u"),
+    # a key that neither the kind nor the family reads
+    ("kind = nk_family\nfamily = 4\nA = y^3\nQ = y\n", "sets ['q']"),
+    ("kind = nk\ntheta = x*y^3\nthetaa = 0\n", "sets ['thetaa']"),
+    ("kind = nk_family\nfamily = 2\nP = w*y\nB = y\n", "sets ['b']"),
+    ("kind = nk\ntheta = 0\nvacuum = true\n", "sets ['vacuum']"),
 ], ids=["family5", "family0", "nk-theta", "family1-A", "family2-P",
-        "family3-A", "dkp-H", "dkp-W", "ew-u"])
+        "family3-A", "dkp-H", "dkp-W", "ew-u", "family4-Q", "nk-thetaa",
+        "family2-B", "nk-vacuum"])
 def test_incomplete_fixture_is_refused_on_load(tmp_path, monkeypatch, capsys,
                                                section, message):
     import nullkahler.cli as cli
@@ -393,6 +399,31 @@ def test_incomplete_fixture_is_refused_on_load(tmp_path, monkeypatch, capsys,
     assert main(["check", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "[fixture:incomplete]" in err and message in err
+
+
+#: sha256 over the sorted (file name, bytes) of ``export`` from paper.cfg
+#: on each fixture's default box at 4 nodes per axis; both fixtures are
+#: rational, so their bits come from IEEE arithmetic alone
+EXPORT_SHA256 = {
+    ("family1", "sigma"):
+        "19df6df95796622f547c6c914d57bed5dcbc8e78dd630fce7c388bcb0913462e",
+    ("ew-dkp", "ew"):
+        "cf27fe62ac59fdfdefa64f6a585596e07a882c30e4b0306bb9c53e7a95542b79",
+}
+
+
+@pytest.mark.parametrize("fixture, quantity, grid", [
+    ("family1", "sigma", "w:-1:1:4,z:-1:1:4,x:-1:1:4,y:-1:1:4"),
+    ("ew-dkp", "ew", "x:-1:1:4,y:-1:1:4,t:-1:0.5:4"),
+])
+def test_export_bytes_pinned(tmp_path, capsys, fixture, quantity, grid):
+    assert main(["export", "--config", str(FIXTURES / "paper.cfg"),
+                 "--fixture", fixture, "--quantity", quantity,
+                 "--grid", grid, "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*.csv")):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == EXPORT_SHA256[fixture, quantity]
 
 
 def test_box_clear_of_excluded_band_loads(tmp_path):

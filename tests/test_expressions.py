@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nullkahler.expressions import (
+    _DERIVATIVES,
+    FUNCTIONS,
     Add,
     Call,
     Const,
@@ -11,8 +13,11 @@ from nullkahler.expressions import (
     Pow,
     Var,
     ZERO,
+    add,
+    div,
     integrate_polynomial,
     parse,
+    power,
     to_monomials,
 )
 
@@ -123,10 +128,29 @@ def test_vectorized_evaluation():
                                [1.0, 2.0, 24.0])
 
 
-def test_substitute():
-    tree = parse("s^2 + s", ("s",))
-    sub = tree.substitute("s", parse("x/y", NAMES))
-    assert sub.evaluate({"x": 2.0, "y": 1.0}) == 6.0
+def test_bound_name_builds_its_value_into_the_tree():
+    s = div(Var("x"), Var("y"))
+    tree = parse("s^2 + s", (), {"s": s})
+    assert tree == add(power(s, 2), s)
+    assert tree.variables() == {"x", "y"}
+    assert tree.evaluate({"x": 2.0, "y": 1.0}) == 6.0
+    # a bound number folds like the literal it stands for
+    assert parse("2*c^2 + c", (), {"c": 3}) == parse("2*3^2 + 3", ()) \
+        == Const(21.0)
+    assert parse("sin(x - c)/c", ("x",), {"c": 0.5}) == \
+        parse("sin(x - 0.5)/0.5", ("x",))
+    # a binding is taken before a declared name of the same spelling
+    assert parse("x + 1", ("x",), {"x": 2}) == Const(3.0)
+    with pytest.raises(ExpressionError, match="unknown identifier 'q'"):
+        parse("s + q", (), {"s": s})
+    with pytest.raises(ExpressionError, match="unknown function 's'"):
+        parse("s(x)", ("x",), {"s": s})
+
+
+def test_one_function_table():
+    assert set(_DERIVATIVES) == set(FUNCTIONS)
+    for name in FUNCTIONS:
+        assert parse(f"{name}(x)", ("x",)) == Call(name, Var("x"))
 
 
 def test_monomials_and_antiderivative():
@@ -177,17 +201,21 @@ def test_derivative_is_built_once_per_node_and_variable(diff_calls):
         tree.diff("x").diff("x").diff("y").diff("y").evaluate(env)
 
 
-def test_memo_leaves_substitute_and_monomials_alone():
+def test_memo_leaves_bindings_and_monomials_alone():
     text = "w*y^2 - 3*y*x + x^3/2"
     used, fresh = parse(text, NAMES), parse(text, NAMES)
     for var in ("w", "x", "y"):
         used.derivative(var).derivative(var)
     variables = ("w", "x", "y")
     assert to_monomials(used, variables) == to_monomials(fresh, variables)
-    sub = used.substitute("x", parse("y^2", NAMES))
-    assert sub == fresh.substitute("x", parse("y^2", NAMES))
+    # bind x to a value whose memo is filled, and to a fresh one
+    value = parse("y^2", NAMES)
+    value.derivative("y").derivative("y")
+    bound = parse(text, ("w", "y"), {"x": value})
+    unused = parse(text, ("w", "y"), {"x": parse("y^2", NAMES)})
+    assert bound == unused
     env = {"w": 0.5, "y": 1.5}
-    # the substituted tree gets its own derivatives, not the memo's
-    assert sub.derivative("y").evaluate(env) == \
-        fresh.substitute("x", parse("y^2", NAMES)).diff("y").evaluate(env)
-    assert sub.variables() == {"w", "y"}
+    # the bound tree's derivative is the one the rules build from scratch
+    assert bound.derivative("y").evaluate(env) == \
+        unused.diff("y").evaluate(env)
+    assert bound.variables() == {"w", "y"}

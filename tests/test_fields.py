@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nullkahler.expressions import EvaluationError
+from nullkahler.expressions import EvaluationError, parse
 from nullkahler.fields import (
     Chart,
     DomainError,
@@ -97,7 +97,7 @@ CHART3 = Chart(("x", "y", "t"))
 @pytest.mark.parametrize("t", [0.0, 0.37, -1.25])
 def test_axis_evaluation_matches_point_evaluation(text, t):
     # one tree, two layouts: (n, 1) x (1, m) x scalar against n*m points
-    field = ExprField.from_text(text, CHART3, params={"a": 0.3, "b": 1.7})
+    field = ExprField(parse(text, CHART3.coords, {"a": 0.3, "b": 1.7}), CHART3)
     x = np.linspace(-1.0, 1.3, 23)
     y = np.linspace(-0.7, 2.0, 17)
     on_axes = field.evaluate_axes(x[:, None], y[None, :], t)
