@@ -9,10 +9,13 @@ check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
 error (a check name the fixture's kind does not compute, an empty
 ``checks =`` line, a family outside 1..4, a missing expression the
-fixture's kind reads, or a key that neither its kind nor its family
-reads is a config error; a box that meets an excluded band, declared on
-the ``exclude`` line or carried by a solution family's chart, is a
-fixture error, refused before any fixture runs).
+fixture's kind reads, a key that neither its kind nor its family
+reads, a ``[suite]`` key other than ``seed`` and ``samples``, a seed
+that is not an integer or a sample count below 1, and a section other
+than ``[suite]``, ``[tolerances]`` and ``[fixture:*]`` are config
+errors; a box that meets an excluded band, declared on the ``exclude``
+line or carried by a solution family's chart, is a fixture error,
+refused before any fixture runs).
 
 Each fixture is checked on one sample set: its ``build`` takes the sample
 plan on the fixture's box and returns the kind's sample object, which
@@ -293,12 +296,34 @@ def _ew_fixture(name, section) -> Fixture:
                    build)
 
 
+def _suite_int(suite, key, default, minimum=None) -> int:
+    text = suite.get(key, str(default))
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"[suite] {key} = {text!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[suite] {key} must be at least {minimum}")
+    return value
+
+
 def load_config(path) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(path)
+    for section_name in parser.sections():
+        if (section_name not in ("suite", "tolerances")
+                and not section_name.startswith("fixture:")):
+            raise ConfigError(f"unknown section [{section_name}] (expected "
+                              "[suite], [tolerances] or [fixture:<id>])")
     suite = dict(parser["suite"]) if "suite" in parser else {}
+    unknown = sorted(set(suite) - {"seed", "samples"})
+    if unknown:
+        raise ConfigError(f"[suite] sets {unknown}; it reads only seed and "
+                          "samples")
+    seed = _suite_int(suite, "seed", 20240)
+    samples = _suite_int(suite, "samples", 100, minimum=1)
     fixtures = []
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in parser:
@@ -325,8 +350,8 @@ def load_config(path) -> dict:
     if not fixtures:
         raise ConfigError("config declares no [fixture:*] sections")
     return {
-        "seed": int(suite.get("seed", "20240")),
-        "samples": int(suite.get("samples", "100")),
+        "seed": seed,
+        "samples": samples,
         "fixtures": fixtures,
         "tolerances": tolerances,
     }

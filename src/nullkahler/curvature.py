@@ -7,10 +7,11 @@ one of them reads off that chirality's Weyl spinor, by the split of a
 two-form into eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'} (Penrose &
 Rindler, *Spinors and Space-Time* vol. 1).
 
-Cartan path: spin connection from the first structure equations (a 24x24
-linear solve per point, differentiated implicitly for exactness),
-curvature two-forms R = dGamma + Gamma ^ Gamma, then expansion in the
-Sigma basis.
+Cartan path: spin connection from the first structure equations (one
+24x24 linear solve per point for Gamma, differentiated implicitly for
+exactness: the four first partials of Gamma are one more solve with four
+right-hand sides), curvature two-forms R = dGamma + Gamma ^ Gamma, then
+expansion in the Sigma basis.
 
 Both paths report one convention, so their components agree with no
 conversion factor.  The Riemann tensor is the one of R = dGamma +
@@ -264,10 +265,11 @@ def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
 
 def coordinate_curvature(metric: MetricField, points) -> RawCurvature:
     """Independent curvature oracle from coordinate formulas."""
-    gv = metric.evaluate(points)
+    memo = {}  # one evaluation memo for the three jets at these points
+    gv = metric.evaluate(points, memo)
     ginv = inverse_metric_values(gv)
-    dg = metric.first_derivatives(points)
-    ddg = metric.second_derivatives(points)
+    dg = metric.first_derivatives(points, memo)
+    ddg = metric.second_derivatives(points, memo)
     gamma, dgamma, _ = christoffel(dg, ddg, ginv)
     riem = riemann_from_christoffel(gamma, dgamma)
     riem_low = np.einsum("nae,nebcd->nabcd", gv, riem)
@@ -373,28 +375,49 @@ _STRUCTURE_MAP = _assemble_structure_matrix(
     np.eye(16).reshape(16, 2, 2, 4)).reshape(16, 576)
 
 
+#: (MAP Gamma)[k, i] = sum_j MAP[k, i, j] Gamma_j as one product:
+#: ``Gamma @ _STRUCTURE_MAP_T`` holds it flattened over (k, i)
+_STRUCTURE_MAP_T = np.ascontiguousarray(
+    _STRUCTURE_MAP.reshape(16, 24, 24).transpose(2, 0, 1).reshape(24, 384))
+
+
+def _rhs_indices() -> tuple:
+    """Flat indices into de[..., k, A, A', mu] of the two terms of each
+    right-hand side row (A, A', (mu, nu)): d_mu e^{AA'}_nu - d_nu e^{AA'}_mu."""
+    a, ap, mu, nu = np.array([(a, ap, mu, nu)
+                              for a, ap, (mu, nu) in _structure_rows()]).T
+    return (np.ravel_multi_index((mu, a, ap, nu), (4, 2, 2, 4)),
+            np.ravel_multi_index((nu, a, ap, mu), (4, 2, 2, 4)))
+
+
+_RHS_PLUS, _RHS_MINUS = _rhs_indices()
+
+
 def _structure_matrix(e: np.ndarray) -> np.ndarray:
     return (e.reshape(e.shape[0], 16) @ _STRUCTURE_MAP).reshape(-1, 24, 24)
 
 
 def _structure_rhs(de: np.ndarray) -> np.ndarray:
-    npts = de.shape[0]
-    rhs = np.empty((npts, 24))
-    for row, (a, ap, (mu, nu)) in enumerate(_structure_rows()):
-        rhs[:, row] = de[:, mu, a, ap, nu] - de[:, nu, a, ap, mu]
-    return rhs
+    """The 24 right-hand sides of de[..., k, A, A', mu], over any leading axes."""
+    flat = de.reshape(de.shape[:-4] + (64,))
+    return flat[..., _RHS_PLUS] - flat[..., _RHS_MINUS]
 
 
 def spin_connection(coframe: CoFrame, points) -> SpinConnection:
     """Solve the first structure equations for Gamma_{AB}, Gamma_{A'B'}.
 
-    de^{AA'} = e^{BA'} ^ Gamma^A_B + e^{AB'} ^ Gamma^{A'}_{B'}; the 24x24
-    system is solved per point and differentiated implicitly, so the
-    connection and its first derivatives are exact up to round-off.
+    de^{AA'} = e^{BA'} ^ Gamma^A_B + e^{AB'} ^ Gamma^{A'}_{B'} is a 24x24
+    system M(e) Gamma = b(de) per point, solved once for Gamma.  Its
+    derivative M(e) d_l Gamma = b(d_l de) - M(d_l e) Gamma gives the four
+    d_l Gamma as one solve with four right-hand sides; M is linear in e,
+    so M(d_l e) Gamma is d_l e contracted with the constant map applied
+    to Gamma.  The connection and its first derivatives are exact up to
+    round-off.  The coframe's three jets share one evaluation memo.
     """
-    e = coframe.evaluate(points)
-    de = coframe.first_derivatives(points)
-    dde = coframe.second_derivatives(points)
+    memo = {}
+    e = coframe.evaluate(points, memo)
+    de = coframe.first_derivatives(points, memo)
+    dde = coframe.second_derivatives(points, memo)
     npts = e.shape[0]
     mat = _structure_matrix(e)
     rhs = _structure_rhs(de)
@@ -402,13 +425,12 @@ def spin_connection(coframe: CoFrame, points) -> SpinConnection:
         gamma_flat = np.linalg.solve(mat, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
         raise DegeneracyError(f"singular structure system: {err}") from None
-    residual = float(np.max(np.abs(np.einsum("nij,nj->ni", mat, gamma_flat) - rhs)))
+    residual = float(np.max(np.abs((mat @ gamma_flat[..., None])[..., 0] - rhs)))
 
-    dgamma_flat = np.empty((npts, 4, 24))
-    for l in range(4):
-        dmat = _structure_matrix(de[:, l])
-        drhs = _structure_rhs(dde[:, l]) - np.einsum("nij,nj->ni", dmat, gamma_flat)
-        dgamma_flat[:, l] = np.linalg.solve(mat, drhs[..., None])[..., 0]
+    dmat_gamma = de.reshape(npts, 4, 16) @ (gamma_flat @ _STRUCTURE_MAP_T).reshape(
+        npts, 16, 24)
+    drhs = _structure_rhs(dde) - dmat_gamma
+    dgamma_flat = np.linalg.solve(mat, drhs.transpose(0, 2, 1)).transpose(0, 2, 1)
 
     def split(flat):
         shaped = flat.reshape(flat.shape[:-1] + (2, 3, 4))
@@ -454,13 +476,11 @@ def decompose_curvature(r_unprimed, r_primed, dual_vectors) -> CurvatureReport:
     decomposition and is reported.
     """
     npts = r_unprimed.shape[0]
-    sold_u = np.einsum("nabmk,ncpm,ndrk->nabcpdr", r_unprimed,
-                       dual_vectors, dual_vectors)
-    sold_p = np.einsum("nabmk,ncpm,ndrk->nabcpdr", r_primed,
-                       dual_vectors, dual_vectors)
-    data = np.concatenate(
-        [sold_u.reshape(npts, 64), sold_p.reshape(npts, 64)], axis=1
-    )
+    # D R D^T per (A, B) block: [n, AB, CC', DD'] = D^m_{CC'} R_{mk} D^k_{DD'}
+    dual = dual_vectors.reshape(npts, 1, 4, 4)
+    forms = np.concatenate([r_unprimed.reshape(npts, 4, 4, 4),
+                            r_primed.reshape(npts, 4, 4, 4)], axis=1)
+    data = (dual @ forms @ dual.transpose(0, 1, 3, 2)).reshape(npts, 128)
     theta = data @ _MODEL_PINV.T
     fit = float(np.max(np.abs(data - theta @ _MODEL_M.T)))
     c_asd = theta[:, :5]

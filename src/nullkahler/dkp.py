@@ -131,14 +131,15 @@ def weyl_connection(ew: EWStructure, points):
     gamma^i_jk = LC(h) - 1/2 (d^i_j nu_k + d^i_k nu_j - h_jk nu^i),
     the unique torsion-free connection with D h = nu x h.
     """
-    hv = ew.h.evaluate(points)
+    memo = {}  # one evaluation memo for every jet at these points
+    hv = ew.h.evaluate(points, memo)
     hinv = inverse_metric_values(hv)
-    dh = ew.h.first_derivatives(points)
-    ddh = ew.h.second_derivatives(points)
+    dh = ew.h.first_derivatives(points, memo)
+    ddh = ew.h.second_derivatives(points, memo)
     gamma, dgamma, dhinv = christoffel(dh, ddh, hinv)
     n = hv.shape[-1]
-    nu = ew.nu.evaluate(points)
-    dnu = field_jet(ew.nu.jet_entries(), (n,), points, 1)
+    nu = ew.nu.evaluate(points, memo)
+    dnu = field_jet(ew.nu.jet_entries(), (n,), points, 1, memo)
 
     eye = np.eye(n)
     nu_up = np.einsum("nij,nj->ni", hinv, nu)

@@ -21,6 +21,18 @@ no part in ``==``, ``hash`` or ``repr``.  It is the package's one
 derivative memo: ``ExprField.differentiate``, the one field-level entry
 point, applies ``derivative`` once per order and keeps nothing itself.
 
+Evaluation walks the same DAG, so without help a shared node is
+evaluated once per path to it.  ``evaluate(env, memo=None)`` therefore
+takes an optional evaluation memo, a dict that :func:`node_value` fills
+with each node's value.  A memo belongs to one point set: it is valid
+only for calls whose ``env`` holds the same coordinate arrays.  The
+field layer passes one when it evaluates at sample points, where each
+value is one float per point, and shares it across the jets of one
+metric or coframe.  Evaluation on grids passes none: there every
+intermediate is a full grid array, and a memo would hold all of them
+until the call returns (tried on the evolver's 256x256 manufactured
+solution, it cost more time and memory than the shared nodes saved).
+
 Grammar accepted by :func:`parse`::
 
     expr   := term (("+" | "-") term)*
@@ -58,9 +70,9 @@ class EvaluationError(ArithmeticError):
 class Expr:
     """Base node.  Subclasses are immutable and hashable.
 
-    Each subclass defines ``diff`` (its differentiation rule) and
-    ``_variables``; callers use the memoised ``derivative`` and
-    ``variables``.
+    Each subclass defines ``diff`` (its differentiation rule),
+    ``evaluate`` and ``_variables``; callers use the memoised
+    ``derivative`` and ``variables``.
     """
 
     __slots__ = ("_memo",)
@@ -92,7 +104,7 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def evaluate(self, env: dict):
+    def evaluate(self, env: dict, memo=None):
         raise NotImplementedError
 
     def _variables(self) -> frozenset:
@@ -127,6 +139,22 @@ class Expr:
         return neg(self)
 
 
+def node_value(node: Expr, env: dict, memo=None):
+    """``node.evaluate(env, memo)``, read once per node from ``memo``.
+
+    Without a memo this is a plain tree walk.  With one, each node is
+    evaluated at most once and kept under ``id(node)`` together with the
+    node itself, so no other node can take over its id while the memo
+    lives.  Every node class reads its children through this function.
+    """
+    if memo is None:
+        return node.evaluate(env)
+    hit = memo.get(id(node))
+    if hit is None:
+        hit = memo[id(node)] = (node, node.evaluate(env, memo))
+    return hit[1]
+
+
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: float
@@ -134,7 +162,7 @@ class Const(Expr):
     def diff(self, var):
         return ZERO
 
-    def evaluate(self, env):
+    def evaluate(self, env, memo=None):
         return self.value
 
     def _variables(self):
@@ -151,7 +179,7 @@ class Var(Expr):
     def diff(self, var):
         return ONE if var == self.name else ZERO
 
-    def evaluate(self, env):
+    def evaluate(self, env, memo=None):
         try:
             return env[self.name]
         except KeyError:
@@ -172,8 +200,8 @@ class Add(Expr):
     def diff(self, var):
         return add(self.left.derivative(var), self.right.derivative(var))
 
-    def evaluate(self, env):
-        return self.left.evaluate(env) + self.right.evaluate(env)
+    def evaluate(self, env, memo=None):
+        return node_value(self.left, env, memo) + node_value(self.right, env, memo)
 
     def _variables(self):
         return self.left.variables() | self.right.variables()
@@ -191,8 +219,8 @@ class Mul(Expr):
         return add(mul(self.left.derivative(var), self.right),
                    mul(self.left, self.right.derivative(var)))
 
-    def evaluate(self, env):
-        return self.left.evaluate(env) * self.right.evaluate(env)
+    def evaluate(self, env, memo=None):
+        return node_value(self.left, env, memo) * node_value(self.right, env, memo)
 
     def _variables(self):
         return self.left.variables() | self.right.variables()
@@ -211,11 +239,11 @@ class Div(Expr):
                        neg(mul(self.num, self.den.derivative(var)))),
                    mul(self.den, self.den))
 
-    def evaluate(self, env):
-        den = self.den.evaluate(env)
+    def evaluate(self, env, memo=None):
+        den = node_value(self.den, env, memo)
         if np.any(den == 0.0):
             raise EvaluationError("division by zero")
-        return self.num.evaluate(env) / den
+        return node_value(self.num, env, memo) / den
 
     def _variables(self):
         return self.num.variables() | self.den.variables()
@@ -236,8 +264,8 @@ class Pow(Expr):
         return mul(mul(Const(float(n)), power(self.base, n - 1)),
                    self.base.derivative(var))
 
-    def evaluate(self, env):
-        base = self.base.evaluate(env)
+    def evaluate(self, env, memo=None):
+        base = node_value(self.base, env, memo)
         n = self.exponent
         if n == int(n):
             k = int(n)
@@ -262,8 +290,8 @@ class Neg(Expr):
     def diff(self, var):
         return neg(self.arg.derivative(var))
 
-    def evaluate(self, env):
-        return -self.arg.evaluate(env)
+    def evaluate(self, env, memo=None):
+        return -node_value(self.arg, env, memo)
 
     def _variables(self):
         return self.arg.variables()
@@ -293,8 +321,8 @@ class Call(Expr):
     def diff(self, var):
         return mul(_DERIVATIVES[self.fn](self.arg), self.arg.derivative(var))
 
-    def evaluate(self, env):
-        x = self.arg.evaluate(env)
+    def evaluate(self, env, memo=None):
+        x = node_value(self.arg, env, memo)
         if self.fn == "log" and np.any(x <= 0.0):
             raise EvaluationError("log of a non-positive number")
         value = _NUMPY_FN[self.fn](x)

@@ -21,6 +21,7 @@ from .expressions import (
     EvaluationError,
     ExpressionError,
     as_expr,
+    node_value,
     parse,
 )
 
@@ -112,19 +113,21 @@ class ExprField:
         """The same expression viewed on a larger chart."""
         return ExprField(self.expr, chart)
 
-    def evaluate_axes(self, *axes) -> np.ndarray:
+    def evaluate_axes(self, *axes, memo=None) -> np.ndarray:
         """The field at the coordinates ``axes``, one array per chart axis,
         broadcast against each other with numpy's rules.
 
         The one evaluation routine: on a tensor grid pass each axis shaped
         to broadcast (x as a column, y as a row, t as a scalar), so every
         function of one coordinate is evaluated once per node of its axis.
+        ``memo`` is an evaluation memo for these ``axes`` (see
+        ``expressions``); without one the tree is walked plainly.
         """
         if len(axes) != self.chart.dim:
             raise DomainError(f"expected {self.chart.dim} coordinate arrays")
         self.chart.check_domain(axes)
         env = dict(zip(self.chart.coords, axes))
-        values = np.asarray(self.expr.evaluate(env), dtype=float)
+        values = np.asarray(node_value(self.expr, env, memo), dtype=float)
         shape = np.broadcast(*axes).shape
         if values.shape != shape:  # a tree that does not read every axis
             values = np.broadcast_to(values, shape)
@@ -132,10 +135,14 @@ class ExprField:
             raise EvaluationError("non-finite field value")
         return np.array(values)
 
-    def evaluate(self, points):
-        """The field at ``points`` of shape (n, dim), or at one point."""
+    def evaluate(self, points, memo=None):
+        """The field at ``points`` of shape (n, dim), or at one point.
+
+        Each node of the tree is evaluated once, through ``memo`` if one is
+        given (it must belong to the same ``points``) or a fresh one.
+        """
         pts, single = _as_points(points, self.chart.dim)
-        values = self.evaluate_axes(*pts.T)
+        values = self.evaluate_axes(*pts.T, memo={} if memo is None else memo)
         return float(values[0]) if single else values
 
     def differentiate(self, *coords) -> "ExprField":

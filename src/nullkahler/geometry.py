@@ -32,7 +32,7 @@ def _merge_sign(left: tuple, right: tuple):
     return tuple(sorted(left + right)), permutation_parity(left + right)
 
 
-def field_jet(entries, shape, points, order: int) -> np.ndarray:
+def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     """Values (order 0), first (1) or second (2) partials of a field array.
 
     ``entries`` lists ``(field, [(index, sign), ...])``: the field, times
@@ -41,24 +41,33 @@ def field_jet(entries, shape, points, order: int) -> np.ndarray:
     axes.  Each partial is evaluated once per sorted axis tuple (k <= l)
     and mirrored into the symmetric slots.
 
+    The partials of one field share most of their nodes: a derivative
+    tree reuses the nodes of the tree it came from.  All of them are
+    evaluated through one evaluation memo (see ``expressions``), so each
+    node is evaluated once per call.  A caller that takes several orders
+    of the same entries at the same ``points`` passes its own ``memo`` to
+    every call, and a node shared across orders is evaluated once in all.
+
     Most partials of a metric or coframe are constants (zero above all).
     Their value is written into the slots as it is, with no tree walk; the
-    points are still checked against the chart's excluded bands, and a
-    non-finite constant still raises, as evaluation would.
+    points are still checked against the excluded bands, once per call,
+    and a non-finite constant still raises, as evaluation would.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
     out = np.zeros((pts.shape[0],) + (dim,) * order + tuple(shape))
+    memo = {} if memo is None else memo
+    for chart in {field.chart for field, _ in entries}:
+        chart.check_domain(pts.T)
     for field, slots in entries:
         for axes in combinations_with_replacement(range(dim), order):
             part = field.differentiate(*(field.chart.coords[k] for k in axes))
             if isinstance(part.expr, Const):
-                field.chart.check_domain(pts.T)
                 values = part.expr.value
                 if not np.isfinite(values):
                     raise EvaluationError("non-finite field value")
             else:
-                values = part.evaluate(pts)
+                values = part.evaluate(pts, memo)
             for mirrored in set(permutations(axes)):
                 for index, sign in slots:
                     out[(slice(None),) + mirrored + tuple(index)] = sign * values
@@ -113,10 +122,10 @@ class FormField:
                          for perm in perms])
                 for key, field in self.comps.items()]
 
-    def evaluate(self, points) -> np.ndarray:
+    def evaluate(self, points, memo=None) -> np.ndarray:
         """Dense antisymmetric component array of shape (n, 4, ..., 4)."""
         return field_jet(self.jet_entries(), (self.chart.dim,) * self.degree,
-                         points, 0)
+                         points, 0, memo)
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -170,19 +179,19 @@ class MetricField:
     def component(self, i: int, j: int) -> ExprField:
         return self.comps[i][j]
 
-    def evaluate(self, points) -> np.ndarray:
-        return field_jet(self._entries, (self.chart.dim,) * 2, points, 0)
+    def evaluate(self, points, memo=None) -> np.ndarray:
+        return field_jet(self._entries, (self.chart.dim,) * 2, points, 0, memo)
 
     def inverse(self, points) -> np.ndarray:
         return inverse_metric_values(self.evaluate(points))
 
-    def first_derivatives(self, points) -> np.ndarray:
+    def first_derivatives(self, points, memo=None) -> np.ndarray:
         """dg[n, k, i, j] = partial_k g_ij, exact."""
-        return field_jet(self._entries, (self.chart.dim,) * 2, points, 1)
+        return field_jet(self._entries, (self.chart.dim,) * 2, points, 1, memo)
 
-    def second_derivatives(self, points) -> np.ndarray:
+    def second_derivatives(self, points, memo=None) -> np.ndarray:
         """ddg[n, k, l, i, j] = partial_k partial_l g_ij, exact."""
-        return field_jet(self._entries, (self.chart.dim,) * 2, points, 2)
+        return field_jet(self._entries, (self.chart.dim,) * 2, points, 2, memo)
 
     def signature_counts(self, points):
         """(positive, negative) eigenvalue counts at each point."""
@@ -203,17 +212,17 @@ class CoFrame:
     def form(self, a: int, ap: int) -> FormField:
         return self.forms[a][ap]
 
-    def evaluate(self, points) -> np.ndarray:
+    def evaluate(self, points, memo=None) -> np.ndarray:
         """E[n, A, A', mu]."""
-        return field_jet(self._entries, (2, 2, self.chart.dim), points, 0)
+        return field_jet(self._entries, (2, 2, self.chart.dim), points, 0, memo)
 
-    def first_derivatives(self, points) -> np.ndarray:
+    def first_derivatives(self, points, memo=None) -> np.ndarray:
         """dE[n, k, A, A', mu] = partial_k e^{AA'}_mu, exact."""
-        return field_jet(self._entries, (2, 2, self.chart.dim), points, 1)
+        return field_jet(self._entries, (2, 2, self.chart.dim), points, 1, memo)
 
-    def second_derivatives(self, points) -> np.ndarray:
+    def second_derivatives(self, points, memo=None) -> np.ndarray:
         """ddE[n, k, l, A, A', mu], exact."""
-        return field_jet(self._entries, (2, 2, self.chart.dim), points, 2)
+        return field_jet(self._entries, (2, 2, self.chart.dim), points, 2, memo)
 
     def volume_form(self) -> FormField:
         """nu = e^{01'} ^ e^{10'} ^ e^{11'} ^ e^{00'} (orientation fix)."""

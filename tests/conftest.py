@@ -13,3 +13,15 @@ def diff_calls(monkeypatch):
             return _rule(self, var)
         monkeypatch.setattr(cls, "diff", counted)
     return calls
+
+
+@pytest.fixture()
+def evaluate_calls(monkeypatch):
+    """Every class-level ``evaluate`` call from here on, as the node."""
+    calls = []
+    for cls in Expr.__subclasses__():
+        def counted(self, env, memo=None, _rule=cls.evaluate):
+            calls.append(self)
+            return _rule(self, env, memo)
+        monkeypatch.setattr(cls, "evaluate", counted)
+    return calls

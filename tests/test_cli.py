@@ -401,6 +401,30 @@ def test_incomplete_fixture_is_refused_on_load(tmp_path, monkeypatch, capsys,
     assert "[fixture:incomplete]" in err and message in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[suite]\nsampels = 5\n", "[suite] sets ['sampels']"),
+    ("[suite]\nseed = 3\nsed = 3\n", "[suite] sets ['sed']"),
+    ("[fixtures:typo]\nkind = nk\ntheta = x*y^3\n", "unknown section [fixtures:typo]"),
+    ("[tolerance]\nnk1 = 1e-8\n", "unknown section [tolerance]"),
+    ("[suite]\nseed = abc\n", "seed = 'abc' is not an integer"),
+    ("[suite]\nsamples = 0\n", "samples must be at least 1"),
+    ("[suite]\nsamples = -3\n", "samples must be at least 1"),
+], ids=["suite-sampels", "suite-sed", "section-fixtures", "section-tolerance",
+        "seed-abc", "samples-0", "samples-negative"])
+def test_bad_suite_or_unknown_section_is_refused_on_load(tmp_path, monkeypatch,
+                                                         capsys, text, message):
+    import nullkahler.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("a fixture ran")
+
+    monkeypatch.setattr(cli, "run_fixture", no_work)
+    path = tmp_path / "typo.cfg"
+    path.write_text(f"[fixture:flat]\nkind = nk\ntheta = 0\n\n{text}")
+    assert main(["check", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 #: sha256 over the sorted (file name, bytes) of ``export`` from paper.cfg
 #: on each fixture's default box at 4 nodes per axis; both fixtures are
 #: rational, so their bits come from IEEE arithmetic alone
@@ -526,9 +550,9 @@ def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):
     evaluated = []
     evaluate_axes = ExprField.evaluate_axes
 
-    def recorded(self, *axes):
+    def recorded(self, *axes, **kwargs):
         evaluated.append(self.expr)
-        return evaluate_axes(self, *axes)
+        return evaluate_axes(self, *axes, **kwargs)
 
     monkeypatch.setattr(ExprField, "evaluate_axes", recorded)
     _, code = run_suite(FIXTURES / "paper.cfg")
@@ -577,3 +601,15 @@ def test_python_m_entry_point(tmp_path, checks, expected):
                            "--config", str(path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == expected, proc.stderr
+
+
+#: class-level ``Expr.evaluate`` calls in one ``run_suite`` of paper.cfg:
+#: sample-point evaluation and the jets of one metric or coframe share an
+#: evaluation memo, so a node shared by several trees is evaluated once
+#: per point set (36,572 calls when every tree was walked on its own)
+PAPER_SUITE_NODE_EVALUATIONS = 5590
+
+
+def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):
+    assert run_suite(FIXTURES / "paper.cfg")[1] == 0
+    assert len(evaluate_calls) <= PAPER_SUITE_NODE_EVALUATIONS

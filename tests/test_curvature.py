@@ -320,7 +320,9 @@ def _weyl_spinors_slot_by_slot(metric, coframe, points):
     return _extract_slots(c_asd), _extract_slots(c_sd)
 
 
-def test_sigma_soldering_matches_slot_by_slot_reference():
+def _criterion4_fixtures():
+    """(metric, coframe, box) of the criterion-4 set: families 1-4, two
+    theta potentials and two dKP W potentials."""
     from nullkahler.nk_system import example_family
 
     family3_box = Box(((-1, 1), (-1, 1), (-1, 1), (0.7, 1.7)))
@@ -338,7 +340,11 @@ def test_sigma_soldering_matches_slot_by_slot_reference():
         w_pot = ExprField.from_text(w_text, CHART3)
         fixtures.append((build_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot),
                          DKP_BOX))
-    for metric, coframe, box in fixtures:
+    return fixtures
+
+
+def test_sigma_soldering_matches_slot_by_slot_reference():
+    for metric, coframe, box in _criterion4_fixtures():
         sample = SamplePlan(box, count=40).points()
         report = oracle_report(metric, coframe, sample)
         c_asd, c_sd = _weyl_spinors_slot_by_slot(metric, coframe, sample)
@@ -355,3 +361,85 @@ def test_structure_map_matches_assembler():
     e = rng.standard_normal((50, 2, 2, 4)) * 10.0 ** rng.uniform(-6, 6, (50, 2, 2, 4))
     np.testing.assert_array_equal(_structure_matrix(e),
                                   _assemble_structure_matrix(e))
+
+
+def _structure_rhs_by_rows(de):
+    """Reference: the structure right-hand side filled row by row."""
+    from nullkahler.curvature import _structure_rows
+
+    rhs = np.empty((de.shape[0], 24))
+    for row, (a, ap, (mu, nu)) in enumerate(_structure_rows()):
+        rhs[:, row] = de[:, mu, a, ap, nu] - de[:, nu, a, ap, mu]
+    return rhs
+
+
+def test_structure_rhs_gather_matches_row_loop():
+    from nullkahler.curvature import _structure_rhs
+
+    rng = np.random.default_rng(7)
+    de = rng.standard_normal((50, 4, 2, 2, 4)) * 10.0 ** rng.uniform(-6, 6, (50, 4, 2, 2, 4))
+    np.testing.assert_array_equal(_structure_rhs(de), _structure_rhs_by_rows(de))
+    dde = rng.standard_normal((20, 4, 4, 2, 2, 4))
+    for l in range(4):
+        np.testing.assert_array_equal(_structure_rhs(dde)[:, l],
+                                      _structure_rhs_by_rows(dde[:, l]))
+
+
+def _cartan_reference(coframe, points):
+    """Reference Cartan route: one solve for Gamma and one per partial
+    d_l Gamma with the assembled M(d_l e), and the two-forms soldered
+    with three-operand einsums."""
+    from nullkahler.curvature import (
+        _MODEL_M,
+        _MODEL_PINV,
+        SpinConnection,
+        _structure_matrix,
+    )
+    from nullkahler.geometry import dual_vector_values
+
+    e = coframe.evaluate(points)
+    de = coframe.first_derivatives(points)
+    dde = coframe.second_derivatives(points)
+    npts = e.shape[0]
+    mat = _structure_matrix(e)
+    gamma = np.linalg.solve(mat, _structure_rhs_by_rows(de)[..., None])[..., 0]
+    dgamma = np.empty((npts, 4, 24))
+    for l in range(4):
+        drhs = (_structure_rhs_by_rows(dde[:, l])
+                - np.einsum("nij,nj->ni", _structure_matrix(de[:, l]), gamma))
+        dgamma[:, l] = np.linalg.solve(mat, drhs[..., None])[..., 0]
+    gamma = gamma.reshape(npts, 2, 3, 4)
+    dgamma = dgamma.reshape(npts, 4, 2, 3, 4)
+    conn = SpinConnection(gamma[:, 0], gamma[:, 1], dgamma[:, :, 0],
+                          dgamma[:, :, 1], 0.0, e)
+    dual = dual_vector_values(e)
+    data = np.concatenate([
+        np.einsum("nabmk,ncpm,ndrk->nabcpdr", form, dual, dual).reshape(npts, 64)
+        for form in curvature_two_forms(conn)], axis=1)
+    theta = data @ _MODEL_PINV.T
+    return conn, {
+        "c_asd": theta[:, :5], "c_sd": theta[:, 5:10],
+        "phi": theta[:, 10:19].reshape(npts, 3, 3), "scalar": theta[:, 19],
+        "fit_residual": np.max(np.abs(data - theta @ _MODEL_M.T)),
+    }
+
+
+def test_cartan_route_matches_per_partial_reference():
+    # Gamma and its four partials in two solves, the forms soldered as
+    # D R D^T: the same connection and report as one solve per partial
+    # and einsum soldering, and the two routes still agree to round-off
+    def close(new, old):
+        scale = max(1.0, float(np.max(np.abs(old))))
+        return float(np.max(np.abs(new - old))) <= 1e-12 * scale
+
+    for metric, coframe, box in _criterion4_fixtures():
+        sample = SamplePlan(box, count=100).points()
+        conn = spin_connection(coframe, sample)
+        report = cartan_report(coframe, sample)
+        ref_conn, ref = _cartan_reference(coframe, sample)
+        for name in ("unprimed", "primed", "d_unprimed", "d_primed"):
+            assert close(getattr(conn, name), getattr(ref_conn, name)), name
+        for name, value in ref.items():
+            assert close(getattr(report, name), value), name
+        gaps = path_agreement(oracle_report(metric, coframe, sample), report)
+        assert max(gaps.values()) < 1e-14, gaps

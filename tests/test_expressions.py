@@ -101,6 +101,31 @@ def test_division_by_zero_reported():
         tree.evaluate({"x": 1.0, "y": 0.0})
 
 
+def test_division_by_zero_in_a_shared_node_raises_with_a_memo():
+    shared = div(Const(1.0), Var("x"))
+    tree = add(shared, Mul(shared, shared))
+    env = {"x": np.array([1.0, 0.0])}
+    memo = {}
+    for _ in range(2):  # a node that raised is not kept
+        with pytest.raises(EvaluationError):
+            tree.evaluate(env, memo)
+    assert all(node is not shared for node, _ in memo.values())
+
+
+def test_memo_evaluates_each_node_once(evaluate_calls):
+    shared = parse("sin(x)*y + x", NAMES)
+    tree = add(Mul(shared, shared), div(shared, add(shared, Const(5.0))))
+    env = {"x": np.linspace(0.1, 1.0, 4), "y": np.linspace(-1.0, 1.0, 4)}
+    plain = tree.evaluate(env)
+    walked = len(evaluate_calls)
+    evaluate_calls.clear()
+    memo = {}
+    assert tree.evaluate(env, memo).tobytes() == plain.tobytes()
+    nodes = {id(node) for node in evaluate_calls}
+    assert len(evaluate_calls) == len(nodes) < walked
+    assert set(memo) == nodes - {id(tree)}  # the caller's node is its own
+
+
 def test_log_domain_reported():
     with pytest.raises(EvaluationError):
         parse("log(x)", NAMES).evaluate({"x": -1.0})

@@ -239,3 +239,48 @@ def test_grid_csv_round_trip(tmp_path):
     loaded = grid_from_csv(path)
     assert loaded.chart.coords == ("x", "y")
     assert np.array_equal(loaded.values, sampled.values)
+
+
+def _partials(field, order):
+    """The field and its partial derivatives up to ``order``."""
+    from itertools import combinations_with_replacement
+
+    return [field.differentiate(*names) for k in range(order + 1)
+            for names in combinations_with_replacement(field.chart.coords, k)]
+
+
+def _assert_memo_byte_equal(fields, points):
+    # one memo shared by all trees, as a jet shares it across its partials
+    memo = {}
+    for field in fields:
+        plain = field.evaluate_axes(*points.T)
+        assert field.evaluate_axes(*points.T, memo=memo).tobytes() == plain.tobytes()
+        assert field.evaluate(points).tobytes() == plain.tobytes()
+    assert memo
+
+
+@pytest.mark.parametrize("a_text", ["sin(s)", "exp(s)"])
+def test_memo_evaluation_is_byte_equal_on_family3(a_text):
+    from nullkahler.nk_system import example_family
+    from nullkahler.sampling import Box, SamplePlan
+
+    box = Box(((-1, 1), (-1, 1), (-1, 1), (0.7, 1.7)))
+    theta = example_family(3, {"A": a_text}, box).theta
+    _assert_memo_byte_equal(_partials(theta, 4), SamplePlan(box, 30).points())
+
+
+def test_memo_evaluation_is_byte_equal_on_dkp_quotients():
+    from nullkahler.dkp import build_metric
+    from nullkahler.geometry import dkp_coframe
+    from nullkahler.sampling import Box, SamplePlan
+
+    chart = Chart(("x", "y", "t"))
+    h_pot = ExprField.from_text("-x^2/(2*(t-1))", chart)
+    w_pot = ExprField.from_text("-x/(t-1)", chart)
+    coframe = dkp_coframe(h_pot, w_pot)
+    fields = [field for a in range(2) for ap in range(2)
+              for field in coframe.form(a, ap).comps.values()]
+    fields += [field for row in build_metric(h_pot, w_pot).comps for field in row]
+    points = SamplePlan(Box(((-1, 1), (-1, 1), (-1, 0.5), (-1, 1))), 30).points()
+    _assert_memo_byte_equal([part for field in fields for part in _partials(field, 2)],
+                            points)
