@@ -123,7 +123,7 @@ def test_memo_evaluates_each_node_once(evaluate_calls):
     assert tree.evaluate(env, memo).tobytes() == plain.tobytes()
     nodes = {id(node) for node in evaluate_calls}
     assert len(evaluate_calls) == len(nodes) < walked
-    assert set(memo) == nodes - {id(tree)}  # the caller's node is its own
+    assert set(memo) == nodes - {id(tree)}  # the root is not read through it
 
 
 def test_log_domain_reported():
