@@ -11,11 +11,13 @@ error (a check name the fixture's kind does not compute, an empty
 ``checks =`` line, a family outside 1..4, a missing expression the
 fixture's kind reads, a key that neither its kind nor its family
 reads, a ``[suite]`` key other than ``seed`` and ``samples``, a seed
-that is not an integer or a sample count below 1, and a section other
-than ``[suite]``, ``[tolerances]`` and ``[fixture:*]`` are config
-errors; a box that meets an excluded band, declared on the ``exclude``
-line or carried by a solution family's chart, is a fixture error,
-refused before any fixture runs).
+that is not an integer at least 0 (in the config or from ``--seed``), a
+sample count below 1, a tolerance or ``--tolerance-scale`` that is not a
+finite number above 0, and a section other than ``[suite]``,
+``[tolerances]`` and ``[fixture:*]`` are config errors; a box that meets
+an excluded band, declared on the ``exclude`` line or carried by a
+solution family's chart, is a fixture error, refused before any fixture
+runs).
 
 Each fixture is checked on one sample set: its ``build`` takes the sample
 plan on the fixture's box and returns the kind's sample object, which
@@ -23,7 +25,10 @@ holds the points, metric and coframe, and computes each quantity that
 several checks share (the oracle curvature, the null-Kahler residuals,
 the Einstein-Weyl structure, the dKP coframe) once, when the first
 selected check reads it; a check that is not selected is not computed.
-``export`` reads its geometry from the same object.  A dKP fixture
+Each point set of the sample carries one evaluation memo, which every
+check at those points reads through, so an expression node is evaluated
+once per sample set.  ``export`` reads its geometry from the same
+object, and evaluates on its grid without the memo.  A dKP fixture
 builds its metric whatever the selection, so a W_x that vanishes on the
 declared box is always a fixture error.
 
@@ -38,6 +43,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -307,6 +313,18 @@ def _suite_int(suite, key, default, minimum=None) -> int:
     return value
 
 
+def _positive(what, text) -> float:
+    """``text`` as a finite number above 0: a tolerance that is nan fails
+    every check, and one that is inf passes every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{what} = {text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be finite and positive, got {text!r}")
+    return value
+
+
 def load_config(path) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -322,7 +340,7 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"[suite] sets {unknown}; it reads only seed and "
                           "samples")
-    seed = _suite_int(suite, "seed", 20240)
+    seed = _suite_int(suite, "seed", 20240, minimum=0)
     samples = _suite_int(suite, "samples", 100, minimum=1)
     fixtures = []
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -330,9 +348,7 @@ def load_config(path) -> dict:
         for key, value in parser["tolerances"].items():
             if key not in tolerances:
                 raise ConfigError(f"unknown tolerance key {key!r}")
-            tolerances[key] = float(value)
-            if tolerances[key] <= 0:
-                raise ConfigError(f"tolerance {key} must be positive")
+            tolerances[key] = _positive(f"tolerance {key}", value)
     builders = {"nk": _nk_fixture, "nk_family": _nk_fixture,
                 "dkp": _dkp_fixture, "ew": _ew_fixture}
     for section_name in parser.sections():
@@ -364,37 +380,49 @@ def _max_abs(values) -> float:
 
 
 class _CurvedSample:
-    """Sample set with a four-metric and a coframe: one oracle pass."""
+    """Sample set with a four-metric and a coframe: one oracle pass.
+
+    ``memo`` is the evaluation memo of ``points`` (see ``expressions``):
+    every check of the sample evaluates at ``points`` through it, so an
+    expression node that several checks read is evaluated once per
+    sample set.  It belongs to these points alone; a check at other
+    points (an export grid) takes none.
+    """
 
     @cached_property
     def oracle(self):
-        return oracle_report(self.metric, self.coframe, self.points)
+        return oracle_report(self.metric, self.coframe, self.points, self.memo)
 
 
 class NKSample(_CurvedSample):
-    """An nk fixture's points, with the metric and coframe of theta."""
+    """An nk fixture's points with their memo, and the metric and coframe
+    of theta."""
 
     def __init__(self, solution, plan):
         self.solution = solution
         self.theta, self.f = solution.theta, solution.f
         self.plan = plan
         self.points = plan.points()
+        self.memo = {}
         self.metric = nk_metric(self.theta)
         self.coframe = nk_coframe(self.theta)
 
     @cached_property
     def null_kahler(self):
-        return check_null_kahler(self.coframe, self.oracle.raw, self.points)
+        return check_null_kahler(self.coframe, self.oracle.raw, self.points,
+                                 self.memo)
 
 
 class DKPSample(_CurvedSample):
-    """A dkp fixture's points on (x, y, t, z) and on (x, y, t)."""
+    """A dkp fixture's points on (x, y, t, z) and on (x, y, t), each with
+    its own evaluation memo (``memo``, ``memo3``)."""
 
     def __init__(self, h, w, plan):
         self.h, self.w = h, w
         self.points = plan.points()
         # Halton column k is the k-th prime's in any dimension
         self.points3 = self.points[:, :3]
+        self.memo, self.memo3 = {}, {}
         # built whatever the selection: it rejects a vanishing W_x
         self.metric = dkp_mod.build_metric(h, w, plan.box)
 
@@ -409,45 +437,51 @@ class DKPSample(_CurvedSample):
 
     @cached_property
     def dsigma(self):
-        return dkp_mod.sd_two_forms(self.coframe, self.h, self.w, self.points)[3]
+        return dkp_mod.sd_two_forms(self.coframe, self.h, self.w, self.points,
+                                    self.memo)[3]
 
 
 class EWSample:
-    """An ew fixture's points on (x, y, t) and its Einstein-Weyl structure."""
+    """An ew fixture's points on (x, y, t) with their evaluation memo
+    (``memo3``, as on a dkp sample), and its Einstein-Weyl structure."""
 
     def __init__(self, u, plan):
         self.points3 = plan.points()
+        self.memo3 = {}
         self.ew = dkp_mod.ew_from_u(u)
 
 
 def _jones_tod_gap(s):
     """h of the Jones-Tod reduction against -W_x^2 times the EW h."""
     reduction = dkp_mod.jones_tod_reduce(s.metric)
-    wx2 = s.w.differentiate("x").evaluate(s.points3) ** 2
-    return _max_abs(reduction.h.evaluate(s.points3)
-                    + wx2[:, None, None] * s.ew.h.evaluate(s.points3))
+    wx2 = s.w.differentiate("x").evaluate(s.points3, s.memo3) ** 2
+    return _max_abs(reduction.h.evaluate(s.points3, s.memo3)
+                    + wx2[:, None, None] * s.ew.h.evaluate(s.points3, s.memo3))
 
 
 NK_TABLE = {
-    "nk1": lambda s: _max_abs(residual_nk1(s.theta, s.f).evaluate(s.points)),
-    "nk2": lambda s: _max_abs(residual_nk2(s.theta, s.f).evaluate(s.points)),
+    "nk1": lambda s: _max_abs(
+        residual_nk1(s.theta, s.f).evaluate(s.points, s.memo)),
+    "nk2": lambda s: _max_abs(
+        residual_nk2(s.theta, s.f).evaluate(s.points, s.memo)),
     "sd_weyl": lambda s: s.oracle.max_sd(),
     "scalar": lambda s: _max_abs(s.oracle.scalar),
     "ricci_null": lambda s: _max_abs(s.oracle.raw.ricci_square()),
     "dsigma00": lambda s: s.null_kahler.d_sigma00,
     "dsigma01": lambda s: s.null_kahler.d_sigma01,
-    "lax": lambda s: commutator_sweep(s.solution, count=s.plan.count,
-                                      seed=s.plan.seed),
+    "lax": lambda s: commutator_sweep(s.solution, s.plan.count, s.plan.seed,
+                                      s.points, s.memo),
     "ricci_flat": lambda s: _max_abs(s.oracle.raw.ricci),
 }
 
 DKP_TABLE = {
-    "heqn": lambda s: _max_abs(dkp_mod.residual_heqn(s.h).evaluate(s.points3)),
+    "heqn": lambda s: _max_abs(
+        dkp_mod.residual_heqn(s.h).evaluate(s.points3, s.memo3)),
     "lindkp": lambda s: _max_abs(
-        dkp_mod.residual_lindkp(s.h, s.w).evaluate(s.points3)),
+        dkp_mod.residual_lindkp(s.h, s.w).evaluate(s.points3, s.memo3)),
     "monopole": lambda s: dkp_mod.monopole_residual(
-        s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3),
-    "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3),
+        s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3, s.memo3),
+    "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3, s.memo3),
     "dkp_sd_weyl": lambda s: s.oracle.max_sd(),
     "dkp_scalar": lambda s: _max_abs(s.oracle.scalar),
     "dsigma00": lambda s: s.dsigma.d_sigma00,
@@ -496,8 +530,10 @@ def run_suite(config_path, seed=None, serial=False, out_dir=None,
     """
     config = load_config(config_path)
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {seed}")
         config["seed"] = seed
-    config["tolerance_scale"] = tolerance_scale
+    config["tolerance_scale"] = _positive("tolerance scale", tolerance_scale)
     per_fixture = []
     for fixture in config["fixtures"]:
         start = time.perf_counter()

@@ -263,9 +263,11 @@ def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
     )
 
 
-def coordinate_curvature(metric: MetricField, points) -> RawCurvature:
-    """Independent curvature oracle from coordinate formulas."""
-    memo = {}  # one evaluation memo for the three jets at these points
+def coordinate_curvature(metric: MetricField, points, memo=None) -> RawCurvature:
+    """Independent curvature oracle from coordinate formulas.  The three
+    metric jets share one evaluation memo, ``memo`` if given (it must
+    belong to ``points``)."""
+    memo = {} if memo is None else memo
     gv = metric.evaluate(points, memo)
     ginv = inverse_metric_values(gv)
     dg = metric.first_derivatives(points, memo)
@@ -504,7 +506,22 @@ def _extract_slots(t: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureReport:
+def _soldered_bivectors(dual) -> tuple:
+    """(Sigma'[n, X', Y', a, b], Sigma[n, x, y, a, b]) of the dual frame
+    D[n, x, X', a]; see ``oracle_report``."""
+    # Sigma'^{ab}_{XY} = D^a_{0X} D^b_{1Y} - D^a_{1X} D^b_{0Y}, [n, a, b, X, Y]
+    d = dual.transpose(0, 1, 3, 2)  # d[n, x, a, X] = D^a_{xX}
+    sigma_p = (d[:, 0, :, None, :, None] * d[:, 1, None, :, None, :]
+               - d[:, 1, :, None, :, None] * d[:, 0, None, :, None, :])
+    # Sigma^{ab}_{xy} = D^a_{x0} D^b_{y1} - D^a_{x1} D^b_{y0}, [n, a, x, b, y]
+    d = dual.transpose(0, 2, 3, 1)  # d[n, X, a, x] = D^a_{xX}
+    sigma_u = (d[:, 0, :, :, None, None] * d[:, 1, None, None, :, :]
+               - d[:, 1, :, :, None, None] * d[:, 0, None, None, :, :])
+    return sigma_p.transpose(0, 3, 4, 1, 2), sigma_u.transpose(0, 2, 4, 1, 3)
+
+
+def oracle_report(metric: MetricField, coframe: CoFrame, points,
+                  memo=None) -> CurvatureReport:
     """Spinor-labelled components from the coordinate oracle.
 
     A two-form splits as eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'}
@@ -516,9 +533,20 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureRep
     (mirror for the unprimed part).  The trace-free Ricci part is
     soldered as Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).  Everything
     carries lower spinor labels.
+
+    With eps^{01} = 1 each bivector is one difference of two broadcast
+    products of dual-frame rows.  They are built in the memory layout
+    that ``einsum`` gave them (Sigma' as [n, a, b, X', Y'], Sigma as
+    [n, a, x, b, y], each transposed to [n, X, Y, a, b]): the projection
+    multiplies them as strided views, and numpy's ``@`` picks its kernel
+    by stride, so another layout moves the residuals by an ulp.
+
+    The metric jets and the coframe are evaluated through one memo,
+    ``memo`` if given (it must belong to ``points``).
     """
-    raw = coordinate_curvature(metric, points)
-    dual = coframe.dual_vectors(points)
+    memo = {} if memo is None else memo
+    raw = coordinate_curvature(metric, points, memo)
+    dual = coframe.dual_vectors(points, memo)
     npts = dual.shape[0]
     weyl = raw.weyl_low.reshape(npts, 16, 16)
 
@@ -527,8 +555,9 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points) -> CurvatureRep
         spin = sigma @ weyl @ sigma.transpose(0, 2, 1)
         return 0.25 * spin.reshape(npts, 2, 2, 2, 2)
 
-    c_sd_full = project(np.einsum("xy,nxXa,nyYb->nXYab", EPS_UPPER, dual, dual))
-    c_asd_full = project(np.einsum("XY,nxXa,nyYb->nxyab", EPS_UPPER, dual, dual))
+    sigma_p, sigma_u = _soldered_bivectors(dual)
+    c_sd_full = project(sigma_p)
+    c_asd_full = project(sigma_u)
     c_sd = _extract_slots(c_sd_full)
     c_asd = _extract_slots(c_asd_full)
     # total symmetry of the extracted spinors validates the projection
@@ -569,13 +598,15 @@ class NullKahlerReport:
         return max(self.d_sigma00, self.d_sigma01, self.ricci_square) < tol
 
 
-def check_null_kahler(coframe: CoFrame, raw: RawCurvature, points) -> NullKahlerReport:
+def check_null_kahler(coframe: CoFrame, raw: RawCurvature, points,
+                      memo=None) -> NullKahlerReport:
     """Residuals of the closed-form conditions and Ricci nullness, the
-    latter read off ``raw`` (e.g. the oracle report's) at ``points``."""
+    latter read off ``raw`` (e.g. the oracle report's) at ``points``;
+    ``memo`` is an evaluation memo of ``points``."""
     d00 = float(np.max(np.abs(
-        exterior_derivative(coframe.sigma(0, 0)).evaluate(points))))
+        exterior_derivative(coframe.sigma(0, 0)).evaluate(points, memo))))
     d01 = float(np.max(np.abs(
-        exterior_derivative(coframe.sigma(0, 1)).evaluate(points))))
+        exterior_derivative(coframe.sigma(0, 1)).evaluate(points, memo))))
     ric2 = float(np.max(np.abs(raw.ricci_square())))
     max_ric = float(np.max(np.abs(raw.ricci)))
     return NullKahlerReport(d00, d01, ric2, max_ric)

@@ -125,13 +125,15 @@ def ew_from_u(u: ExprField) -> EWStructure:
     return EWStructure(h, nu)
 
 
-def weyl_connection(ew: EWStructure, points):
+def weyl_connection(ew: EWStructure, points, memo=None):
     """Weyl connection coefficients, their exact first derivatives, h, h^{-1}.
 
     gamma^i_jk = LC(h) - 1/2 (d^i_j nu_k + d^i_k nu_j - h_jk nu^i),
-    the unique torsion-free connection with D h = nu x h.
+    the unique torsion-free connection with D h = nu x h.  Every jet is
+    evaluated through one memo, ``memo`` if given (it must belong to
+    ``points``).
     """
-    memo = {}  # one evaluation memo for every jet at these points
+    memo = {} if memo is None else memo
     hv = ew.h.evaluate(points, memo)
     hinv = inverse_metric_values(hv)
     dh = ew.h.first_derivatives(points, memo)
@@ -160,9 +162,10 @@ def weyl_connection(ew: EWStructure, points):
     return gamma + correction, dgamma + dcorrection, hv, hinv
 
 
-def ew_residual(ew: EWStructure, points) -> float:
-    """Max trace-free symmetrized Ricci of the Weyl connection."""
-    gamma, dgamma, hv, hinv = weyl_connection(ew, points)
+def ew_residual(ew: EWStructure, points, memo=None) -> float:
+    """Max trace-free symmetrized Ricci of the Weyl connection; ``memo``
+    is an evaluation memo of ``points``."""
+    gamma, dgamma, hv, hinv = weyl_connection(ew, points, memo)
     ricci = (
         np.einsum("nkkij->nij", dgamma)
         - np.einsum("nikkj->nij", dgamma)
@@ -197,15 +200,17 @@ def monopole_from_w(h_pot: ExprField, w_pot: ExprField) -> MonopolePair:
     return MonopolePair(w_pot.differentiate("x"), alpha)
 
 
-def monopole_residual(ew: EWStructure, pair: MonopolePair, points) -> float:
-    """Max component of *_h (dV + 1/2 nu V) - d alpha over the points."""
+def monopole_residual(ew: EWStructure, pair: MonopolePair, points,
+                      memo=None) -> float:
+    """Max component of *_h (dV + 1/2 nu V) - d alpha over the points;
+    ``memo`` is an evaluation memo of ``points``."""
     chart = pair.v.chart
     dv = exterior_derivative(FormField(chart, 0, {(): pair.v}))
     coupled = dv + ew.nu.mul_scalar(pair.v * 0.5)
-    values = coupled.evaluate(points)
-    hv = ew.h.evaluate(points)
+    values = coupled.evaluate(points, memo)
+    hv = ew.h.evaluate(points, memo)
     star = hodge_star_values(values, 1, hv, EW_ORIENTATION)
-    dalpha = exterior_derivative(pair.alpha).evaluate(points)
+    dalpha = exterior_derivative(pair.alpha).evaluate(points, memo)
     return float(np.max(np.abs(star - dalpha)))
 
 
@@ -242,23 +247,27 @@ class DSigmaReport:
     d_sigma11_vs_rhs: float
 
 
-def sd_two_forms(coframe: CoFrame, h_pot: ExprField, w_pot: ExprField, points):
+def sd_two_forms(coframe: CoFrame, h_pot: ExprField, w_pot: ExprField, points,
+                 memo=None):
     """The printed SD two-form basis of the dkp coframe of (H, W) and its
     closedness report.
 
     Returns (sigma00, sigma01, sigma11, report) where the forms use the
     display normalization Sigma^{0'0'} = e00'^e10',
     Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11'.
+    ``memo`` is an evaluation memo of ``points``.
     """
     e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
     e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
     sigma00 = wedge(e00, e10)
     sigma01 = wedge(e10, e01) - wedge(e00, e11)
     sigma11 = wedge(e01, e11)
-    d00 = float(np.max(np.abs(exterior_derivative(sigma00).evaluate(points))))
-    d01 = float(np.max(np.abs(exterior_derivative(sigma01).evaluate(points))))
-    d11 = exterior_derivative(sigma11).evaluate(points)
-    rhs = sigma11_rhs(h_pot, w_pot).evaluate(points)
+    d00 = float(np.max(np.abs(
+        exterior_derivative(sigma00).evaluate(points, memo))))
+    d01 = float(np.max(np.abs(
+        exterior_derivative(sigma01).evaluate(points, memo))))
+    d11 = exterior_derivative(sigma11).evaluate(points, memo)
+    rhs = sigma11_rhs(h_pot, w_pot).evaluate(points, memo)
     report = DSigmaReport(
         d00, d01,
         float(np.max(np.abs(d11))),

@@ -18,8 +18,9 @@ gets ``ZERO`` with no rule applied; the rules fold such a derivative to a
 zero constant as well.  The memo is one slot, created on first use and
 set with ``object.__setattr__``; it is not a dataclass field, so it takes
 no part in ``==``, ``hash`` or ``repr``.  It is the package's one
-derivative memo: ``ExprField.differentiate``, the one field-level entry
-point, applies ``derivative`` once per order and keeps nothing itself.
+derivative memo: ``ExprField.differentiate`` and the jets of
+``geometry.field_jet`` apply ``derivative`` once per order and keep
+nothing themselves.
 
 Evaluation walks the same DAG, so without help a shared node is
 evaluated once per path to it.  ``evaluate(env, memo=None)`` therefore
@@ -27,8 +28,9 @@ takes an optional evaluation memo, a dict that :func:`node_value` fills
 with each node's value.  A memo belongs to one point set: it is valid
 only for calls whose ``env`` holds the same coordinate arrays.  The
 field layer passes one when it evaluates at sample points, where each
-value is one float per point, and shares it across the jets of one
-metric or coframe.  Evaluation on grids passes none: there every
+value is one float per point; a sample set of the CLI owns one per
+point set and shares it across every check it runs there, so each node
+is evaluated once per sample set.  Evaluation on grids passes none: there every
 intermediate is a full grid array, and a memo would hold all of them
 until the call returns (tried on the evolver's 256x256 manufactured
 solution, it cost more time and memory than the shared nodes saved).

@@ -4,9 +4,12 @@
 differentiated exactly.  The tree reads the chart's coordinates and
 nothing else; a name that stands for a value was bound when the text
 was parsed (``parse(text, names, bindings)``), so a field carries no
-value environment.  ``ExprField.differentiate(*coords)`` is the one way to
-take a partial derivative, and the one memo under it is the expression
-nodes' own (``Expr.derivative``); fields keep no derivative state.
+value environment.  ``ExprField.differentiate(*coords)`` takes a partial
+derivative as a field.  The one memo under it is the expression nodes'
+own (``Expr.derivative``), and fields keep no derivative state: the jets
+of ``geometry.field_jet`` apply ``Expr.derivative`` to the trees
+themselves, through the same node memo, and evaluate the partials with
+``node_value`` rather than as fields.
 ``SampledField`` is a plain container for field values on a uniform
 grid, written to and read from CSV; it does no calculus.
 """
@@ -117,11 +120,13 @@ class ExprField:
         """The field at the coordinates ``axes``, one array per chart axis,
         broadcast against each other with numpy's rules.
 
-        The one evaluation routine: on a tensor grid pass each axis shaped
+        The evaluation routine of a field, at sample points (through
+        ``evaluate``) and on grids: on a tensor grid pass each axis shaped
         to broadcast (x as a column, y as a row, t as a scalar), so every
         function of one coordinate is evaluated once per node of its axis.
         ``memo`` is an evaluation memo for these ``axes`` (see
-        ``expressions``); without one the tree is walked plainly.
+        ``expressions``); without one the tree is walked plainly.  Jets
+        (``geometry.field_jet``) evaluate their partials directly.
         """
         if len(axes) != self.chart.dim:
             raise DomainError(f"expected {self.chart.dim} coordinate arrays")

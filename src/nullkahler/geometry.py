@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .expressions import Const, EvaluationError
+from .expressions import Const, EvaluationError, node_value
 from .fields import Chart, DomainError, ExprField
 from .nk_system import theta_blocks
 from .sampling import Box, SamplePlan
@@ -38,36 +38,46 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     ``entries`` lists ``(field, [(index, sign), ...])``: the field, times
     the sign, fills each index of an array of ``shape``; unlisted slots
     are zero.  Returns ``out[n, k..., *index]`` with ``order`` derivative
-    axes.  Each partial is evaluated once per sorted axis tuple (k <= l)
-    and mirrored into the symmetric slots.
+    axes.  Each partial is taken once per sorted axis tuple (k <= l),
+    applying ``Expr.derivative`` along the axes in chart order (the node
+    memo returns the same tree as ``ExprField.differentiate``), and is
+    mirrored into the symmetric slots.
 
-    The partials of one field share most of their nodes: a derivative
-    tree reuses the nodes of the tree it came from.  All of them are
-    evaluated through one evaluation memo (see ``expressions``), so each
-    node is evaluated once per call.  A caller that takes several orders
-    of the same entries at the same ``points`` passes its own ``memo`` to
-    every call, and a node shared across orders is evaluated once in all.
+    The points are checked against each chart's excluded bands once per
+    call, and every partial of a chart is evaluated with ``node_value`` on
+    one coordinate environment through one evaluation memo (see
+    ``expressions``): the partials of one field share most of their nodes,
+    so each node is evaluated once per call.  A caller that takes several
+    orders, or several fields, at the same ``points`` passes its own
+    ``memo`` to every call, and a node shared across them is evaluated
+    once in all.  The memo must belong to ``points``.
 
     Most partials of a metric or coframe are constants (zero above all).
-    Their value is written into the slots as it is, with no tree walk; the
-    points are still checked against the excluded bands, once per call,
-    and a non-finite constant still raises, as evaluation would.
+    Their value is written into the slots as it is, with no tree walk.  A
+    non-finite value, constant or evaluated, raises ``EvaluationError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
     out = np.zeros((pts.shape[0],) + (dim,) * order + tuple(shape))
     memo = {} if memo is None else memo
+    envs = {}
     for chart in {field.chart for field, _ in entries}:
+        if chart.dim != dim:
+            raise DomainError(f"expected points of shape (n, {chart.dim})")
         chart.check_domain(pts.T)
+        envs[chart] = dict(zip(chart.coords, pts.T))
     for field, slots in entries:
+        coords = field.chart.coords
         for axes in combinations_with_replacement(range(dim), order):
-            part = field.differentiate(*(field.chart.coords[k] for k in axes))
-            if isinstance(part.expr, Const):
-                values = part.expr.value
-                if not np.isfinite(values):
-                    raise EvaluationError("non-finite field value")
+            part = field.expr
+            for k in axes:
+                part = part.derivative(coords[k])
+            if isinstance(part, Const):
+                values = part.value
             else:
-                values = part.evaluate(pts, memo)
+                values = node_value(part, envs[field.chart], memo)
+            if not np.isfinite(values).all():
+                raise EvaluationError("non-finite field value")
             for mirrored in set(permutations(axes)):
                 for index, sign in slots:
                     out[(slice(None),) + mirrored + tuple(index)] = sign * values
@@ -251,9 +261,9 @@ class CoFrame:
         return (wedge(self.form(0, i), self.form(1, j)).scaled(0.5)
                 + wedge(self.form(1, i), self.form(0, j)).scaled(-0.5))
 
-    def dual_vectors(self, points) -> np.ndarray:
+    def dual_vectors(self, points, memo=None) -> np.ndarray:
         """Frame vectors D[n, A, A', mu] with e^{BB'}(D_{AA'}) = delta."""
-        return dual_vector_values(self.evaluate(points))
+        return dual_vector_values(self.evaluate(points, memo))
 
 
 def inverse_metric_values(gv: np.ndarray) -> np.ndarray:

@@ -198,13 +198,15 @@ def _poly_scale_add(acc, poly, scale_poly):
     return acc
 
 
-def lax_commutator(lax: LaxFields, points, lambdas) -> np.ndarray:
+def lax_commutator(lax: LaxFields, points, lambdas, memo=None) -> np.ndarray:
     """[L0, L1] components at (point, lambda) pairs; shape (n, 5).
 
     The commutator coefficients are lambda polynomials of degree <= 2
     assembled from exact field derivatives of the Lax coefficients:
-    [L0,L1]^k = L0(L1^k) - L1(L0^k).
+    [L0,L1]^k = L0(L1^k) - L1(L0^k).  Every coefficient is evaluated
+    through one memo, ``memo`` if given (it must belong to ``points``).
     """
+    memo = {} if memo is None else memo
     chart = lax.chart
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
@@ -226,14 +228,20 @@ def lax_commutator(lax: LaxFields, points, lambdas) -> np.ndarray:
                 dtarget = _poly_diff_lambda(target)
             _poly_scale_add(poly, [(p, c * -1.0) for p, c in dtarget], coeff_j)
         for power, coeff in poly:
-            out[:, k] += coeff.evaluate(pts) * lam ** power
+            out[:, k] += coeff.evaluate(pts, memo) * lam ** power
     return out
 
 
-def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240) -> float:
-    """Max |[L0, L1]| component over a deterministic (point, lambda) sweep."""
+def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240,
+                     points=None, memo=None) -> float:
+    """Max |[L0, L1]| component over a deterministic (point, lambda) sweep.
+
+    The points are the sample plan's on the solution's box; a caller that
+    holds them already passes them as ``points``, with their evaluation
+    ``memo``.  The lambda draws come from the plan's seed either way.
+    """
     plan = SamplePlan(solution.box, count=count, seed=seed)
-    pts = plan.points()
+    pts = plan.points() if points is None else points
     lam = plan.rng().uniform(*LAMBDA_WINDOW, size=pts.shape[0])
     lax = lax_fields(solution.theta, solution.f)
-    return float(np.max(np.abs(lax_commutator(lax, pts, lam))))
+    return float(np.max(np.abs(lax_commutator(lax, pts, lam, memo))))

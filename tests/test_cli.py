@@ -425,6 +425,34 @@ def test_bad_suite_or_unknown_section_is_refused_on_load(tmp_path, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, args, message", [
+    ("[suite]\nseed = -5\n", [], "seed must be at least 0"),
+    ("", ["--seed", "-5"], "seed must be at least 0"),
+    ("[tolerances]\nnk1 = abc\n", [], "tolerance nk1 = 'abc' is not a number"),
+    ("[tolerances]\nnk1 = nan\n", [], "tolerance nk1 must be finite"),
+    ("[tolerances]\nnk1 = inf\n", [], "tolerance nk1 must be finite"),
+    ("", ["--tolerance-scale", "nan"], "tolerance scale must be finite"),
+    ("", ["--tolerance-scale", "-1"], "tolerance scale must be finite"),
+    ("", ["--tolerance-scale", "0"], "tolerance scale must be finite"),
+    ("", ["--tolerance-scale", "inf"], "tolerance scale must be finite"),
+], ids=["suite-seed-negative", "seed-flag-negative", "tolerance-abc",
+        "tolerance-nan", "tolerance-inf", "scale-nan", "scale-negative",
+        "scale-0", "scale-inf"])
+def test_bad_number_is_refused_before_any_fixture_runs(tmp_path, monkeypatch,
+                                                       capsys, text, args,
+                                                       message):
+    import nullkahler.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("a fixture ran")
+
+    monkeypatch.setattr(cli, "run_fixture", no_work)
+    path = tmp_path / "numbers.cfg"
+    path.write_text(f"[fixture:flat]\nkind = nk\ntheta = 0\n\n{text}")
+    assert main(["check", "--config", str(path)] + args) == 2
+    assert message in capsys.readouterr().err
+
+
 #: sha256 over the sorted (file name, bytes) of ``export`` from paper.cfg
 #: on each fixture's default box at 4 nodes per axis; both fixtures are
 #: rational, so their bits come from IEEE arithmetic alone
@@ -541,9 +569,10 @@ def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
 
 #: class-level ``Expr.diff`` and ``ExprField.evaluate_axes`` calls in one
 #: ``run_suite`` of paper.cfg: each expression node is differentiated once
-#: per variable it reads, and constant jet slots are written unevaluated
+#: per variable it reads; jets evaluate their partials with ``node_value``
+#: and write constant slots unevaluated, so no jet calls ``evaluate_axes``
 PAPER_SUITE_DIFFS = 1009
-PAPER_SUITE_EVALUATIONS = 585
+PAPER_SUITE_EVALUATIONS = 328
 
 
 def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):
@@ -604,12 +633,40 @@ def test_python_m_entry_point(tmp_path, checks, expected):
 
 
 #: class-level ``Expr.evaluate`` calls in one ``run_suite`` of paper.cfg:
-#: sample-point evaluation and the jets of one metric or coframe share an
-#: evaluation memo, so a node shared by several trees is evaluated once
-#: per point set (36,572 calls when every tree was walked on its own)
-PAPER_SUITE_NODE_EVALUATIONS = 5590
+#: every check of a sample set evaluates through the set's one memo, so a
+#: node shared by several trees is evaluated once per point set (5,590
+#: calls with one memo per check, 36,572 when every tree was walked on
+#: its own)
+PAPER_SUITE_NODE_EVALUATIONS = 2424
 
 
 def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):
     assert run_suite(FIXTURES / "paper.cfg")[1] == 0
     assert len(evaluate_calls) <= PAPER_SUITE_NODE_EVALUATIONS
+
+
+def test_each_node_is_evaluated_once_per_point_set(monkeypatch):
+    # every check of a fixture reads its sample set's evaluation memo, so
+    # no expression node is evaluated twice at one point set; a point set
+    # is told by its coordinate values (a dkp fixture has two, on
+    # (x, y, t, z) and on (x, y, t))
+    from nullkahler.cli import run_fixture
+    from nullkahler.expressions import Expr
+
+    evaluated = []  # (node, point set); keeps every node, so no id is reused
+    for cls in Expr.__subclasses__():
+        def recorded(self, env, memo=None, _rule=cls.evaluate):
+            point_set = tuple((name, np.asarray(values).tobytes())
+                              for name, values in sorted(env.items()))
+            evaluated.append((self, point_set))
+            return _rule(self, env, memo)
+        monkeypatch.setattr(cls, "evaluate", recorded)
+    config = load_config(FIXTURES / "paper.cfg")
+    kinds = set()
+    for fixture in config["fixtures"]:
+        del evaluated[:]
+        assert all(r.passed for r in run_fixture(fixture, config))
+        pairs = [(id(node), point_set) for node, point_set in evaluated]
+        assert len(set(pairs)) == len(pairs), fixture.name
+        kinds.add(fixture.kind)
+    assert kinds == {"nk", "dkp", "ew"}

@@ -353,6 +353,30 @@ def test_sigma_soldering_matches_slot_by_slot_reference():
         assert np.max(np.abs(report.c_sd - c_sd)) <= 1e-12 * scale
 
 
+def test_broadcast_sigma_matches_einsum_reference():
+    # the einsums the bivectors were once soldered with, kept as the
+    # reference: the broadcast arrays are equal to them (up to the sign of
+    # a zero), and in their layout the projection keeps its bytes
+    from nullkahler.curvature import _extract_slots, _soldered_bivectors
+    from nullkahler.spinors import EPS_UPPER
+
+    for metric, coframe, box in _criterion4_fixtures():
+        sample = SamplePlan(box, count=100).points()
+        report = oracle_report(metric, coframe, sample)
+        dual = coframe.dual_vectors(sample)
+        ref_p = np.einsum("xy,nxXa,nyYb->nXYab", EPS_UPPER, dual, dual)
+        ref_u = np.einsum("XY,nxXa,nyYb->nxyab", EPS_UPPER, dual, dual)
+        sigma_p, sigma_u = _soldered_bivectors(dual)
+        np.testing.assert_array_equal(sigma_p, ref_p)
+        np.testing.assert_array_equal(sigma_u, ref_u)
+        weyl = report.raw.weyl_low.reshape(-1, 16, 16)
+        for got, sigma in ((report.c_sd, ref_p), (report.c_asd, ref_u)):
+            flat = sigma.reshape(-1, 4, 16)
+            spin = 0.25 * (flat @ weyl @ flat.transpose(0, 2, 1))
+            ref = _extract_slots(spin.reshape(-1, 2, 2, 2, 2))
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_structure_map_matches_assembler():
     # the constant map reproduces the per-entry assembler bit for bit
     from nullkahler.curvature import _assemble_structure_matrix, _structure_matrix

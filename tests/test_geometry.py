@@ -332,17 +332,21 @@ def test_second_coframe_over_same_theta_reuses_its_derivatives(diff_calls):
 
 
 def test_field_jet_writes_constant_partials_unevaluated(monkeypatch):
+    # field_jet hands each partial it evaluates to ``node_value``; a
+    # constant partial is written into its slots without being handed over
+    import nullkahler.geometry as geometry
+
     metric = nk_metric(ExprField.from_text("x^3*y^3 + w*x*y", CHART4))
     pts = plan_points(count=5)
     reference = metric.second_derivatives(pts)
     evaluated = []
-    evaluate_axes = ExprField.evaluate_axes
+    node_value = geometry.node_value
 
-    def recorded(self, *axes, **kwargs):
-        evaluated.append(self.expr)
-        return evaluate_axes(self, *axes, **kwargs)
+    def recorded(node, env, memo=None):
+        evaluated.append(node)
+        return node_value(node, env, memo)
 
-    monkeypatch.setattr(ExprField, "evaluate_axes", recorded)
+    monkeypatch.setattr(geometry, "node_value", recorded)
     assert metric.second_derivatives(pts).tobytes() == reference.tobytes()
     assert evaluated  # x^3 y^3 leaves non-constant second partials
     assert not any(isinstance(expr, Const) for expr in evaluated)
