@@ -25,10 +25,13 @@ holds the points, metric and coframe, and computes each quantity that
 several checks share (the oracle curvature, the null-Kahler residuals,
 the Einstein-Weyl structure, the dKP coframe) once, when the first
 selected check reads it; a check that is not selected is not computed.
-Each point set of the sample carries one evaluation memo, which every
-check at those points reads through, so an expression node is evaluated
-once per sample set.  ``export`` reads its geometry from the same
-object, and evaluates on its grid without the memo.  A dKP fixture
+Each sample carries one evaluation memo, which every check reads
+through, so an expression node is evaluated once per sample set.  A memo
+serves the point sets that hold the same values under every coordinate
+name a node reads: a dKP sample's (x, y, t) points are the first three
+columns of its (x, y, t, z) points, so both share it.  ``export`` reads
+its geometry from the same object, and evaluates on its grid without
+the memo.  A dKP fixture
 builds its metric whatever the selection, so a W_x that vanishes on the
 declared box is always a fixture error.
 
@@ -385,8 +388,9 @@ class _CurvedSample:
     ``memo`` is the evaluation memo of ``points`` (see ``expressions``):
     every check of the sample evaluates at ``points`` through it, so an
     expression node that several checks read is evaluated once per
-    sample set.  It belongs to these points alone; a check at other
-    points (an export grid) takes none.
+    sample set.  It belongs to these points, and to point sets with the
+    same values under every coordinate name a node reads; a check at
+    other points (an export grid) takes none.
     """
 
     @cached_property
@@ -414,15 +418,16 @@ class NKSample(_CurvedSample):
 
 
 class DKPSample(_CurvedSample):
-    """A dkp fixture's points on (x, y, t, z) and on (x, y, t), each with
-    its own evaluation memo (``memo``, ``memo3``)."""
+    """A dkp fixture's points on (x, y, t, z) and on (x, y, t), with one
+    evaluation memo for both: they hold the same values under every
+    coordinate name a node reads."""
 
     def __init__(self, h, w, plan):
         self.h, self.w = h, w
         self.points = plan.points()
         # Halton column k is the k-th prime's in any dimension
         self.points3 = self.points[:, :3]
-        self.memo, self.memo3 = {}, {}
+        self.memo = {}
         # built whatever the selection: it rejects a vanishing W_x
         self.metric = dkp_mod.build_metric(h, w, plan.box)
 
@@ -442,21 +447,22 @@ class DKPSample(_CurvedSample):
 
 
 class EWSample:
-    """An ew fixture's points on (x, y, t) with their evaluation memo
-    (``memo3``, as on a dkp sample), and its Einstein-Weyl structure."""
+    """An ew fixture's points on (x, y, t) and their evaluation memo,
+    under a dkp sample's names (``points3``, ``memo``), and its
+    Einstein-Weyl structure."""
 
     def __init__(self, u, plan):
         self.points3 = plan.points()
-        self.memo3 = {}
+        self.memo = {}
         self.ew = dkp_mod.ew_from_u(u)
 
 
 def _jones_tod_gap(s):
     """h of the Jones-Tod reduction against -W_x^2 times the EW h."""
     reduction = dkp_mod.jones_tod_reduce(s.metric)
-    wx2 = s.w.differentiate("x").evaluate(s.points3, s.memo3) ** 2
-    return _max_abs(reduction.h.evaluate(s.points3, s.memo3)
-                    + wx2[:, None, None] * s.ew.h.evaluate(s.points3, s.memo3))
+    wx2 = s.w.differentiate("x").evaluate(s.points3, s.memo) ** 2
+    return _max_abs(reduction.h.evaluate(s.points3, s.memo)
+                    + wx2[:, None, None] * s.ew.h.evaluate(s.points3, s.memo))
 
 
 NK_TABLE = {
@@ -476,12 +482,12 @@ NK_TABLE = {
 
 DKP_TABLE = {
     "heqn": lambda s: _max_abs(
-        dkp_mod.residual_heqn(s.h).evaluate(s.points3, s.memo3)),
+        dkp_mod.residual_heqn(s.h).evaluate(s.points3, s.memo)),
     "lindkp": lambda s: _max_abs(
-        dkp_mod.residual_lindkp(s.h, s.w).evaluate(s.points3, s.memo3)),
+        dkp_mod.residual_lindkp(s.h, s.w).evaluate(s.points3, s.memo)),
     "monopole": lambda s: dkp_mod.monopole_residual(
-        s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3, s.memo3),
-    "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3, s.memo3),
+        s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3, s.memo),
+    "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3, s.memo),
     "dkp_sd_weyl": lambda s: s.oracle.max_sd(),
     "dkp_scalar": lambda s: _max_abs(s.oracle.scalar),
     "dsigma00": lambda s: s.dsigma.d_sigma00,
@@ -609,6 +615,12 @@ def _evolve_command(args) -> int:
         # the one-sided x stencil reads three columns, D_yy three rows
         raise ConfigError(f"the evolver grid needs --nx and --ny of at least "
                           f"3, got {args.nx} x {args.ny}")
+    for lo, hi in (("x0", "x1"), ("y0", "y1")):
+        low, high = getattr(args, lo), getattr(args, hi)
+        if not (math.isfinite(low) and math.isfinite(high) and low < high):
+            raise ConfigError(f"the evolver box needs finite --{lo} below "
+                              f"--{hi}, got --{lo} {low:g} and --{hi} "
+                              f"{high:g}")
     try:
         saved = saved_steps(args.dt, args.steps, args.save_every)
     except ValueError as err:

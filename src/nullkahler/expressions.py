@@ -26,14 +26,17 @@ Evaluation walks the same DAG, so without help a shared node is
 evaluated once per path to it.  ``evaluate(env, memo=None)`` therefore
 takes an optional evaluation memo, a dict that :func:`node_value` fills
 with each node's value.  A memo belongs to one point set: it is valid
-only for calls whose ``env`` holds the same coordinate arrays.  The
-field layer passes one when it evaluates at sample points, where each
-value is one float per point; a sample set of the CLI owns one per
-point set and shares it across every check it runs there, so each node
-is evaluated once per sample set.  Evaluation on grids passes none: there every
-intermediate is a full grid array, and a memo would hold all of them
-until the call returns (tried on the evolver's 256x256 manufactured
-solution, it cost more time and memory than the shared nodes saved).
+only for calls whose ``env`` holds the same values under every
+coordinate name a node reads, so point sets on two charts whose shared
+coordinates agree (a dKP sample's (x, y, t, z) points and their first
+three columns) share one.  The field layer passes one when it evaluates
+at sample points, where each value is one float per point; a sample set
+of the CLI owns one and shares it across every check it runs, so each
+node is evaluated once per sample set.  Evaluation on grids passes
+none: there every intermediate is a full grid array, and a memo would
+hold all of them until the call returns (tried on the evolver's 256x256
+manufactured solution, it cost more time and memory than the shared
+nodes saved).
 
 Grammar accepted by :func:`parse`::
 

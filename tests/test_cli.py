@@ -164,6 +164,22 @@ def test_evolve_tiny_grid_exit_code(tmp_path, capsys, axis, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edge, value, message", [
+    ("--x1", "-1", "finite --x0 below --x1, got --x0 -1 and --x1 -1"),
+    ("--x1", "-2", "finite --x0 below --x1, got --x0 -1 and --x1 -2"),
+    ("--y0", "nan", "finite --y0 below --y1, got --y0 nan and --y1 1"),
+    ("--x1", "inf", "finite --x0 below --x1, got --x0 -1 and --x1 inf"),
+], ids=["x1-equals-x0", "x1-below-x0", "y0-nan", "x1-inf"])
+def test_evolve_degenerate_box_exit_code(tmp_path, capsys, edge, value,
+                                         message):
+    out = tmp_path / "out"
+    code = main(["evolve", "--nx", "9", "--ny", "9", "--steps", "2",
+                 edge, value, "--out-dir", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["--steps", "-1"], "steps must be at least 1"),
     (["--steps", "0"], "steps must be at least 1"),
@@ -634,10 +650,10 @@ def test_python_m_entry_point(tmp_path, checks, expected):
 
 #: class-level ``Expr.evaluate`` calls in one ``run_suite`` of paper.cfg:
 #: every check of a sample set evaluates through the set's one memo, so a
-#: node shared by several trees is evaluated once per point set (5,590
-#: calls with one memo per check, 36,572 when every tree was walked on
-#: its own)
-PAPER_SUITE_NODE_EVALUATIONS = 2424
+#: node shared by several trees is evaluated once per sample set (2,424
+#: with one memo per point set of a dkp sample, 5,590 with one memo per
+#: check, 36,572 when every tree was walked on its own)
+PAPER_SUITE_NODE_EVALUATIONS = 2116
 
 
 def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):
@@ -648,16 +664,18 @@ def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):
 def test_each_node_is_evaluated_once_per_point_set(monkeypatch):
     # every check of a fixture reads its sample set's evaluation memo, so
     # no expression node is evaluated twice at one point set; a point set
-    # is told by its coordinate values (a dkp fixture has two, on
-    # (x, y, t, z) and on (x, y, t))
+    # is told by its size and the values of the coordinates the node reads
+    # (a dkp fixture's points on (x, y, t, z) and on (x, y, t) agree in
+    # x, y and t, and share one memo)
     from nullkahler.cli import run_fixture
     from nullkahler.expressions import Expr
 
     evaluated = []  # (node, point set); keeps every node, so no id is reused
     for cls in Expr.__subclasses__():
         def recorded(self, env, memo=None, _rule=cls.evaluate):
-            point_set = tuple((name, np.asarray(values).tobytes())
-                              for name, values in sorted(env.items()))
+            point_set = (np.broadcast_shapes(*map(np.shape, env.values())),
+                         *((name, np.asarray(env[name]).tobytes())
+                           for name in sorted(self.variables())))
             evaluated.append((self, point_set))
             return _rule(self, env, memo)
         monkeypatch.setattr(cls, "evaluate", recorded)

@@ -80,15 +80,29 @@ def _interior_operator(grid):
     return np.array(columns).T, inner
 
 
-@pytest.mark.parametrize("c", [1e-5, 1e-3, 0.1, 10.0])
-def test_stage_solve_matches_dense_solve(c):
-    grid = Grid2D(-1, 1, 17, -0.5, 1, 17)
+# the sine matrix is sized by ny and the recurrence runs over nx, so both
+# orders of nx != ny; ny = 14 makes m + 1 = 13 prime, ny = 3 is m = 1
+@pytest.mark.parametrize("c, nx, ny", [
+    pytest.param(c, nx, ny, id=f"{c}" if nx == ny == 17 else f"{c}-{nx}x{ny}")
+    for nx, ny in [(17, 17), (17, 11), (11, 17), (9, 14), (9, 3)]
+    for c in [1e-5, 1e-3, 0.1, 10.0]])
+def test_stage_solve_matches_dense_solve(c, nx, ny):
+    grid = Grid2D(-1, 1, nx, -0.5, 1, ny)
     dense, inner = _interior_operator(grid)
     r = np.random.default_rng(5).normal(size=inner.shape)
     expected = np.linalg.solve(np.eye(len(dense)) - c * dense, r[inner])
     z = ImplicitSolve(grid, c)(r.copy())
     assert np.max(np.abs(z[inner] - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.all(z[~inner] == 0.0)
+
+
+@pytest.mark.parametrize("m", [126, 254])
+def test_sine_matrices_undo_each_other(m):
+    # at c = 0 every a_k is 0, so forward = S and inverse = 2/(m + 1) S:
+    # S S = (m + 1)/2 I makes them inverses to round-off
+    solve = ImplicitSolve(Grid2D(0, 2, 5, 0, 2, m + 2), 0.0)
+    product = solve.forward @ solve.inverse
+    assert np.max(np.abs(product - np.eye(m))) <= 1e-13
 
 
 def test_nonlocal_term_is_dissipative():
@@ -189,11 +203,11 @@ def test_boundary_data_read_only_on_the_ring(monkeypatch, diff_calls):
 
 #: sha256 of the final u of 20 ARS(2,3,3) steps on 33^2.  The uniform run
 #: has u_yy = 0, so its bits come from IEEE arithmetic alone and are
-#: portable; the free run's implicit stages go through numpy's FFT and
-#: sin, so its bits belong to one numpy build (recorded with numpy 2.4 on
-#: x86-64)
+#: portable; the free run's implicit stages are products with a sine
+#: matrix, so its bits come from numpy's BLAS ``@`` and ``sin`` and belong
+#: to one numpy build (recorded with numpy 2.4 and its OpenBLAS on x86-64)
 PINNED_FINAL_U = {
-    "free": "f6bd03995e1a4545ebb6d62015747a4509b3c70a4d004bb8242b921bbd358e4c",
+    "free": "59e1cf3fc720dfbb01edb17f4cc913763d3e769da0929c3212213494141f396e",
     "uniform": "0d902962dc61bbe2105d543b853e7ab86bd60aa29301b154089a19ca6fd3b4eb",
 }
 
