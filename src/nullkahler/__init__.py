@@ -16,7 +16,6 @@ from .fields import (
     GridSpec,
     OrderOverflowError,
     SampledField,
-    grid_from_csv,
     grid_to_csv,
     sample_to_grid,
 )

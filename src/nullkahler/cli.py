@@ -8,9 +8,13 @@ expression strings, a sampling box, optional excluded bands, an optional
 check selection and an ``expect = pass|fail`` label.  Exit codes:
 0 suite passed, 1 at least one check failed, 2 usage, config or domain
 error (a check name the fixture's kind does not compute, an empty
-``checks =`` line, a family outside 1..4, a missing expression the
-fixture's kind reads, a key that neither its kind nor its family
-reads, a ``[suite]`` key other than ``seed`` and ``samples``, a seed
+``checks =`` line or one that names a check twice, an ``expect`` other
+than ``pass`` and ``fail``, a ``vacuum`` other than ``true``, ``false``,
+``1``, ``0``, ``yes`` and ``no``, a ``box`` or ``exclude`` entry on a
+coordinate the fixture does not have, a ``box`` that names a coordinate
+twice, a family outside 1..4, a missing expression the fixture's kind
+reads, a key that neither its kind nor its family reads, a ``[suite]``
+key other than ``seed`` and ``samples``, a seed
 that is not an integer at least 0 (in the config or from ``--seed``), a
 sample count below 1, a tolerance or ``--tolerance-scale`` that is not a
 finite number above 0, and a section other than ``[suite]``,
@@ -164,38 +168,40 @@ def _parse_axes(text: str, what: str, *kinds) -> list:
     return axes
 
 
-def _parse_box(text: str, expected_names) -> Box:
-    bounds = {name: (lo, hi)
-              for name, lo, hi in _parse_axes(text, "box", float, float)}
-    missing = [n for n in expected_names if n not in bounds]
-    if missing:
-        raise ConfigError(f"box is missing coordinates {missing}")
-    try:
-        return Box(tuple(bounds[n] for n in expected_names))
-    except ValueError as err:
-        raise ConfigError(f"box {text!r}: {err}") from None
-
-
-def _parse_excluded(text: str) -> tuple:
-    return tuple(ExcludedBand(name, center)
-                 for name, center in _parse_axes(text, "exclude", float))
-
-
 def _parse_domain(name, section, default_box, names, implied=()) -> tuple:
-    """The fixture's box and the bands of its ``exclude`` line; a box that
-    meets one of those bands, or of the ``implied`` bands its chart will
-    carry, on one of its coordinates is a fixture error."""
-    excluded = _parse_excluded(section.get("exclude", ""))
-    box = _parse_box(section.get("box", default_box), names)
+    """The fixture's box and the bands of its ``exclude`` line.  Each box
+    and exclude entry names one of the coordinates ``names``, and the box
+    names each of them once; a box that meets one of those bands, or of
+    the ``implied`` bands its chart will carry, is a fixture error."""
+    where = f"[fixture:{name}]"
+    box_axes = _parse_axes(section.get("box", default_box), "box", float, float)
+    band_axes = _parse_axes(section.get("exclude", ""), "exclude", float)
+    for what, axes in (("box", box_axes), ("exclude", band_axes)):
+        unknown = [axis[0] for axis in axes if axis[0] not in names]
+        if unknown:
+            raise ConfigError(f"{where} {what} names {unknown}, which are not "
+                              f"among its coordinates {list(names)}")
+    box_names = [axis[0] for axis in box_axes]
+    repeated = sorted({n for n in box_names if box_names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"{where} box names {repeated} more than once")
+    missing = [n for n in names if n not in box_names]
+    if missing:
+        raise ConfigError(f"{where} box is missing coordinates {missing}")
+    bounds = {axis[0]: axis[1:] for axis in box_axes}
+    try:
+        box = Box(tuple(bounds[n] for n in names))
+    except ValueError as err:
+        raise ConfigError(f"{where} box: {err}") from None
+    excluded = tuple(ExcludedBand(*axis) for axis in band_axes)
     for band in excluded + implied:
-        if band.coord in names:
-            lo, hi = box.bounds[names.index(band.coord)]
-            if max(lo, band.center - band.half_width) \
-                    < min(hi, band.center + band.half_width):
-                raise DomainError(
-                    f"[fixture:{name}] box {band.coord}:{lo:g}:{hi:g} meets the "
-                    f"excluded band |{band.coord} - {band.center:g}| < "
-                    f"{band.half_width:g}")
+        lo, hi = box.bounds[names.index(band.coord)]
+        if max(lo, band.center - band.half_width) \
+                < min(hi, band.center + band.half_width):
+            raise DomainError(
+                f"{where} box {band.coord}:{lo:g}:{hi:g} meets the "
+                f"excluded band |{band.coord} - {band.center:g}| < "
+                f"{band.half_width:g}")
     return box, excluded
 
 
@@ -204,6 +210,10 @@ def _parse_checks(name, kind, section, default) -> tuple:
         "checks", ", ".join(default)).split(",") if c.strip())
     if not checks:
         raise ConfigError(f"[fixture:{name}] has an empty checks line")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"[fixture:{name}] names checks {repeated} more "
+                          "than once")
     unknown = [c for c in checks if c not in KIND_CHECKS[kind]]
     if unknown:
         raise ConfigError(
@@ -282,10 +292,14 @@ def _dkp_fixture(name, section) -> Fixture:
                          ExprField.from_text(section["w"], chart), plan)
 
     default = list(DKP_CHECKS)
-    if section.get("vacuum", "").lower() in ("true", "1", "yes"):
+    vacuum = section.get("vacuum", "").lower()
+    if vacuum in ("true", "1", "yes"):
         default.append("ricci_flat")
-    if section.get("vacuum", "").lower() in ("false", "0", "no"):
+    elif vacuum in ("false", "0", "no"):
         default.append("nonvacuum")
+    elif "vacuum" in section:
+        raise ConfigError(f"[fixture:{name}] vacuum = {section['vacuum']!r} "
+                          "is not one of true, false, 1, 0, yes, no")
     checks = _parse_checks(name, "dkp", section, default)
     return Fixture(name, "dkp", checks, section.get("expect", "pass"), box,
                    build)
@@ -365,6 +379,10 @@ def load_config(path) -> dict:
                 f"[{section_name}] has unknown kind {kind!r} "
                 f"(expected one of {sorted(builders)})"
             )
+        expect = section.get("expect", "pass")
+        if expect not in ("pass", "fail"):
+            raise ConfigError(f"[{section_name}] expect = {expect!r} is "
+                              "neither pass nor fail")
         fixtures.append(builders[kind](name, section))
     if not fixtures:
         raise ConfigError("config declares no [fixture:*] sections")
@@ -413,8 +431,7 @@ class NKSample(_CurvedSample):
 
     @cached_property
     def null_kahler(self):
-        return check_null_kahler(self.coframe, self.oracle.raw, self.points,
-                                 self.memo)
+        return check_null_kahler(self.coframe, self.points, self.memo)
 
 
 class DKPSample(_CurvedSample):

@@ -203,30 +203,6 @@ class CurvatureReport:
     def max_sd(self) -> float:
         return float(np.max(np.abs(self.c_sd)))
 
-    def max_asd(self) -> float:
-        return float(np.max(np.abs(self.c_asd)))
-
-    def to_dict(self) -> dict:
-        """JSON-ready view: named component maxima plus the residual."""
-        components = {}
-        for k in range(5):
-            components[f"c_asd_{k}"] = float(np.max(np.abs(self.c_asd[:, k])))
-            components[f"c_sd_{k}"] = float(np.max(np.abs(self.c_sd[:, k])))
-        for u, (a, b) in enumerate(SYM_PAIRS):
-            for v, (c, d) in enumerate(SYM_PAIRS):
-                components[f"phi_{a}{b}_{c}{d}"] = float(
-                    np.max(np.abs(self.phi[:, u, v])))
-        components["scalar"] = float(np.max(np.abs(self.scalar)))
-        return {
-            "path": self.path,
-            "components": components,
-            "residual_summary": {
-                "max_sd": self.max_sd(),
-                "max_asd": self.max_asd(),
-                "fit_residual": self.fit_residual,
-            },
-        }
-
 
 # --- coordinate oracle --------------------------------------------------------
 
@@ -591,25 +567,17 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
 class NullKahlerReport:
     d_sigma00: float
     d_sigma01: float
-    ricci_square: float
-    max_ricci: float
-
-    def passes(self, tol=1e-8) -> bool:
-        return max(self.d_sigma00, self.d_sigma01, self.ricci_square) < tol
 
 
-def check_null_kahler(coframe: CoFrame, raw: RawCurvature, points,
-                      memo=None) -> NullKahlerReport:
-    """Residuals of the closed-form conditions and Ricci nullness, the
-    latter read off ``raw`` (e.g. the oracle report's) at ``points``;
-    ``memo`` is an evaluation memo of ``points``."""
+def check_null_kahler(coframe: CoFrame, points, memo=None) -> NullKahlerReport:
+    """Residuals of the closed-form conditions d Sigma^{0'0'} = 0 and
+    d Sigma^{0'1'} = 0 at ``points``; ``memo`` is an evaluation memo of
+    ``points``.  Ricci nullness is read off the oracle's ``raw``."""
     d00 = float(np.max(np.abs(
         exterior_derivative(coframe.sigma(0, 0)).evaluate(points, memo))))
     d01 = float(np.max(np.abs(
         exterior_derivative(coframe.sigma(0, 1)).evaluate(points, memo))))
-    ric2 = float(np.max(np.abs(raw.ricci_square())))
-    max_ric = float(np.max(np.abs(raw.ricci)))
-    return NullKahlerReport(d00, d01, ric2, max_ric)
+    return NullKahlerReport(d00, d01)
 
 
 def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:

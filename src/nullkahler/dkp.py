@@ -104,10 +104,6 @@ class EWStructure:
     h: MetricField
     nu: FormField
 
-    def signature_ok(self, points) -> bool:
-        pos, neg = self.h.signature_counts(points)
-        return bool(np.all(pos == 2) and np.all(neg == 1))
-
 
 def ew_from_u(u: ExprField) -> EWStructure:
     """h = dy^2 - 4 dx dt - 4 u dt^2, nu = -4 u_x dt."""
@@ -283,8 +279,8 @@ class JonesTodReduction:
     """EW data recovered from a four-metric with the Killing vector d_z.
 
     ``h`` carries exact component fields on (x, y, t); the one-form is
-    exposed pointwise through ``nu_at`` (its derivatives are never
-    needed by the round-trip contracts).
+    built and evaluated pointwise by ``nu_at`` when it is called (its
+    derivatives are never needed by the round-trip contracts).
     """
 
     h: MetricField
@@ -314,12 +310,11 @@ def jones_tod_reduce(metric: MetricField) -> JonesTodReduction:
             comps3[i][j] = ExprField(entry.expr, chart3)
     h = MetricField(chart3, comps3)
 
-    kflat = FormField(chart4, 1, {
-        (mu,): metric.component(zi, mu) for mu in range(4)
-    })
-    three_form = wedge(kflat, exterior_derivative(kflat))
-
     def nu_at(points4) -> np.ndarray:
+        kflat = FormField(chart4, 1, {
+            (mu,): metric.component(zi, mu) for mu in range(4)
+        })
+        three_form = wedge(kflat, exterior_derivative(kflat))
         pts = np.atleast_2d(np.asarray(points4, dtype=float))
         gv = metric.evaluate(pts)
         star = hodge_star_values(three_form.evaluate(pts), 3, gv,

@@ -11,7 +11,7 @@ of ``geometry.field_jet`` apply ``Expr.derivative`` to the trees
 themselves, through the same node memo, and evaluate the partials with
 ``node_value`` rather than as fields.
 ``SampledField`` is a plain container for field values on a uniform
-grid, written to and read from CSV; it does no calculus.
+grid, written to CSV; it does no calculus.
 """
 
 from __future__ import annotations
@@ -268,22 +268,3 @@ def grid_to_csv(field: SampledField, path) -> None:
         for row in flat:
             handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-
-def grid_from_csv(path, excluded=()) -> SampledField:
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if not header.startswith("# axes:"):
-            raise ValueError("missing '# axes:' header")
-        axes, names = [], []
-        for part in header[len("# axes:"):].strip().split(";"):
-            name, lo, hi, n = part.split(",")
-            names.append(name)
-            axes.append((float(lo), float(hi), int(n)))
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in handle
-            if line.strip()
-        ]
-    grid = GridSpec(tuple(axes))
-    values = np.array(rows).reshape(grid.shape)
-    return SampledField(grid, values, Chart(tuple(names), tuple(excluded)))

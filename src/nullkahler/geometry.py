@@ -366,26 +366,24 @@ def _check_nonvanishing(field: ExprField, box: Box, what: str):
         raise DegeneracyError(f"{what} vanishes on the declared domain")
 
 
-def _dkp_blocks(h_pot: ExprField, w_pot: ExprField, box: Box):
-    """The chart (x, y, t, z) and H_x, W_x, W_y lifted to it.
-
-    Wx must be bounded away from zero on the domain box (checked on a
-    deterministic sample when a box is supplied).
-    """
+def _dkp_blocks(h_pot: ExprField, w_pot: ExprField):
+    """The chart (x, y, t, z) and H_x, W_x, W_y lifted to it."""
     _require_dkp_chart(h_pot)
     _require_dkp_chart(w_pot)
-    wx = w_pot.differentiate("x")
-    if box is not None:
-        _check_nonvanishing(wx, box, "W_x")
     chart4 = Chart(DKP_CHART_COORDS, h_pot.chart.excluded)
-    blocks = (h_pot.differentiate("x"), wx, w_pot.differentiate("y"))
+    blocks = (h_pot.differentiate("x"), w_pot.differentiate("x"),
+              w_pot.differentiate("y"))
     return (chart4,) + tuple(f.on_chart(chart4) for f in blocks)
 
 
 def dkp_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricField:
     """g = Wx (dy^2 - 4 dx dt - 4 Hx dt^2) - Wx^{-1} (dz - Wx dy - 2 Wy dt)^2
-    on the chart (x, y, t, z); see ``_dkp_blocks`` for ``box``."""
-    chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot, box)
+    on the chart (x, y, t, z); Wx must be bounded away from zero on
+    ``box`` (checked on a deterministic sample when a box is supplied).
+    """
+    chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot)
+    if box is not None:
+        _check_nonvanishing(w_pot.differentiate("x"), box, "W_x")
     zero = _zero_field(chart4)
     x, y, t, z = 0, 1, 2, 3
     comps = [[zero for _ in range(4)] for _ in range(4)]
@@ -398,7 +396,7 @@ def dkp_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricFie
     return MetricField(chart4, comps)
 
 
-def dkp_coframe(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> CoFrame:
+def dkp_coframe(h_pot: ExprField, w_pot: ExprField) -> CoFrame:
     """Null tetrad for the dkp metric, g = 2(e^{00'}e^{11'} - e^{10'}e^{01'}).
 
     e^{00'} = -2 Wx dt,
@@ -410,8 +408,9 @@ def dkp_coframe(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> CoFrame:
     multiplies dt: this is the unique choice (in this triangular shape)
     reproducing the metric, and it also matches the closed-form
     Sigma^{0'1'} and Sigma^{1'1'} expressions used by the dkp pipeline.
+    W_x is checked on a box by ``dkp_metric``.
     """
-    chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot, box)
+    chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot)
     zc = ExprField.from_text("z", chart4)
     one = ExprField.constant(1.0, chart4)
     x, y, t, z = 0, 1, 2, 3

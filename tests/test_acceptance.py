@@ -76,7 +76,7 @@ def test_criterion_01_flat_baseline():
     report = cartan_report(nk_coframe(theta), pts)
     worst = max(
         float(np.max(np.abs(raw.riemann))),
-        report.max_sd(), report.max_asd(),
+        report.max_sd(), float(np.max(np.abs(report.c_asd))),
         float(np.max(np.abs(report.phi))),
         float(np.max(np.abs(report.scalar))),
     )
@@ -115,7 +115,7 @@ def test_criterion_02_system_geometry_equivalence():
                               float(np.max(np.abs(report.raw.ricci_square()))))
         from nullkahler.curvature import check_null_kahler
 
-        nk_rep = check_null_kahler(coframe, report.raw, pts)
+        nk_rep = check_null_kahler(coframe, pts)
         worst["dsigma"] = max(worst["dsigma"], nk_rep.d_sigma00, nk_rep.d_sigma01)
         worst["lax"] = max(worst["lax"], commutator_sweep(sol, count=100))
     ok = (worst["nk"] < 1e-10 and worst["sd"] < 1e-8 and worst["scalar"] < 1e-8

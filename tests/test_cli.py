@@ -398,9 +398,23 @@ def test_box_meeting_excluded_band_is_refused_on_load(tmp_path, monkeypatch,
     ("kind = nk\ntheta = x*y^3\nthetaa = 0\n", "sets ['thetaa']"),
     ("kind = nk_family\nfamily = 2\nP = w*y\nB = y\n", "sets ['b']"),
     ("kind = nk\ntheta = 0\nvacuum = true\n", "sets ['vacuum']"),
+    # a value outside its key's choices
+    ("kind = ew\nu = x\nexpect = fial\n", "expect = 'fial' is neither"),
+    ("kind = dkp\nH = -x^2/(2*(t-1))\nW = -x/(t-1)\nexclude = t:1\n"
+     "vacuum = maybe\n", "vacuum = 'maybe' is not one of"),
+    ("kind = ew\nu = x\nchecks = ew, ew\n", "names checks ['ew'] more than"),
+    # a box or exclude entry off the fixture's coordinates, or a box
+    # coordinate given twice
+    ("kind = ew\nu = x\nbox = x:-1:1, y:-1:1, t:-1:0.5, q:0:1\n",
+     "box names ['q'], which are not among"),
+    ("kind = ew\nu = x\nbox = x:-1:1, y:-1:1, t:-1:0.5, x:5:6\n",
+     "box names ['x'] more than once"),
+    ("kind = nk\ntheta = x*y^3\nexclude = q:0\n",
+     "exclude names ['q'], which are not among"),
 ], ids=["family5", "family0", "nk-theta", "family1-A", "family2-P",
         "family3-A", "dkp-H", "dkp-W", "ew-u", "family4-Q", "nk-thetaa",
-        "family2-B", "nk-vacuum"])
+        "family2-B", "nk-vacuum", "expect-fial", "vacuum-maybe",
+        "checks-twice", "box-q", "box-x-twice", "exclude-q"])
 def test_incomplete_fixture_is_refused_on_load(tmp_path, monkeypatch, capsys,
                                                section, message):
     import nullkahler.cli as cli

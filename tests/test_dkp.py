@@ -94,13 +94,15 @@ def test_symmetry_orbit_solves_lindkp(p3):
 def test_ew_structure_examples(p3):
     flat = ew_from_u(ExprField.constant(0.0, CHART3))
     assert ew_residual(flat, p3) < 1e-10
-    assert flat.signature_ok(p3)
+    pos, neg = flat.h.signature_counts(p3)
+    assert np.all(pos == 2) and np.all(neg == 1)
     nu_t = flat.nu.component((2,))
     assert np.max(np.abs(nu_t.evaluate(p3))) == 0.0
 
     u = f3(H_MAIN).differentiate("x")
     ew = ew_from_u(u)
-    assert ew.signature_ok(p3)
+    pos, neg = ew.h.signature_counts(p3)
+    assert np.all(pos == 2) and np.all(neg == 1)
     assert ew_residual(ew, p3) < 1e-6
     # nu = -4 u_x dt: for u = -x/(t-1), u_x = -1/(t-1)
     nu_t = ew.nu.component((2,)).evaluate(p3)
@@ -127,7 +129,7 @@ def test_monopole_examples(p3):
 
 def test_sd_two_forms_report(p4):
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
-    coframe = dkp_coframe(h_pot, w_pot, BOX4)
+    coframe = dkp_coframe(h_pot, w_pot)
     s00, s01, s11, report = sd_two_forms(coframe, h_pot, w_pot, p4)
     assert report.d_sigma00 < 1e-9
     assert report.d_sigma01 < 1e-9
@@ -141,7 +143,7 @@ def test_sd_two_forms_report(p4):
 def test_sd_two_forms_parallel_frame(p4):
     h_pot = f3(H_MAIN)
     w_half = symmetry_w(h_pot, b=0.5)  # W = H_x/2
-    coframe = dkp_coframe(h_pot, w_half, BOX4)
+    coframe = dkp_coframe(h_pot, w_half)
     _, _, _, report = sd_two_forms(coframe, h_pot, w_half, p4)
     assert report.d_sigma11_max < 1e-8
     assert report.d_sigma00 < 1e-9 and report.d_sigma01 < 1e-9
@@ -245,7 +247,7 @@ def test_non_vacuum_witness(p4):
     h_pot = f3("y^3 - x^2/(2*(t-1)) + 3*(t-1)*x*y")
     w_pot = symmetry_w(h_pot, e=0.5)  # W = H_y/2
     metric = build_metric(h_pot, w_pot, BOX4)
-    coframe = dkp_coframe(h_pot, w_pot, BOX4)
+    coframe = dkp_coframe(h_pot, w_pot)
     raw = coordinate_curvature(metric, p4)
     report = oracle_report(metric, coframe, p4)
     assert np.max(np.abs(raw.ricci)) > 1e-3

@@ -10,7 +10,6 @@ from nullkahler.fields import (
     GridSpec,
     OrderOverflowError,
     SampledField,
-    grid_from_csv,
     grid_to_csv,
     sample_to_grid,
 )
@@ -236,9 +235,8 @@ def test_grid_csv_round_trip(tmp_path):
     grid_to_csv(sampled, path)
     header = path.read_text().splitlines()[0]
     assert header.startswith("# axes: x,0,1,9;y,0,2,11")
-    loaded = grid_from_csv(path)
-    assert loaded.chart.coords == ("x", "y")
-    assert np.array_equal(loaded.values, sampled.values)
+    loaded = np.loadtxt(path, delimiter=",")
+    assert np.array_equal(loaded, sampled.values)
 
 
 def _partials(field, order):

@@ -67,18 +67,71 @@ def _references(tree, names, attributes):
                 attributes.update(parts)
 
 
-def test_every_definition_is_referenced():
-    # an import or a re-export in __init__ is not a use; a method counts
-    # as used only where it is taken as an attribute, not where a local
-    # variable happens to share its name
+#: Definitions that no module of the package or the benchmark calls and
+#: that the tests keep as their independent references, as
+#: "<module file>: <qualified name>".  A name the package starts to call
+#: leaves this list.
+TEST_ORACLES = (
+    # paper constructions the tests use as fixtures: the symmetry orbit
+    # of linearised solutions and the W = H_x/2 hyper-Kahler case
+    "dkp.py: symmetry_w",
+    "dkp.py: hyperkahler_specialize",
+    # cross-checks: a second derivation of the metric, its signature,
+    # the orientation and the Hodge star that the checks take as given
+    "geometry.py: hodge_star",
+    "geometry.py: MetricField.signature_counts",
+    "geometry.py: CoFrame.orientation_sign",
+    "geometry.py: metric_from_coframe",
+    "spinors.py: sd_asd_split",
+    # criterion-11 spinor algebra: the 2-spinor conventions the
+    # soldering and the Weyl spinors are tested against
+    "spinors.py: raise_lower",
+    "spinors.py: contract",
+    "spinors.py: vector_to_bispinor",
+    "spinors.py: bispinor_to_vector",
+    "spinors.py: sigma_basis",
+)
+
+
+def _referenced(folders):
+    """(names, attributes) read by the modules under ``folders``."""
     names, attributes = set(), set()
-    for folder in ("src", "tests", "perfbench"):
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             _references(ast.parse(path.read_text()), names, attributes)
-    unused = [f"{path.name}: {qualified}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for qualified, name, method
-              in _definitions(ast.parse(path.read_text()))
-              if not (name.startswith("__") and name.endswith("__"))
-              and name not in (attributes if method else names | attributes)]
+    return names, attributes
+
+
+def _unreferenced(names, attributes):
+    """Every package definition, as "<file>: <qualified name>", that
+    ``names`` and ``attributes`` do not reach."""
+    return [f"{path.name}: {qualified}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for qualified, name, method
+            in _definitions(ast.parse(path.read_text()))
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in (attributes if method else names | attributes)]
+
+
+def test_every_definition_is_referenced():
+    # only the package and the benchmark count as users: an import or a
+    # re-export in __init__ is not a use, a call from a test is not one
+    # either (the test oracles are listed above), and a method counts as
+    # used only where it is taken as an attribute, not where a local
+    # variable happens to share its name
+    unused = [entry for entry in _unreferenced(*_referenced(("src",
+                                                             "perfbench")))
+              if entry not in TEST_ORACLES]
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_test_oracles_are_defined_tested_and_not_called():
+    package_only = set(_unreferenced(*_referenced(("src", "perfbench"))))
+    untested = set(_unreferenced(*_referenced(("tests",))))
+    defined = set(_unreferenced(set(), set()))
+    assert len(set(TEST_ORACLES)) == len(TEST_ORACLES)
+    for entry in TEST_ORACLES:
+        assert entry in defined, f"{entry} is not defined in the package"
+        assert entry not in untested, f"no test references {entry}"
+        assert entry in package_only, (
+            f"the package calls {entry}; take it off TEST_ORACLES")
