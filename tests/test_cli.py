@@ -537,6 +537,11 @@ kind = nk
 theta = x*y^3
 checks = nk1, nk2
 
+[fixture:nk-dsigma]
+kind = nk
+theta = x*y^3
+checks = dsigma00, dsigma01
+
 [fixture:dkp]
 kind = dkp
 H = -x^2/(2*(t-1))
@@ -581,6 +586,7 @@ def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
     config = load_config(path)
     # (curvature passes, Lax sweeps, dkp coframe builds, W_x checks)
     expected = {"nk": (1, 1, 0, 0), "nk-residuals": (0, 0, 0, 0),
+                "nk-dsigma": (0, 0, 0, 0),
                 "dkp": (1, 0, 1, 1), "dkp-potentials": (0, 0, 0, 1),
                 "ew": (0, 0, 0, 0)}
     for fixture in config["fixtures"]:
