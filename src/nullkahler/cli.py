@@ -268,7 +268,12 @@ def _nk_fixture(name, section) -> Fixture:
 
     def build(plan):
         if family is not None:
-            return NKSample(example_family(family, params, box), plan)
+            solution = example_family(family, params, box)
+            # the family's own bands, then the declared ones
+            chart = Chart(solution.theta.chart.coords,
+                          solution.theta.chart.excluded + excluded)
+            return NKSample(NKSolution(solution.theta.on_chart(chart),
+                                       solution.f.on_chart(chart), box), plan)
         chart = Chart(("w", "z", "x", "y"), excluded)
         theta = ExprField.from_text(section["theta"], chart)
         f_text = section.get("f", "")
@@ -459,8 +464,7 @@ class DKPSample(_CurvedSample):
 
     @cached_property
     def dsigma(self):
-        return dkp_mod.sd_two_forms(self.coframe, self.h, self.w, self.points,
-                                    self.memo)[3]
+        return dkp_mod.sd_two_forms(self.coframe, self.points, self.memo)[3]
 
 
 class EWSample:

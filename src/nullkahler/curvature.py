@@ -7,11 +7,11 @@ one of them reads off that chirality's Weyl spinor, by the split of a
 two-form into eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'} (Penrose &
 Rindler, *Spinors and Space-Time* vol. 1).
 
-Cartan path: spin connection from the first structure equations (one
-24x24 linear solve per point for Gamma, differentiated implicitly for
-exactness: the four first partials of Gamma are one more solve with four
-right-hand sides), curvature two-forms R = dGamma + Gamma ^ Gamma, then
-expansion in the Sigma basis.
+Cartan path: spin connection from the first structure equations (a
+24x24 system per point, solved in the frame basis, where its matrix is
+one constant, and differentiated implicitly for exactness: the four first
+partials of Gamma solve the same system), curvature two-forms
+R = dGamma + Gamma ^ Gamma, then expansion in the Sigma basis.
 
 Both paths report one convention, so their components agree with no
 conversion factor.  The Riemann tensor is the one of R = dGamma +
@@ -37,7 +37,6 @@ import numpy as np
 
 from .geometry import (
     CoFrame,
-    DegeneracyError,
     MetricField,
     dual_vector_values,
     exterior_derivative,
@@ -302,7 +301,8 @@ class SpinConnection:
     ``unprimed``/``primed`` have shape (n, 3, 4): symmetric-pair index
     then coordinate component; derivative arrays add a leading coordinate
     axis (n, 4, 3, 4).  ``residual`` is the structure-equation residual
-    and ``frame`` the coframe values E[n, A, A', mu] it was solved for.
+    and ``dual`` the frame vectors D[n, A, A', mu] of the coframe it was
+    solved for.
     """
 
     unprimed: np.ndarray
@@ -310,7 +310,7 @@ class SpinConnection:
     d_unprimed: np.ndarray
     d_primed: np.ndarray
     residual: float
-    frame: np.ndarray
+    dual: np.ndarray
 
 
 def _assemble_structure_matrix(e: np.ndarray) -> np.ndarray:
@@ -375,40 +375,83 @@ def _structure_matrix(e: np.ndarray) -> np.ndarray:
     return (e.reshape(e.shape[0], 16) @ _STRUCTURE_MAP).reshape(-1, 24, 24)
 
 
+#: inverse of the structure matrix of the unit coframe: the structure
+#: equations in frame components, where their matrix is constant
+_FRAME_INV = np.linalg.inv(_structure_matrix(np.eye(4).reshape(1, 2, 2, 4))[0])
+
+
 def _structure_rhs(de: np.ndarray) -> np.ndarray:
     """The 24 right-hand sides of de[..., k, A, A', mu], over any leading axes."""
     flat = de.reshape(de.shape[:-4] + (64,))
     return flat[..., _RHS_PLUS] - flat[..., _RHS_MINUS]
 
 
-def spin_connection(coframe: CoFrame, points) -> SpinConnection:
+_PAIR_FIRST, _PAIR_SECOND = (np.array(side) for side in zip(*PAIRS6))
+
+
+def _second_compound(dual: np.ndarray) -> np.ndarray:
+    """compound[n, (mu, nu), (c, d)] = D^mu_c D^nu_d - D^nu_c D^mu_d over
+    mu < nu and c < d, from the dual frame D[n, A, A', mu]: it takes a
+    two-form's coordinate components to its frame components."""
+    d = dual.reshape(dual.shape[0], 4, 4)  # d[n, c, mu] = D^mu_c
+    first, second = _PAIR_FIRST, _PAIR_SECOND
+    return (d[:, first[None, :], first[:, None]]
+            * d[:, second[None, :], second[:, None]]
+            - d[:, first[None, :], second[:, None]]
+            * d[:, second[None, :], first[:, None]])
+
+
+def _frame_solve(rhs, frame, compound):
+    """M(e)^{-1} rhs[n, ..., 24] as three products: the two-form rows to
+    frame components (``compound``), the constant frame-basis inverse,
+    and the frame components of Gamma back to coordinates (``frame``,
+    E[n, c, mu]).  Each point's right-hand sides are stacked, so each
+    point-dependent product is one matrix product per point."""
+    npts, shape = rhs.shape[0], rhs.shape
+    rows = rhs.reshape(npts, -1, 6) @ compound
+    gamma = rows.reshape(shape) @ _FRAME_INV.T
+    return (gamma.reshape(npts, -1, 4) @ frame).reshape(shape)
+
+
+def spin_connection(coframe: CoFrame, points, memo=None) -> SpinConnection:
     """Solve the first structure equations for Gamma_{AB}, Gamma_{A'B'}.
 
     de^{AA'} = e^{BA'} ^ Gamma^A_B + e^{AB'} ^ Gamma^{A'}_{B'} is a 24x24
-    system M(e) Gamma = b(de) per point, solved once for Gamma.  Its
-    derivative M(e) d_l Gamma = b(d_l de) - M(d_l e) Gamma gives the four
-    d_l Gamma as one solve with four right-hand sides; M is linear in e,
-    so M(d_l e) Gamma is d_l e contracted with the constant map applied
-    to Gamma.  The connection and its first derivatives are exact up to
-    round-off.  The coframe's three jets share one evaluation memo.
+    system M(e) Gamma = b(de) per point.  In the frame basis it has a
+    constant matrix: with Gamma_p = gamma_{p,c} e^c (gamma = Gamma D for
+    the dual frame D = E^{-1}) and the two-form rows read in the basis
+    e^c ^ e^d, it is M(1) gamma = (Lambda^2 D) b, where M(1) is the
+    matrix of the unit coframe and Lambda^2 D, with entries
+    D^mu_c D^nu_d - D^nu_c D^mu_d over mu < nu and c < d, takes
+    coordinate two-form components to frame ones.  So
+    Gamma = (M(1)^{-1} (Lambda^2 D) b) E, with M(1)^{-1} computed once.
+    The derivative M(e) d_l Gamma = b(d_l de) - M(d_l e) Gamma gives the
+    four d_l Gamma by the same three products; M is linear in e, so
+    M(d_l e) Gamma is d_l e contracted with the constant map applied to
+    Gamma.  The connection and its first derivatives are exact up to
+    round-off, and the residual max|M(e) Gamma - b| is reported.  A
+    degenerate coframe raises ``DegeneracyError`` when it is inverted.
+
+    The coframe's three jets share one evaluation memo, ``memo`` if given
+    (it must belong to ``points``).
     """
-    memo = {}
+    memo = {} if memo is None else memo
     e = coframe.evaluate(points, memo)
     de = coframe.first_derivatives(points, memo)
     dde = coframe.second_derivatives(points, memo)
     npts = e.shape[0]
-    mat = _structure_matrix(e)
+    dual = dual_vector_values(e)
+    frame = e.reshape(npts, 4, 4)
+    compound = _second_compound(dual)
     rhs = _structure_rhs(de)
-    try:
-        gamma_flat = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise DegeneracyError(f"singular structure system: {err}") from None
+    gamma_flat = _frame_solve(rhs, frame, compound)
+    mat = _structure_matrix(e)
     residual = float(np.max(np.abs((mat @ gamma_flat[..., None])[..., 0] - rhs)))
 
     dmat_gamma = de.reshape(npts, 4, 16) @ (gamma_flat @ _STRUCTURE_MAP_T).reshape(
         npts, 16, 24)
     drhs = _structure_rhs(dde) - dmat_gamma
-    dgamma_flat = np.linalg.solve(mat, drhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    dgamma_flat = _frame_solve(drhs, frame, compound)
 
     def split(flat):
         shaped = flat.reshape(flat.shape[:-1] + (2, 3, 4))
@@ -416,27 +459,23 @@ def spin_connection(coframe: CoFrame, points) -> SpinConnection:
 
     unprimed, primed = split(gamma_flat)
     d_unprimed, d_primed = split(dgamma_flat)
-    return SpinConnection(unprimed, primed, d_unprimed, d_primed, residual, e)
-
-
-def _mixed_connection(sym: np.ndarray) -> np.ndarray:
-    """Gamma^A_B one-form components from the symmetric-pair storage."""
-    return np.einsum("abp,npk->nabk", _MIXED, sym)
+    return SpinConnection(unprimed, primed, d_unprimed, d_primed, residual, dual)
 
 
 def curvature_two_forms(conn: SpinConnection):
     """R^A_B = dGamma^A_B + Gamma^A_C ^ Gamma^C_B (and primed mirror)."""
+    mixing = _MIXED.reshape(4, 3)
 
     def build(sym, dsym):
-        mixed = _mixed_connection(sym)
-        dmixed = np.einsum("abp,nlpk->nlabk", _MIXED, dsym)
-        d_part = np.einsum("nmabk->nabmk", dmixed) - np.einsum(
-            "nkabm->nabmk", dmixed
-        )
-        quad = np.einsum("nacm,ncbk->nabmk", mixed, mixed) - np.einsum(
-            "nack,ncbm->nabmk", mixed, mixed
-        )
-        return d_part + quad
+        npts = sym.shape[0]
+        # Gamma^A_B one-forms [n, A, B, k] and their partials [n, AB, l, k]
+        mixed = (mixing @ sym).reshape(npts, 2, 2, 4)
+        dmixed = (mixing @ dsym).transpose(0, 2, 1, 3)
+        d_part = (dmixed - dmixed.transpose(0, 1, 3, 2)).reshape(npts, 2, 2, 4, 4)
+        # Gamma^A_C Gamma^C_B [n, A, B, m, k], summed over C = 0, 1
+        product = (mixed[:, :, 0, None, :, None] * mixed[:, None, 0, :, None, :]
+                   + mixed[:, :, 1, None, :, None] * mixed[:, None, 1, :, None, :])
+        return d_part + product - product.transpose(0, 1, 2, 4, 3)
 
     r_unprimed = build(conn.unprimed, conn.d_unprimed)
     r_primed = build(conn.primed, conn.d_primed)
@@ -469,10 +508,13 @@ def decompose_curvature(r_unprimed, r_primed, dual_vectors) -> CurvatureReport:
                            raw=None)
 
 
-def cartan_report(coframe: CoFrame, points) -> CurvatureReport:
-    conn = spin_connection(coframe, points)
+def cartan_report(coframe: CoFrame, points, memo=None) -> CurvatureReport:
+    """Spinor-labelled components from the Cartan route.  The coframe
+    jets are evaluated through ``memo`` if given (it must belong to
+    ``points``), so the route can share the oracle's memo."""
+    conn = spin_connection(coframe, points, memo)
     r_u, r_p = curvature_two_forms(conn)
-    return decompose_curvature(r_u, r_p, dual_vector_values(conn.frame))
+    return decompose_curvature(r_u, r_p, conn.dual)
 
 
 # --- oracle projections --------------------------------------------------------

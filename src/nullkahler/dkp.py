@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import christoffel
+from .curvature import NullKahlerReport, christoffel
 from .fields import Chart, ExprField
 from .geometry import (
     CoFrame,
@@ -235,23 +235,16 @@ def sigma11_rhs(h_pot: ExprField, w_pot: ExprField) -> FormField:
     return wedge(df, dt_dz) + dxdydt.mul_scalar(lind * -2.0)
 
 
-@dataclass
-class DSigmaReport:
-    d_sigma00: float
-    d_sigma01: float
-    d_sigma11_max: float
-    d_sigma11_vs_rhs: float
-
-
-def sd_two_forms(coframe: CoFrame, h_pot: ExprField, w_pot: ExprField, points,
-                 memo=None):
-    """The printed SD two-form basis of the dkp coframe of (H, W) and its
-    closedness report.
+def sd_two_forms(coframe: CoFrame, points, memo=None):
+    """The printed SD two-form basis of a dkp coframe and the closedness
+    of its first two forms.
 
     Returns (sigma00, sigma01, sigma11, report) where the forms use the
     display normalization Sigma^{0'0'} = e00'^e10',
-    Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11'.
-    ``memo`` is an evaluation memo of ``points``.
+    Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11', and
+    the report holds max|d Sigma^{0'0'}| and max|d Sigma^{0'1'}| at
+    ``points``.  d Sigma^{1'1'} is not closed in general; ``sigma11_rhs``
+    is its closed form.  ``memo`` is an evaluation memo of ``points``.
     """
     e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
     e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
@@ -262,14 +255,7 @@ def sd_two_forms(coframe: CoFrame, h_pot: ExprField, w_pot: ExprField, points,
         exterior_derivative(sigma00).evaluate(points, memo))))
     d01 = float(np.max(np.abs(
         exterior_derivative(sigma01).evaluate(points, memo))))
-    d11 = exterior_derivative(sigma11).evaluate(points, memo)
-    rhs = sigma11_rhs(h_pot, w_pot).evaluate(points, memo)
-    report = DSigmaReport(
-        d00, d01,
-        float(np.max(np.abs(d11))),
-        float(np.max(np.abs(d11 - rhs))),
-    )
-    return sigma00, sigma01, sigma11, report
+    return sigma00, sigma01, sigma11, NullKahlerReport(d00, d01)
 
 
 # --- Jones-Tod reduction ---------------------------------------------------------

@@ -26,6 +26,7 @@ from nullkahler.dkp import (
     residual_heqn,
     residual_lindkp,
     sd_two_forms,
+    sigma11_rhs,
     symmetry_w,
 )
 from nullkahler.evolver import (
@@ -35,7 +36,13 @@ from nullkahler.evolver import (
     uniform_reference,
 )
 from nullkahler.fields import Chart, ExprField
-from nullkahler.geometry import dkp_coframe, nk_coframe, nk_metric, wedge
+from nullkahler.geometry import (
+    dkp_coframe,
+    exterior_derivative,
+    nk_coframe,
+    nk_metric,
+    wedge,
+)
 from nullkahler.nk_system import (
     NKSolution,
     commutator_sweep,
@@ -267,9 +274,10 @@ def test_criterion_09_sigma_identities():
     worst_quad = 0.0
     for w_text in ("-x/(t-1)", "x^3 + 2*x + y^2/3"):
         w_pot = ExprField.from_text(w_text, CHART3)
-        s00, s01, s11, rep = sd_two_forms(dkp_coframe(h_pot, w_pot),
-                                          h_pot, w_pot, pts4)
-        worst_rhs = max(worst_rhs, rep.d_sigma11_vs_rhs)
+        s00, s01, s11, _ = sd_two_forms(dkp_coframe(h_pot, w_pot), pts4)
+        d11 = exterior_derivative(s11).evaluate(pts4)
+        rhs = sigma11_rhs(h_pot, w_pot).evaluate(pts4)
+        worst_rhs = max(worst_rhs, float(np.max(np.abs(d11 - rhs))))
         quad = wedge(s00, s11).scaled(-2.0).evaluate(pts4) \
             - wedge(s01, s01).evaluate(pts4)
         worst_quad = max(worst_quad, float(np.max(np.abs(quad))))

@@ -524,6 +524,23 @@ def test_excluded_band_sample_exit_code(tmp_path, capsys):
     assert "fixture error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture", [
+    "kind = nk\ntheta = z*y^3/3\n",
+    "kind = nk_family\nfamily = 1\nA = y^2\n",  # Theta = z y^3/3
+], ids=["nk", "nk_family"])
+def test_export_across_declared_band_exit_code(tmp_path, capsys, fixture):
+    # the exclude line puts its band on the chart of either nk kind, so
+    # an export grid that crosses the band is refused
+    path = tmp_path / "band.cfg"
+    path.write_text("[fixture:band]\n" + fixture
+                    + "box = w:-1:1, z:-1:1, x:-1:0.4, y:-1:1\nexclude = x:0.5\n")
+    code = main(["export", "--config", str(path), "--fixture", "band",
+                 "--quantity", "metric", "--grid",
+                 "w:0:1:2,z:0:1:2,x:0:1:3,y:0:1:2", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "evaluation inside excluded band x = 0.5" in capsys.readouterr().err
+
+
 SHARING_CFG = """
 [suite]
 samples = 10
@@ -670,10 +687,11 @@ def test_python_m_entry_point(tmp_path, checks, expected):
 
 #: class-level ``Expr.evaluate`` calls in one ``run_suite`` of paper.cfg:
 #: every check of a sample set evaluates through the set's one memo, so a
-#: node shared by several trees is evaluated once per sample set (2,424
-#: with one memo per point set of a dkp sample, 5,590 with one memo per
-#: check, 36,572 when every tree was walked on its own)
-PAPER_SUITE_NODE_EVALUATIONS = 2116
+#: node shared by several trees is evaluated once per sample set (2,116
+#: when the dkp closure check also evaluated d Sigma^{1'1'} and its closed
+#: form, 2,424 with one memo per point set of a dkp sample, 5,590 with
+#: one memo per check, 36,572 when every tree was walked on its own)
+PAPER_SUITE_NODE_EVALUATIONS = 1977
 
 
 def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):

@@ -139,7 +139,7 @@ def test_curvature_two_forms_flat(pts):
 def test_curvature_two_forms_abelian():
     # a rank-one connection (single symmetric slot) has Gamma ^ Gamma = 0,
     # so the curvature form reduces to the exact-derivative part
-    from nullkahler.curvature import SpinConnection, _mixed_connection
+    from nullkahler.curvature import SpinConnection
 
     rng = np.random.default_rng(8)
     n = 6
@@ -394,10 +394,77 @@ def test_structure_rhs_gather_matches_row_loop():
                                       _structure_rhs_by_rows(dde[:, l]))
 
 
+def test_frame_inverse_inverts_the_unit_coframe_matrix():
+    from nullkahler.curvature import _FRAME_INV, _structure_matrix
+
+    unit = _structure_matrix(np.eye(4).reshape(1, 2, 2, 4))[0]
+    assert np.max(np.abs(_FRAME_INV @ unit - np.eye(24))) <= 1e-14
+
+
+def test_frame_basis_solve_matches_lapack():
+    # (M(1)^{-1} (Lambda^2 D) b) E solves the assembled system M(e) x = b,
+    # for one right-hand side per point and for four
+    from nullkahler.curvature import (
+        _frame_solve,
+        _second_compound,
+        _structure_matrix,
+    )
+    from nullkahler.geometry import dual_vector_values
+
+    rng = np.random.default_rng(11)
+    frames = np.eye(4) + 0.3 * rng.standard_normal((400, 4, 4))
+    frames = frames[np.linalg.cond(frames) < 10.0][:100]
+    e = frames.reshape(-1, 2, 2, 4)
+    mat = _structure_matrix(e)
+    compound = _second_compound(dual_vector_values(e))
+    for shape in ((len(e), 24), (len(e), 4, 24)):
+        rhs = rng.standard_normal(shape)
+        columns = rhs.reshape(len(e), -1, 24).transpose(0, 2, 1)
+        want = np.linalg.solve(mat, columns).transpose(0, 2, 1).reshape(shape)
+        got = _frame_solve(rhs, frames, compound)
+        scale = np.max(np.abs(want), axis=-1)
+        assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-12 * scale)
+
+
+def test_spin_connection_refuses_a_frame_degenerate_at_one_point():
+    # e^{00'} = x dw degenerates on x = 0; the other sample points are
+    # regular, and the frame inversion refuses the set that meets x = 0
+    from nullkahler.geometry import CoFrame, DegeneracyError, FormField
+
+    one = ExprField.constant(1.0, CHART4)
+    x = ExprField.from_text("x", CHART4)
+    coframe = CoFrame(CHART4, [
+        [FormField(CHART4, 1, {(0,): x}), FormField(CHART4, 1, {(1,): one})],
+        [FormField(CHART4, 1, {(2,): one}), FormField(CHART4, 1, {(3,): one})],
+    ])
+    sample = np.array([[0.1, 0.2, 0.5, 0.3], [0.4, -0.2, 0.0, 0.6],
+                       [-0.3, 0.7, -0.8, 0.1]])
+    assert spin_connection(coframe, sample[[0, 2]]).residual < 1e-12
+    with pytest.raises(DegeneracyError):
+        spin_connection(coframe, sample)
+
+
+def _two_forms_by_einsum(conn):
+    """Reference curvature two-forms: the mixed connection and each term
+    of dGamma + Gamma ^ Gamma as an einsum."""
+    from nullkahler.curvature import _MIXED
+
+    def build(sym, dsym):
+        mixed = np.einsum("abp,npk->nabk", _MIXED, sym)
+        dmixed = np.einsum("abp,nlpk->nlabk", _MIXED, dsym)
+        d_part = (np.einsum("nmabk->nabmk", dmixed)
+                  - np.einsum("nkabm->nabmk", dmixed))
+        quad = (np.einsum("nacm,ncbk->nabmk", mixed, mixed)
+                - np.einsum("nack,ncbm->nabmk", mixed, mixed))
+        return d_part + quad
+
+    return build(conn.unprimed, conn.d_unprimed), build(conn.primed, conn.d_primed)
+
+
 def _cartan_reference(coframe, points):
-    """Reference Cartan route: one solve for Gamma and one per partial
-    d_l Gamma with the assembled M(d_l e), and the two-forms soldered
-    with three-operand einsums."""
+    """Reference Cartan route: one LAPACK solve for Gamma and one per
+    partial d_l Gamma with the assembled M(e) and M(d_l e), the two-forms
+    by einsum, and the forms soldered with three-operand einsums."""
     from nullkahler.curvature import (
         _MODEL_M,
         _MODEL_PINV,
@@ -419,12 +486,12 @@ def _cartan_reference(coframe, points):
         dgamma[:, l] = np.linalg.solve(mat, drhs[..., None])[..., 0]
     gamma = gamma.reshape(npts, 2, 3, 4)
     dgamma = dgamma.reshape(npts, 4, 2, 3, 4)
-    conn = SpinConnection(gamma[:, 0], gamma[:, 1], dgamma[:, :, 0],
-                          dgamma[:, :, 1], 0.0, e)
     dual = dual_vector_values(e)
+    conn = SpinConnection(gamma[:, 0], gamma[:, 1], dgamma[:, :, 0],
+                          dgamma[:, :, 1], 0.0, dual)
     data = np.concatenate([
         np.einsum("nabmk,ncpm,ndrk->nabcpdr", form, dual, dual).reshape(npts, 64)
-        for form in curvature_two_forms(conn)], axis=1)
+        for form in _two_forms_by_einsum(conn)], axis=1)
     theta = data @ _MODEL_PINV.T
     return conn, {
         "c_asd": theta[:, :5], "c_sd": theta[:, 5:10],
@@ -434,9 +501,10 @@ def _cartan_reference(coframe, points):
 
 
 def test_cartan_route_matches_per_partial_reference():
-    # Gamma and its four partials in two solves, the forms soldered as
-    # D R D^T: the same connection and report as one solve per partial
-    # and einsum soldering, and the two routes still agree to round-off
+    # Gamma and its four partials by the frame-basis solve, the forms by
+    # broadcast products and soldered as D R D^T: the same connection and
+    # report as one LAPACK solve per partial and einsum forms and
+    # soldering, and the two routes still agree to round-off
     def close(new, old):
         scale = max(1.0, float(np.max(np.abs(old))))
         return float(np.max(np.abs(new - old))) <= 1e-12 * scale
@@ -452,3 +520,29 @@ def test_cartan_route_matches_per_partial_reference():
             assert close(getattr(report, name), value), name
         gaps = path_agreement(oracle_report(metric, coframe, sample), report)
         assert max(gaps.values()) < 1e-14, gaps
+
+
+#: class-level node evaluations of the oracle and the Cartan route over
+#: the criterion-4 set at 100 points, the two routes sharing one memo per
+#: fixture (1,496 with none)
+TWO_ROUTE_NODE_EVALUATIONS = 868
+
+
+def test_cartan_route_shares_the_oracle_memo(evaluate_calls):
+    # with one memo per point set the Cartan route reads the coframe
+    # values the oracle evaluated, and reports the same bits
+    fixtures = [(metric, coframe, SamplePlan(box, count=100).points())
+                for metric, coframe, box in _criterion4_fixtures()]
+    counts, reports = {}, {}
+    for shared in (False, True):
+        del evaluate_calls[:]
+        reports[shared] = []
+        for metric, coframe, sample in fixtures:
+            memo = {} if shared else None
+            oracle_report(metric, coframe, sample, memo)
+            reports[shared].append(cartan_report(coframe, sample, memo))
+        counts[shared] = len(evaluate_calls)
+    assert counts[True] <= TWO_ROUTE_NODE_EVALUATIONS < counts[False], counts
+    for alone, shared in zip(reports[False], reports[True]):
+        for name in ("c_asd", "c_sd", "phi", "scalar"):
+            assert getattr(alone, name).tobytes() == getattr(shared, name).tobytes()

@@ -130,11 +130,12 @@ def test_monopole_examples(p3):
 def test_sd_two_forms_report(p4):
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
     coframe = dkp_coframe(h_pot, w_pot)
-    s00, s01, s11, report = sd_two_forms(coframe, h_pot, w_pot, p4)
+    s00, s01, s11, report = sd_two_forms(coframe, p4)
     assert report.d_sigma00 < 1e-9
     assert report.d_sigma01 < 1e-9
-    assert report.d_sigma11_vs_rhs < 1e-8
-    assert report.d_sigma11_max > 1e-1  # open unless W = H_x/2 + f(t)
+    d11 = exterior_derivative(s11).evaluate(p4)
+    assert np.max(np.abs(d11 - sigma11_rhs(h_pot, w_pot).evaluate(p4))) < 1e-8
+    assert np.max(np.abs(d11)) > 1e-1  # open unless W = H_x/2 + f(t)
     # Sigma^{0'0'} = dz ^ dt
     values = s00.evaluate(p4)
     assert np.max(np.abs(values[:, 3, 2] - 1.0)) < 1e-12
@@ -144,8 +145,8 @@ def test_sd_two_forms_parallel_frame(p4):
     h_pot = f3(H_MAIN)
     w_half = symmetry_w(h_pot, b=0.5)  # W = H_x/2
     coframe = dkp_coframe(h_pot, w_half)
-    _, _, _, report = sd_two_forms(coframe, h_pot, w_half, p4)
-    assert report.d_sigma11_max < 1e-8
+    _, _, s11, report = sd_two_forms(coframe, p4)
+    assert np.max(np.abs(exterior_derivative(s11).evaluate(p4))) < 1e-8
     assert report.d_sigma00 < 1e-9 and report.d_sigma01 < 1e-9
 
 
