@@ -376,8 +376,12 @@ def _structure_matrix(e: np.ndarray) -> np.ndarray:
 
 
 #: inverse of the structure matrix of the unit coframe: the structure
-#: equations in frame components, where their matrix is constant
-_FRAME_INV = np.linalg.inv(_structure_matrix(np.eye(4).reshape(1, 2, 2, 4))[0])
+#: equations in frame components, where their matrix is constant.  Its
+#: entries are multiples of 1/4, so rounding makes it exact.  It is taken
+#: by ``pinv``, which the import already runs for ``_MODEL_PINV``: a first
+#: ``inv`` call would raise every process's peak memory by about 0.3 MB
+_FRAME_INV = np.round(4 * np.linalg.pinv(
+    _structure_matrix(np.eye(4).reshape(1, 2, 2, 4))[0])) / 4
 
 
 def _structure_rhs(de: np.ndarray) -> np.ndarray:
@@ -413,7 +417,7 @@ def _frame_solve(rhs, frame, compound):
     return (gamma.reshape(npts, -1, 4) @ frame).reshape(shape)
 
 
-def spin_connection(coframe: CoFrame, points, memo=None) -> SpinConnection:
+def spin_connection(coframe: CoFrame, points) -> SpinConnection:
     """Solve the first structure equations for Gamma_{AB}, Gamma_{A'B'}.
 
     de^{AA'} = e^{BA'} ^ Gamma^A_B + e^{AB'} ^ Gamma^{A'}_{B'} is a 24x24
@@ -431,11 +435,8 @@ def spin_connection(coframe: CoFrame, points, memo=None) -> SpinConnection:
     Gamma.  The connection and its first derivatives are exact up to
     round-off, and the residual max|M(e) Gamma - b| is reported.  A
     degenerate coframe raises ``DegeneracyError`` when it is inverted.
-
-    The coframe's three jets share one evaluation memo, ``memo`` if given
-    (it must belong to ``points``).
     """
-    memo = {} if memo is None else memo
+    memo = {}
     e = coframe.evaluate(points, memo)
     de = coframe.first_derivatives(points, memo)
     dde = coframe.second_derivatives(points, memo)
@@ -445,11 +446,12 @@ def spin_connection(coframe: CoFrame, points, memo=None) -> SpinConnection:
     compound = _second_compound(dual)
     rhs = _structure_rhs(de)
     gamma_flat = _frame_solve(rhs, frame, compound)
-    mat = _structure_matrix(e)
-    residual = float(np.max(np.abs((mat @ gamma_flat[..., None])[..., 0] - rhs)))
+    # the constant map applied to Gamma: e contracted with it is M(e) Gamma
+    gmap = (gamma_flat @ _STRUCTURE_MAP_T).reshape(npts, 16, 24)
+    mat_gamma = (e.reshape(npts, 1, 16) @ gmap)[:, 0]
+    residual = float(np.max(np.abs(mat_gamma - rhs)))
 
-    dmat_gamma = de.reshape(npts, 4, 16) @ (gamma_flat @ _STRUCTURE_MAP_T).reshape(
-        npts, 16, 24)
+    dmat_gamma = de.reshape(npts, 4, 16) @ gmap
     drhs = _structure_rhs(dde) - dmat_gamma
     dgamma_flat = _frame_solve(drhs, frame, compound)
 
@@ -508,11 +510,9 @@ def decompose_curvature(r_unprimed, r_primed, dual_vectors) -> CurvatureReport:
                            raw=None)
 
 
-def cartan_report(coframe: CoFrame, points, memo=None) -> CurvatureReport:
-    """Spinor-labelled components from the Cartan route.  The coframe
-    jets are evaluated through ``memo`` if given (it must belong to
-    ``points``), so the route can share the oracle's memo."""
-    conn = spin_connection(coframe, points, memo)
+def cartan_report(coframe: CoFrame, points) -> CurvatureReport:
+    """Spinor-labelled components from the Cartan route."""
+    conn = spin_connection(coframe, points)
     r_u, r_p = curvature_two_forms(conn)
     return decompose_curvature(r_u, r_p, conn.dual)
 

@@ -521,28 +521,3 @@ def test_cartan_route_matches_per_partial_reference():
         gaps = path_agreement(oracle_report(metric, coframe, sample), report)
         assert max(gaps.values()) < 1e-14, gaps
 
-
-#: class-level node evaluations of the oracle and the Cartan route over
-#: the criterion-4 set at 100 points, the two routes sharing one memo per
-#: fixture (1,496 with none)
-TWO_ROUTE_NODE_EVALUATIONS = 868
-
-
-def test_cartan_route_shares_the_oracle_memo(evaluate_calls):
-    # with one memo per point set the Cartan route reads the coframe
-    # values the oracle evaluated, and reports the same bits
-    fixtures = [(metric, coframe, SamplePlan(box, count=100).points())
-                for metric, coframe, box in _criterion4_fixtures()]
-    counts, reports = {}, {}
-    for shared in (False, True):
-        del evaluate_calls[:]
-        reports[shared] = []
-        for metric, coframe, sample in fixtures:
-            memo = {} if shared else None
-            oracle_report(metric, coframe, sample, memo)
-            reports[shared].append(cartan_report(coframe, sample, memo))
-        counts[shared] = len(evaluate_calls)
-    assert counts[True] <= TWO_ROUTE_NODE_EVALUATIONS < counts[False], counts
-    for alone, shared in zip(reports[False], reports[True]):
-        for name in ("c_asd", "c_sd", "phi", "scalar"):
-            assert getattr(alone, name).tobytes() == getattr(shared, name).tobytes()
