@@ -46,7 +46,6 @@ from .geometry import (
     wedge,
 )
 from .curvature import (
-    KAPPA_PAPER,
     CurvatureReport,
     NullKahlerReport,
     RawCurvature,

@@ -1,11 +1,13 @@
 """Two independent curvature pipelines and the ASD null-Kahler checkers.
 
-Oracle path: Christoffel symbols -> Riemann -> Ricci/scalar/Weyl in
-coordinates.  The dual frame solders the bivectors Sigma^{ab}_{AB} and
-Sigma'^{ab}_{A'B'}, and contracting both pairs of the Weyl tensor with
-one of them reads off that chirality's Weyl spinor, by the split of a
-two-form into eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'} (Penrose &
-Rindler, *Spinors and Space-Time* vol. 1).
+Oracle path: the lowered Riemann tensor in one pass from the metric's
+first and second derivatives, then Ricci and the scalar in coordinates.
+The dual frame solders the bivectors Sigma^{ab}_{AB} and
+Sigma'^{ab}_{A'B'}, and contracting both pairs of the Riemann tensor
+with one of them reads off that chirality's curvature spinor X, by the
+split of a two-form into eps_{AB} phi_{A'B'} + psi_{AB} eps_{A'B'}
+(Penrose & Rindler, *Spinors and Space-Time* vol. 1); the Weyl spinor
+is X less its scalar term (below).
 
 Cartan path: spin connection from the first structure equations (a
 24x24 system per point, solved in the frame basis, where its matrix is
@@ -153,22 +155,14 @@ def _curvature_model_matrix() -> np.ndarray:
 _MODEL_M = _curvature_model_matrix()
 _MODEL_PINV = np.linalg.pinv(_MODEL_M)
 
-# Frozen closed-form anchors on the theta = x*y^3 and theta = x^2*y^2
-# fixtures: the oracle ASD component per delta^4(theta) with
-# delta_0 = d/dy, delta_1 = -d/dx, and the oracle SD component
-# (slot 0'0'0'0') per box(f).
-KAPPA_PAPER = {"asd": 2.0, "sd": 0.5}
-
 
 @dataclass
 class RawCurvature:
     """Coordinate-oracle curvature at a batch of points."""
 
-    riemann: np.ndarray     # R^a_{bcd}
     riemann_low: np.ndarray  # R_{abcd}
     ricci: np.ndarray       # R_{ab}
     scalar: np.ndarray      # R
-    weyl_low: np.ndarray    # C_{abcd}
     metric: np.ndarray
     metric_inv: np.ndarray
 
@@ -228,52 +222,38 @@ def christoffel(dg, ddg, ginv) -> tuple:
     return gamma, dgamma, dginv
 
 
-def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
-    """R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma Gamma terms."""
-    return (
-        np.einsum("ncadb->nabcd", dgamma)
-        - np.einsum("ndacb->nabcd", dgamma)
-        + np.einsum("nace,nedb->nabcd", gamma, gamma)
-        - np.einsum("nade,necb->nabcd", gamma, gamma)
-    )
-
-
 def coordinate_curvature(metric: MetricField, points, memo=None) -> RawCurvature:
-    """Independent curvature oracle from coordinate formulas.  The three
-    metric jets share one evaluation memo, ``memo`` if given (it must
-    belong to ``points``)."""
+    """Independent curvature oracle from coordinate formulas.
+
+    The lowered Riemann tensor comes straight from the metric jets
+    (Misner, Thorne & Wheeler, *Gravitation*, ch. 8):
+    R_{abcd} = 1/2 (g_{ad,bc} + g_{bc,ad} - g_{ac,bd} - g_{bd,ac})
+               + Gamma_{f,bc} Gamma^f_{ad} - Gamma_{f,bd} Gamma^f_{ac},
+    with Gamma_{f,bc} = 1/2 (g_{fb,c} + g_{fc,b} - g_{bc,f}) and
+    Gamma^f_{ad} = g^{fe} Gamma_{e,ad}; both terms are S_{abcd} - S_{abdc}
+    for one S.  Ricci is R_{bd} = g^{ac} R_{abcd}.  The three metric jets
+    share one evaluation memo, ``memo`` if given (it must belong to
+    ``points``).
+    """
     memo = {} if memo is None else memo
     gv = metric.evaluate(points, memo)
     ginv = inverse_metric_values(gv)
-    dg = metric.first_derivatives(points, memo)
-    ddg = metric.second_derivatives(points, memo)
-    gamma, dgamma, _ = christoffel(dg, ddg, ginv)
-    riem = riemann_from_christoffel(gamma, dgamma)
-    riem_low = np.einsum("nae,nebcd->nabcd", gv, riem)
-    ricci = np.einsum("nabad->nbd", riem)
+    dg = metric.first_derivatives(points, memo)    # dg[n, f, b, c] = g_{bc,f}
+    ddg = metric.second_derivatives(points, memo)  # ddg[n, b, c, a, d] = g_{ad,bc}
+    npts, dim = gv.shape[:2]
+    # first kind [n, f, b, c]: g_{fc,b} + g_{fb,c} - g_{bc,f}, halved
+    swapped = dg.transpose(0, 2, 1, 3)
+    first = 0.5 * (swapped + swapped.transpose(0, 1, 3, 2) - dg)
+    second = ginv @ first.reshape(npts, dim, dim * dim)  # [n, f, (a, d)]
+    # Gamma_{f,bc} Gamma^f_{ad} as [n, b, c, a, d]
+    quad = first.reshape(npts, dim, dim * dim).transpose(0, 2, 1) @ second
+    hessian = ddg.transpose(0, 3, 1, 2, 4)  # [n, a, b, c, d] = g_{ad,bc}
+    half = (0.5 * (hessian + hessian.transpose(0, 2, 1, 4, 3))
+            + quad.reshape((npts,) + (dim,) * 4).transpose(0, 3, 1, 2, 4))
+    riem_low = half - half.transpose(0, 1, 2, 4, 3)
+    ricci = np.einsum("nac,nabcd->nbd", ginv, riem_low)
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
-    n = gv.shape[-1]
-    if n == 4:
-        weyl = _weyl_from_riemann(riem_low, ricci, scalar, gv)
-    else:
-        weyl = np.zeros_like(riem_low)
-    return RawCurvature(riem, riem_low, ricci, scalar, weyl, gv, ginv)
-
-
-def _weyl_from_riemann(riem_low, ricci, scalar, gv) -> np.ndarray:
-    """4D Weyl tensor C_{abcd} (fully trace-free part of Riemann)."""
-    g = gv
-    term_ricci = 0.5 * (
-        np.einsum("nac,ndb->nabcd", g, ricci)
-        - np.einsum("nad,ncb->nabcd", g, ricci)
-        - np.einsum("nbc,nda->nabcd", g, ricci)
-        + np.einsum("nbd,nca->nabcd", g, ricci)
-    )
-    term_scalar = (
-        np.einsum("n,nac,ndb->nabcd", scalar / 6.0, g, g)
-        - np.einsum("n,nad,ncb->nabcd", scalar / 6.0, g, g)
-    )
-    return riem_low - term_ricci + term_scalar
+    return RawCurvature(riem_low, ricci, scalar, gv, ginv)
 
 
 # --- cartan path ---------------------------------------------------------------
@@ -538,6 +518,13 @@ def _soldered_bivectors(dual) -> tuple:
     return sigma_p.transpose(0, 3, 4, 1, 2), sigma_u.transpose(0, 2, 4, 1, 3)
 
 
+#: flat slots (x X', y Y') of D Phi D^T that phi[u, v] reads: u is the
+#: unprimed pair (x, y) and v the primed pair (X', Y'), both in SYM_PAIRS
+_PHI_ROWS, _PHI_COLS = (
+    np.array([[2 * u[k] + v[k] for v in SYM_PAIRS] for u in SYM_PAIRS])
+    for k in (0, 1))
+
+
 def oracle_report(metric: MetricField, coframe: CoFrame, points,
                   memo=None) -> CurvatureReport:
     """Spinor-labelled components from the coordinate oracle.
@@ -546,11 +533,16 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
     (Penrose & Rindler, *Spinors and Space-Time* vol. 1), so
     the soldered bivectors Sigma'^{ab}_{X'Y'} = eps^{xy} D^a_{xX'} D^b_{yY'}
     and Sigma^{ab}_{xy} = eps^{X'Y'} D^a_{xX'} D^b_{yY'} of the dual frame
-    read each chirality off the Weyl tensor:
-    C_{X'Y'Z'W'} = 1/4 C_{abcd} Sigma'^{ab}_{X'Y'} Sigma'^{cd}_{Z'W'}
-    (mirror for the unprimed part).  The trace-free Ricci part is
-    soldered as Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).  Everything
-    carries lower spinor labels.
+    read each chirality's curvature spinor off the Riemann tensor:
+    X_{X'Y'Z'W'} = 1/4 R_{abcd} Sigma'^{ab}_{X'Y'} Sigma'^{cd}_{Z'W'}
+    (mirror for the unprimed part).  By the split
+    X_{ABCD} = Psi_{ABCD} + (R/24)(eps_{AC} eps_{BD} + eps_{AD} eps_{BC})
+    (sec. 4.6) the Weyl spinors are these projections less the scalar
+    term.  What is left is totally symmetric unless R_{abcd} breaks the
+    first Bianchi identity; the largest asymmetry is reported as the
+    ``fit_residual``.  The trace-free Ricci part is soldered as
+    Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}), D Phi D^T read into the
+    symmetrised 3x3 block.  Everything carries lower spinor labels.
 
     With eps^{01} = 1 each bivector is one difference of two broadcast
     products of dual-frame rows.  They are built in the memory layout
@@ -566,41 +558,27 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
     raw = coordinate_curvature(metric, points, memo)
     dual = coframe.dual_vectors(points, memo)
     npts = dual.shape[0]
-    weyl = raw.weyl_low.reshape(npts, 16, 16)
+    riemann = raw.riemann_low.reshape(npts, 16, 16)
+    lam = (raw.scalar / 24.0)[:, None, None, None, None] * _EPS_SYM
 
-    def project(sigma):  # sigma[n, X, Y, a, b] -> 1/4 C_abcd S^ab_XY S^cd_ZW
+    def weyl_spinor(sigma):  # 1/4 R_abcd S^ab_XY S^cd_ZW - (R/24) eps_sym
         sigma = sigma.reshape(npts, 4, 16)
-        spin = sigma @ weyl @ sigma.transpose(0, 2, 1)
-        return 0.25 * spin.reshape(npts, 2, 2, 2, 2)
+        spin = sigma @ riemann @ sigma.transpose(0, 2, 1)
+        return 0.25 * spin.reshape(npts, 2, 2, 2, 2) - lam
 
     sigma_p, sigma_u = _soldered_bivectors(dual)
-    c_sd_full = project(sigma_p)
-    c_asd_full = project(sigma_u)
-    c_sd = _extract_slots(c_sd_full)
-    c_asd = _extract_slots(c_asd_full)
-    # total symmetry of the extracted spinors validates the projection
-    sym_gap = max(
-        float(np.max(np.abs(c_sd_full - np.einsum("nXYZW->nYXZW", c_sd_full)))),
-        float(np.max(np.abs(c_sd_full - np.einsum("nXYZW->nXZYW", c_sd_full)))),
-        float(np.max(np.abs(c_asd_full - np.einsum("nxyzw->nyxzw", c_asd_full)))),
-        float(np.max(np.abs(c_asd_full - np.einsum("nxyzw->nxzyw", c_asd_full)))),
-    )
+    c_sd_full = weyl_spinor(sigma_p)
+    c_asd_full = weyl_spinor(sigma_u)
+    sym_gap = max(float(np.max(np.abs(full - full.transpose(axes))))
+                  for full in (c_sd_full, c_asd_full)
+                  for axes in ((0, 2, 1, 3, 4), (0, 1, 3, 2, 4)))
 
-    trace = 0.25 * np.einsum("n,nab->nab", raw.scalar, raw.metric)
-    phi_ab = -0.5 * (raw.ricci - trace)
-    phi_bis = np.einsum("nab,nxpa,nyqb->nxpyq", phi_ab, dual, dual)
-    # reorder to (unprimed pair, primed pair) with symmetrization
-    phi_full = 0.5 * (
-        np.einsum("nxpyq->nxypq", phi_bis) + np.einsum("nxpyq->nyxqp", phi_bis)
-    )
-    pair_of = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
-    phi = np.empty((phi_full.shape[0], 3, 3))
-    for (a, b), u in pair_of.items():
-        for (c, d), v in pair_of.items():
-            phi[:, u, v] = phi_full[:, a, b, c, d]
-
-    return CurvatureReport(c_asd, c_sd, phi, raw.scalar, sym_gap, path="oracle",
-                           raw=raw)
+    phi_ab = -0.5 * (raw.ricci - 0.25 * raw.scalar[:, None, None] * raw.metric)
+    frame = dual.reshape(npts, 4, 4)  # rows (x, X'), columns a
+    bis = frame @ phi_ab @ frame.transpose(0, 2, 1)
+    phi = 0.5 * (bis + bis.transpose(0, 2, 1))[:, _PHI_ROWS, _PHI_COLS]
+    return CurvatureReport(_extract_slots(c_asd_full), _extract_slots(c_sd_full),
+                           phi, raw.scalar, sym_gap, path="oracle", raw=raw)
 
 
 # --- checks --------------------------------------------------------------------
@@ -628,8 +606,9 @@ def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:
     Both reports carry the module convention, so no factor enters: the
     Cartan fit raises the lowered block with R^A_B = R_{EB} eps^{EA}
     (the delta^{A'}_{B'} of the structure equations lowers to
-    -eps_{A'B'}), and the oracle projects the Weyl tensor as
-    1/4 C_{abcd} Sigma^{ab} Sigma^{cd} and the trace-free Ricci tensor as
+    -eps_{A'B'}), and the oracle projects the Riemann tensor as
+    1/4 R_{abcd} Sigma^{ab} Sigma^{cd} less (R/24)(eps_{AC} eps_{BD} +
+    eps_{AD} eps_{BC}) and the trace-free Ricci tensor as
     Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).
 
     A sector that vanishes at working precision (its magnitude is

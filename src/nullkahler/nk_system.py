@@ -102,7 +102,7 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
     1. Theta_x = 0:  Theta = B(w,y) + z * int A(w,y) dy, f = A.
        A, B polynomial (the y-antiderivative must be closed form).
     2. f = Theta_x with Theta_xx = 0:
-       Theta = x * int P dy + z * intint (P - P_w + 2 P P_y) dy^2
+       Theta = x * int P dy + z * int (int (P - P_w) dy + P^2) dy
              + intint Q dy^2,  f = Theta_x;  P, Q polynomial in (w, y).
     3. Theta = A(x/y) for an arbitrary expression A(s); f is induced.
        The locus y = 0 is excluded from the chart.
@@ -117,10 +117,8 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
     if kind == 2:
         p = parse(params["P"], ("w", "y"))
         q = parse(params.get("Q", "0"), ("w", "y"))
-        p_w = p.derivative("w")
-        p_y = p.derivative("y")
-        source = p - p_w + 2.0 * (p * p_y)
-        n_zz = integrate_polynomial(integrate_polynomial(source, "y"), "y")
+        n_zz = integrate_polynomial(
+            integrate_polynomial(p - p.derivative("w"), "y") + p * p, "y")
         n_q = integrate_polynomial(integrate_polynomial(q, "y"), "y")
         theta = (Var("x") * integrate_polynomial(p, "y")
                  + Var("z") * n_zz + n_q)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nullkahler.curvature import (
-    KAPPA_PAPER,
     cartan_report,
     check_null_kahler,
+    christoffel,
     coordinate_curvature,
     curvature_two_forms,
     decompose_curvature,
@@ -14,7 +16,13 @@ from nullkahler.curvature import (
 )
 from nullkahler.dkp import build_metric
 from nullkahler.fields import Chart, ExprField
-from nullkahler.geometry import dkp_coframe, nk_coframe, nk_metric
+from nullkahler.geometry import (
+    DegeneracyError,
+    dkp_coframe,
+    inverse_metric_values,
+    nk_coframe,
+    nk_metric,
+)
 from nullkahler.sampling import Box, SamplePlan
 
 CHART4 = Chart(("w", "z", "x", "y"))
@@ -22,10 +30,43 @@ CHART3 = Chart(("x", "y", "t"))
 BOX4 = Box(((-1, 1),) * 4)
 DKP_BOX = Box(((-1, 1), (-1, 1), (-1, 0.5), (-1, 1)))
 
+# Frozen closed-form anchors on the theta = x*y^3 and theta = x^2*y^2
+# fixtures: the oracle ASD component per delta^4(theta) with
+# delta_0 = d/dy, delta_1 = -d/dx, and the oracle SD component
+# (slot 0'0'0'0') per box(f).
+KAPPA_PAPER = {"asd": 2.0, "sd": 0.5}
+
 
 def nk_fixture(text):
     theta = ExprField.from_text(text, CHART4)
     return nk_metric(theta), nk_coframe(theta), theta
+
+
+def _weyl_reference(metric, points):
+    """Reference oracle chain, independent of the one-pass Riemann tensor:
+    Christoffel symbols and their partials, the mixed Riemann tensor
+    R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma Gamma terms,
+    lowered, Ricci R_{bd} = R^a_{bad} and R, and the Weyl tensor as the
+    Riemann tensor less its Kulkarni-Nomizu trace terms.  Returns
+    (C_{abcd}, g^{ab})."""
+    g = metric.evaluate(points)
+    ginv = inverse_metric_values(g)
+    gamma, dgamma, _ = christoffel(metric.first_derivatives(points),
+                                   metric.second_derivatives(points), ginv)
+    riem = (np.einsum("ncadb->nabcd", dgamma)
+            - np.einsum("ndacb->nabcd", dgamma)
+            + np.einsum("nace,nedb->nabcd", gamma, gamma)
+            - np.einsum("nade,necb->nabcd", gamma, gamma))
+    riem_low = np.einsum("nae,nebcd->nabcd", g, riem)
+    ricci = np.einsum("nabad->nbd", riem)
+    scalar = np.einsum("nbd,nbd->n", ginv, ricci)
+    term_ricci = 0.5 * (np.einsum("nac,ndb->nabcd", g, ricci)
+                        - np.einsum("nad,ncb->nabcd", g, ricci)
+                        - np.einsum("nbc,nda->nabcd", g, ricci)
+                        + np.einsum("nbd,nca->nabcd", g, ricci))
+    term_scalar = (np.einsum("n,nac,ndb->nabcd", scalar / 6.0, g, g)
+                   - np.einsum("n,nad,ncb->nabcd", scalar / 6.0, g, g))
+    return riem_low - term_ricci + term_scalar, ginv
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +77,7 @@ def pts():
 def test_flat_curvature_vanishes(pts):
     metric, coframe, _ = nk_fixture("0")
     raw = coordinate_curvature(metric, pts)
-    assert np.max(np.abs(raw.riemann)) < 1e-12
+    assert np.max(np.abs(raw.riemann_low)) < 1e-12
     assert np.max(np.abs(raw.ricci)) < 1e-12
     report = cartan_report(coframe, pts)
     assert report.max_sd() < 1e-12 and np.max(np.abs(report.c_asd)) < 1e-12
@@ -79,8 +120,8 @@ def test_first_bianchi_symmetry(pts):
 
 def test_weyl_trace_free(pts):
     metric, _, _ = nk_fixture("x^2*y^2 + w*x*y + z*x^3/2")
-    raw = coordinate_curvature(metric, pts)
-    trace = np.einsum("nac,nabcd->nbd", raw.metric_inv, raw.weyl_low)
+    weyl, ginv = _weyl_reference(metric, pts)
+    trace = np.einsum("nac,nabcd->nbd", ginv, weyl)
     assert np.max(np.abs(trace)) < 1e-10
 
 
@@ -290,13 +331,14 @@ def test_nk_ansatz_scalar_flat_even_off_shell(pts):
 
 
 def _weyl_spinors_slot_by_slot(metric, coframe, points):
-    """Reference: the Weyl tensor soldered slot by slot, then split."""
+    """Reference: the reference chain's Weyl tensor soldered slot by slot,
+    then split."""
     from nullkahler.curvature import _extract_slots
     from nullkahler.spinors import EPS_UPPER
 
     dual = coframe.dual_vectors(points)
     weyl_spin = np.einsum("nabcd,nxXa,nyYb,nzZc,nwWd->nxXyYzZwW",
-                          coordinate_curvature(metric, points).weyl_low,
+                          _weyl_reference(metric, points)[0],
                           dual, dual, dual, dual)
     c_sd = 0.25 * np.einsum("nxXyYzZwW,xy,zw->nXYZW", weyl_spin,
                             EPS_UPPER, EPS_UPPER)
@@ -341,8 +383,10 @@ def test_sigma_soldering_matches_slot_by_slot_reference():
 def test_broadcast_sigma_matches_einsum_reference():
     # the einsums the bivectors were once soldered with, kept as the
     # reference: the broadcast arrays are equal to them (up to the sign of
-    # a zero), and in their layout the projection keeps its bytes
-    from nullkahler.curvature import _extract_slots, _soldered_bivectors
+    # a zero), in their layout the projection of the Riemann tensor keeps
+    # its bytes, and projecting the reference chain's Weyl tensor with
+    # them gives the report's spinors to round-off
+    from nullkahler.curvature import _EPS_SYM, _extract_slots, _soldered_bivectors
     from nullkahler.spinors import EPS_UPPER
 
     for metric, coframe, box in _criterion4_fixtures():
@@ -354,12 +398,64 @@ def test_broadcast_sigma_matches_einsum_reference():
         sigma_p, sigma_u = _soldered_bivectors(dual)
         np.testing.assert_array_equal(sigma_p, ref_p)
         np.testing.assert_array_equal(sigma_u, ref_u)
-        weyl = report.raw.weyl_low.reshape(-1, 16, 16)
+        riemann = report.raw.riemann_low.reshape(-1, 16, 16)
+        weyl = _weyl_reference(metric, sample)[0].reshape(-1, 16, 16)
+        lam = (report.scalar / 24.0)[:, None, None, None, None] * _EPS_SYM
+        scale = max(1.0, np.max(np.abs(report.c_asd)), np.max(np.abs(report.c_sd)))
         for got, sigma in ((report.c_sd, ref_p), (report.c_asd, ref_u)):
             flat = sigma.reshape(-1, 4, 16)
+            spin = 0.25 * (flat @ riemann @ flat.transpose(0, 2, 1))
+            ref = _extract_slots(spin.reshape(-1, 2, 2, 2, 2) - lam)
+            assert got.tobytes() == ref.tobytes()
             spin = 0.25 * (flat @ weyl @ flat.transpose(0, 2, 1))
             ref = _extract_slots(spin.reshape(-1, 2, 2, 2, 2))
-            assert got.tobytes() == ref.tobytes()
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def test_weyl_spinors_subtract_the_scalar_term():
+    # the oracle projects the Riemann tensor and takes (R/24) eps_sym off
+    # each chirality; on the criterion-4 dKP fixture W = x^3 + 2x, where
+    # |R| is about 1, the term is live, so dropping it or flipping its
+    # sign leaves a gap of about |R|/12 against the reference Weyl tensor
+    h_pot = ExprField.from_text("-x^2/(2*(t-1))", CHART3)
+    w_pot = ExprField.from_text("x^3 + 2*x", CHART3)
+    metric, coframe = build_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot)
+    sample = SamplePlan(DKP_BOX, count=100).points()
+    report = oracle_report(metric, coframe, sample)
+    c_asd, c_sd = _weyl_spinors_slot_by_slot(metric, coframe, sample)
+    r_max = float(np.max(np.abs(report.scalar)))
+    assert r_max > 0.5
+    scale = max(1.0, np.max(np.abs(c_asd)), np.max(np.abs(c_sd)), r_max)
+    assert np.max(np.abs(report.c_asd - c_asd)) <= 1e-12 * scale
+    assert np.max(np.abs(report.c_sd - c_sd)) <= 1e-12 * scale
+    assert report.fit_residual <= 1e-12 * scale
+
+
+def _phi_by_einsum(report, coframe, points):
+    """Reference Phi block: Phi_ab soldered with a three-operand einsum,
+    reordered and symmetrised with two more, read out pair by pair."""
+    raw = report.raw
+    phi_ab = -0.5 * (raw.ricci
+                     - 0.25 * np.einsum("n,nab->nab", raw.scalar, raw.metric))
+    dual = coframe.dual_vectors(points)
+    phi_bis = np.einsum("nab,nxpa,nyqb->nxpyq", phi_ab, dual, dual)
+    phi_full = 0.5 * (np.einsum("nxpyq->nxypq", phi_bis)
+                      + np.einsum("nxpyq->nyxqp", phi_bis))
+    pair_of = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
+    phi = np.empty((len(points), 3, 3))
+    for (a, b), u in pair_of.items():
+        for (c, d), v in pair_of.items():
+            phi[:, u, v] = phi_full[:, a, b, c, d]
+    return phi
+
+
+def test_phi_product_matches_einsum_reference():
+    for metric, coframe, box in _criterion4_fixtures():
+        sample = SamplePlan(box, count=100).points()
+        report = oracle_report(metric, coframe, sample)
+        ref = _phi_by_einsum(report, coframe, sample)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(report.phi - ref)) <= 1e-14 * scale
 
 
 def test_structure_map_matches_assembler():
@@ -521,3 +617,49 @@ def test_cartan_route_matches_per_partial_reference():
         gaps = path_agreement(oracle_report(metric, coframe, sample), report)
         assert max(gaps.values()) < 1e-14, gaps
 
+
+def _polynomials(names, max_terms=4, max_power=3):
+    """Expression text of a polynomial in ``names`` with small integer
+    coefficients."""
+    monomial = st.tuples(st.integers(-3, 3).filter(bool),
+                         *(st.integers(0, max_power) for _ in names))
+    return st.lists(monomial, min_size=1, max_size=max_terms).map(
+        lambda terms: " + ".join(
+            f"({c})" + "".join(f"*{n}^{k}" for n, k in zip(names, powers) if k)
+            for c, *powers in terms))
+
+
+OFF_SHELL = settings(derandomize=True, max_examples=40, deadline=None,
+                     database=None)
+
+
+def _assert_routes_agree(metric, coframe, sample):
+    gaps = path_agreement(oracle_report(metric, coframe, sample),
+                          cartan_report(coframe, sample))
+    assert max(gaps.values()) < 1e-6, gaps
+
+
+@OFF_SHELL
+@given(_polynomials(("w", "z", "x", "y")))
+def test_two_routes_agree_on_off_shell_theta(theta_text):
+    # a generic theta solves neither nk equation, so every Weyl and Ricci
+    # sector is live; the nk ansatz stays scalar-flat off shell
+    metric, coframe, _ = nk_fixture(theta_text)
+    _assert_routes_agree(metric, coframe, SamplePlan(BOX4, count=30).points())
+
+
+@OFF_SHELL
+@given(_polynomials(("x", "y", "t")), st.sampled_from((-2, 2)),
+       _polynomials(("x", "y", "t"), max_terms=3, max_power=2))
+def test_two_routes_agree_on_off_shell_dkp(h_text, slope, w_text):
+    # H and W solve neither dKP equation, so the scalar curvature, and
+    # with it the (R/24) term of the oracle's Weyl spinors, is live; W
+    # must keep W_x away from zero on the box, as build_metric checks
+    h_pot = ExprField.from_text(h_text, CHART3)
+    w_pot = ExprField.from_text(f"{slope}*x + {w_text}", CHART3)
+    try:
+        metric = build_metric(h_pot, w_pot, DKP_BOX)
+    except DegeneracyError:
+        assume(False)
+    _assert_routes_agree(metric, dkp_coframe(h_pot, w_pot),
+                         SamplePlan(DKP_BOX, count=30).points())

@@ -1,6 +1,7 @@
 """Every module-level import of the package is referenced in its module,
-and every function, class and method it defines is referenced by name
-from the package or the benchmark, or is a listed test oracle."""
+and every function, class, method and module-level constant it defines
+is referenced by name from the package or the benchmark, or is a listed
+test oracle."""
 
 import ast
 from pathlib import Path
@@ -34,10 +35,25 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name} imports {unused} and never uses them"
 
 
+def _assigned_names(target):
+    """Names a module-level assignment target binds."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _assigned_names(elt)]
+    return []
+
+
 def _definitions(tree):
-    """(qualified name, name, is a method) of every function, class and
-    method."""
+    """(qualified name, name, is a method) of every function, class,
+    method and module-level constant."""
     out = []
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                   else [])
+        out += [(name, name, False) for target in targets
+                for name in _assigned_names(target)]
 
     def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
@@ -57,9 +73,9 @@ def _references(tree, names, attributes):
     """Add the names read to ``names`` and the attributes taken to
     ``attributes``; a string constant that is a dotted name, as the
     benchmark tracer and ``monkeypatch`` name their targets, adds to
-    both."""
+    both.  A name that is only assigned is not read."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attributes.add(node.attr)
