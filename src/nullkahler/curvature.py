@@ -203,7 +203,8 @@ def christoffel(dg, ddg, ginv) -> tuple:
     """Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), its
     partials d_k Gamma^a_{bc} and d_k g^{ab}, exact given exact metric
     derivatives."""
-    dginv = -np.einsum("nae,nkef,nfd->nkad", ginv, dg, ginv)
+    n, dim = ginv.shape[:2]
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
     bracket = (
         np.einsum("nbdc->nbcd", dg)
         + np.einsum("ncbd->nbcd", dg)
@@ -214,11 +215,12 @@ def christoffel(dg, ddg, ginv) -> tuple:
         + np.einsum("nkcbd->nkbcd", ddg)
         - np.einsum("nkdbc->nkbcd", ddg)
     )
-    gamma = 0.5 * np.einsum("nad,nbcd->nabc", ginv, bracket)
-    dgamma = 0.5 * (
-        np.einsum("nkad,nbcd->nkabc", dginv, bracket)
-        + np.einsum("nad,nkbcd->nkabc", ginv, dbracket)
-    )
+    # the contractions over d are batched products with one column per (b, c)
+    columns = bracket.reshape(n, dim * dim, dim).swapaxes(-1, -2)
+    dcolumns = dbracket.reshape(n, dim, dim * dim, dim).swapaxes(-1, -2)
+    gamma = 0.5 * (ginv @ columns).reshape((n,) + (dim,) * 3)
+    dgamma = 0.5 * (dginv @ columns[:, None] + ginv[:, None] @ dcolumns).reshape(
+        (n, dim) + (dim,) * 3)
     return gamma, dgamma, dginv
 
 

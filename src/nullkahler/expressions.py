@@ -20,7 +20,9 @@ set with ``object.__setattr__``; it is not a dataclass field, so it takes
 no part in ``==``, ``hash`` or ``repr``.  It is the package's one
 derivative memo: ``ExprField.differentiate`` and the jets of
 ``geometry.field_jet`` apply ``derivative`` once per order and keep
-nothing themselves.
+nothing themselves.  A jet stops its walk at a constant partial, whose
+partials are all ``ZERO``, and leaves a slot whose partial is the
+constant +0.0 as the zeros it starts from.
 
 Evaluation walks the same DAG, so without help a shared node is
 evaluated once per path to it.  ``evaluate(env, memo=None)`` therefore

@@ -8,7 +8,9 @@ so a displayed ``dw dx`` contributes 1/2 to each of g_wx and g_xw.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+import math
+from functools import cache
+from itertools import permutations
 
 import numpy as np
 
@@ -32,16 +34,44 @@ def _merge_sign(left: tuple, right: tuple):
     return tuple(sorted(left + right)), permutation_parity(left + right)
 
 
+@cache
+def _mirrors(axes: tuple) -> tuple:
+    """Slot prefixes ``out[:, k, l, ...]`` of every ordering of ``axes``."""
+    return tuple((slice(None),) + p for p in sorted(set(permutations(axes))))
+
+
+def _is_plus_zero(part) -> bool:
+    """Whether ``part`` is the constant +0.0 that ``np.zeros`` already holds."""
+    return (isinstance(part, Const) and part.value == 0.0
+            and math.copysign(1.0, part.value) > 0)
+
+
+def _partials(expr, coords, order: int) -> list:
+    """``(axes, partial)`` per sorted axis tuple in chart order, leaving out
+    the partials that are the constant +0.0.
+
+    A constant's partials are all +0.0, so the walk stops at a constant
+    before the last order and takes no derivative below it.
+    """
+    found = [((), expr)]
+    for _ in range(order):
+        found = [(axes + (k,), part.derivative(coords[k]))
+                 for axes, part in found if not isinstance(part, Const)
+                 for k in range(axes[-1] if axes else 0, len(coords))]
+    return [(axes, part) for axes, part in found if not _is_plus_zero(part)]
+
+
 def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     """Values (order 0), first (1) or second (2) partials of a field array.
 
     ``entries`` lists ``(field, [(index, sign), ...])``: the field, times
     the sign, fills each index of an array of ``shape``; unlisted slots
-    are zero.  Returns ``out[n, k..., *index]`` with ``order`` derivative
-    axes.  Each partial is taken once per sorted axis tuple (k <= l),
-    applying ``Expr.derivative`` along the axes in chart order (the node
-    memo returns the same tree as ``ExprField.differentiate``), and is
-    mirrored into the symmetric slots.
+    are zero, and no slot belongs to two entries.  Returns
+    ``out[n, k..., *index]`` with ``order`` derivative axes.  Each partial
+    is taken once per sorted axis tuple (k <= l), applying
+    ``Expr.derivative`` along the axes in chart order (the node memo
+    returns the same tree as ``ExprField.differentiate``), and is mirrored
+    into the symmetric slots.
 
     The points are checked against each chart's excluded bands once per
     call, and every partial of a chart is evaluated with ``node_value`` on
@@ -52,9 +82,14 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     ``memo`` to every call, and a node shared across them is evaluated
     once in all.  The memo must belong to ``points``.
 
-    Most partials of a metric or coframe are constants (zero above all).
-    Their value is written into the slots as it is, with no tree walk.  A
-    non-finite value, constant or evaluated, raises ``EvaluationError``.
+    Most partials of a metric or coframe are constants, and most of those
+    are zero.  A +0.0 partial writes nothing, since the array starts as
+    zeros, and the walk takes no derivative below a constant.  Signed
+    zeros are kept: a slot of sign -1 starts as -0.0, the value each of
+    its +0.0 partials stands for, and a ``Const(-0.0)`` partial is written
+    like any other constant.  A constant is written as it is, with no tree
+    walk.  A non-finite value, constant or evaluated, raises
+    ``EvaluationError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
@@ -67,20 +102,22 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
         chart.check_domain(pts.T)
         envs[chart] = dict(zip(chart.coords, pts.T))
     for field, slots in entries:
-        coords = field.chart.coords
-        for axes in combinations_with_replacement(range(dim), order):
-            part = field.expr
-            for k in axes:
-                part = part.derivative(coords[k])
+        slots = [(tuple(index), sign) for index, sign in slots]
+        for index, sign in slots:
+            if sign < 0:
+                out[(Ellipsis,) + index] = -0.0
+        for axes, part in _partials(field.expr, field.chart.coords, order):
             if isinstance(part, Const):
                 values = part.value
+                finite = math.isfinite(values)
             else:
                 values = node_value(part, envs[field.chart], memo)
-            if not np.isfinite(values).all():
+                finite = np.isfinite(values).all()
+            if not finite:
                 raise EvaluationError("non-finite field value")
-            for mirrored in set(permutations(axes)):
+            for prefix in _mirrors(axes):
                 for index, sign in slots:
-                    out[(slice(None),) + mirrored + tuple(index)] = sign * values
+                    out[prefix + index] = sign * values
     return out
 
 

@@ -648,6 +648,32 @@ def test_two_routes_agree_on_off_shell_theta(theta_text):
     _assert_routes_agree(metric, coframe, SamplePlan(BOX4, count=30).points())
 
 
+def _transcendentals(names, max_terms=3, max_power=2):
+    """Expression text of a sum of terms c * f(m) * m', f one of sin, exp
+    and log(2 + .), m a non-constant monomial with coefficient 1 (so
+    |m| <= 1 on the unit box and log's argument stays at least 1) and m'
+    a monomial."""
+    def monomial(powers):
+        return "*".join(f"{n}^{k}" for n, k in zip(names, powers) if k) or "1"
+
+    powers = st.tuples(*(st.integers(0, max_power) for _ in names))
+    term = st.builds(
+        lambda c, f, inner, outer: f"({c})*{f.format(monomial(inner))}*{monomial(outer)}",
+        st.integers(-3, 3).filter(bool),
+        st.sampled_from(("sin({})", "exp({})", "log(2 + {})")),
+        powers.filter(any), powers)
+    return st.lists(term, min_size=1, max_size=max_terms).map(" + ".join)
+
+
+@settings(OFF_SHELL, max_examples=25)
+@given(_transcendentals(("w", "z", "x", "y")))
+def test_two_routes_agree_on_non_polynomial_theta(theta_text):
+    # few partials of sin, exp and log terms are constants, so most jet
+    # slots are evaluated rather than written as constants
+    metric, coframe, _ = nk_fixture(theta_text)
+    _assert_routes_agree(metric, coframe, SamplePlan(BOX4, count=30).points())
+
+
 @OFF_SHELL
 @given(_polynomials(("x", "y", "t")), st.sampled_from((-2, 2)),
        _polynomials(("x", "y", "t"), max_terms=3, max_power=2))

@@ -365,6 +365,29 @@ def test_constant_jet_slot_in_excluded_band_raises(order):
 
 
 def test_non_finite_constant_jet_slot_raises():
-    entries = [(ExprField.constant(float("inf"), CHART4), [((0,), 1)])]
-    with pytest.raises(EvaluationError):
-        field_jet(entries, (1,), plan_points(count=3), 0)
+    # at each order the partial along x folds to the constant inf, which
+    # is checked without being evaluated
+    fields = (ExprField.constant(float("inf"), CHART4),
+              ExprField.from_text("1e308*10*x", CHART4),
+              ExprField.from_text("1e308*10*x^2", CHART4))
+    for order, field in enumerate(fields):
+        part = field.differentiate(*("x",) * order).expr
+        assert isinstance(part, Const) and part.value == float("inf")
+        entries = [(field, [((0,), 1)])]
+        with pytest.raises(EvaluationError):
+            field_jet(entries, (1,), plan_points(count=3), order)
+
+
+def test_jet_keeps_signed_zeros():
+    # -1 times a +0.0 partial is -0.0, and so is +1 times Const(-0.0):
+    # these slots are written, not left to the array's +0.0
+    xy = ExprField.from_text("x*y", CHART4)
+    negative_zero = ExprField.constant(-0.0, CHART4)
+    slots = [(xy, 1), (xy, -1), (negative_zero, 1), (negative_zero, -1)]
+    entries = [(field, [((i,), sign)]) for i, (field, sign) in enumerate(slots)]
+    pts = plan_points(count=5)
+    for order in range(3):
+        got = field_jet(entries, (4,), pts, order)
+        ref = reference_jet(lambda index: slots[index[0]], (4,), pts, order)
+        assert np.signbit(ref[ref == 0.0]).any()
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
