@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Var, integrate_polynomial, parse
+from .expressions import EvaluationError, Var, integrate_polynomial, parse
 from .fields import Chart, ExcludedBand, ExprField
 from .sampling import Box, SamplePlan
 
@@ -179,54 +179,46 @@ def lax_fields(theta: ExprField, f: ExprField) -> LaxFields:
     return LaxFields(l0, l1, chart)
 
 
-def _poly_diff_coord(poly, axis):
-    return [(power, coeff.differentiate(coeff.chart.coords[axis]))
-            for power, coeff in poly]
-
-
-def _poly_diff_lambda(poly):
-    return [(power - 1, coeff * float(power)) for power, coeff in poly if power]
-
-
-def _poly_scale_add(acc, poly, scale_poly):
-    """acc += scale_poly * poly (both lambda polynomials)."""
-    for p1, c1 in scale_poly:
-        for p2, c2 in poly:
-            acc.append((p1 + p2, c1 * c2))
-    return acc
-
-
 def lax_commutator(lax: LaxFields, points, lambdas, memo=None) -> np.ndarray:
     """[L0, L1] components at (point, lambda) pairs; shape (n, 5).
 
     The commutator coefficients are lambda polynomials of degree <= 2
     assembled from exact field derivatives of the Lax coefficients:
-    [L0,L1]^k = L0(L1^k) - L1(L0^k).  Every coefficient is evaluated
-    through one memo, ``memo`` if given (it must belong to ``points``).
+    [L0,L1]^k = L0(L1^k) - L1(L0^k).  Each Lax coefficient, and each
+    first partial of one that a component needs, is evaluated once per
+    call through one memo, ``memo`` if given (it must belong to
+    ``points``); the polynomial algebra is done on the values.  Raises
+    ``EvaluationError`` if a component is not finite.
     """
     memo = {} if memo is None else memo
-    chart = lax.chart
+    coords = lax.chart.coords
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
+
+    def evaluated(vector):
+        return {k: [(power, coeff, coeff.evaluate(pts, memo))
+                    for power, coeff in poly] for k, poly in vector.items()}
+
+    def partial(poly, j):
+        """d_j of an evaluated lambda polynomial as (power, values); axis
+        4 is lambda."""
+        if j == 4:
+            return [(power - 1, value * float(power))
+                    for power, _, value in poly if power]
+        return [(power, coeff.differentiate(coords[j]).evaluate(pts, memo))
+                for power, coeff, _ in poly]
+
+    l0, l1 = evaluated(lax.l0), evaluated(lax.l1)
     out = np.zeros((pts.shape[0], 5))
     for k in range(5):
-        poly = []
-        for j, coeff_j in lax.l0.items():
-            target = lax.l1.get(k, [])
-            if j < 4:
-                dtarget = _poly_diff_coord(target, j)
-            else:
-                dtarget = _poly_diff_lambda(target)
-            _poly_scale_add(poly, dtarget, coeff_j)
-        for j, coeff_j in lax.l1.items():
-            target = lax.l0.get(k, [])
-            if j < 4:
-                dtarget = _poly_diff_coord(target, j)
-            else:
-                dtarget = _poly_diff_lambda(target)
-            _poly_scale_add(poly, [(p, c * -1.0) for p, c in dtarget], coeff_j)
-        for power, coeff in poly:
-            out[:, k] += coeff.evaluate(pts, memo) * lam ** power
+        for source, target, sign in ((l0, l1, 1.0), (l1, l0, -1.0)):
+            for j, coeff_j in source.items():
+                dtarget = partial(target.get(k, []), j)
+                for p1, _, c1 in coeff_j:
+                    for p2, c2 in dtarget:
+                        out[:, k] += c1 * (sign * c2) * lam ** (p1 + p2)
+    if not np.isfinite(out).all():
+        raise EvaluationError("non-finite Lax commutator")
     return out
 
 

@@ -1,0 +1,121 @@
+"""Exact certificates for the rational fixtures of ``paper.cfg``.
+
+The residual trees of the null-Kahler system (nk1, nk2) and of the dKP
+reduction (heqn, lindkp) are converted to sympy with exact rational
+constants and cancelled: on a fixture that expects to pass each one is
+identically 0, not only small at the sample points, and on the negative
+controls the residual the control is built to fail does not cancel.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from nullkahler.cli import load_config
+from nullkahler.dkp import residual_heqn, residual_lindkp
+from nullkahler.expressions import Add, Call, Const, Div, Mul, Neg, Pow, Var
+from nullkahler.nk_system import example_family, residual_nk1, residual_nk2
+
+sympy = pytest.importorskip("sympy")
+
+PAPER_CFG = (Path(__file__).resolve().parent.parent
+             / "src/nullkahler/fixtures/paper.cfg")
+
+#: per fixture kind, the residual fields to certify from its sample set
+RESIDUALS = {
+    "nk": {"nk1": lambda s: residual_nk1(s.theta, s.f),
+           "nk2": lambda s: residual_nk2(s.theta, s.f)},
+    "dkp": {"heqn": lambda s: residual_heqn(s.h),
+            "lindkp": lambda s: residual_lindkp(s.h, s.w)},
+}
+
+#: (fixture, residual) that a negative control is built to fail
+NEGATIVE = {("control-theta", "nk2"), ("control-lindkp", "lindkp")}
+
+
+def _rational(value):
+    """The float ``value`` as the exact rational it stands for: the
+    coefficient 1/3 of an antiderivative is stored as its nearest float."""
+    fraction = Fraction(value).limit_denominator(10**6)
+    assert float(fraction) == value, value
+    return sympy.Rational(fraction.numerator, fraction.denominator)
+
+
+def to_sympy(expr, memo=None):
+    """The expression tree as a sympy expression, each shared node
+    converted once."""
+    memo = {} if memo is None else memo
+    hit = memo.get(id(expr))
+    if hit is not None:
+        return hit[1]
+    if isinstance(expr, Const):
+        out = _rational(expr.value)
+    elif isinstance(expr, Var):
+        out = sympy.Symbol(expr.name)
+    elif isinstance(expr, Add):
+        out = to_sympy(expr.left, memo) + to_sympy(expr.right, memo)
+    elif isinstance(expr, Mul):
+        out = to_sympy(expr.left, memo) * to_sympy(expr.right, memo)
+    elif isinstance(expr, Div):
+        out = to_sympy(expr.num, memo) / to_sympy(expr.den, memo)
+    elif isinstance(expr, Neg):
+        out = -to_sympy(expr.arg, memo)
+    elif isinstance(expr, Pow):
+        out = to_sympy(expr.base, memo) ** _rational(expr.exponent)
+    elif isinstance(expr, Call):
+        out = getattr(sympy, expr.fn)(to_sympy(expr.arg, memo))
+    else:
+        raise TypeError(f"no sympy form for {type(expr).__name__}")
+    memo[id(expr)] = (expr, out)
+    return out
+
+
+def _cancels(field):
+    return sympy.cancel(to_sympy(field.expr)) == 0
+
+
+CONFIG = load_config(PAPER_CFG)
+CASES = [pytest.param(fixture, name, id=f"{fixture.name}-{name}")
+         for fixture in CONFIG["fixtures"]
+         for name in RESIDUALS.get(fixture.kind, ())]
+
+
+@pytest.mark.parametrize("fixture, name", CASES)
+def test_paper_residual_is_exact(fixture, name):
+    sample = fixture.sample(CONFIG)
+    residual = RESIDUALS[fixture.kind][name](sample)
+    assert _cancels(residual) is ((fixture.name, name) not in NEGATIVE)
+
+
+#: free functions beyond the suite's: family 3's A(s) at the powers
+#: whose nk2 the sampled check fails at round-off on y in [0.7, 1.7],
+#: and family 2 with P(w, 0) != 0
+FAMILY_GRID = [(3, {"A": "s^4"}), (3, {"A": "-s^3 + 2*s"}),
+               (3, {"A": "s^5 - s"}), (2, {"P": "w + y^2", "Q": "y^4"}),
+               (2, {"P": "1 + w*y"}), (1, {"A": "w*y^3", "B": "w^2*y"}),
+               (4, {"A": "y^4 - y", "B": "y^2"})]
+
+
+@pytest.mark.parametrize("kind, params", [
+    pytest.param(kind, params, id=f"family{kind}-" + ",".join(
+        f"{key}={text}".replace(" ", "") for key, text in params.items()))
+    for kind, params in FAMILY_GRID])
+def test_family_residuals_are_exact(kind, params):
+    solution = example_family(kind, params)
+    for residual in RESIDUALS["nk"].values():
+        assert _cancels(residual(solution))
+
+
+def test_every_negative_control_is_certified():
+    assert NEGATIVE <= {(fixture.name, name)
+                        for fixture, name in (case.values for case in CASES)}
+
+
+def test_converter_keeps_rational_coefficients():
+    x = sympy.Symbol("x")
+    assert to_sympy(Div(Const(1.0), Const(3.0))) == sympy.Rational(1, 3)
+    assert to_sympy(Mul(Const(1 / 3), Pow(Var("x"), 3.0))) == x**3 / 3
+    assert to_sympy(Pow(Var("x"), 0.5)) == sympy.sqrt(x)
+    with pytest.raises(AssertionError):
+        _rational(0.1 + 1e-12)

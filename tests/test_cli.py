@@ -708,8 +708,9 @@ def test_python_m_entry_point(tmp_path, checks, expected):
 #: node shared by several trees is evaluated once per sample set (2,116
 #: when the dkp closure check also evaluated d Sigma^{1'1'} and its closed
 #: form, 2,424 with one memo per point set of a dkp sample, 5,590 with
-#: one memo per check, 36,572 when every tree was walked on its own)
-PAPER_SUITE_NODE_EVALUATIONS = 1977
+#: one memo per check, 36,572 when every tree was walked on its own,
+#: 1,977 when each term of the Lax commutator was a product tree)
+PAPER_SUITE_NODE_EVALUATIONS = 1762
 
 
 def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):

@@ -1,9 +1,13 @@
 """Every module-level import of the package is referenced in its module,
 and every function, class, method and module-level constant it defines
 is referenced by name from the package or the benchmark, or is a listed
-test oracle."""
+test oracle.  Importing the package loads none of its modules, so a
+process loads only the modules it asks for and theirs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,28 @@ PACKAGE = ROOT / "src" / "nullkahler"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 #: the folders whose references count as uses of a definition
 USERS = ("src", "perfbench")
+
+
+#: the package's modules in ``sys.modules`` after importing a module in
+#: a fresh interpreter: the package imports nothing, and the evolver
+#: needs only the expression trees and the fields
+LOADED_BY = {
+    "nullkahler": {"nullkahler"},
+    "nullkahler.evolver": {"nullkahler", "nullkahler.evolver",
+                           "nullkahler.expressions", "nullkahler.fields"},
+}
+
+
+@pytest.mark.parametrize("module", LOADED_BY)
+def test_import_loads_only_the_modules_it_needs(module):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    code = (f"import sys, {module}; print(*sorted(name for name in sys.modules"
+            " if name.partition('.')[0] == 'nullkahler'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == LOADED_BY[module]
 
 
 def _bound_names(stmt):

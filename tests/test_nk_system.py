@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nullkahler.cli import load_config
 from nullkahler.curvature import coordinate_curvature
-from nullkahler.expressions import ExpressionError
+from nullkahler.expressions import EvaluationError, ExpressionError
 from nullkahler.fields import Chart, ExprField
 from nullkahler.geometry import nk_metric
 from nullkahler.nk_system import (
+    LAMBDA_WINDOW,
     NKSolution,
     box_operator,
     commutator_sweep,
@@ -21,6 +25,8 @@ from nullkahler.sampling import Box, SamplePlan
 CHART4 = Chart(("w", "z", "x", "y"))
 BOX4 = Box(((-1, 1),) * 4)
 FAMILY3_BOX = Box(((-1, 1), (-1, 1), (-1, 1), (0.7, 1.7)))
+PAPER_CFG = (Path(__file__).resolve().parent.parent
+             / "src/nullkahler/fixtures/paper.cfg")
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +165,60 @@ def test_lax_commutator_negative_control():
     # the nonvanishing component is the spectral one: -box f
     np.testing.assert_allclose(value[0, 4], -288.0, atol=1e-10)
     assert np.max(np.abs(value[0, :2])) == 0.0
+
+
+def _tree_lax_commutator(lax, points, lambdas, memo=None):
+    """[L0, L1] with one ExprField product tree per lambda-polynomial
+    term, each evaluated on its own: the reference for the value-array
+    algebra of ``lax_commutator``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
+
+    def derivative(poly, j):
+        if j < 4:
+            return [(p, c.differentiate(c.chart.coords[j])) for p, c in poly]
+        return [(p - 1, c * float(p)) for p, c in poly if p]
+
+    memo = {} if memo is None else memo
+    out = np.zeros((pts.shape[0], 5))
+    for k in range(5):
+        terms = []
+        for j, coeff_j in lax.l0.items():
+            terms += [(p1 + p2, c1 * c2) for p1, c1 in coeff_j
+                      for p2, c2 in derivative(lax.l1.get(k, []), j)]
+        for j, coeff_j in lax.l1.items():
+            terms += [(p1 + p2, c1 * (c2 * -1.0)) for p1, c1 in coeff_j
+                      for p2, c2 in derivative(lax.l0.get(k, []), j)]
+        for power, coeff in terms:
+            out[:, k] += coeff.evaluate(pts, memo) * lam ** power
+    return out
+
+
+def test_lax_commutator_matches_the_product_trees():
+    config = load_config(PAPER_CFG)
+    samples = {fixture.name: fixture.sample(config)
+               for fixture in config["fixtures"] if fixture.kind == "nk"}
+    assert "control-theta" in samples  # theta = x^2*y^2, expect = fail
+    for sample in samples.values():
+        lax = lax_fields(sample.theta, sample.f)
+        lam = sample.plan.rng().uniform(*LAMBDA_WINDOW, size=len(sample.points))
+        expected = _tree_lax_commutator(lax, sample.points, lam)
+        assert np.array_equal(lax_commutator(lax, sample.points, lam), expected)
+        # through one memo for both, as a suite's sample set shares one
+        assert np.array_equal(
+            lax_commutator(lax, sample.points, lam, sample.memo),
+            _tree_lax_commutator(lax, sample.points, lam, sample.memo))
+
+
+def test_lax_commutator_overflow_raises():
+    lax = lax_fields(field("1e200*x^2*y^2"), field("0"))
+    point = np.ones((1, 4))
+    # every coefficient is finite (about 1e200); their products are not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError):
+            _tree_lax_commutator(lax, point, 1.0)
+        with pytest.raises(EvaluationError):
+            lax_commutator(lax, point, 1.0)
 
 
 def test_equivalence_of_formulations(pts):
