@@ -53,7 +53,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -127,14 +126,15 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class Fixture:
-    name: str
-    kind: str
-    checks: tuple
-    expect: str
-    box: Box
-    build: object  # callable(plan) -> the fixture's sample set
+    def __init__(self, name: str, kind: str, checks: tuple, expect: str,
+                 box: Box, build):
+        self.name = name
+        self.kind = kind
+        self.checks = checks
+        self.expect = expect
+        self.box = box
+        self.build = build  # callable(plan) -> the fixture's sample set
 
     def sample(self, config):
         """The sample set on this fixture's box at the config's count and
@@ -143,14 +143,15 @@ class Fixture:
                                      config["seed"]))
 
 
-@dataclass
 class CheckResult:
-    fixture: str
-    name: str
-    max_residual: float
-    tolerance: float
-    require: str
-    passed: bool
+    def __init__(self, fixture: str, name: str, max_residual: float,
+                 tolerance: float, require: str, passed: bool):
+        self.fixture = fixture
+        self.name = name
+        self.max_residual = max_residual
+        self.tolerance = tolerance
+        self.require = require
+        self.passed = passed
 
 
 def _parse_axes(text: str, what: str, *kinds) -> list:

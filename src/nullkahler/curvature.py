@@ -32,7 +32,6 @@ primed mirror, ``phi`` is Phi and ``scalar`` is R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -156,15 +155,15 @@ _MODEL_M = _curvature_model_matrix()
 _MODEL_PINV = np.linalg.pinv(_MODEL_M)
 
 
-@dataclass
 class RawCurvature:
     """Coordinate-oracle curvature at a batch of points."""
 
-    riemann_low: np.ndarray  # R_{abcd}
-    ricci: np.ndarray       # R_{ab}
-    scalar: np.ndarray      # R
-    metric: np.ndarray
-    metric_inv: np.ndarray
+    def __init__(self, riemann_low, ricci, scalar, metric, metric_inv):
+        self.riemann_low = riemann_low  # R_{abcd}
+        self.ricci = ricci              # R_{ab}
+        self.scalar = scalar            # R
+        self.metric = metric
+        self.metric_inv = metric_inv
 
     def ricci_square(self) -> np.ndarray:
         """Ric_ab Ric^ab at each point."""
@@ -173,7 +172,6 @@ class RawCurvature:
         return np.einsum("nab,nab->n", self.ricci, up)
 
 
-@dataclass
 class CurvatureReport:
     """Spinor-labelled curvature components at a batch of points.
 
@@ -185,13 +183,15 @@ class CurvatureReport:
     projected (so Ricci needs no second pass); ``None`` on the Cartan path.
     """
 
-    c_asd: np.ndarray
-    c_sd: np.ndarray
-    phi: np.ndarray
-    scalar: np.ndarray
-    fit_residual: float
-    path: str
-    raw: RawCurvature | None
+    def __init__(self, c_asd, c_sd, phi, scalar, fit_residual: float,
+                 path: str, raw: RawCurvature | None):
+        self.c_asd = c_asd
+        self.c_sd = c_sd
+        self.phi = phi
+        self.scalar = scalar
+        self.fit_residual = fit_residual
+        self.path = path
+        self.raw = raw
 
     def max_sd(self) -> float:
         return float(np.max(np.abs(self.c_sd)))
@@ -276,7 +276,6 @@ def _mixed_coefficients() -> np.ndarray:
 _MIXED = _mixed_coefficients()
 
 
-@dataclass
 class SpinConnection:
     """Spin-connection one-forms and their exact first derivatives.
 
@@ -287,36 +286,14 @@ class SpinConnection:
     solved for.
     """
 
-    unprimed: np.ndarray
-    primed: np.ndarray
-    d_unprimed: np.ndarray
-    d_primed: np.ndarray
-    residual: float
-    dual: np.ndarray
-
-
-def _assemble_structure_matrix(e: np.ndarray) -> np.ndarray:
-    npts = e.shape[0]
-    mat = np.zeros((npts, 24, 24))
-    for row, (a, ap, (mu, nu)) in enumerate(_structure_rows()):
-        for p in range(3):
-            for k in range(4):
-                col_u = p * 4 + k
-                col_p = 12 + p * 4 + k
-                acc_u = np.zeros(npts)
-                acc_p = np.zeros(npts)
-                for b in range(2):
-                    if _MIXED[a, b, p]:
-                        acc_u += _MIXED[a, b, p] * (
-                            e[:, b, ap, mu] * (k == nu) - e[:, b, ap, nu] * (k == mu)
-                        )
-                    if _MIXED[ap, b, p]:
-                        acc_p += _MIXED[ap, b, p] * (
-                            e[:, a, b, mu] * (k == nu) - e[:, a, b, nu] * (k == mu)
-                        )
-                mat[:, row, col_u] = acc_u
-                mat[:, row, col_p] = acc_p
-    return mat
+    def __init__(self, unprimed, primed, d_unprimed, d_primed,
+                 residual: float, dual):
+        self.unprimed = unprimed
+        self.primed = primed
+        self.d_unprimed = d_unprimed
+        self.d_primed = d_primed
+        self.residual = residual
+        self.dual = dual
 
 
 def _structure_rows():
@@ -328,11 +305,41 @@ def _structure_rows():
     return rows
 
 
+def _structure_map() -> np.ndarray:
+    """The (16, 576) map whose product ``e.reshape(n, 16) @ map`` is the
+    24x24 structure matrix M(e) of each point, flattened.
+
+    Row (A, A', (mu, nu)) of M(e) Gamma is the (mu, nu) component of
+    e^{BA'} ^ Gamma^A_B + e^{AB'} ^ Gamma^{A'}_{B'}.  With Gamma^A_B =
+    _MIXED[A, B, p] Gamma_p, component k = nu of the unprimed unknown p
+    meets e^{BA'}_mu with weight _MIXED[A, B, p] and component k = mu
+    meets e^{BA'}_nu with the opposite weight; the primed unknowns (the
+    last 12 columns) read e^{AB'} with _MIXED[A', B', p] alike.  Every
+    other entry is zero, and no entry is written twice.
+    """
+    mixed = _MIXED.tolist()
+    comps, slots, weights = [], [], []
+    for row, (a, ap, (mu, nu)) in enumerate(_structure_rows()):
+        for p in range(3):
+            for b in range(2):
+                for block, first, second, m in ((0, b, ap, mixed[a][b][p]),
+                                                (12, a, b, mixed[ap][b][p])):
+                    if m:
+                        comp = 8 * first + 4 * second  # e[first, second, :]
+                        col = 24 * row + block + 4 * p
+                        comps += [comp + mu, comp + nu]
+                        slots += [col + nu, col + mu]
+                        weights += [m, -m]
+    out = np.zeros((16, 576))
+    out[comps, slots] = weights
+    return out
+
+
 #: the structure matrix is linear in e: row k holds it for the k-th unit
 #: coframe.  Each entry reads at most one component of e, with weight +-1,
-#: so ``e @ _STRUCTURE_MAP`` equals the assembled matrix bit for bit
-_STRUCTURE_MAP = _assemble_structure_matrix(
-    np.eye(16).reshape(16, 2, 2, 4)).reshape(16, 576)
+#: so ``e @ _STRUCTURE_MAP`` equals the matrix assembled entry by entry
+#: bit for bit
+_STRUCTURE_MAP = _structure_map()
 
 
 #: (MAP Gamma)[k, i] = sum_j MAP[k, i, j] Gamma_j as one product:
@@ -585,10 +592,10 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
 
 # --- checks --------------------------------------------------------------------
 
-@dataclass
 class NullKahlerReport:
-    d_sigma00: float
-    d_sigma01: float
+    def __init__(self, d_sigma00: float, d_sigma01: float):
+        self.d_sigma00 = d_sigma00
+        self.d_sigma01 = d_sigma01
 
 
 def check_null_kahler(coframe: CoFrame, points, memo=None) -> NullKahlerReport:

@@ -15,8 +15,6 @@ null-Kahler with the Killing vector along z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curvature import NullKahlerReport, christoffel
@@ -97,12 +95,12 @@ def symmetry_w(h_pot: ExprField, a=0.0, b=0.0, c=0.0, e=0.0) -> ExprField:
 
 # --- Einstein-Weyl structures --------------------------------------------------
 
-@dataclass
 class EWStructure:
     """Three-metric h and one-form nu on the chart (x, y, t)."""
 
-    h: MetricField
-    nu: FormField
+    def __init__(self, h: MetricField, nu: FormField):
+        self.h = h
+        self.nu = nu
 
 
 def ew_from_u(u: ExprField) -> EWStructure:
@@ -176,12 +174,12 @@ def ew_residual(ew: EWStructure, points, memo=None) -> float:
 
 # --- monopole pairs -------------------------------------------------------------
 
-@dataclass
 class MonopolePair:
     """Function V of conformal weight -1 and connection one-form alpha."""
 
-    v: ExprField
-    alpha: FormField
+    def __init__(self, v: ExprField, alpha: FormField):
+        self.v = v
+        self.alpha = alpha
 
 
 def monopole_from_w(h_pot: ExprField, w_pot: ExprField) -> MonopolePair:
@@ -260,7 +258,6 @@ def sd_two_forms(coframe: CoFrame, points, memo=None):
 
 # --- Jones-Tod reduction ---------------------------------------------------------
 
-@dataclass
 class JonesTodReduction:
     """EW data recovered from a four-metric with the Killing vector d_z.
 
@@ -269,8 +266,9 @@ class JonesTodReduction:
     derivatives are never needed by the round-trip contracts).
     """
 
-    h: MetricField
-    nu_at: object  # callable(points4) -> (n, 4) component array
+    def __init__(self, h: MetricField, nu_at):
+        self.h = h
+        self.nu_at = nu_at  # callable(points4) -> (n, 4) component array
 
 
 def jones_tod_reduce(metric: MetricField) -> JonesTodReduction:

@@ -26,8 +26,6 @@ equation develops gradient catastrophes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .expressions import parse
@@ -56,14 +54,15 @@ class BlowUpError(RuntimeError):
     """Solution magnitude grew beyond the divergence threshold."""
 
 
-@dataclass(frozen=True)
 class Grid2D:
-    x0: float
-    x1: float
-    nx: int
-    y0: float
-    y1: float
-    ny: int
+    def __init__(self, x0: float, x1: float, nx: int, y0: float, y1: float,
+                 ny: int):
+        self.x0 = x0
+        self.x1 = x1
+        self.nx = nx
+        self.y0 = y0
+        self.y1 = y1
+        self.ny = ny
 
     @property
     def dx(self):
@@ -89,15 +88,15 @@ class Grid2D:
         return ring
 
 
-@dataclass(frozen=True)
 class BoundarySource:
     """Closed-form reference data for validation-mode runs, on
     EVOLVER_CHART: x and y broadcast against each other (an (nx, 1)
     column and a (1, ny) row give the (nx, ny) grid, two equal-length
     arrays give those points) at one time t."""
 
-    reference: ExprField          # u*(x, y, t)
-    source: ExprField = None      # manufactured forcing, may be None
+    def __init__(self, reference: ExprField, source: ExprField = None):
+        self.reference = reference  # u*(x, y, t)
+        self.source = source        # manufactured forcing, may be None
 
     def u_on(self, x, y, t: float) -> np.ndarray:
         return self.reference.evaluate_axes(x, y, t)
@@ -111,16 +110,15 @@ class BoundarySource:
         return self.source.evaluate_axes(x, y, t)
 
 
-@dataclass(frozen=True)
 class DKPState:
     """u sampled on an (x, y) grid at time t, plus boundary data."""
 
-    grid: Grid2D
-    u: np.ndarray
-    t: float = 0.0
-    boundary: BoundarySource = None
-
-    def __post_init__(self):
+    def __init__(self, grid: Grid2D, u: np.ndarray, t: float = 0.0,
+                 boundary: BoundarySource = None):
+        self.grid = grid
+        self.u = u
+        self.t = t
+        self.boundary = boundary
         if self.u.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("state shape does not match grid")
         if not np.all(np.isfinite(self.u)):
@@ -313,7 +311,7 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > threshold:
             raise BlowUpError(f"solution blew up at step {step} (t = {t:g})")
         if step in saved:
-            out.append(replace(state, u=u.copy(), t=t))
+            out.append(DKPState(grid, u.copy(), t, boundary))
     return out
 
 

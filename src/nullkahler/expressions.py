@@ -15,9 +15,10 @@ differentiates its children through ``derivative``, so a fourth
 derivative costs one ``diff`` per distinct node and variable, not one per
 path through the unfolded tree.  A node that does not read the variable
 gets ``ZERO`` with no rule applied; the rules fold such a derivative to a
-zero constant as well.  The memo is one slot, created on first use and
-set with ``object.__setattr__``; it is not a dataclass field, so it takes
-no part in ``==``, ``hash`` or ``repr``.  It is the package's one
+zero constant as well.  The memo is one slot of the base class, created
+on first use and set with ``object.__setattr__``; ``==``, ``hash`` and
+``repr`` read only the fields a node class names in its own
+``__slots__``, so the memo takes no part in them.  It is the package's one
 derivative memo: ``ExprField.differentiate`` and the jets of
 ``geometry.field_jet`` apply ``derivative`` once per order and keep
 nothing themselves.  A jet stops its walk at a constant partial, whose
@@ -55,7 +56,7 @@ log``.  Exponents must fold to a numeric constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,7 +75,49 @@ class EvaluationError(ArithmeticError):
     log of a non-positive number, fractional power of a negative base)."""
 
 
-class Expr:
+_set = object.__setattr__
+
+
+class Frozen:
+    """An immutable value over the fields a class names in its own
+    ``__slots__``: ``==``, ``hash`` and ``repr`` read those fields in
+    order, as a frozen dataclass's do, and assigning or deleting an
+    attribute raises.  A subclass's ``__init__`` sets its fields with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # ``_fields()``: the class's own slots as one tuple, read by one
+        # attrgetter (which returns a lone field bare, so that is wrapped)
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            cls._fields = lambda self: (get(self),)
+        else:
+            cls._fields = lambda self: get(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Expr(Frozen):
     """Base node.  Subclasses are immutable and hashable.
 
     Each subclass defines ``diff`` (its differentiation rule),
@@ -90,7 +133,7 @@ class Expr:
             return self._memo
         except AttributeError:  # created on first use
             memo = {}
-            object.__setattr__(self, "_memo", memo)
+            _set(self, "_memo", memo)
             return memo
 
     def derivative(self, var: str) -> "Expr":
@@ -162,9 +205,11 @@ def node_value(node: Expr, env: dict, memo=None):
     return hit[1]
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
 
     def diff(self, var):
         return ZERO
@@ -179,9 +224,11 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
     def diff(self, var):
         return ONE if var == self.name else ZERO
@@ -199,10 +246,12 @@ class Var(Expr):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def diff(self, var):
         return add(self.left.derivative(var), self.right.derivative(var))
@@ -217,10 +266,12 @@ class Add(Expr):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def diff(self, var):
         return add(mul(self.left.derivative(var), self.right),
@@ -236,10 +287,12 @@ class Mul(Expr):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
 class Div(Expr):
-    num: Expr
-    den: Expr
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def diff(self, var):
         return div(add(mul(self.num.derivative(var), self.den),
@@ -259,10 +312,12 @@ class Div(Expr):
         return f"({self.num} / {self.den})"
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expr):
-    base: Expr
-    exponent: float  # numeric; integer or real
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)  # numeric; integer or real
 
     def diff(self, var):
         n = self.exponent
@@ -290,9 +345,11 @@ class Pow(Expr):
         return f"({self.base} ^ {self.exponent!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
     def diff(self, var):
         return neg(self.arg.derivative(var))
@@ -320,10 +377,12 @@ _NUMPY_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 FUNCTIONS = tuple(_NUMPY_FN)
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
     def diff(self, var):
         return mul(_DERIVATIVES[self.fn](self.arg), self.arg.derivative(var))

@@ -16,13 +16,12 @@ grid, written to CSV; it does no calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expressions import (
     EvaluationError,
     ExpressionError,
+    Frozen,
     as_expr,
     node_value,
     parse,
@@ -42,25 +41,26 @@ class OrderOverflowError(ValueError):
     """Derivative request beyond total order four."""
 
 
-@dataclass(frozen=True)
-class ExcludedBand:
+class ExcludedBand(Frozen):
     """Open band |coord - center| < half_width removed from the domain."""
 
-    coord: str
-    center: float
-    half_width: float = EXCLUDED_BAND_HALF_WIDTH
+    __slots__ = ("coord", "center", "half_width")
+
+    def __init__(self, coord: str, center: float,
+                 half_width: float = EXCLUDED_BAND_HALF_WIDTH):
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "half_width", half_width)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """Ordered coordinate names plus declared singular loci."""
 
-    coords: tuple
-    excluded: tuple = ()
+    __slots__ = ("coords", "excluded")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
+    def __init__(self, coords, excluded=()):
+        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "excluded", tuple(excluded))
 
     @property
     def dim(self):
@@ -202,16 +202,12 @@ class ExprField:
         return ExprField(-self.expr, self.chart)
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Per-axis (min, max, points)."""
 
-    axes: tuple  # of (lo, hi, n)
-
-    def __post_init__(self):
-        axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.axes)
-        object.__setattr__(self, "axes", axes)
-        for lo, hi, n in axes:
+    def __init__(self, axes):
+        self.axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in axes)
+        for lo, hi, n in self.axes:
             if n < 2 or not hi > lo:
                 raise ValueError(f"degenerate grid axis ({lo}, {hi}, {n})")
 

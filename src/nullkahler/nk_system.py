@@ -14,8 +14,6 @@ families, and the Lax pair with a numerical commutator check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expressions import EvaluationError, Var, integrate_polynomial, parse
@@ -44,13 +42,14 @@ FAMILY_PARAMS = {1: (("A",), ("B",)), 2: (("P",), ("Q",)),
 LAMBDA_WINDOW = (-2.0, 2.0)
 
 
-@dataclass(frozen=True)
 class NKSolution:
     """A (Theta, f) pair with its sampling box."""
 
-    theta: ExprField
-    f: ExprField
-    box: Box = DEFAULT_NK_BOX
+    def __init__(self, theta: ExprField, f: ExprField,
+                 box: Box = DEFAULT_NK_BOX):
+        self.theta = theta
+        self.f = f
+        self.box = box
 
 
 def theta_blocks(theta: ExprField) -> tuple:
@@ -143,7 +142,6 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
 
 # --- Lax pair -----------------------------------------------------------------
 
-@dataclass
 class LaxFields:
     """Two vector fields on (w, z, x, y, lambda).
 
@@ -153,9 +151,10 @@ class LaxFields:
     coefficient(d_w in L0) = coefficient(d_z in L1) = 1.
     """
 
-    l0: dict
-    l1: dict
-    chart: Chart
+    def __init__(self, l0: dict, l1: dict, chart: Chart):
+        self.l0 = l0
+        self.l1 = l1
+        self.chart = chart
 
 
 def lax_fields(theta: ExprField, f: ExprField) -> LaxFields:

@@ -8,7 +8,7 @@ spectral-parameter values), keeping reports reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -35,23 +35,26 @@ def _van_der_corput(count: int, base: int) -> np.ndarray:
     return out
 
 
+@cache
 def halton(count: int, dim: int) -> np.ndarray:
-    """Unscrambled Halton points in (0, 1)^dim, deterministic forever."""
+    """Unscrambled Halton points in (0, 1)^dim, deterministic forever.
+
+    Built once per (count, dim) and shared by every caller, so the array
+    is read-only."""
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
-    return np.stack([_van_der_corput(count, _PRIMES[k]) for k in range(dim)], axis=-1)
+    unit = np.stack([_van_der_corput(count, _PRIMES[k]) for k in range(dim)],
+                    axis=-1)
+    unit.setflags(write=False)
+    return unit
 
 
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned sampling box: tuple of (lo, hi) per coordinate."""
 
-    bounds: tuple
-
-    def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        object.__setattr__(self, "bounds", bounds)
-        for lo, hi in bounds:
+    def __init__(self, bounds):
+        self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        for lo, hi in self.bounds:
             if not hi > lo:
                 raise ValueError(f"empty box edge ({lo}, {hi})")
 
@@ -60,13 +63,13 @@ class Box:
         return len(self.bounds)
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """A box, a point count and a seed; `points()` is pure."""
 
-    box: Box
-    count: int = 100
-    seed: int = 20240
+    def __init__(self, box: Box, count: int = 100, seed: int = 20240):
+        self.box = box
+        self.count = count
+        self.seed = seed
 
     def points(self) -> np.ndarray:
         unit = halton(self.count, self.box.dim)

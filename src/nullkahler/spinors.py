@@ -20,7 +20,6 @@ batch axis where sensible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -36,16 +35,14 @@ class SpinorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Spinor2:
     """Two real components with chirality and variance tags."""
 
-    components: tuple
-    chirality: str = "primed"
-    variance: str = "upper"
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(float(c) for c in self.components))
+    def __init__(self, components, chirality: str = "primed",
+                 variance: str = "upper"):
+        self.components = tuple(float(c) for c in components)
+        self.chirality = chirality
+        self.variance = variance
         if len(self.components) != 2:
             raise SpinorError("a 2-spinor has two components")
         if self.chirality not in ("primed", "unprimed"):
@@ -114,20 +111,17 @@ def bispinor_to_vector(m) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class TwoFormValue:
     """Antisymmetric 4x4 component array of a two-form at a point."""
 
-    components: np.ndarray
-    chart: tuple = ("w", "z", "x", "y")
-
-    def __post_init__(self):
-        arr = np.asarray(self.components, dtype=float)
+    def __init__(self, components, chart: tuple = ("w", "z", "x", "y")):
+        arr = np.asarray(components, dtype=float)
         if arr.shape[-2:] != (4, 4):
             raise SpinorError("two-form components must be 4x4")
         if not np.allclose(arr, -np.swapaxes(arr, -1, -2), atol=0.0):
             raise SpinorError("two-form components must be antisymmetric")
-        object.__setattr__(self, "components", arr)
+        self.components = arr
+        self.chart = chart
 
 
 def permutation_parity(seq) -> int:

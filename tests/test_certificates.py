@@ -5,16 +5,34 @@ reduction (heqn, lindkp) are converted to sympy with exact rational
 constants and cancelled: on a fixture that expects to pass each one is
 identically 0, not only small at the sample points, and on the negative
 controls the residual the control is built to fail does not cancel.
+
+The same converter checks the expression trees themselves: on generated
+trees, ``evaluate`` and ``derivative`` agree with sympy's ``lambdify``
+and ``diff``.
 """
 
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nullkahler.cli import load_config
 from nullkahler.dkp import residual_heqn, residual_lindkp
-from nullkahler.expressions import Add, Call, Const, Div, Mul, Neg, Pow, Var
+from nullkahler.expressions import (
+    Add,
+    Call,
+    Const,
+    Div,
+    EvaluationError,
+    Expr,
+    Mul,
+    Neg,
+    Pow,
+    Var,
+)
 from nullkahler.nk_system import example_family, residual_nk1, residual_nk2
 
 sympy = pytest.importorskip("sympy")
@@ -119,3 +137,92 @@ def test_converter_keeps_rational_coefficients():
     assert to_sympy(Pow(Var("x"), 0.5)) == sympy.sqrt(x)
     with pytest.raises(AssertionError):
         _rational(0.1 + 1e-12)
+
+
+#: the variables of the generated trees, and the points they are compared at
+TREE_NAMES = ("x", "y")
+TREE_POINTS = dict(zip(TREE_NAMES, np.random.default_rng(19).uniform(-1, 1, (2, 16))))
+
+#: node class by recipe tag; a recipe is (tag, *fields), each child a recipe
+NODE_CLASSES = {"const": Const, "var": Var, "add": Add, "mul": Mul,
+                "div": Div, "pow": Pow, "neg": Neg, "call": Call}
+
+
+def _build(recipe):
+    """A fresh tree from ``recipe``, each node made by its class."""
+    cls = NODE_CLASSES[recipe[0]]
+    return cls(*(_build(part) if isinstance(part, tuple) else part
+                 for part in recipe[1:]))
+
+
+def _recipes(depth):
+    """Recipes of at most ``depth`` levels over every node class and the
+    four functions.  Denominators, ``log`` arguments and the bases of
+    negative and fractional powers are 1 + c^2, so no generated tree has
+    a pole or a negative base."""
+    leaves = st.one_of(st.sampled_from(TREE_NAMES).map(lambda n: ("var", n)),
+                       st.sampled_from((-2.0, -0.5, 1.0, 3.0)).map(
+                           lambda v: ("const", v)))
+    if depth == 0:
+        return leaves
+    child = _recipes(depth - 1)
+    positive = child.map(lambda c: ("add", ("const", 1.0), ("mul", c, c)))
+    return st.one_of(
+        leaves,
+        st.tuples(st.just("add"), child, child),
+        st.tuples(st.just("mul"), child, child),
+        st.tuples(st.just("div"), child, positive),
+        st.tuples(st.just("pow"), child, st.sampled_from((2.0, 3.0))),
+        st.tuples(st.just("pow"), positive, st.sampled_from((-1.0, 0.5, 1.5))),
+        st.tuples(st.just("neg"), child),
+        st.tuples(st.just("call"), st.sampled_from(("sin", "cos", "exp")), child),
+        st.tuples(st.just("call"), st.just("log"), positive),
+    )
+
+
+def _values(tree):
+    """The tree at ``TREE_POINTS``, one value per point."""
+    return np.broadcast_to(tree.evaluate(TREE_POINTS), (16,))
+
+
+def _references(exprs):
+    """Each sympy expression at ``TREE_POINTS``, through one ``lambdify``."""
+    fn = sympy.lambdify([sympy.Symbol(name) for name in TREE_NAMES], exprs,
+                        "numpy")
+    return [np.broadcast_to(v, (16,))
+            for v in fn(*(TREE_POINTS[name] for name in TREE_NAMES))]
+
+
+def _nodes(tree):
+    yield tree
+    for name in type(tree).__slots__:
+        child = getattr(tree, name)
+        if isinstance(child, Expr):
+            yield from _nodes(child)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_recipes(3))
+def test_trees_agree_with_sympy(recipe):
+    tree, twin = _build(recipe), _build(recipe)
+    try:
+        value = _values(tree)
+    except EvaluationError:  # exp of a large argument overflows
+        assume(False)
+    exact = to_sympy(tree)
+    got = [value] + [_values(d) for d in (
+        tree.derivative("x"), tree.derivative("y"),
+        tree.derivative("x").derivative("y"))]
+    expected = _references([exact, sympy.diff(exact, "x"),
+                            sympy.diff(exact, "y"), sympy.diff(exact, "x", "y")])
+    for g, e in zip(got, expected):
+        scale = max(1.0, float(np.max(np.abs(e))))
+        np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * scale)
+    # the memos the derivatives filled take no part in ==, hash or repr
+    assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+    assert repr(twin) == repr(tree)
+    for node in _nodes(tree):
+        for name in type(node).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, getattr(node, name))
+    assert twin == tree

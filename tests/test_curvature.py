@@ -458,10 +458,39 @@ def test_phi_product_matches_einsum_reference():
         assert np.max(np.abs(report.phi - ref)) <= 1e-14 * scale
 
 
+def _assemble_structure_matrix(e: np.ndarray) -> np.ndarray:
+    """Reference: the structure matrices M(e) assembled slot by slot."""
+    from nullkahler.curvature import _MIXED, _structure_rows
+
+    npts = e.shape[0]
+    mat = np.zeros((npts, 24, 24))
+    for row, (a, ap, (mu, nu)) in enumerate(_structure_rows()):
+        for p in range(3):
+            for k in range(4):
+                col_u = p * 4 + k
+                col_p = 12 + p * 4 + k
+                acc_u = np.zeros(npts)
+                acc_p = np.zeros(npts)
+                for b in range(2):
+                    if _MIXED[a, b, p]:
+                        acc_u += _MIXED[a, b, p] * (
+                            e[:, b, ap, mu] * (k == nu) - e[:, b, ap, nu] * (k == mu)
+                        )
+                    if _MIXED[ap, b, p]:
+                        acc_p += _MIXED[ap, b, p] * (
+                            e[:, a, b, mu] * (k == nu) - e[:, a, b, nu] * (k == mu)
+                        )
+                mat[:, row, col_u] = acc_u
+                mat[:, row, col_p] = acc_p
+    return mat
+
+
 def test_structure_map_matches_assembler():
     # the constant map reproduces the per-entry assembler bit for bit
-    from nullkahler.curvature import _assemble_structure_matrix, _structure_matrix
+    from nullkahler.curvature import _STRUCTURE_MAP, _structure_matrix
 
+    unit = _assemble_structure_matrix(np.eye(16).reshape(16, 2, 2, 4))
+    assert _STRUCTURE_MAP.tobytes() == unit.reshape(16, 576).tobytes()
     rng = np.random.default_rng(5)
     e = rng.standard_normal((50, 2, 2, 4)) * 10.0 ** rng.uniform(-6, 6, (50, 2, 2, 4))
     np.testing.assert_array_equal(_structure_matrix(e),
@@ -681,6 +710,22 @@ def test_two_routes_agree_on_off_shell_dkp(h_text, slope, w_text):
     # H and W solve neither dKP equation, so the scalar curvature, and
     # with it the (R/24) term of the oracle's Weyl spinors, is live; W
     # must keep W_x away from zero on the box, as build_metric checks
+    h_pot = ExprField.from_text(h_text, CHART3)
+    w_pot = ExprField.from_text(f"{slope}*x + {w_text}", CHART3)
+    try:
+        metric = build_metric(h_pot, w_pot, DKP_BOX)
+    except DegeneracyError:
+        assume(False)
+    _assert_routes_agree(metric, dkp_coframe(h_pot, w_pot),
+                         SamplePlan(DKP_BOX, count=30).points())
+
+
+@settings(OFF_SHELL, max_examples=25)
+@given(_transcendentals(("x", "y", "t")), st.sampled_from((-2, 2)),
+       _transcendentals(("x", "y", "t")))
+def test_two_routes_agree_on_non_polynomial_dkp(h_text, slope, w_text):
+    # H and W carry sin, exp and log terms off shell; draws whose W_x
+    # meets zero on the box are refused by build_metric, as above
     h_pot = ExprField.from_text(h_text, CHART3)
     w_pot = ExprField.from_text(f"{slope}*x + {w_text}", CHART3)
     try:

@@ -41,6 +41,21 @@ def test_import_loads_only_the_modules_it_needs(module):
     assert set(proc.stdout.split()) == LOADED_BY[module]
 
 
+def test_cli_import_creates_no_dataclass():
+    # a frozen dataclass execs generated source for each method when its
+    # class is created, about 1 ms apiece, in every process that starts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, numpy; before = set(sys.modules); import nullkahler.cli;"
+            " print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "nullkahler.cli" in added
+    assert "dataclasses" not in added
+
+
 def _bound_names(stmt):
     """Names a module-level import statement binds."""
     if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
