@@ -160,32 +160,59 @@ def cfl_bound(state: DKPState) -> float:
     return CFL_SAFETY * min(grid.dx, grid.dy ** 2 / grid.dx) / (1.0 + umax)
 
 
-def _explicit_rhs(u: np.ndarray, grid: Grid2D, ring: np.ndarray,
-                  rate: np.ndarray, source) -> np.ndarray:
-    """The explicit part of u_t: advection, the x0 closure and the source
-    inside, given u_t on the ``ring`` points in C order (the first ny are
-    the x0 row), which it holds on the ring."""
+def _fill_ring(a: np.ndarray, values: np.ndarray) -> None:
+    """Write ``values``, one per ring point in C order, onto the ring of
+    ``a``: the x0 row, then the two y-boundary nodes of each inner row,
+    then the x1 row."""
+    ny = a.shape[1]
+    sides = values[ny:-ny].reshape(-1, 2)
+    a[0] = values[:ny]
+    a[1:-1, 0] = sides[:, 0]
+    a[1:-1, -1] = sides[:, 1]
+    a[-1] = values[-ny:]
+
+
+def _explicit_rhs(u: np.ndarray, grid: Grid2D, rate: np.ndarray, source,
+                  out: np.ndarray) -> np.ndarray:
+    """The explicit part of u_t, written into ``out`` and returned:
+    advection, the x0 closure and the source inside, given u_t on the ring
+    points in C order (the first ny are the x0 row), which it holds on the
+    ring."""
     dx = grid.dx
-    advect = np.empty_like(u)
-    advect[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * dx)
-    advect[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * dx)
-    advect[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * dx)
-    advect *= u
-    advect -= advect[0].copy()
-    advect += rate[:grid.ny]
-    advect += source
-    advect[ring] = rate
-    return advect
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dx
+    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
+    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
+    out *= u
+    out -= out[0].copy()
+    out += rate[:grid.ny]
+    out += source
+    _fill_ring(out, rate)
+    return out
 
 
-def nonlocal_term(u: np.ndarray, grid: Grid2D) -> np.ndarray:
+def nonlocal_term(u: np.ndarray, grid: Grid2D, out: np.ndarray,
+                  uyy: np.ndarray) -> np.ndarray:
     """N u = int_{x0}^{x} u_yy dx' by the trapezoid rule from the x0 row,
-    with u's y-boundary columns as the Dirichlet data of u_yy.  Zero on
-    the y-boundary columns and the x0 row; the ring rows are not used."""
-    uyy = np.zeros_like(u)
-    uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / grid.dy ** 2
-    out = np.cumsum(uyy, axis=0)
-    out -= 0.5 * (uyy + uyy[0])
+    with u's y-boundary columns as the Dirichlet data of u_yy, written
+    into ``out`` and returned; ``uyy`` is C-contiguous scratch of u's
+    shape.  Zero on the y-boundary columns and the x0 row; the ring rows
+    are not used."""
+    if not uyy.flags.c_contiguous:
+        raise ValueError("nonlocal_term needs C-contiguous scratch")
+    # the difference runs over the flattened rows, where the operands are
+    # contiguous, and its values across a row break land on the
+    # y-boundary columns, which are then zeroed
+    flat, lap = u.reshape(-1), uyy.reshape(-1)[1:-1]
+    np.multiply(2.0, flat[1:-1], out=lap)
+    np.subtract(flat[2:], lap, out=lap)
+    lap += flat[:-2]
+    lap /= grid.dy ** 2
+    uyy[:, 0] = uyy[:, -1] = 0.0
+    np.cumsum(uyy, axis=0, out=out)
+    uyy += uyy[0].copy()
+    uyy *= 0.5
+    out -= uyy
     out *= grid.dx
     return out
 
@@ -204,9 +231,13 @@ class ImplicitSolve:
     a forward recurrence in x, vectorised over the modes.  S S = (m + 1)/2 I,
     so the transforms are products with m x m matrices built once per
     solver: ``forward`` = S diag(1/(1 + a_k)), ``inverse`` = 2/(m + 1) S.
-    On a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS) one solve takes 6.4 ms on
-    512^2 to a real FFT's 15 ms (7.2 to 9.4 ms on 513^2, a power-of-two FFT
-    length); they meet near 1024^2, and on 2049^2 the FFT is 1.8x faster.
+    The solver owns the (nx - 2) x m buffer that holds the transformed
+    interior between the two products, which write with ``out=``, so a
+    solve allocates no grid.  On a 2-vCPU x86-64 host (numpy 2.4.6,
+    OpenBLAS, a speed that drifts by about 1.5x) one solve takes 9-13 ms
+    on 512^2 to a real FFT's 24-31 ms (19.5 ms on 513^2, a power-of-two
+    FFT length); they are about even on 1024^2, and on 2049^2 the FFT is
+    1.3-1.8x faster.
     """
 
     def __init__(self, grid: Grid2D, c: float):
@@ -217,19 +248,25 @@ class ImplicitSolve:
         self.decay = 2.0 * a / (1.0 + a)
         # one period of sines, read at j k mod 2(m + 1): arguments in [0, 2 pi)
         period = np.sin(np.pi * np.arange(2 * m + 2) / (m + 1))
-        sine = period[np.outer(k, k) % (2 * m + 2)]
-        self.forward, self.inverse = sine / (1.0 + a), 2.0 / (m + 1) * sine
+        index = np.outer(k, k)
+        index %= 2 * m + 2
+        self.inverse = period[index]
+        del index
+        self.forward = self.inverse / (1.0 + a)
+        self.inverse *= 2.0 / (m + 1)
+        self.modes = np.empty((grid.nx - 2, m))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Solve in place: r is overwritten with the solution."""
-        z = r[1:-1, 1:-1] @ self.forward
+        inner = r[1:-1, 1:-1]
+        z = np.matmul(inner, self.forward, out=self.modes)
         partial_sum = np.zeros(z.shape[1])
         for row in z:
             row -= self.decay * partial_sum
             partial_sum += row
-        r[1:-1, 1:-1] = z @ self.inverse
-        r[[0, -1], :] = 0.0
-        r[:, [0, -1]] = 0.0
+        np.matmul(z, self.inverse, out=inner)
+        r[0] = r[-1] = 0.0
+        r[:, 0] = r[:, -1] = 0.0
         return r
 
 
@@ -255,6 +292,20 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
     ``saved_steps(dt, steps, save_every)``, the initial state first and
     the final state last.
 
+    A run holds six (nx, ny) arrays, all allocated before its first step:
+    u, the stage value v, the explicit stages f1 and f2 (the third stage
+    reuses f1), the implicit stage n (n2, then n3) and one scratch array.
+    Every stage writes into them in place, with the same operations in the
+    same order at each node as stages that allocate their results, so the
+    values are the same to the bit.  With the solver's two m x m sine
+    matrices and its (nx - 2) x m buffer (m = ny - 2) that is about nine
+    grids: at 256^2 a free run or one on ``uniform_reference("t")`` peaks
+    under 9.25 grids in tracemalloc, whatever the step count.  A
+    manufactured source adds the grids it is evaluated into at each stage.
+    The caller's ``state.u`` is not written; each saved state but the last
+    is a copy, and the last holds the run's own u, which no later step
+    writes.
+
     Raises ValueError on the settings ``saved_steps`` refuses,
     :class:`CFLError` up front when dt exceeds ``cfl_bound``, and
     :class:`BlowUpError` if max|u| passes
@@ -272,46 +323,59 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
     xg, yg = grid.mesh()
     ring = grid.ring()
     xr, yr = xg[ring], yg[ring]
+    del ring
     xs, ys = grid.axes()
     gdt = GAMMA * dt
     solve = ImplicitSolve(grid, gdt)
+    u, t = np.array(state.u, dtype=float, order="C"), state.t
+    v, f1, f2, n, scratch = (np.empty_like(u) for _ in range(5))
+    still = np.zeros(xr.size)
 
-    def explicit(v, s):
+    def explicit(v, s, f):
+        """The explicit stage at (v, s), written into f."""
         if boundary is None:  # free mode: the ring holds, no forcing
-            return _explicit_rhs(v, grid, ring, np.zeros(xr.size), 0.0)
-        return _explicit_rhs(v, grid, ring, boundary.udot_on(xr, yr, s),
-                             boundary.source_on(xs, ys, s))
+            return _explicit_rhs(v, grid, still, 0.0, f)
+        return _explicit_rhs(v, grid, boundary.udot_on(xr, yr, s),
+                             boundary.source_on(xs, ys, s), f)
 
     def implicit(v):
-        """N(v + gdt n) = n, solved for n: the implicit stage's N."""
-        return solve(nonlocal_term(v, grid))
+        """N(v + gdt n) = n, solved for n into n: the implicit stage's N."""
+        return solve(nonlocal_term(v, grid, n, scratch))
+
+    def add_scaled(a, c, b):
+        """a += c b, through the scratch array."""
+        a += np.multiply(c, b, out=scratch)
 
     out = [state]
-    u, t = np.array(state.u, dtype=float), state.t
     for step in range(1, steps + 1):
         # ARS(2,3,3): explicit tableau rows (), (g), (g - 1, 2 - 2g);
         # implicit rows (), (0, g), (0, 1 - 2g, g); weights (0, 1/2, 1/2)
-        f1 = explicit(u, t)
-        v = u + gdt * f1
-        n2 = implicit(v)
-        v += gdt * n2
-        f2 = explicit(v, t + gdt)
-        v = u + dt * ((GAMMA - 1.0) * f1 + (2.0 - 2.0 * GAMMA) * f2
-                      + (1.0 - 2.0 * GAMMA) * n2)
-        del f1
-        n3 = implicit(v)
-        v += gdt * n3
-        f2 += n2
-        f2 += explicit(v, t + dt - gdt)
-        f2 += n3
-        u += 0.5 * dt * f2
+        explicit(u, t, f1)
+        np.multiply(gdt, f1, out=v)
+        v += u
+        implicit(v)  # n2
+        add_scaled(v, gdt, n)
+        explicit(v, t + gdt, f2)
+        np.multiply(GAMMA - 1.0, f1, out=v)
+        add_scaled(v, 2.0 - 2.0 * GAMMA, f2)
+        add_scaled(v, 1.0 - 2.0 * GAMMA, n)
+        v *= dt
+        v += u
+        f2 += n
+        implicit(v)  # n3
+        add_scaled(v, gdt, n)
+        f2 += explicit(v, t + dt - gdt, f1)
+        f2 += n
+        add_scaled(u, 0.5 * dt, f2)
         t = state.t + step * dt
         if boundary is not None:
-            u[ring] = boundary.u_on(xr, yr, t)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > threshold:
+            _fill_ring(u, boundary.u_on(xr, yr, t))
+        umax = np.abs(u, out=scratch).max()
+        if not np.isfinite(umax) or umax > threshold:
             raise BlowUpError(f"solution blew up at step {step} (t = {t:g})")
         if step in saved:
-            out.append(DKPState(grid, u.copy(), t, boundary))
+            out.append(DKPState(grid, u if step == steps else u.copy(), t,
+                                boundary))
     return out
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nullkahler.evolver import (
     DKPState,
     Grid2D,
     ImplicitSolve,
+    _explicit_rhs,
     cfl_bound,
     dkp_evolve,
     manufactured_reference,
@@ -72,11 +74,13 @@ def _interior_operator(grid):
     """The non-local term on the interior nodes as a dense matrix,
     assembled column by column from ``nonlocal_term``."""
     inner = ~grid.ring()
+    out, uyy = np.empty(inner.shape), np.empty(inner.shape)
     columns = []
     for k in np.flatnonzero(inner):
         unit = np.zeros(inner.size)
         unit[k] = 1.0
-        columns.append(nonlocal_term(unit.reshape(inner.shape), grid)[inner])
+        columns.append(nonlocal_term(unit.reshape(inner.shape), grid, out,
+                                     uyy)[inner])
     return np.array(columns).T, inner
 
 
@@ -94,6 +98,36 @@ def test_stage_solve_matches_dense_solve(c, nx, ny):
     z = ImplicitSolve(grid, c)(r.copy())
     assert np.max(np.abs(z[inner] - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.all(z[~inner] == 0.0)
+
+
+def test_stages_match_the_allocating_formulas():
+    # the stages write into given arrays; each must give the bits of the
+    # plain expression, which the pinned runs below rely on
+    grid = Grid2D(-1, 1, 17, -0.5, 1, 13)
+    rng = np.random.default_rng(7)
+    u, source = rng.normal(size=(2, 17, 13))
+    rate = rng.normal(size=2 * 17 + 2 * 11)
+    uyy = np.zeros_like(u)
+    uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / grid.dy ** 2
+    expected = np.cumsum(uyy, axis=0)
+    expected -= 0.5 * (uyy + uyy[0])
+    expected *= grid.dx
+    scratch = np.empty_like(u)
+    assert np.array_equal(
+        nonlocal_term(u, grid, np.empty_like(u), scratch), expected)
+    with pytest.raises(ValueError):
+        nonlocal_term(u, grid, np.empty_like(u), np.empty((13, 17)).T)
+    advect = np.empty_like(u)
+    advect[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dx)
+    advect[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * grid.dx)
+    advect[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * grid.dx)
+    advect *= u
+    advect -= advect[0].copy()
+    advect += rate[:grid.ny]
+    advect += source
+    advect[grid.ring()] = rate
+    assert np.array_equal(
+        _explicit_rhs(u, grid, rate, source, np.empty_like(u)), advect)
 
 
 @pytest.mark.parametrize("m", [126, 254])
@@ -153,6 +187,63 @@ def test_save_every_sequence():
     assert len(out) == 6  # initial + 4 intermediates + final
     times = [s.t for s in out]
     assert times == sorted(times)
+
+
+def _start(mode, n):
+    """A smooth state on n^2: free, or on a reference with u* = t or with
+    the manufactured u* and its source."""
+    if mode == "free":
+        grid = Grid2D(-1, 1, n, -1, 1, n)
+        x, y = grid.axes()
+        return DKPState(grid, 0.3 * np.exp(-8 * (x ** 2 + y ** 2)))
+    if mode == "uniform":
+        grid = Grid2D(-1, 1, n, -1, 1, n)
+        return DKPState(grid, np.zeros((n, n)), 0.0, uniform_reference("t"))
+    boundary = manufactured_reference(x0=0.0)
+    grid = Grid2D(0, 2, n, 0, 2, n)
+    return DKPState(grid, boundary.u_on(*grid.axes(), 0.0), 0.0, boundary)
+
+
+def _peak_grids(state, steps):
+    """tracemalloc's peak over one ``dkp_evolve`` run, in grids of u."""
+    tracemalloc.start()
+    try:
+        dkp_evolve(state, 0.5 * cfl_bound(state), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / state.u.nbytes
+
+
+# the manufactured source is evaluated into new grids at every stage, so
+# its runs hold more than the workspace
+@pytest.mark.parametrize("mode", ["free", "uniform"])
+def test_run_works_in_a_fixed_workspace(mode):
+    # the dkp_evolve docstring: six grids of workspace and about three of
+    # solver, under 9.25 grids at 256^2 whatever the step count; stages
+    # that each allocate their arrays peak at 11.28
+    state = _start(mode, 256)
+    peaks = [_peak_grids(state, steps) for steps in (2, 10)]
+    assert max(peaks) <= 9.25
+    assert peaks[1] == pytest.approx(peaks[0], abs=0.01)
+
+
+@pytest.mark.parametrize("mode", ["free", "uniform", "manufactured"])
+def test_saved_states_are_apart_from_the_workspace(mode):
+    state = _start(mode, 33)
+    u0 = state.u.copy()
+    dt = 0.5 * cfl_bound(state)
+    first = dkp_evolve(state, dt, 6, save_every=1)
+    second = dkp_evolve(state, dt, 6, save_every=1)
+    assert np.array_equal(state.u, u0)
+    assert first[0] is second[0] is state
+    assert all(np.array_equal(a.u, b.u) for a, b in zip(first, second))
+    arrays = [state.u] + [s.u for s in first[1:] + second[1:]]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    # no later step writes a saved state: each is the end of a shorter run
+    for k in range(1, 6):
+        assert np.array_equal(first[k].u, dkp_evolve(state, dt, k)[-1].u)
 
 
 def test_manufactured_solution_short_run():
