@@ -92,22 +92,31 @@ class BoundarySource:
     """Closed-form reference data for validation-mode runs, on
     EVOLVER_CHART: x and y broadcast against each other (an (nx, 1)
     column and a (1, ny) row give the (nx, ny) grid, two equal-length
-    arrays give those points) at one time t."""
+    arrays give those points) at one time t, into ``out`` if given.
+    ``held()`` is a copy whose fields keep their evaluation plans, for as
+    long as it lives: ``dkp_evolve`` evaluates through one."""
 
     def __init__(self, reference: ExprField, source: ExprField = None):
         self.reference = reference  # u*(x, y, t)
+        self.rate = reference.differentiate("t")  # u*_t
         self.source = source        # manufactured forcing, may be None
 
-    def u_on(self, x, y, t: float) -> np.ndarray:
-        return self.reference.evaluate_axes(x, y, t)
+    def held(self) -> "BoundarySource":
+        copy = object.__new__(BoundarySource)
+        for name, field in vars(self).items():
+            setattr(copy, name, field and ExprField(field.expr, field.chart, {}))
+        return copy
 
-    def udot_on(self, x, y, t: float) -> np.ndarray:
-        return self.reference.differentiate("t").evaluate_axes(x, y, t)
+    def u_on(self, x, y, t: float, out=None) -> np.ndarray:
+        return self.reference.evaluate_axes(x, y, t, out=out)
 
-    def source_on(self, x, y, t: float):
+    def udot_on(self, x, y, t: float, out=None) -> np.ndarray:
+        return self.rate.evaluate_axes(x, y, t, out=out)
+
+    def source_on(self, x, y, t: float, out=None):
         if self.source is None:
             return 0.0
-        return self.source.evaluate_axes(x, y, t)
+        return self.source.evaluate_axes(x, y, t, out=out)
 
 
 class DKPState:
@@ -232,12 +241,12 @@ class ImplicitSolve:
     so the transforms are products with m x m matrices built once per
     solver: ``forward`` = S diag(1/(1 + a_k)), ``inverse`` = 2/(m + 1) S.
     The solver owns the (nx - 2) x m buffer that holds the transformed
-    interior between the two products, which write with ``out=``, so a
-    solve allocates no grid.  On a 2-vCPU x86-64 host (numpy 2.4.6,
-    OpenBLAS, a speed that drifts by about 1.5x) one solve takes 9-13 ms
-    on 512^2 to a real FFT's 24-31 ms (19.5 ms on 513^2, a power-of-two
-    FFT length); they are about even on 1024^2, and on 2049^2 the FFT is
-    1.3-1.8x faster.
+    interior between the two products, which write with ``out=``, and the
+    recurrence's two m-vectors, so a solve allocates nothing.  On a 2-vCPU
+    x86-64 host (numpy 2.4.6, OpenBLAS, a speed that drifts by about 1.5x)
+    one solve takes 9-13 ms on 512^2 to a real FFT's 24-31 ms (19.5 ms on
+    513^2, a power-of-two FFT length); they are about even on 1024^2, and
+    on 2049^2 the FFT is 1.3-1.8x faster.
     """
 
     def __init__(self, grid: Grid2D, c: float):
@@ -255,14 +264,16 @@ class ImplicitSolve:
         self.forward = self.inverse / (1.0 + a)
         self.inverse *= 2.0 / (m + 1)
         self.modes = np.empty((grid.nx - 2, m))
+        self.sums, self.scaled = np.empty(m), np.empty(m)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Solve in place: r is overwritten with the solution."""
         inner = r[1:-1, 1:-1]
         z = np.matmul(inner, self.forward, out=self.modes)
-        partial_sum = np.zeros(z.shape[1])
+        partial_sum = self.sums
+        partial_sum.fill(0.0)
         for row in z:
-            row -= self.decay * partial_sum
+            row -= np.multiply(self.decay, partial_sum, out=self.scaled)
             partial_sum += row
         np.matmul(z, self.inverse, out=inner)
         r[0] = r[-1] = 0.0
@@ -300,8 +311,12 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
     values are the same to the bit.  With the solver's two m x m sine
     matrices and its (nx - 2) x m buffer (m = ny - 2) that is about nine
     grids: at 256^2 a free run or one on ``uniform_reference("t")`` peaks
-    under 9.25 grids in tracemalloc, whatever the step count.  A
-    manufactured source adds the grids it is evaluated into at each stage.
+    under 9.25 grids in tracemalloc, whatever the step count.  The plans
+    of ``boundary.held()`` live as long as the run: u* and u*_t on the
+    ring, and a manufactured source on the grid, written into the scratch
+    array, whose plan owns one grid more (a peak under 10.5 grids, against
+    11.3 when each stage evaluated it into new grids).  No run allocates a
+    grid after its second stage.
     The caller's ``state.u`` is not written; each saved state but the last
     is a copy, and the last holds the run's own u, which no later step
     writes.
@@ -319,7 +334,7 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
             f"({CFL_SAFETY:g} min(dx, dy^2/dx)/(1 + max|u|))"
         )
     threshold = blowup_factor * (1.0 + float(np.max(np.abs(state.u))))
-    grid, boundary = state.grid, state.boundary
+    grid, boundary = state.grid, state.boundary and state.boundary.held()
     xg, yg = grid.mesh()
     ring = grid.ring()
     xr, yr = xg[ring], yg[ring]
@@ -336,7 +351,7 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
         if boundary is None:  # free mode: the ring holds, no forcing
             return _explicit_rhs(v, grid, still, 0.0, f)
         return _explicit_rhs(v, grid, boundary.udot_on(xr, yr, s),
-                             boundary.source_on(xs, ys, s), f)
+                             boundary.source_on(xs, ys, s, out=scratch), f)
 
     def implicit(v):
         """N(v + gdt n) = n, solved for n into n: the implicit stage's N."""
@@ -375,7 +390,7 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
             raise BlowUpError(f"solution blew up at step {step} (t = {t:g})")
         if step in saved:
             out.append(DKPState(grid, u if step == steps else u.copy(), t,
-                                boundary))
+                                state.boundary))
     return out
 
 

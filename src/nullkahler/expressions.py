@@ -35,11 +35,13 @@ coordinates agree (a dKP sample's (x, y, t, z) points and their first
 three columns) share one.  The field layer passes one when it evaluates
 at sample points, where each value is one float per point; a sample set
 of the CLI owns one and shares it across every check it runs, so each
-node is evaluated once per sample set.  Evaluation on grids passes
-none: there every intermediate is a full grid array, and a memo would
-hold all of them until the call returns (tried on the evolver's 256x256
-manufactured solution, it cost more time and memory than the shared
-nodes saved).
+node is evaluated once per sample set.
+
+On grids every intermediate is an array, which a memo would keep alive,
+so ``fields.Plan`` runs the tree there.  The walk and a plan both call
+each node's one ``apply(*values, out=None)`` (its operation and domain
+checks) on the children's values in the walk's order, so they agree to
+the bit and in their errors.
 
 Grammar accepted by :func:`parse`::
 
@@ -122,10 +124,13 @@ class Expr(Frozen):
 
     Each subclass defines ``diff`` (its differentiation rule),
     ``evaluate`` and ``_variables``; callers use the memoised
-    ``derivative`` and ``variables``.
+    ``derivative`` and ``variables``.  A node with ``children`` (in the
+    walk's order; a quotient reads its denominator first) defines
+    ``apply``, and its ``evaluate`` applies it to their ``node_value``.
     """
 
     __slots__ = ("_memo",)
+    children = ()
 
     def _memo_dict(self) -> dict:
         """Derivatives keyed by variable name, the variable set by None."""
@@ -247,7 +252,7 @@ class Var(Expr):
 
 
 class Add(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = children = ("left", "right")
 
     def __init__(self, left, right):
         _set(self, "left", left)
@@ -257,7 +262,11 @@ class Add(Expr):
         return add(self.left.derivative(var), self.right.derivative(var))
 
     def evaluate(self, env, memo=None):
-        return node_value(self.left, env, memo) + node_value(self.right, env, memo)
+        return self.apply(node_value(self.left, env, memo),
+                          node_value(self.right, env, memo))
+
+    def apply(self, a, b, out=None):
+        return a + b if out is None else np.add(a, b, out=out)
 
     def _variables(self):
         return self.left.variables() | self.right.variables()
@@ -267,7 +276,7 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = children = ("left", "right")
 
     def __init__(self, left, right):
         _set(self, "left", left)
@@ -278,7 +287,11 @@ class Mul(Expr):
                    mul(self.left, self.right.derivative(var)))
 
     def evaluate(self, env, memo=None):
-        return node_value(self.left, env, memo) * node_value(self.right, env, memo)
+        return self.apply(node_value(self.left, env, memo),
+                          node_value(self.right, env, memo))
+
+    def apply(self, a, b, out=None):
+        return a * b if out is None else np.multiply(a, b, out=out)
 
     def _variables(self):
         return self.left.variables() | self.right.variables()
@@ -289,6 +302,7 @@ class Mul(Expr):
 
 class Div(Expr):
     __slots__ = ("num", "den")
+    children = ("den", "num")
 
     def __init__(self, num, den):
         _set(self, "num", num)
@@ -300,10 +314,13 @@ class Div(Expr):
                    mul(self.den, self.den))
 
     def evaluate(self, env, memo=None):
-        den = node_value(self.den, env, memo)
+        return self.apply(node_value(self.den, env, memo),
+                          node_value(self.num, env, memo))
+
+    def apply(self, den, num, out=None):
         if np.any(den == 0.0):
             raise EvaluationError("division by zero")
-        return node_value(self.num, env, memo) / den
+        return num / den if out is None else np.divide(num, den, out=out)
 
     def _variables(self):
         return self.num.variables() | self.den.variables()
@@ -314,6 +331,7 @@ class Div(Expr):
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
+    children = ("base",)
 
     def __init__(self, base, exponent):
         _set(self, "base", base)
@@ -327,16 +345,17 @@ class Pow(Expr):
                    self.base.derivative(var))
 
     def evaluate(self, env, memo=None):
-        base = node_value(self.base, env, memo)
+        return self.apply(node_value(self.base, env, memo))
+
+    def apply(self, base, out=None):
         n = self.exponent
         if n == int(n):
-            k = int(n)
-            if k < 0 and np.any(base == 0.0):
+            n = int(n)
+            if n < 0 and np.any(base == 0.0):
                 raise EvaluationError("zero raised to a negative power")
-            return base ** k
-        if np.any(base < 0.0):
+        elif np.any(base < 0.0):
             raise EvaluationError("fractional power of a negative base")
-        return base ** n
+        return base ** n if out is None else np.power(base, n, out=out)
 
     def _variables(self):
         return self.base.variables()
@@ -346,7 +365,7 @@ class Pow(Expr):
 
 
 class Neg(Expr):
-    __slots__ = ("arg",)
+    __slots__ = children = ("arg",)
 
     def __init__(self, arg):
         _set(self, "arg", arg)
@@ -355,7 +374,10 @@ class Neg(Expr):
         return neg(self.arg.derivative(var))
 
     def evaluate(self, env, memo=None):
-        return -node_value(self.arg, env, memo)
+        return self.apply(node_value(self.arg, env, memo))
+
+    def apply(self, a, out=None):
+        return -a if out is None else np.negative(a, out=out)
 
     def _variables(self):
         return self.arg.variables()
@@ -379,6 +401,7 @@ FUNCTIONS = tuple(_NUMPY_FN)
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
+    children = ("arg",)
 
     def __init__(self, fn, arg):
         _set(self, "fn", fn)
@@ -388,10 +411,12 @@ class Call(Expr):
         return mul(_DERIVATIVES[self.fn](self.arg), self.arg.derivative(var))
 
     def evaluate(self, env, memo=None):
-        x = node_value(self.arg, env, memo)
+        return self.apply(node_value(self.arg, env, memo))
+
+    def apply(self, x, out=None):
         if self.fn == "log" and np.any(x <= 0.0):
             raise EvaluationError("log of a non-positive number")
-        value = _NUMPY_FN[self.fn](x)
+        value = _NUMPY_FN[self.fn](x, out=out)
         if not np.all(np.isfinite(value)):
             raise EvaluationError(f"non-finite result from {self.fn}")
         return value

@@ -9,7 +9,11 @@ derivative as a field.  The one memo under it is the expression nodes'
 own (``Expr.derivative``), and fields keep no derivative state: the jets
 of ``geometry.field_jet`` apply ``Expr.derivative`` to the trees
 themselves, through the same node memo, and evaluate the partials with
-``node_value`` rather than as fields.
+``node_value`` rather than as fields.  On grids ``evaluate_axes`` runs
+a :class:`Plan` of the tree instead, compiled for one shape per axis (a
+column, a row, a scalar): each array value goes into a buffer the plan
+owns, free again after its last reader, so a plan run again allocates
+nothing but its result.
 ``SampledField`` is a plain container for field values on a uniform
 grid, written to CSV; it does no calculus.
 """
@@ -21,7 +25,9 @@ import numpy as np
 from .expressions import (
     EvaluationError,
     ExpressionError,
+    Expr,
     Frozen,
+    Var,
     as_expr,
     node_value,
     parse,
@@ -94,12 +100,72 @@ def _as_points(points, dim):
     return pts, False
 
 
-class ExprField:
-    """Closed-form backend: exact differentiation of an expression tree."""
+class Plan:
+    """``tree`` compiled for variable values of the given ``shapes`` (a
+    dict by name).  A step is a distinct node, its children's steps and
+    its buffer: none for a leaf or a scalar value, computed as
+    ``node_value`` computes it, else one freed by an earlier step, or a
+    new one.  A root of the full shape writes into the result, which may
+    serve any earlier step too: only the root's operands are alive when
+    the root runs."""
 
-    def __init__(self, expr, chart: Chart):
+    def __init__(self, tree: Expr, shapes: dict):
+        nodes = []
+        _post_order(tree, shapes, nodes, {})
+        self.shape = np.broadcast_shapes(*shapes.values())
+        self.direct = bool(nodes[-1][1]) and nodes[-1][2] == self.shape != ()
+        last = {k: j for j, (_, args, _) in enumerate(nodes) for k in args}
+        free, owned, self.steps = {self.shape: [_OUT] if self.direct else []}, {}, []
+        for j, (node, args, shape) in enumerate(nodes):
+            for k in {k for k in args if last[k] == j} & owned.keys():
+                free.setdefault(nodes[k][2], []).append(owned.pop(k))
+            buffer = None
+            if j == len(nodes) - 1 and self.direct:
+                buffer = _OUT
+            elif args and shape:
+                pool = free.get(shape)
+                buffer = owned[j] = pool.pop() if pool else np.empty(shape)
+            self.steps.append((node, args, buffer))
+
+    def __call__(self, env: dict, out=None) -> np.ndarray:
+        """The tree at ``env``, in ``out`` (apart from ``env``) or new."""
+        if out is None:
+            out = np.empty(self.shape)
+        values = []
+        for node, args, buffer in self.steps:
+            values.append(node.apply(*[values[k] for k in args],
+                                     out=out if buffer is _OUT else buffer)
+                          if args else node.evaluate(env))
+        if not self.direct:
+            out[...] = values[-1]
+        return out
+
+
+#: the buffer that stands for the result array
+_OUT = object()
+
+
+def _post_order(node, shapes, nodes, index) -> int:
+    """Append ``(node, child steps, shape)`` to ``nodes`` for each node
+    not in ``index`` (by id), children first in the walk's order."""
+    if id(node) not in index:
+        args = tuple(_post_order(getattr(node, name), shapes, nodes, index)
+                     for name in node.children)
+        shape = (np.broadcast_shapes(*(nodes[k][2] for k in args)) if args
+                 else shapes.get(node.name, ()) if isinstance(node, Var) else ())
+        index[id(node)] = len(nodes)
+        nodes.append((node, args, shape))
+    return index[id(node)]
+
+
+class ExprField:
+    """Closed-form backend: exact differentiation of an expression tree.
+    ``plans``, if a dict, keeps the field's plans (see ``evaluate_axes``)."""
+
+    def __init__(self, expr, chart: Chart, plans=None):
         self.expr = as_expr(expr)
         self.chart = chart
+        self.plans = plans
         free = self.expr.variables() - set(chart.coords)
         if free:
             raise ExpressionError(f"unbound variables {sorted(free)}")
@@ -116,29 +182,40 @@ class ExprField:
         """The same expression viewed on a larger chart."""
         return ExprField(self.expr, chart)
 
-    def evaluate_axes(self, *axes, memo=None) -> np.ndarray:
+    def evaluate_axes(self, *axes, memo=None, out=None) -> np.ndarray:
         """The field at the coordinates ``axes``, one array per chart axis,
-        broadcast against each other with numpy's rules.
+        broadcast against each other with numpy's rules, in ``out`` or a
+        new array.
 
         The evaluation routine of a field, at sample points (through
         ``evaluate``) and on grids: on a tensor grid pass each axis shaped
         to broadcast (x as a column, y as a row, t as a scalar), so every
         function of one coordinate is evaluated once per node of its axis.
         ``memo`` is an evaluation memo for these ``axes`` (see
-        ``expressions``); without one the tree is walked plainly.  Jets
+        ``expressions``).  Without one the tree runs through the ``Plan``
+        of the axes' shapes, compiled for the call, or once and kept with
+        its buffers if the field has ``plans``.  Jets
         (``geometry.field_jet``) evaluate their partials directly.
         """
         if len(axes) != self.chart.dim:
             raise DomainError(f"expected {self.chart.dim} coordinate arrays")
         self.chart.check_domain(axes)
         env = dict(zip(self.chart.coords, axes))
-        values = np.asarray(node_value(self.expr, env, memo), dtype=float)
-        shape = np.broadcast(*axes).shape
-        if values.shape != shape:  # a tree that does not read every axis
-            values = np.broadcast_to(values, shape)
+        if memo is None:
+            key = tuple(map(np.shape, axes))
+            plans = {} if self.plans is None else self.plans
+            if key not in plans:
+                plans[key] = Plan(self.expr, dict(zip(self.chart.coords, key)))
+            values = plans[key](env, out)
+        else:
+            values = np.asarray(node_value(self.expr, env, memo), dtype=float)
+            shape = np.broadcast(*axes).shape
+            if values.shape != shape:  # a tree that does not read every axis
+                values = np.broadcast_to(values, shape)
+            values = np.array(values) if out is None else np.copyto(out, values) or out
         if not np.isfinite(values).all():
             raise EvaluationError("non-finite field value")
-        return np.array(values)
+        return values
 
     def evaluate(self, points, memo=None):
         """The field at ``points`` of shape (n, dim), or at one point.

@@ -8,7 +8,7 @@ controls the residual the control is built to fail does not cancel.
 
 The same converter checks the expression trees themselves: on generated
 trees, ``evaluate`` and ``derivative`` agree with sympy's ``lambdify``
-and ``diff``.
+and ``diff``.  The same trees check grid plans against the memo walk.
 """
 
 from fractions import Fraction
@@ -32,7 +32,9 @@ from nullkahler.expressions import (
     Neg,
     Pow,
     Var,
+    node_value,
 )
+from nullkahler.fields import Plan
 from nullkahler.nk_system import example_family, residual_nk1, residual_nk2
 
 sympy = pytest.importorskip("sympy")
@@ -226,3 +228,81 @@ def test_trees_agree_with_sympy(recipe):
             with pytest.raises(AttributeError):
                 setattr(node, name, getattr(node, name))
     assert twin == tree
+
+
+def _read_only(values):
+    values = np.array(values)
+    values.flags.writeable = False
+    return values
+
+
+#: a column of x through 0 and a row of y, read-only: no plan writes them
+COLUMN = _read_only(np.linspace(-1.0, 1.0, 7)[:, None])
+ROW = _read_only(np.linspace(-0.8, 1.2, 5)[None, :])
+
+
+def _outcome(run, env):
+    """``run(env)`` broadcast to the axes' shape, or the message of the
+    ``EvaluationError`` it raised."""
+    try:
+        values = run(env)
+    except EvaluationError as err:
+        return str(err)
+    return np.broadcast_to(np.asarray(values, dtype=float),
+                           np.broadcast_shapes(*map(np.shape, env.values())))
+
+
+def _same(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _domain_errors(tree):
+    """``tree`` under each of the five domain checks, with the message
+    each raises where COLUMN holds 0 and negative values."""
+    x = Var("x")
+    return [
+        (Div(tree, x), "division by zero"),
+        (Call("log", Mul(x, Add(Const(1.0), Mul(tree, tree)))),
+         "log of a non-positive number"),
+        (Pow(Mul(x, Add(Const(1.0), Mul(tree, tree))), 0.5),
+         "fractional power of a negative base"),
+        (Pow(Mul(x, Add(Const(1.0), Mul(tree, tree))), -1.0),
+         "zero raised to a negative power"),
+        (Call("exp", Mul(Const(1000.0), Add(Const(1.0), Mul(tree, tree)))),
+         "non-finite result from exp"),
+    ]
+
+
+@np.errstate(all="ignore")
+def test_domain_errors_of_a_plan_are_the_walks():
+    env = {"x": COLUMN, "y": ROW}
+    for tree, message in _domain_errors(Call("sin", Var("y"))):
+        plan = Plan(tree, {"x": COLUMN.shape, "y": ROW.shape})
+        assert _outcome(plan, env) == _outcome(
+            lambda e: node_value(tree, e, {}), env) == message
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_recipes(3))
+@np.errstate(all="ignore")
+def test_plans_match_the_memo_walk(recipe):
+    # on a column and a row, and on a column with y a scalar at several
+    # values through one plan, a plan gives the memo walk's bits, or its
+    # error; a result stays as it was when the plan runs again.  The
+    # derivatives share nodes, so a buffer freed too soon would show
+    tree = _build(recipe)
+    shared = [tree.derivative("x"), tree.derivative("x").derivative("y")]
+    for candidate, _ in [(t, None) for t in [tree] + shared] + _domain_errors(tree):
+        plan = Plan(candidate, {"x": COLUMN.shape, "y": ROW.shape})
+        env = {"x": COLUMN, "y": ROW}
+        walk = _outcome(lambda e: node_value(candidate, e, {}), env)
+        assert _same(_outcome(plan, env), walk)
+        plan = Plan(candidate, {"x": COLUMN.shape, "y": ()})
+        runs = [(_outcome(plan, {"x": COLUMN, "y": y}),
+                 _outcome(lambda e: node_value(candidate, e, {}),
+                          {"x": COLUMN, "y": y}))
+                for y in (-0.7, 0.2, 1.1)]
+        assert all(_same(got, walk) for got, walk in runs)
