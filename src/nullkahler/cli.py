@@ -85,12 +85,12 @@ from .fields import (
     grid_to_csv,
     sample_to_grid,
 )
-from .geometry import DegeneracyError, dkp_coframe, nk_coframe, nk_metric
+from .geometry import (SYM_PAIRS, DegeneracyError, dkp_coframe, nk_coframe,
+                       nk_metric)
 from .nk_system import (FAMILY_EXCLUDED, FAMILY_PARAMS, NKSolution,
                         commutator_sweep, example_family, induced_f,
                         residual_nk1, residual_nk2)
 from .sampling import Box, SamplePlan
-from .spinors import SYM_PAIRS
 
 SCHEMA_VERSION = 1
 

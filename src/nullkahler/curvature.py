@@ -37,13 +37,15 @@ from itertools import permutations
 import numpy as np
 
 from .geometry import (
+    EPS_LOWER,
+    EPS_UPPER,
+    SYM_PAIRS,
     CoFrame,
     MetricField,
     dual_vector_values,
     exterior_derivative,
     inverse_metric_values,
 )
-from .spinors import EPS_LOWER, EPS_UPPER, SYM_PAIRS
 
 #: strictly increasing coordinate index pairs for two-form components
 PAIRS6 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

@@ -23,16 +23,15 @@ from .geometry import (
     CoFrame,
     FormField,
     MetricField,
-    _check_nonvanishing,
     _require_dkp_chart,
     dkp_metric,
     exterior_derivative,
     field_jet,
+    hodge_star_values,
     inverse_metric_values,
     wedge,
 )
 from .sampling import Box
-from .spinors import hodge_star_values
 
 EW_CHART = Chart(("x", "y", "t"))
 
@@ -63,34 +62,6 @@ def residual_lindkp(h_pot: ExprField, w_pot: ExprField) -> ExprField:
     hx_wx = h_pot.differentiate("x") * w_pot.differentiate("x")
     return (w_pot.differentiate("y", "y") - w_pot.differentiate("x", "t")
             + hx_wx.differentiate("x"))
-
-
-def symmetry_w(h_pot: ExprField, a=0.0, b=0.0, c=0.0, e=0.0) -> ExprField:
-    """Linearised solution from the scaling/translation symmetry orbit:
-
-        W = a (x H_x + y H_y + t H_t - H) + b H_x + c H_t + e H_y.
-
-    The scaling family carries conformal weight -1 on H (the potential
-    equation is invariant under H -> H(lam x, lam y, lam t)/lam), which
-    is where the -H term of the a-generator comes from; the residual
-    contract residual_lindkp(H, W) = 0 for every exact H pins it.
-    """
-    _require_dkp_chart(h_pot)
-    chart = h_pot.chart
-    x = ExprField.from_text("x", chart)
-    y = ExprField.from_text("y", chart)
-    t = ExprField.from_text("t", chart)
-    hx, hy, ht = (h_pot.differentiate(name) for name in ("x", "y", "t"))
-    out = ExprField.constant(0.0, chart)
-    if a:
-        out = out + (x * hx + y * hy + t * ht - h_pot) * a
-    if b:
-        out = out + hx * b
-    if c:
-        out = out + ht * c
-    if e:
-        out = out + hy * e
-    return out
 
 
 # --- Einstein-Weyl structures --------------------------------------------------
@@ -215,24 +186,6 @@ def build_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricF
     return dkp_metric(h_pot, w_pot, box)
 
 
-def sigma11_rhs(h_pot: ExprField, w_pot: ExprField) -> FormField:
-    """Closed-form d Sigma^{1'1'} for the circle-bundle tetrad:
-
-        d(2W - H_x) ^ dt ^ dz  -  2 (lindKP residual) dx ^ dy ^ dt.
-
-    Derived by exact differentiation of the Sigma^{1'1'} components; it
-    vanishes iff W = H_x/2 + f(t) modulo the linearised equation.
-    """
-    chart4 = Chart(("x", "y", "t", "z"), h_pot.chart.excluded)
-    x, y, t, z = 0, 1, 2, 3
-    f0 = (2.0 * w_pot - h_pot.differentiate("x")).on_chart(chart4)
-    df = exterior_derivative(FormField(chart4, 0, {(): f0}))
-    dt_dz = FormField(chart4, 2, {(t, z): ExprField.constant(1.0, chart4)})
-    dxdydt = FormField(chart4, 3, {(x, y, t): ExprField.constant(1.0, chart4)})
-    lind = residual_lindkp(h_pot, w_pot).on_chart(chart4)
-    return wedge(df, dt_dz) + dxdydt.mul_scalar(lind * -2.0)
-
-
 def sd_two_forms(coframe: CoFrame, points, memo=None):
     """The printed SD two-form basis of a dkp coframe and the closedness
     of its first two forms.
@@ -241,8 +194,9 @@ def sd_two_forms(coframe: CoFrame, points, memo=None):
     display normalization Sigma^{0'0'} = e00'^e10',
     Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11', and
     the report holds max|d Sigma^{0'0'}| and max|d Sigma^{0'1'}| at
-    ``points``.  d Sigma^{1'1'} is not closed in general; ``sigma11_rhs``
-    is its closed form.  ``memo`` is an evaluation memo of ``points``.
+    ``points``.  d Sigma^{1'1'} is not closed in general; the tests
+    compare it against its closed form.  ``memo`` is an evaluation memo
+    of ``points``.
     """
     e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
     e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
@@ -308,17 +262,3 @@ def jones_tod_reduce(metric: MetricField) -> JonesTodReduction:
 
     return JonesTodReduction(h, nu_at)
 
-
-# --- pseudo hyper-Kahler specialization ------------------------------------------
-
-def hyperkahler_specialize(h_pot: ExprField, box: Box = None) -> MetricField:
-    """g = (H_xx/2)(dy^2 - 4 dx dt - 4 H_x dt^2)
-          - (2/H_xx)(dz - H_xx dy/2 - H_xy dt)^2,
-
-    the covariantly-constant-frame case W = H_x/2; H_xx must be bounded
-    away from zero (degenerate conformal factor otherwise).
-    """
-    _require_dkp_chart(h_pot)
-    if box is not None:
-        _check_nonvanishing(h_pot.differentiate("x", "x"), box, "H_xx")
-    return dkp_metric(h_pot, 0.5 * h_pot.differentiate("x"))

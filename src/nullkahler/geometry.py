@@ -1,16 +1,31 @@
-"""Coframes, metric fields and exterior calculus on a single chart.
+"""Coframes, metric fields and exterior calculus on a single chart, with
+the two-spinor conventions and the Hodge star they are checked by.
 
 Forms are stored in coordinate components (dictionaries keyed by strictly
 increasing index tuples); frame quantities are converted to coordinate
 components at evaluation points.  Line-element products are symmetrized,
 so a displayed ``dw dx`` contributes 1/2 to each of g_wx and g_xw.
+
+Two-spinor conventions:
+
+* epsilon_{01} = epsilon_{0'1'} = 1 and epsilon^{01} = 1, so that
+  epsilon^{AB} epsilon_{CB} = delta^A_C (north-west / south-east);
+  iota_A = iota^B epsilon_{BA} and iota^A = epsilon^{AB} iota_B.
+* Coframe values are E[n, A, A', mu], the null tetrad e^{AA'} in the
+  order 00', 01', 10', 11', with g = 2(e^{00'} e^{11'} - e^{10'} e^{01'});
+  nothing assumes a diag(+, +, -, -) ordering of the chart.
+* Symmetric 2-spinor objects are stored in the pair order ``SYM_PAIRS``,
+  ((0, 0), (0, 1), (1, 1)).
+* Sigma^{A'B'} = (1/2) epsilon_{AB} e^{AA'} ^ e^{BB'} and the mirror
+  formula for Sigma^{AB}; this normalization satisfies the coframe
+  reconstruction identity exactly.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -18,13 +33,70 @@ from .expressions import Const, EvaluationError, node_value
 from .fields import Chart, DomainError, ExprField
 from .nk_system import theta_blocks
 from .sampling import Box, SamplePlan
-from .spinors import hodge_star_values, permutation_parity
 
 DEGENERACY_TOL = 1e-10
+
+EPS_LOWER = np.array([[0.0, 1.0], [-1.0, 0.0]])
+EPS_UPPER = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+#: index pairs labelling symmetric 2-spinor objects
+SYM_PAIRS = ((0, 0), (0, 1), (1, 1))
 
 
 class DegeneracyError(ValueError):
     """Coframe or metric degenerate on the declared domain."""
+
+
+def permutation_parity(seq) -> int:
+    """+1 or -1 by the number of inversions of a sequence of distinct items."""
+    sign = 1
+    for i, j in combinations(range(len(seq)), 2):
+        if seq[i] > seq[j]:
+            sign = -sign
+    return sign
+
+
+def _perm_symbol(n: int) -> np.ndarray:
+    symbol = np.zeros((n,) * n)
+    for perm in permutations(range(n)):
+        symbol[perm] = permutation_parity(perm)
+    return symbol
+
+
+#: the permutation symbol [a...] of the 3- and 4-dimensional charts
+_PERM_SYMBOLS = {3: _perm_symbol(3), 4: _perm_symbol(4)}
+
+
+def levi_civita(g: np.ndarray, orientation: int = 1) -> np.ndarray:
+    """Volume tensor eps_{a...} = orientation * sqrt|det g| * [a...] of a
+    3- or 4-dimensional metric."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[-1]
+    scale = orientation * np.sqrt(np.abs(np.linalg.det(g)))
+    scale = np.asarray(scale)
+    return scale.reshape(scale.shape + (1,) * n) * _PERM_SYMBOLS[n]
+
+
+def hodge_star_values(omega: np.ndarray, degree: int, g: np.ndarray,
+                      orientation: int = 1) -> np.ndarray:
+    """Pointwise Hodge dual of p-form components (batched).
+
+    (*w)_{b...} = (1/p!) w^{a1..ap} eps_{a1..ap b...}; indices raised
+    with the inverse metric.  Works for 3- and 4-dimensional metrics.
+    """
+    g = np.asarray(g, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    ginv = np.linalg.inv(g)
+    eps = levi_civita(g, orientation)
+    n = g.shape[-1]
+    letters = "abcd"[:degree]
+    out = "efgh"[: n - degree]
+    raised = omega
+    for k, letter in enumerate(letters):
+        upper = letters[:k] + "Z" + letters[k + 1:]
+        raised = np.einsum(f"...{letter}Z,...{upper}->...{letters}", ginv, raised)
+    fact = float(math.factorial(degree))
+    return np.einsum(f"...{letters},...{letters}{out}->...{out}", raised, eps) / fact
 
 
 def _merge_sign(left: tuple, right: tuple):
@@ -206,13 +278,6 @@ def exterior_derivative(a: FormField) -> FormField:
     return FormField(a.chart, a.degree + 1, comps)
 
 
-def hodge_star(a: FormField, g: "MetricField", orientation: int, points) -> np.ndarray:
-    """Pointwise Hodge dual of ``a`` with respect to ``g`` at ``points``."""
-    values = a.evaluate(points)
-    gv = g.evaluate(points)
-    return hodge_star_values(values, a.degree, gv, orientation)
-
-
 class MetricField:
     """Symmetric matrix of scalar-field components on a chart."""
 
@@ -240,11 +305,6 @@ class MetricField:
         """ddg[n, k, l, i, j] = partial_k partial_l g_ij, exact."""
         return field_jet(self._entries, (self.chart.dim,) * 2, points, 2, memo)
 
-    def signature_counts(self, points):
-        """(positive, negative) eigenvalue counts at each point."""
-        eigenvalues = np.linalg.eigvalsh(self.evaluate(points))
-        return (eigenvalues > 0).sum(axis=1), (eigenvalues < 0).sum(axis=1)
-
 
 class CoFrame:
     """Null tetrad of one-forms e^{AA'} with scalar-field components."""
@@ -271,28 +331,10 @@ class CoFrame:
         """ddE[n, k, l, A, A', mu], exact."""
         return field_jet(self._entries, (2, 2, self.chart.dim), points, 2, memo)
 
-    def volume_form(self) -> FormField:
-        """nu = e^{01'} ^ e^{10'} ^ e^{11'} ^ e^{00'} (orientation fix)."""
-        return wedge(
-            wedge(self.form(0, 1), self.form(1, 0)),
-            wedge(self.form(1, 1), self.form(0, 0)),
-        )
-
-    def orientation_sign(self, points) -> int:
-        """Sign of nu against the chart coordinate volume element."""
-        top = self.volume_form().evaluate(points)
-        component = top[(slice(None),) + tuple(range(self.chart.dim))]
-        if np.any(component == 0.0):
-            raise DegeneracyError("degenerate coframe (vanishing volume form)")
-        signs = np.sign(component)
-        if not np.all(signs == signs[0]):
-            raise DegeneracyError("orientation flips across the sample set")
-        return int(signs[0])
-
     def sigma(self, i: int, j: int) -> FormField:
         """Sigma^{A'B'} for (A', B') = (i, j) as an exact form field.
 
-        Same normalization as :func:`nullkahler.spinors.sigma_basis`:
+        Same normalization as ``sigma_basis`` in ``tests/oracles.py``:
         Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}, with eps_{01} = 1.
         """
         return (wedge(self.form(0, i), self.form(1, j)).scaled(0.5)
@@ -319,27 +361,6 @@ def dual_vector_values(e: np.ndarray) -> np.ndarray:
         raise DegeneracyError("degenerate coframe")
     dual = np.linalg.inv(mat)  # columns are the dual vectors
     return np.transpose(dual, (0, 2, 1)).reshape(e.shape[0], 2, 2, -1)
-
-
-def metric_from_coframe(e: CoFrame) -> MetricField:
-    """g = 2(e^{00'} e^{11'} - e^{10'} e^{01'}), symmetrized products."""
-    chart = e.chart
-    n = chart.dim
-    zero = _zero_field(chart)
-    comps = [[zero for _ in range(n)] for _ in range(n)]
-    e00, e11 = e.form(0, 0), e.form(1, 1)
-    e10, e01 = e.form(1, 0), e.form(0, 1)
-    for i in range(n):
-        for j in range(i, n):
-            acc = (
-                e00.component((i,)) * e11.component((j,))
-                + e00.component((j,)) * e11.component((i,))
-                - e10.component((i,)) * e01.component((j,))
-                - e10.component((j,)) * e01.component((i,))
-            )
-            comps[i][j] = acc
-            comps[j][i] = acc
-    return MetricField(chart, comps)
 
 
 # --- constructors ------------------------------------------------------------

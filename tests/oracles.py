@@ -1,0 +1,303 @@
+"""Independent references the tests compare the package against.
+
+Nothing in the package or the benchmark calls these; the tests keep them
+as second derivations of what the package computes its own way.  The
+module is imported by the tests and not collected, since its name does
+not start with ``test_``.  Two-spinor conventions are those of
+``nullkahler.geometry``: epsilon_{01} = epsilon^{01} = 1, symmetric pairs
+in the order ``SYM_PAIRS``, and
+Sigma^{A'B'} = (1/2) epsilon_{AB} e^{AA'} ^ e^{BB'}.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nullkahler.dkp import residual_lindkp
+from nullkahler.fields import Chart, ExprField
+from nullkahler.geometry import (
+    EPS_LOWER,
+    EPS_UPPER,
+    SYM_PAIRS,
+    CoFrame,
+    DegeneracyError,
+    FormField,
+    MetricField,
+    _check_nonvanishing,
+    _require_dkp_chart,
+    _zero_field,
+    dkp_metric,
+    exterior_derivative,
+    hodge_star_values,
+    wedge,
+)
+from nullkahler.sampling import Box
+
+
+# --- paper constructions the tests use as fixtures ----------------------------
+# the symmetry orbit of linearised solutions and the W = H_x/2
+# hyper-Kahler case
+
+def symmetry_w(h_pot: ExprField, a=0.0, b=0.0, c=0.0, e=0.0) -> ExprField:
+    """Linearised solution from the scaling/translation symmetry orbit:
+
+        W = a (x H_x + y H_y + t H_t - H) + b H_x + c H_t + e H_y.
+
+    The scaling family carries conformal weight -1 on H (the potential
+    equation is invariant under H -> H(lam x, lam y, lam t)/lam), which
+    is where the -H term of the a-generator comes from; the residual
+    contract residual_lindkp(H, W) = 0 for every exact H pins it.
+    """
+    _require_dkp_chart(h_pot)
+    chart = h_pot.chart
+    x = ExprField.from_text("x", chart)
+    y = ExprField.from_text("y", chart)
+    t = ExprField.from_text("t", chart)
+    hx, hy, ht = (h_pot.differentiate(name) for name in ("x", "y", "t"))
+    out = ExprField.constant(0.0, chart)
+    if a:
+        out = out + (x * hx + y * hy + t * ht - h_pot) * a
+    if b:
+        out = out + hx * b
+    if c:
+        out = out + ht * c
+    if e:
+        out = out + hy * e
+    return out
+
+
+def hyperkahler_specialize(h_pot: ExprField, box: Box = None) -> MetricField:
+    """g = (H_xx/2)(dy^2 - 4 dx dt - 4 H_x dt^2)
+          - (2/H_xx)(dz - H_xx dy/2 - H_xy dt)^2,
+
+    the covariantly-constant-frame case W = H_x/2; H_xx must be bounded
+    away from zero (degenerate conformal factor otherwise).
+    """
+    _require_dkp_chart(h_pot)
+    if box is not None:
+        _check_nonvanishing(h_pot.differentiate("x", "x"), box, "H_xx")
+    return dkp_metric(h_pot, 0.5 * h_pot.differentiate("x"))
+
+
+# --- the closed form of d Sigma^{1'1'} ----------------------------------------
+# criterion 9 compares the exact exterior derivative against it; the
+# suite reads only the two closed forms Sigma^{0'0'} and Sigma^{0'1'}
+
+def sigma11_rhs(h_pot: ExprField, w_pot: ExprField) -> FormField:
+    """Closed-form d Sigma^{1'1'} for the circle-bundle tetrad:
+
+        d(2W - H_x) ^ dt ^ dz  -  2 (lindKP residual) dx ^ dy ^ dt.
+
+    Derived by exact differentiation of the Sigma^{1'1'} components; it
+    vanishes iff W = H_x/2 + f(t) modulo the linearised equation.
+    """
+    chart4 = Chart(("x", "y", "t", "z"), h_pot.chart.excluded)
+    x, y, t, z = 0, 1, 2, 3
+    f0 = (2.0 * w_pot - h_pot.differentiate("x")).on_chart(chart4)
+    df = exterior_derivative(FormField(chart4, 0, {(): f0}))
+    dt_dz = FormField(chart4, 2, {(t, z): ExprField.constant(1.0, chart4)})
+    dxdydt = FormField(chart4, 3, {(x, y, t): ExprField.constant(1.0, chart4)})
+    lind = residual_lindkp(h_pot, w_pot).on_chart(chart4)
+    return wedge(df, dt_dz) + dxdydt.mul_scalar(lind * -2.0)
+
+
+# --- cross-checks of what the checks take as given ----------------------------
+# a second derivation of the metric, its signature, the orientation with
+# the volume form it is read from, and the Hodge star of a form field
+
+def metric_from_coframe(e: CoFrame) -> MetricField:
+    """g = 2(e^{00'} e^{11'} - e^{10'} e^{01'}), symmetrized products."""
+    chart = e.chart
+    n = chart.dim
+    zero = _zero_field(chart)
+    comps = [[zero for _ in range(n)] for _ in range(n)]
+    e00, e11 = e.form(0, 0), e.form(1, 1)
+    e10, e01 = e.form(1, 0), e.form(0, 1)
+    for i in range(n):
+        for j in range(i, n):
+            acc = (
+                e00.component((i,)) * e11.component((j,))
+                + e00.component((j,)) * e11.component((i,))
+                - e10.component((i,)) * e01.component((j,))
+                - e10.component((j,)) * e01.component((i,))
+            )
+            comps[i][j] = acc
+            comps[j][i] = acc
+    return MetricField(chart, comps)
+
+
+def signature_counts(metric: MetricField, points):
+    """(positive, negative) eigenvalue counts at each point."""
+    eigenvalues = np.linalg.eigvalsh(metric.evaluate(points))
+    return (eigenvalues > 0).sum(axis=1), (eigenvalues < 0).sum(axis=1)
+
+
+def volume_form(coframe: CoFrame) -> FormField:
+    """nu = e^{01'} ^ e^{10'} ^ e^{11'} ^ e^{00'} (orientation fix)."""
+    return wedge(
+        wedge(coframe.form(0, 1), coframe.form(1, 0)),
+        wedge(coframe.form(1, 1), coframe.form(0, 0)),
+    )
+
+
+def orientation_sign(coframe: CoFrame, points) -> int:
+    """Sign of nu against the chart coordinate volume element."""
+    top = volume_form(coframe).evaluate(points)
+    component = top[(slice(None),) + tuple(range(coframe.chart.dim))]
+    if np.any(component == 0.0):
+        raise DegeneracyError("degenerate coframe (vanishing volume form)")
+    signs = np.sign(component)
+    if not np.all(signs == signs[0]):
+        raise DegeneracyError("orientation flips across the sample set")
+    return int(signs[0])
+
+
+def hodge_star(a: FormField, g: MetricField, orientation: int, points) -> np.ndarray:
+    """Pointwise Hodge dual of ``a`` with respect to ``g`` at ``points``."""
+    values = a.evaluate(points)
+    gv = g.evaluate(points)
+    return hodge_star_values(values, a.degree, gv, orientation)
+
+
+# --- the value types the criterion-11 oracles build and return ----------------
+# a tagged 2-spinor for raise_lower and contract, a checked two-form for
+# sd_asd_split, and the error their checks raise
+
+class SpinorError(ValueError):
+    pass
+
+
+class Spinor2:
+    """Two real components with chirality and variance tags."""
+
+    def __init__(self, components, chirality: str = "primed",
+                 variance: str = "upper"):
+        self.components = tuple(float(c) for c in components)
+        self.chirality = chirality
+        self.variance = variance
+        if len(self.components) != 2:
+            raise SpinorError("a 2-spinor has two components")
+        if self.chirality not in ("primed", "unprimed"):
+            raise SpinorError(f"bad chirality {self.chirality!r}")
+        if self.variance not in ("upper", "lower"):
+            raise SpinorError(f"bad variance {self.variance!r}")
+
+    @property
+    def array(self) -> np.ndarray:
+        return np.array(self.components)
+
+
+class TwoFormValue:
+    """Antisymmetric 4x4 component array of a two-form at a point."""
+
+    def __init__(self, components, chart: tuple = ("w", "z", "x", "y")):
+        arr = np.asarray(components, dtype=float)
+        if arr.shape[-2:] != (4, 4):
+            raise SpinorError("two-form components must be 4x4")
+        if not np.allclose(arr, -np.swapaxes(arr, -1, -2), atol=0.0):
+            raise SpinorError("two-form components must be antisymmetric")
+        self.components = arr
+        self.chart = chart
+
+
+# --- criterion-11 spinor algebra ----------------------------------------------
+# the 2-spinor conventions the soldering and the Weyl spinors are tested
+# against, and the self-dual / anti-self-dual split of a two-form
+
+def raise_lower(s: Spinor2, direction: str) -> Spinor2:
+    """iota_A = iota^B eps_BA (lower); iota^A = eps^AB iota_B (raise)."""
+    if direction == "lower":
+        if s.variance != "upper":
+            raise SpinorError("can only lower an upper-index spinor")
+        out = s.array @ EPS_LOWER  # iota_A = iota^B eps_{BA}
+        return Spinor2(tuple(out), s.chirality, "lower")
+    if direction == "raise":
+        if s.variance != "lower":
+            raise SpinorError("can only raise a lower-index spinor")
+        out = EPS_UPPER @ s.array  # iota^A = eps^{AB} iota_B
+        return Spinor2(tuple(out), s.chirality, "upper")
+    raise SpinorError(f"direction must be 'raise' or 'lower', got {direction!r}")
+
+
+def contract(a: Spinor2, b: Spinor2) -> float:
+    """Epsilon contraction of two same-chirality spinors; antisymmetric."""
+    if a.chirality != b.chirality:
+        raise SpinorError("cannot contract spinors of different chirality")
+    if a.variance == b.variance:
+        # eps_{01} = eps^{01} = 1: exactly a0 b1 - a1 b0 either way
+        a0, a1 = a.components
+        b0, b1 = b.components
+        return a0 * b1 - a1 * b0
+    upper, lower = (a, b) if a.variance == "upper" else (b, a)
+    sign = 1.0 if a.variance == "upper" else -1.0  # u^A v_A = -u_A v^A
+    return float(sign * (upper.components[0] * lower.components[0]
+                         + upper.components[1] * lower.components[1]))
+
+
+def vector_to_bispinor(v) -> np.ndarray:
+    """V^a -> V^{AA'} = [[V0+V3, V1+V2], [V1-V2, V0-V3]].
+
+    Components are ordered (V^0, V^1, V^2, V^3), and det V^{AA'} equals
+    the split-signature quadratic form V0^2 - V1^2 + V2^2 - V3^2.
+    Batched over a leading axis.
+    """
+    v = np.asarray(v, dtype=float)
+    v0, v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    out = np.empty(v.shape[:-1] + (2, 2))
+    out[..., 0, 0] = v0 + v3
+    out[..., 0, 1] = v1 + v2
+    out[..., 1, 0] = v1 - v2
+    out[..., 1, 1] = v0 - v3
+    return out
+
+
+def bispinor_to_vector(m) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    out = np.empty(m.shape[:-2] + (4,))
+    out[..., 0] = (m[..., 0, 0] + m[..., 1, 1]) / 2.0
+    out[..., 1] = (m[..., 0, 1] + m[..., 1, 0]) / 2.0
+    out[..., 2] = (m[..., 0, 1] - m[..., 1, 0]) / 2.0
+    out[..., 3] = (m[..., 0, 0] - m[..., 1, 1]) / 2.0
+    return out
+
+
+def sd_asd_split(omega, g, orientation: int = 1):
+    """Split a two-form value into (self-dual, anti-self-dual) parts.
+
+    In split signature the Hodge star squares to +1 on two-forms, so the
+    projectors are (1 +- star)/2 with real eigenspaces.
+    """
+    arr = omega.components if isinstance(omega, TwoFormValue) else np.asarray(omega)
+    g = np.asarray(g, dtype=float)
+    if np.any(np.abs(np.linalg.det(g)) < 1e-14):
+        raise SpinorError("degenerate metric")
+    star = hodge_star_values(arr, 2, g, orientation)
+    sd = (arr + star) / 2.0
+    asd = (arr - star) / 2.0
+    if isinstance(omega, TwoFormValue):
+        return TwoFormValue(sd, omega.chart), TwoFormValue(asd, omega.chart)
+    return sd, asd
+
+
+def sigma_basis(coframe_values: np.ndarray):
+    """Sigma bases from coframe values E[..., A, A', mu].
+
+    Returns (sigma_primed, sigma_unprimed) of shape (..., 3, 4, 4) in the
+    pair order ((0,0), (0,1), (1,1)); primed entries are self-dual, the
+    unprimed anti-self-dual, for the orientation induced by the coframe.
+    """
+    e = np.asarray(coframe_values, dtype=float)
+    if e.shape[-3:] != (2, 2, 4):
+        raise SpinorError("coframe values must have shape (..., 2, 2, 4)")
+    wedge = np.einsum("...abm,...cdn->...abcdmn", e, e) \
+        - np.einsum("...abn,...cdm->...abcdmn", e, e)
+    # Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}
+    sp_full = 0.5 * np.einsum("ac,...abcdmn->...bdmn", EPS_LOWER, wedge)
+    su_full = 0.5 * np.einsum("bd,...abcdmn->...acmn", EPS_LOWER, wedge)
+    shape = e.shape[:-3]
+    sigma_p = np.empty(shape + (3, 4, 4))
+    sigma_u = np.empty(shape + (3, 4, 4))
+    for k, (i, j) in enumerate(SYM_PAIRS):
+        sigma_p[..., k, :, :] = sp_full[..., i, j, :, :]
+        sigma_u[..., k, :, :] = su_full[..., i, j, :, :]
+    return sigma_p, sigma_u

@@ -25,8 +25,6 @@ from nullkahler.dkp import (
     residual_heqn,
     residual_lindkp,
     sd_two_forms,
-    sigma11_rhs,
-    symmetry_w,
 )
 from nullkahler.evolver import (
     Grid2D,
@@ -36,8 +34,10 @@ from nullkahler.evolver import (
 )
 from nullkahler.fields import Chart, ExprField
 from nullkahler.geometry import (
+    EPS_UPPER,
     dkp_coframe,
     exterior_derivative,
+    hodge_star_values,
     nk_coframe,
     nk_metric,
     wedge,
@@ -53,12 +53,7 @@ from nullkahler.nk_system import (
     residual_nk2,
 )
 from nullkahler.sampling import Box, SamplePlan
-from nullkahler.spinors import (
-    EPS_UPPER,
-    hodge_star_values,
-    sigma_basis,
-    vector_to_bispinor,
-)
+from oracles import sigma11_rhs, sigma_basis, symmetry_w, vector_to_bispinor
 
 CHART4 = Chart(("w", "z", "x", "y"))
 CHART3 = Chart(("x", "y", "t"))

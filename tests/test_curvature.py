@@ -17,6 +17,7 @@ from nullkahler.curvature import (
 from nullkahler.dkp import build_metric
 from nullkahler.fields import Chart, ExprField
 from nullkahler.geometry import (
+    EPS_UPPER,
     DegeneracyError,
     dkp_coframe,
     inverse_metric_values,
@@ -334,7 +335,6 @@ def _weyl_spinors_slot_by_slot(metric, coframe, points):
     """Reference: the reference chain's Weyl tensor soldered slot by slot,
     then split."""
     from nullkahler.curvature import _extract_slots
-    from nullkahler.spinors import EPS_UPPER
 
     dual = coframe.dual_vectors(points)
     weyl_spin = np.einsum("nabcd,nxXa,nyYb,nzZc,nwWd->nxXyYzZwW",
@@ -387,7 +387,6 @@ def test_broadcast_sigma_matches_einsum_reference():
     # its bytes, and projecting the reference chain's Weyl tensor with
     # them gives the report's spinors to round-off
     from nullkahler.curvature import _EPS_SYM, _extract_slots, _soldered_bivectors
-    from nullkahler.spinors import EPS_UPPER
 
     for metric, coframe, box in _criterion4_fixtures():
         sample = SamplePlan(box, count=100).points()

@@ -6,21 +6,26 @@ import pytest
 from nullkahler.expressions import Const, EvaluationError
 from nullkahler.fields import Chart, DomainError, ExcludedBand, ExprField
 from nullkahler.geometry import (
+    SYM_PAIRS,
     DegeneracyError,
     FormField,
     dkp_coframe,
     dkp_metric,
     exterior_derivative,
     field_jet,
-    hodge_star,
-    metric_from_coframe,
     nk_coframe,
     nk_metric,
     wedge,
 )
 from nullkahler.dkp import ew_from_u
 from nullkahler.sampling import Box, SamplePlan
-from nullkahler.spinors import SYM_PAIRS
+from oracles import (
+    hodge_star,
+    metric_from_coframe,
+    orientation_sign,
+    signature_counts,
+    volume_form,
+)
 
 CHART4 = Chart(("w", "z", "x", "y"))
 CHART3 = Chart(("x", "y", "t"))
@@ -211,8 +216,8 @@ def test_hodge_star_of_one_is_volume():
     coframe = nk_coframe(theta)
     pts = plan_points()
     one_form = FormField(CHART4, 0, {(): ExprField.constant(1.0, CHART4)})
-    star = hodge_star(one_form, metric, coframe.orientation_sign(pts), pts)
-    volume = coframe.volume_form().evaluate(pts)
+    star = hodge_star(one_form, metric, orientation_sign(coframe, pts), pts)
+    volume = volume_form(coframe).evaluate(pts)
     assert np.max(np.abs(star - volume)) < 1e-12
 
 
@@ -223,23 +228,23 @@ def test_signature_counts():
     ]
     pts = SamplePlan(BOX4, count=100).points()
     for metric in fixtures:
-        pos, neg = metric.signature_counts(pts)
+        pos, neg = signature_counts(metric, pts)
         assert np.all(pos == 2) and np.all(neg == 2)
     dk = dkp_metric(ExprField.from_text("-x^2/(2*(t-1))", CHART3),
                     ExprField.from_text("-x/(t-1)", CHART3))
-    pos, neg = dk.signature_counts(SamplePlan(DKP_BOX, count=100).points())
+    pos, neg = signature_counts(dk, SamplePlan(DKP_BOX, count=100).points())
     assert np.all(pos == 2) and np.all(neg == 2)
 
 
 def test_dkp_orientation_sign():
     coframe = dkp_coframe(ExprField.from_text("-x^2/(2*(t-1))", CHART3),
                           ExprField.from_text("-x/(t-1)", CHART3))
-    assert coframe.orientation_sign(SamplePlan(DKP_BOX, count=20).points()) == -1
+    assert orientation_sign(coframe, SamplePlan(DKP_BOX, count=20).points()) == -1
 
 
 def test_nk_orientation_sign():
     coframe = nk_coframe(ExprField.from_text("x^2*y^2", CHART4))
-    assert coframe.orientation_sign(plan_points()) == 1
+    assert orientation_sign(coframe, plan_points()) == 1
 
 
 def reference_jet(component, shape, pts, order):

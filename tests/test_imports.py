@@ -1,8 +1,9 @@
 """Every module-level import of the package is referenced in its module,
-and every function, class, method and module-level constant it defines
-is referenced by name from the package or the benchmark, or is a listed
-test oracle.  Importing the package loads none of its modules, so a
-process loads only the modules it asks for and theirs."""
+every function, class, method and module-level constant it defines is
+referenced by name from the package or the benchmark, and every test
+oracle is referenced from a test.  Importing the package loads none of
+its modules, so a process loads only the modules it asks for and
+theirs."""
 
 import ast
 import os
@@ -15,17 +16,27 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nullkahler"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-#: the folders whose references count as uses of a definition
-USERS = ("src", "perfbench")
+#: the modules whose references count as uses of a package definition
+USERS = sorted(p for folder in ("src", "perfbench")
+               for p in (ROOT / folder).rglob("*.py"))
+#: the tests' independent references, and the tests that must use them
+ORACLES = ROOT / "tests" / "oracles.py"
+TESTS = sorted(ORACLES.parent.glob("test_*.py"))
 
 
 #: the package's modules in ``sys.modules`` after importing a module in
-#: a fresh interpreter: the package imports nothing, and the evolver
-#: needs only the expression trees and the fields
+#: a fresh interpreter: the package imports nothing, the evolver needs
+#: only the expression trees and the fields, and the command line every
+#: module but ``__main__``
 LOADED_BY = {
     "nullkahler": {"nullkahler"},
     "nullkahler.evolver": {"nullkahler", "nullkahler.evolver",
                            "nullkahler.expressions", "nullkahler.fields"},
+    "nullkahler.cli": {"nullkahler", "nullkahler.cli", "nullkahler.curvature",
+                       "nullkahler.dkp", "nullkahler.evolver",
+                       "nullkahler.expressions", "nullkahler.fields",
+                       "nullkahler.geometry", "nullkahler.nk_system",
+                       "nullkahler.sampling"},
 }
 
 
@@ -110,21 +121,12 @@ def _definitions(tree):
     return out
 
 
-def _references(tree, names, attributes, skip=()):
+def _references(tree, names, attributes):
     """Add the names read to ``names`` and the attributes taken to
     ``attributes``; a string constant that is a dotted name, as the
     benchmark tracer and ``monkeypatch`` name their targets, adds to
-    both.  A name that is only assigned is not read, and nothing is read
-    inside the definitions whose qualified names are in ``skip``."""
-    stack = [(tree, "")]
-    while stack:
-        node, prefix = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            prefix += node.name
-            if prefix in skip:
-                continue
-            prefix += "."
+    both.  A name that is only assigned is not read."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -134,68 +136,18 @@ def _references(tree, names, attributes, skip=()):
             if all(part.isidentifier() for part in parts):
                 names.update(parts)
                 attributes.update(parts)
-        stack.extend((child, prefix) for child in ast.iter_child_nodes(node))
 
 
-#: Definitions that no module of the package or the benchmark calls and
-#: that the tests keep as their independent references, as
-#: "<module file>: <qualified name>".  A name the package starts to call
-#: leaves this list.
-TEST_ORACLES = (
-    # paper constructions the tests use as fixtures: the symmetry orbit
-    # of linearised solutions and the W = H_x/2 hyper-Kahler case
-    "dkp.py: symmetry_w",
-    "dkp.py: hyperkahler_specialize",
-    # the closed form of d Sigma^{1'1'}, which criterion 9 compares the
-    # exact exterior derivative against; the suite reads only the two
-    # closed forms Sigma^{0'0'} and Sigma^{0'1'}
-    "dkp.py: sigma11_rhs",
-    # cross-checks: a second derivation of the metric, its signature,
-    # the orientation and the Hodge star that the checks take as given
-    "geometry.py: hodge_star",
-    "geometry.py: MetricField.signature_counts",
-    "geometry.py: CoFrame.orientation_sign",
-    # the volume form e^0 ^ e^1 ^ e^2 ^ e^3, which only the orientation
-    # cross-check above builds
-    "geometry.py: CoFrame.volume_form",
-    "geometry.py: metric_from_coframe",
-    "spinors.py: sd_asd_split",
-    # the value types the criterion-11 oracles build and return: a
-    # tagged 2-spinor for raise_lower and contract, a checked two-form
-    # for sd_asd_split, and the error their checks raise
-    "spinors.py: Spinor2",
-    "spinors.py: TwoFormValue",
-    "spinors.py: SpinorError",
-    # criterion-11 spinor algebra: the 2-spinor conventions the
-    # soldering and the Weyl spinors are tested against
-    "spinors.py: raise_lower",
-    "spinors.py: contract",
-    "spinors.py: vector_to_bispinor",
-    "spinors.py: bispinor_to_vector",
-    "spinors.py: sigma_basis",
-)
-
-
-def _referenced(folders):
-    """(names, attributes) read by the modules under ``folders``, outside
-    the package's test oracles: a name that only an oracle reads is
-    test-only too."""
+def _unreferenced(defining, users):
+    """Every definition in the modules ``defining``, as "<file>:
+    <qualified name>", that no module in ``users`` references; a method
+    counts as referenced only where it is taken as an attribute, not
+    where a local variable happens to share its name."""
     names, attributes = set(), set()
-    for folder in folders:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            oracles = {entry.partition(": ")[2] for entry in TEST_ORACLES
-                       if path.parent == PACKAGE
-                       and entry.startswith(path.name + ": ")}
-            _references(ast.parse(path.read_text()), names, attributes,
-                        oracles)
-    return names, attributes
-
-
-def _unreferenced(names, attributes):
-    """Every package definition, as "<file>: <qualified name>", that
-    ``names`` and ``attributes`` do not reach."""
+    for path in users:
+        _references(ast.parse(path.read_text()), names, attributes)
     return [f"{path.name}: {qualified}"
-            for path in sorted(PACKAGE.glob("*.py"))
+            for path in defining
             for qualified, name, method
             in _definitions(ast.parse(path.read_text()))
             if not (name.startswith("__") and name.endswith("__"))
@@ -204,22 +156,14 @@ def _unreferenced(names, attributes):
 
 def test_every_definition_is_referenced():
     # only the package and the benchmark count as users: an import or a
-    # re-export in __init__ is not a use, a call from a test is not one
-    # either (the test oracles are listed above), and a method counts as
-    # used only where it is taken as an attribute, not where a local
-    # variable happens to share its name
-    unused = [entry for entry in _unreferenced(*_referenced(USERS))
-              if entry not in TEST_ORACLES]
+    # re-export in __init__ is not a use, and a call from a test is not
+    # one either, so the package holds no test-only code
+    unused = _unreferenced(sorted(PACKAGE.glob("*.py")), USERS)
     assert not unused, f"defined but never referenced: {unused}"
 
 
-def test_test_oracles_are_defined_tested_and_not_called():
-    unused = set(_unreferenced(*_referenced(USERS)))
-    untested = set(_unreferenced(*_referenced(("tests",))))
-    defined = set(_unreferenced(set(), set()))
-    assert len(set(TEST_ORACLES)) == len(TEST_ORACLES)
-    for entry in TEST_ORACLES:
-        assert entry in defined, f"{entry} is not defined in the package"
-        assert entry not in untested, f"no test references {entry}"
-        assert entry in unused, (
-            f"{entry} is referenced from {USERS}; take it off TEST_ORACLES")
+def test_every_test_oracle_is_tested():
+    # the oracles are the tests' independent references: one that no
+    # test reads checks nothing
+    untested = _unreferenced([ORACLES], TESTS)
+    assert not untested, f"no test references {untested}"

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from nullkahler.fields import Chart, ExprField
-from nullkahler.geometry import dkp_coframe, nk_coframe, nk_metric, wedge
-from nullkahler.sampling import Box, SamplePlan
-from nullkahler.spinors import (
+from nullkahler.geometry import (
     EPS_LOWER,
     EPS_UPPER,
+    dkp_coframe,
+    hodge_star_values,
+    nk_coframe,
+    nk_metric,
+    wedge,
+)
+from nullkahler.sampling import Box, SamplePlan
+from oracles import (
     Spinor2,
     SpinorError,
     TwoFormValue,
     bispinor_to_vector,
     contract,
-    hodge_star_values,
+    orientation_sign,
     raise_lower,
     sd_asd_split,
     sigma_basis,
@@ -177,7 +183,7 @@ def test_sigma_duality_eigenforms():
     coframe = nk_coframe(theta)
     metric = nk_metric(theta)
     pts = SamplePlan(Box(((-1, 1),) * 4), count=25).points()
-    orientation = coframe.orientation_sign(pts)
+    orientation = orientation_sign(coframe, pts)
     gv = metric.evaluate(pts)
     sigma_p, sigma_u = sigma_basis(coframe.evaluate(pts))
     for k in range(3):
