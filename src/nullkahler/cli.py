@@ -60,19 +60,6 @@ import numpy as np
 
 from . import dkp as dkp_mod
 from .curvature import check_null_kahler, oracle_report
-from .evolver import (
-    CFL_SAFETY,
-    EVOLVER_CHART,
-    BlowUpError,
-    CFLError,
-    DKPState,
-    Grid2D,
-    cfl_bound,
-    dkp_evolve,
-    mms_convergence,
-    saved_steps,
-    uniform_reference,
-)
 from .expressions import ExpressionError
 from .fields import (
     Chart,
@@ -619,6 +606,12 @@ def render_report(report: dict) -> str:
 # --- evolve and export commands ---------------------------------------------------
 
 def _evolve_command(args) -> int:
+    # the evolver loads here, so a process that only checks suites does
+    # not compile it
+    from .evolver import (EVOLVER_CHART, BlowUpError, CFLError, DKPState,
+                          Grid2D, dkp_evolve, mms_convergence, saved_steps,
+                          uniform_reference)
+
     if args.mms:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -681,6 +674,8 @@ def _evolve_command(args) -> int:
 def _write_step_log(path, states, dt) -> None:
     """One CSV row per returned state: t, dt, the CFL margin
     dt / cfl_bound, max|u| and max|u - u*| on the ring (0 in free mode)."""
+    from .evolver import cfl_bound
+
     ring = states[0].grid.ring()
     lines = ["t,dt,cfl_margin,max_abs_u,ring_mismatch"]
     for state in states:
@@ -764,6 +759,8 @@ def _export_command(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .evolver import CFL_SAFETY
+
     parser = argparse.ArgumentParser(
         prog="nullkahler",
         description="residual suites and utilities for split-signature "

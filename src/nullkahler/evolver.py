@@ -17,9 +17,10 @@ scheme ARS(2,3,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25,
 1997).  Advection, the x0 closure, the source and the ring are explicit;
 the linear non-local term N u = int_{x0}^{x} u_yy dx' is implicit.  A
 sine transform in y, a product with a sine matrix built once per run,
-diagonalises N on the interior nodes, so each stage solve is a forward
-recurrence in x per y-mode (see ``cfl_bound``), and the step is bounded
-by advection alone.  Deterministic and serial; runs stop with a
+diagonalises N on the interior nodes, so each implicit stage is a
+two-term recurrence in x per y-mode that never forms N u in physical
+space (see ``ImplicitSolve``), and the step is bounded by advection
+alone (see ``cfl_bound``).  Deterministic and serial; runs stop with a
 diagnostic when the CFL bound is violated or the solution blows up (the
 equation develops gradient catastrophes).
 """
@@ -200,53 +201,27 @@ def _explicit_rhs(u: np.ndarray, grid: Grid2D, rate: np.ndarray, source,
     return out
 
 
-def nonlocal_term(u: np.ndarray, grid: Grid2D, out: np.ndarray,
-                  uyy: np.ndarray) -> np.ndarray:
-    """N u = int_{x0}^{x} u_yy dx' by the trapezoid rule from the x0 row,
-    with u's y-boundary columns as the Dirichlet data of u_yy, written
-    into ``out`` and returned; ``uyy`` is C-contiguous scratch of u's
-    shape.  Zero on the y-boundary columns and the x0 row; the ring rows
-    are not used."""
-    if not uyy.flags.c_contiguous:
-        raise ValueError("nonlocal_term needs C-contiguous scratch")
-    # the difference runs over the flattened rows, where the operands are
-    # contiguous, and its values across a row break land on the
-    # y-boundary columns, which are then zeroed
-    flat, lap = u.reshape(-1), uyy.reshape(-1)[1:-1]
-    np.multiply(2.0, flat[1:-1], out=lap)
-    np.subtract(flat[2:], lap, out=lap)
-    lap += flat[:-2]
-    lap /= grid.dy ** 2
-    uyy[:, 0] = uyy[:, -1] = 0.0
-    np.cumsum(uyy, axis=0, out=out)
-    uyy += uyy[0].copy()
-    uyy *= 0.5
-    out -= uyy
-    out *= grid.dx
-    return out
-
-
 class ImplicitSolve:
-    """r -> (I - c N)^{-1} r on the interior nodes of ``grid``, zero on
-    the ring, where N acts on arrays that vanish on the ring.
+    """The implicit stage on ``grid``: v -> n = (I - c N)^{-1} N v on the
+    interior nodes, zero on the ring.  N v takes v's ring as data (the x0
+    row and the y-boundary columns of v_yy); c N acts on n, which vanishes
+    on the ring.
 
     The type-I sine transform S_jk = sin(pi j k / (m + 1)), j, k = 1..m,
     m = ny - 2, turns I - c N into I + c mu_k V' on y-mode k (see
-    ``cfl_bound``): lower triangular with diagonal 1 + a_k,
-    a_k = c mu_k dx/2, so row i reads
+    ``cfl_bound``).  The trapezoid Volterra matrix factors as
+    V' = (dx/2)(I + L)(I - L)^{-1}, L the shift down one row, so with
+    a_k = c mu_k dx/2 the stage is a two-term recurrence in x,
 
-        z_i (1 + a_k) = r_i - 2 a_k sum_{l<i} z_l,
+        (1 + a_k) n_i = (1 - a_k) n_{i-1} + (dx/2)(y_i + y_{i-1}),  n_0 = 0,
 
-    a forward recurrence in x, vectorised over the modes.  S S = (m + 1)/2 I,
-    so the transforms are products with m x m matrices built once per
-    solver: ``forward`` = S diag(1/(1 + a_k)), ``inverse`` = 2/(m + 1) S.
-    The solver owns the (nx - 2) x m buffer that holds the transformed
-    interior between the two products, which write with ``out=``, and the
-    recurrence's two m-vectors, so a solve allocates nothing.  On a 2-vCPU
-    x86-64 host (numpy 2.4.6, OpenBLAS, a speed that drifts by about 1.5x)
-    one solve takes 9-13 ms on 512^2 to a real FFT's 24-31 ms (19.5 ms on
-    513^2, a power-of-two FFT length); they are about even on 1024^2, and
-    on 2049^2 the FFT is 1.3-1.8x faster.
+    vectorised over the modes, where y_i is the transform of v_yy on row i
+    (i = 0 is the x0 row).  S S = (m + 1)/2 I, so the transforms are
+    products with m x m matrices built once per solver: ``forward`` =
+    S diag(dx / (2 dy^2 (1 + a_k))) takes row i of v's second difference
+    in y, dy^2 v_yy, to (dx/2) y_i / (1 + a_k), and ``inverse`` =
+    2/(m + 1) S.  The solver owns the (nx - 1) x m buffer that holds the
+    transformed rows, then n, so a stage allocates nothing.
     """
 
     def __init__(self, grid: Grid2D, c: float):
@@ -254,31 +229,40 @@ class ImplicitSolve:
         k = np.arange(1, m + 1)
         mu = (2.0 / grid.dy * np.sin(0.5 * np.pi * k / (m + 1))) ** 2
         a = 0.5 * c * grid.dx * mu
-        self.decay = 2.0 * a / (1.0 + a)
+        self.carry = (1.0 - a) / (1.0 + a)
         # one period of sines, read at j k mod 2(m + 1): arguments in [0, 2 pi)
         period = np.sin(np.pi * np.arange(2 * m + 2) / (m + 1))
         index = np.outer(k, k)
         index %= 2 * m + 2
         self.inverse = period[index]
         del index
-        self.forward = self.inverse / (1.0 + a)
+        self.forward = self.inverse * (0.5 * grid.dx / grid.dy ** 2
+                                       / (1.0 + a))
         self.inverse *= 2.0 / (m + 1)
-        self.modes = np.empty((grid.nx - 2, m))
-        self.sums, self.scaled = np.empty(m), np.empty(m)
+        self.modes = np.empty((grid.nx - 1, m))
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Solve in place: r is overwritten with the solution."""
-        inner = r[1:-1, 1:-1]
-        z = np.matmul(inner, self.forward, out=self.modes)
-        partial_sum = self.sums
-        partial_sum.fill(0.0)
-        for row in z:
-            row -= np.multiply(self.decay, partial_sum, out=self.scaled)
-            partial_sum += row
-        np.matmul(z, self.inverse, out=inner)
-        r[0] = r[-1] = 0.0
-        r[:, 0] = r[:, -1] = 0.0
-        return r
+    def stage(self, v: np.ndarray, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+        """n for the stage value ``v``, written into ``out`` and returned;
+        ``v`` and ``scratch`` are C-contiguous grids, and ``scratch`` ends
+        holding the recurrence's pair sums inside."""
+        # the second difference runs over the flattened rows 0..nx-2, where
+        # the operands are contiguous; its values across a row break land
+        # on the y-boundary columns, which the product does not read
+        flat, diff = v[:-1].reshape(-1), scratch[:-1].reshape(-1)[1:-1]
+        np.multiply(2.0, flat[1:-1], out=diff)
+        np.subtract(flat[2:], diff, out=diff)
+        diff += flat[:-2]
+        y = np.matmul(scratch[:-1, 1:-1], self.forward, out=self.modes)
+        pairs = np.add(y[1:], y[:-1], out=scratch[1:-1, 1:-1])
+        y[0] = 0.0
+        for before, row, pair in zip(y, y[1:], pairs):
+            np.multiply(self.carry, before, out=row)
+            row += pair
+        np.matmul(y[1:], self.inverse, out=out[1:-1, 1:-1])
+        out[0] = out[-1] = 0.0
+        out[:, 0] = out[:, -1] = 0.0
+        return out
 
 
 def saved_steps(dt: float, steps: int, save_every: int = None) -> list:
@@ -305,18 +289,19 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
 
     A run holds six (nx, ny) arrays, all allocated before its first step:
     u, the stage value v, the explicit stages f1 and f2 (the third stage
-    reuses f1), the implicit stage n (n2, then n3) and one scratch array.
-    Every stage writes into them in place, with the same operations in the
-    same order at each node as stages that allocate their results, so the
-    values are the same to the bit.  With the solver's two m x m sine
-    matrices and its (nx - 2) x m buffer (m = ny - 2) that is about nine
-    grids: at 256^2 a free run or one on ``uniform_reference("t")`` peaks
-    under 9.25 grids in tracemalloc, whatever the step count.  The plans
-    of ``boundary.held()`` live as long as the run: u* and u*_t on the
-    ring, and a manufactured source on the grid, written into the scratch
-    array, whose plan owns one grid more (a peak under 10.5 grids, against
-    11.3 when each stage evaluated it into new grids).  No run allocates a
-    grid after its second stage.
+    reuses f1), the implicit stage n (n2, then n3) and one scratch array,
+    which holds v's second difference in y and then the recurrence's pair
+    sums during an implicit stage.  Every stage writes into them in place,
+    with the same operations in the same order at each node as stages that
+    allocate their results, so the values are the same to the bit.  With
+    the solver's two m x m sine matrices and its (nx - 1) x m buffer
+    (m = ny - 2) that is about nine grids: at 256^2 a free run or one on
+    ``uniform_reference("t")`` peaks under 9.25 grids in tracemalloc,
+    whatever the step count.  The plans of ``boundary.held()`` live as
+    long as the run: u* and u*_t on the ring, and a manufactured source on
+    the grid, written into the scratch array, whose plan owns one grid more
+    (a peak under 10.5 grids, against 11.3 when each stage evaluated it
+    into new grids).  No run allocates a grid after its second stage.
     The caller's ``state.u`` is not written; each saved state but the last
     is a copy, and the last holds the run's own u, which no later step
     writes.
@@ -353,10 +338,6 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
         return _explicit_rhs(v, grid, boundary.udot_on(xr, yr, s),
                              boundary.source_on(xs, ys, s, out=scratch), f)
 
-    def implicit(v):
-        """N(v + gdt n) = n, solved for n into n: the implicit stage's N."""
-        return solve(nonlocal_term(v, grid, n, scratch))
-
     def add_scaled(a, c, b):
         """a += c b, through the scratch array."""
         a += np.multiply(c, b, out=scratch)
@@ -368,7 +349,7 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
         explicit(u, t, f1)
         np.multiply(gdt, f1, out=v)
         v += u
-        implicit(v)  # n2
+        solve.stage(v, n, scratch)  # n2: n = N(v + gdt n)
         add_scaled(v, gdt, n)
         explicit(v, t + gdt, f2)
         np.multiply(GAMMA - 1.0, f1, out=v)
@@ -377,7 +358,7 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
         v *= dt
         v += u
         f2 += n
-        implicit(v)  # n3
+        solve.stage(v, n, scratch)  # n3
         add_scaled(v, gdt, n)
         f2 += explicit(v, t + dt - gdt, f1)
         f2 += n

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from nullkahler.dkp import residual_lindkp
+from nullkahler.evolver import Grid2D
 from nullkahler.fields import Chart, ExprField
 from nullkahler.geometry import (
     EPS_LOWER,
@@ -301,3 +302,34 @@ def sigma_basis(coframe_values: np.ndarray):
         sigma_p[..., k, :, :] = sp_full[..., i, j, :, :]
         sigma_u[..., k, :, :] = su_full[..., i, j, :, :]
     return sigma_p, sigma_u
+
+
+# --- the dKP evolver's non-local term in physical space ------------------------
+# the implicit stage never forms N v: it works in sine space, as a
+# recurrence; the tests assemble N from this trapezoid sum to check the
+# stage and the step bound against it
+
+def nonlocal_term(u: np.ndarray, grid: Grid2D, out: np.ndarray,
+                  uyy: np.ndarray) -> np.ndarray:
+    """N u = int_{x0}^{x} u_yy dx' by the trapezoid rule from the x0 row,
+    with u's y-boundary columns as the Dirichlet data of u_yy, written
+    into ``out`` and returned; ``uyy`` is C-contiguous scratch of u's
+    shape.  Zero on the y-boundary columns and the x0 row; the ring rows
+    are not used."""
+    if not uyy.flags.c_contiguous:
+        raise ValueError("nonlocal_term needs C-contiguous scratch")
+    # the difference runs over the flattened rows, where the operands are
+    # contiguous, and its values across a row break land on the
+    # y-boundary columns, which are then zeroed
+    flat, lap = u.reshape(-1), uyy.reshape(-1)[1:-1]
+    np.multiply(2.0, flat[1:-1], out=lap)
+    np.subtract(flat[2:], lap, out=lap)
+    lap += flat[:-2]
+    lap /= grid.dy ** 2
+    uyy[:, 0] = uyy[:, -1] = 0.0
+    np.cumsum(uyy, axis=0, out=out)
+    uyy += uyy[0].copy()
+    uyy *= 0.5
+    out -= uyy
+    out *= grid.dx
+    return out

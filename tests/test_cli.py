@@ -329,11 +329,11 @@ def test_malformed_box_or_exclude_exit_code(tmp_path, capsys, line, message):
 
 
 def test_evolve_mms_table(tmp_path, monkeypatch, capsys):
-    import nullkahler.cli as cli
+    import nullkahler.evolver as evolver
 
     canned = {"resolutions": [64, 128], "errors": [4e-4, 1e-4],
               "orders": [2.0]}
-    monkeypatch.setattr(cli, "mms_convergence", lambda: canned)
+    monkeypatch.setattr(evolver, "mms_convergence", lambda: canned)
     code = main(["evolve", "--mms", "--out-dir", str(tmp_path)])
     assert code == 0
     table = (tmp_path / "mms_convergence.csv").read_text().splitlines()

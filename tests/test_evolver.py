@@ -18,12 +18,12 @@ from nullkahler.evolver import (
     dkp_evolve,
     manufactured_reference,
     mms_convergence,
-    nonlocal_term,
     reference_run_error,
     saved_steps,
     uniform_reference,
 )
 from nullkahler.fields import Chart, ExprField
+from oracles import nonlocal_term
 
 
 def test_zero_data_stays_zero():
@@ -92,13 +92,28 @@ def _interior_operator(grid):
     for nx, ny in [(17, 17), (17, 11), (11, 17), (9, 14), (9, 3)]
     for c in [1e-5, 1e-3, 0.1, 10.0]])
 def test_stage_solve_matches_dense_solve(c, nx, ny):
+    # v is random on the x0 row and the y-boundary columns too: the stage
+    # takes them as data of N v, which it never forms
     grid = Grid2D(-1, 1, nx, -0.5, 1, ny)
     dense, inner = _interior_operator(grid)
-    r = np.random.default_rng(5).normal(size=inner.shape)
-    expected = np.linalg.solve(np.eye(len(dense)) - c * dense, r[inner])
-    z = ImplicitSolve(grid, c)(r.copy())
-    assert np.max(np.abs(z[inner] - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert np.all(z[~inner] == 0.0)
+    v = np.random.default_rng(5).normal(size=inner.shape)
+    rhs = nonlocal_term(v, grid, np.empty_like(v), np.empty_like(v))
+    expected = np.linalg.solve(np.eye(len(dense)) - c * dense, rhs[inner])
+    n = ImplicitSolve(grid, c).stage(v, np.full_like(v, np.nan),
+                                     np.empty_like(v))
+    assert np.max(np.abs(n[inner] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.all(n[~inner] == 0.0)
+
+
+def test_stage_of_data_without_y_curvature_is_zero():
+    # rows constant in y have a second difference of exactly 0, so every
+    # product and the recurrence see zeros: the uniform pin below rests on it
+    grid = Grid2D(-1, 1, 17, -0.5, 1, 13)
+    v = np.broadcast_to(np.random.default_rng(6).normal(size=(17, 1)),
+                        (17, 13)).copy()
+    out = np.random.default_rng(7).normal(size=v.shape)
+    scratch = np.random.default_rng(8).normal(size=v.shape)
+    assert np.all(ImplicitSolve(grid, 0.1).stage(v, out, scratch) == 0.0)
 
 
 def test_stages_match_the_allocating_formulas():
@@ -133,10 +148,12 @@ def test_stages_match_the_allocating_formulas():
 
 @pytest.mark.parametrize("m", [126, 254])
 def test_sine_matrices_undo_each_other(m):
-    # at c = 0 every a_k is 0, so forward = S and inverse = 2/(m + 1) S:
-    # S S = (m + 1)/2 I makes them inverses to round-off
-    solve = ImplicitSolve(Grid2D(0, 2, 5, 0, 2, m + 2), 0.0)
-    product = solve.forward @ solve.inverse
+    # at c = 0 every a_k is 0, so forward = S dx / (2 dy^2) and
+    # inverse = 2/(m + 1) S: S S = (m + 1)/2 I makes their product
+    # dx / (2 dy^2) I to round-off
+    grid = Grid2D(0, 2, 5, 0, 2, m + 2)
+    solve = ImplicitSolve(grid, 0.0)
+    product = solve.forward @ solve.inverse / (0.5 * grid.dx / grid.dy ** 2)
     assert np.max(np.abs(product - np.eye(m))) <= 1e-13
 
 
@@ -325,7 +342,7 @@ def test_boundary_data_read_only_on_the_ring(monkeypatch, diff_calls):
 #: matrix, so its bits come from numpy's BLAS ``@`` and ``sin`` and belong
 #: to one numpy build (recorded with numpy 2.4 and its OpenBLAS on x86-64)
 PINNED_FINAL_U = {
-    "free": "59e1cf3fc720dfbb01edb17f4cc913763d3e769da0929c3212213494141f396e",
+    "free": "35b207e9005ecef2ba072c0edccf503907c19e1393d76b94a414c58d179fffb0",
     "uniform": "0d902962dc61bbe2105d543b853e7ab86bd60aa29301b154089a19ca6fd3b4eb",
 }
 

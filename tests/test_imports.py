@@ -27,16 +27,16 @@ TESTS = sorted(ORACLES.parent.glob("test_*.py"))
 #: the package's modules in ``sys.modules`` after importing a module in
 #: a fresh interpreter: the package imports nothing, the evolver needs
 #: only the expression trees and the fields, and the command line every
-#: module but ``__main__``
+#: module but ``__main__`` and the evolver, which its evolve command and
+#: its parser load when they run
 LOADED_BY = {
     "nullkahler": {"nullkahler"},
     "nullkahler.evolver": {"nullkahler", "nullkahler.evolver",
                            "nullkahler.expressions", "nullkahler.fields"},
     "nullkahler.cli": {"nullkahler", "nullkahler.cli", "nullkahler.curvature",
-                       "nullkahler.dkp", "nullkahler.evolver",
-                       "nullkahler.expressions", "nullkahler.fields",
-                       "nullkahler.geometry", "nullkahler.nk_system",
-                       "nullkahler.sampling"},
+                       "nullkahler.dkp", "nullkahler.expressions",
+                       "nullkahler.fields", "nullkahler.geometry",
+                       "nullkahler.nk_system", "nullkahler.sampling"},
 }
 
 
