@@ -67,8 +67,7 @@ from .fields import (
     EvaluationError,
     ExcludedBand,
     ExprField,
-    GridSpec,
-    SampledField,
+    Grid,
     grid_to_csv,
     sample_to_grid,
 )
@@ -609,7 +608,7 @@ def _evolve_command(args) -> int:
     # the evolver loads here, so a process that only checks suites does
     # not compile it
     from .evolver import (EVOLVER_CHART, BlowUpError, CFLError, DKPState,
-                          Grid2D, dkp_evolve, mms_convergence, saved_steps,
+                          dkp_evolve, mms_convergence, saved_steps,
                           uniform_reference)
 
     if args.mms:
@@ -626,16 +625,6 @@ def _evolve_command(args) -> int:
         (out / "mms_convergence.csv").write_text("\n".join(lines) + "\n")
         return 0
 
-    if min(args.nx, args.ny) < 3:
-        # the one-sided x stencil reads three columns, D_yy three rows
-        raise ConfigError(f"the evolver grid needs --nx and --ny of at least "
-                          f"3, got {args.nx} x {args.ny}")
-    for lo, hi in (("x0", "x1"), ("y0", "y1")):
-        low, high = getattr(args, lo), getattr(args, hi)
-        if not (math.isfinite(low) and math.isfinite(high) and low < high):
-            raise ConfigError(f"the evolver box needs finite --{lo} below "
-                              f"--{hi}, got --{lo} {low:g} and --{hi} "
-                              f"{high:g}")
     try:
         saved = saved_steps(args.dt, args.steps, args.save_every)
     except ValueError as err:
@@ -646,11 +635,14 @@ def _evolve_command(args) -> int:
                           "snapshot name: raise --dt or --save-every")
     if args.log is not None and not Path(args.log).parent.is_dir():
         raise ConfigError(f"no directory for --log {args.log}")
-    grid = Grid2D(args.x0, args.x1, args.nx, args.y0, args.y1, args.ny)
     initial = ExprField.from_text(args.initial, EVOLVER_CHART)
     boundary = uniform_reference(args.reference) if args.reference else None
-    state = DKPState(grid, initial.evaluate_axes(*grid.axes(), 0.0), 0.0,
-                     boundary)
+    try:
+        grid = Grid(args.x0, args.x1, args.nx, args.y0, args.y1, args.ny)
+        state = DKPState(grid, initial.evaluate_axes(*grid.axes(), 0.0), 0.0,
+                         boundary)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     try:
         states = dkp_evolve(state, args.dt, args.steps,
                             save_every=args.save_every)
@@ -662,9 +654,8 @@ def _evolve_command(args) -> int:
         return 1
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = GridSpec(((grid.x0, grid.x1, grid.nx), (grid.y0, grid.y1, grid.ny)))
     for state, name in zip(states, names):
-        grid_to_csv(SampledField(spec, state.u, Chart(("x", "y"))), out / name)
+        grid_to_csv(grid, state.u, ("x", "y"), out / name)
     if args.log is not None:
         _write_step_log(args.log, states, args.dt)
     sys.stdout.write(f"wrote {len(states)} snapshots to {out}\n")
@@ -688,7 +679,7 @@ def _write_step_log(path, states, dt) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_grid_spec(text: str, coords) -> GridSpec:
+def _parse_grid_spec(text: str, coords) -> Grid:
     """The export grid; its axes must be ``coords``, in order."""
     axes = _parse_axes(text, "grid", float, float, int)
     names = [name for name, *_ in axes]
@@ -696,7 +687,7 @@ def _parse_grid_spec(text: str, coords) -> GridSpec:
         raise ConfigError(f"grid axes {names} must be the fixture's "
                           f"coordinates {list(coords)}, in order")
     try:
-        return GridSpec(tuple(axis[1:] for axis in axes))
+        return Grid(*(value for axis in axes for value in axis[1:]))
     except ValueError as err:
         raise ConfigError(f"grid {text!r}: {err}") from None
 
@@ -716,19 +707,20 @@ def _export_command(args) -> int:
     coords = (dkp_mod.EW_CHART.coords if fixture.kind == "ew"
               else sample.metric.chart.coords)
 
-    spec = _parse_grid_spec(args.grid, coords)
+    grid = _parse_grid_spec(args.grid, coords)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.quantity == "metric":
         for i in range(len(coords)):
             for j in range(i, len(coords)):
-                sampled = sample_to_grid(sample.metric.component(i, j), spec)
-                grid_to_csv(sampled, out / f"g_{coords[i]}{coords[j]}.csv")
+                component = sample.metric.component(i, j)
+                grid_to_csv(grid, sample_to_grid(component, grid), coords,
+                            out / f"g_{coords[i]}{coords[j]}.csv")
         count = len(coords) * (len(coords) + 1) // 2
         sys.stdout.write(f"wrote {count} metric component grids to {out}\n")
         return 0
     if args.quantity == "curvature":
-        pts = spec.meshpoints()
+        pts = np.stack([axis.ravel() for axis in grid.mesh()], axis=-1)
         report = oracle_report(sample.metric, sample.coframe, pts)
         header = ([f"c_asd_{k}" for k in range(5)]
                   + [f"c_sd_{k}" for k in range(5)] + ["scalar"])
@@ -744,23 +736,22 @@ def _export_command(args) -> int:
         for i, j in SYM_PAIRS:
             for key, comp in sample.coframe.sigma(i, j).comps.items():
                 tag = "".join(coords[k] for k in key)
-                sampled = sample_to_grid(comp, spec)
-                grid_to_csv(sampled, out / f"sigma{i}{j}_{tag}.csv")
+                grid_to_csv(grid, sample_to_grid(comp, grid), coords,
+                            out / f"sigma{i}{j}_{tag}.csv")
         sys.stdout.write(f"wrote sigma component grids to {out}\n")
         return 0
     for i in range(3):
         for j in range(i, 3):
-            sampled = sample_to_grid(sample.ew.h.component(i, j), spec)
-            grid_to_csv(sampled, out / f"h_{coords[i]}{coords[j]}.csv")
+            component = sample.ew.h.component(i, j)
+            grid_to_csv(grid, sample_to_grid(component, grid), coords,
+                        out / f"h_{coords[i]}{coords[j]}.csv")
     nu_t = sample.ew.nu.component((2,))
-    grid_to_csv(sample_to_grid(nu_t, spec), out / "nu_t.csv")
+    grid_to_csv(grid, sample_to_grid(nu_t, grid), coords, out / "nu_t.csv")
     sys.stdout.write(f"wrote ew component grids to {out}\n")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .evolver import CFL_SAFETY
-
     parser = argparse.ArgumentParser(
         prog="nullkahler",
         description="residual suites and utilities for split-signature "
@@ -787,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--dt", type=float, default=1e-4,
                         help="fixed time step; ARS(2,3,3) treats the "
                              "non-local term implicitly, so dt needs only "
-                             f"the advective bound {CFL_SAFETY:g} "
+                             "the advective bound, a multiple of "
                              "min(dx, dy^2/dx) / (1 + max|u|), checked "
                              "before the run")
     evolve.add_argument("--steps", type=int, default=100)

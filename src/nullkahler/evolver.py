@@ -11,18 +11,20 @@ come from a closed-form reference solution (plus an optional
 manufactured source S); in free mode the closure terms are zero, which
 assumes decaying data.  u* and u*_t are evaluated on the ring only.
 
-Space: second-order central stencils, and the trapezoid rule for the
-antiderivative.  Time: fixed steps of the implicit-explicit Runge-Kutta
-scheme ARS(2,3,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25,
-1997).  Advection, the x0 closure, the source and the ring are explicit;
-the linear non-local term N u = int_{x0}^{x} u_yy dx' is implicit.  A
-sine transform in y, a product with a sine matrix built once per run,
-diagonalises N on the interior nodes, so each implicit stage is a
-two-term recurrence in x per y-mode that never forms N u in physical
-space (see ``ImplicitSolve``), and the step is bounded by advection
-alone (see ``cfl_bound``).  Deterministic and serial; runs stop with a
-diagnostic when the CFL bound is violated or the solution blows up (the
-equation develops gradient catastrophes).
+Space: a ``fields.Grid`` with two axes, x then y, of at least three
+nodes each (``DKPState`` refuses any other), second-order central
+stencils, and the trapezoid rule for the antiderivative.  Time: fixed
+steps of the implicit-explicit Runge-Kutta scheme ARS(2,3,3) (Ascher,
+Ruuth & Spiteri, Appl. Numer. Math. 25, 1997).  Advection, the x0
+closure, the source and the ring are explicit; the linear non-local term
+N u = int_{x0}^{x} u_yy dx' is implicit.  A sine transform in y, a
+product with a sine matrix built once per run, diagonalises N on the
+interior nodes, so each implicit stage is a two-term recurrence in x per
+y-mode that never forms N u in physical space (see ``ImplicitSolve``),
+and the step is bounded by advection alone (see ``cfl_bound``).
+Deterministic and serial; runs stop with a diagnostic when the CFL bound
+is violated or the solution blows up (the equation develops gradient
+catastrophes).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expressions import parse
-from .fields import Chart, ExprField
+from .fields import Chart, ExprField, Grid
 
 EVOLVER_CHART = Chart(("x", "y", "t"))
 
@@ -55,38 +57,8 @@ class BlowUpError(RuntimeError):
     """Solution magnitude grew beyond the divergence threshold."""
 
 
-class Grid2D:
-    def __init__(self, x0: float, x1: float, nx: int, y0: float, y1: float,
-                 ny: int):
-        self.x0 = x0
-        self.x1 = x1
-        self.nx = nx
-        self.y0 = y0
-        self.y1 = y1
-        self.ny = ny
-
-    @property
-    def dx(self):
-        return (self.x1 - self.x0) / (self.nx - 1)
-
-    @property
-    def dy(self):
-        return (self.y1 - self.y0) / (self.ny - 1)
-
-    def axes(self):
-        """The nodes as an (nx, 1) column of x and a (1, ny) row of y."""
-        x = np.linspace(self.x0, self.x1, self.nx)
-        y = np.linspace(self.y0, self.y1, self.ny)
-        return x[:, None], y[None, :]
-
-    def mesh(self):
-        return np.broadcast_arrays(*self.axes())
-
-    def ring(self):
-        """Boolean (nx, ny) mask, True on the boundary nodes."""
-        ring = np.ones((self.nx, self.ny), dtype=bool)
-        ring[1:-1, 1:-1] = False
-        return ring
+#: ``fields.Grid`` under the name the benchmark builds and traces
+Grid2D = Grid
 
 
 class BoundarySource:
@@ -121,15 +93,20 @@ class BoundarySource:
 
 
 class DKPState:
-    """u sampled on an (x, y) grid at time t, plus boundary data."""
+    """u sampled on an (x, y) grid at time t, plus boundary data.  The
+    grid has two axes of at least three nodes each: the one-sided x
+    stencil reads three columns, the y second difference three rows."""
 
-    def __init__(self, grid: Grid2D, u: np.ndarray, t: float = 0.0,
+    def __init__(self, grid: Grid, u: np.ndarray, t: float = 0.0,
                  boundary: BoundarySource = None):
         self.grid = grid
         self.u = u
         self.t = t
         self.boundary = boundary
-        if self.u.shape != (self.grid.nx, self.grid.ny):
+        if len(grid.shape) != 2 or min(grid.shape) < 3:
+            raise ValueError(f"the evolver needs an (x, y) grid of at least "
+                             f"3 x 3 nodes, got {grid.shape}")
+        if self.u.shape != grid.shape:
             raise ValueError("state shape does not match grid")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("non-finite state values")
@@ -165,9 +142,9 @@ def cfl_bound(state: DKPState) -> float:
     needs dt proportional to dy^2 / Lx (Trefethen & Embree, Spectra and
     Pseudospectra, 2005, on the non-normal case).
     """
-    grid = state.grid
+    dx, dy = state.grid.spacing
     umax = float(np.max(np.abs(state.u)))
-    return CFL_SAFETY * min(grid.dx, grid.dy ** 2 / grid.dx) / (1.0 + umax)
+    return CFL_SAFETY * min(dx, dy ** 2 / dx) / (1.0 + umax)
 
 
 def _fill_ring(a: np.ndarray, values: np.ndarray) -> None:
@@ -182,20 +159,20 @@ def _fill_ring(a: np.ndarray, values: np.ndarray) -> None:
     a[-1] = values[-ny:]
 
 
-def _explicit_rhs(u: np.ndarray, grid: Grid2D, rate: np.ndarray, source,
+def _explicit_rhs(u: np.ndarray, grid: Grid, rate: np.ndarray, source,
                   out: np.ndarray) -> np.ndarray:
     """The explicit part of u_t, written into ``out`` and returned:
     advection, the x0 closure and the source inside, given u_t on the ring
     points in C order (the first ny are the x0 row), which it holds on the
     ring."""
-    dx = grid.dx
+    dx = grid.spacing[0]
     np.subtract(u[2:], u[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * dx
     out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
     out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
     out *= u
     out -= out[0].copy()
-    out += rate[:grid.ny]
+    out += rate[:u.shape[1]]
     out += source
     _fill_ring(out, rate)
     return out
@@ -224,11 +201,12 @@ class ImplicitSolve:
     transformed rows, then n, so a stage allocates nothing.
     """
 
-    def __init__(self, grid: Grid2D, c: float):
-        m = grid.ny - 2
+    def __init__(self, grid: Grid, c: float):
+        (nx, ny), (dx, dy) = grid.shape, grid.spacing
+        m = ny - 2
         k = np.arange(1, m + 1)
-        mu = (2.0 / grid.dy * np.sin(0.5 * np.pi * k / (m + 1))) ** 2
-        a = 0.5 * c * grid.dx * mu
+        mu = (2.0 / dy * np.sin(0.5 * np.pi * k / (m + 1))) ** 2
+        a = 0.5 * c * dx * mu
         self.carry = (1.0 - a) / (1.0 + a)
         # one period of sines, read at j k mod 2(m + 1): arguments in [0, 2 pi)
         period = np.sin(np.pi * np.arange(2 * m + 2) / (m + 1))
@@ -236,10 +214,9 @@ class ImplicitSolve:
         index %= 2 * m + 2
         self.inverse = period[index]
         del index
-        self.forward = self.inverse * (0.5 * grid.dx / grid.dy ** 2
-                                       / (1.0 + a))
+        self.forward = self.inverse * (0.5 * dx / dy ** 2 / (1.0 + a))
         self.inverse *= 2.0 / (m + 1)
-        self.modes = np.empty((grid.nx - 1, m))
+        self.modes = np.empty((nx - 1, m))
 
     def stage(self, v: np.ndarray, out: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
@@ -396,7 +373,7 @@ def uniform_reference(expr_text: str):
     return BoundarySource(ExprField.from_text(expr_text, EVOLVER_CHART))
 
 
-def _run_reference(boundary: BoundarySource, grid: Grid2D, t_end: float,
+def _run_reference(boundary: BoundarySource, grid: Grid, t_end: float,
                    cfl_factor: float):
     """RMS error against u* at t_end, and RMS of u*, of a run from t = 0
     in equal steps of at most ``cfl_factor`` times the CFL bound."""
@@ -408,7 +385,7 @@ def _run_reference(boundary: BoundarySource, grid: Grid2D, t_end: float,
     return np.sqrt(np.mean((final.u - exact) ** 2)), np.sqrt(np.mean(exact ** 2))
 
 
-def reference_run_error(boundary: BoundarySource, grid: Grid2D,
+def reference_run_error(boundary: BoundarySource, grid: Grid,
                         t_end: float) -> float:
     """Relative L2 error against the reference at t_end."""
     err, scale = _run_reference(boundary, grid, t_end, REFERENCE_CFL_FACTOR)
@@ -427,7 +404,7 @@ def mms_convergence(resolutions=(64, 128, 256), t_end: float = 0.1) -> dict:
     errors = []
     for n in resolutions:
         # dt proportional to dx keeps the spatial error dominant
-        err, _ = _run_reference(boundary, Grid2D(x0, x1, n, y0, y1, n),
+        err, _ = _run_reference(boundary, Grid(x0, x1, n, y0, y1, n),
                                 t_end, 0.5)
         errors.append(float(err))
     orders = [

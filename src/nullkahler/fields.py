@@ -14,8 +14,9 @@ a :class:`Plan` of the tree instead, compiled for one shape per axis (a
 column, a row, a scalar): each array value goes into a buffer the plan
 owns, free again after its last reader, so a plan run again allocates
 nothing but its result.
-``SampledField`` is a plain container for field values on a uniform
-grid, written to CSV; it does no calculus.
+``Grid`` is the one uniform grid, n-D, which ``export`` samples fields
+on (``sample_to_grid``), ``grid_to_csv`` writes and the dKP evolver
+steps on; it refuses a degenerate axis when it is built.
 """
 
 from __future__ import annotations
@@ -279,65 +280,57 @@ class ExprField:
         return ExprField(-self.expr, self.chart)
 
 
-class GridSpec:
-    """Per-axis (min, max, points)."""
+class Grid:
+    """A uniform tensor grid: per-axis ``(lo, hi, n)``, given flat as
+    ``Grid(x0, x1, nx, y0, y1, ny, ...)``.  Every axis has at least two
+    nodes and finite edges, low below high."""
 
-    def __init__(self, axes):
-        self.axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in axes)
-        for lo, hi, n in self.axes:
-            if n < 2 or not hi > lo:
-                raise ValueError(f"degenerate grid axis ({lo}, {hi}, {n})")
+    def __init__(self, *edges):
+        if not edges or len(edges) % 3:
+            raise ValueError(f"expected (lo, hi, n) per axis, got {edges}")
+        self.ranges = tuple((float(lo), float(hi), int(n)) for lo, hi, n
+                            in zip(edges[::3], edges[1::3], edges[2::3]))
+        for lo, hi, n in self.ranges:
+            if n < 2 or not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise ValueError(f"degenerate grid axis ({lo}, {hi}, {n}): "
+                                 f"need n >= 2 and finite lo < hi")
+        self.shape = tuple(n for _, _, n in self.ranges)
+        self.spacing = tuple((hi - lo) / (n - 1) for lo, hi, n in self.ranges)
 
-    @property
-    def dim(self):
-        return len(self.axes)
+    def axes(self):
+        """The nodes of each axis, shaped to broadcast: for two axes an
+        (nx, 1) column of x and a (1, ny) row of y."""
+        dim = len(self.ranges)
+        return [np.linspace(lo, hi, n).reshape([-1 if k == j else 1
+                                                for k in range(dim)])
+                for j, (lo, hi, n) in enumerate(self.ranges)]
 
-    @property
-    def shape(self):
-        return tuple(n for _, _, n in self.axes)
+    def mesh(self):
+        return np.broadcast_arrays(*self.axes())
 
-    def coordinates(self):
-        return [np.linspace(lo, hi, n) for lo, hi, n in self.axes]
-
-    def meshpoints(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.coordinates(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-class SampledField:
-    """Field values at the nodes of a grid, on a chart."""
-
-    def __init__(self, grid: GridSpec, values: np.ndarray, chart: Chart):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"values shape {values.shape} != grid {grid.shape}")
-        if grid.dim != chart.dim:
-            raise ValueError("grid dimension does not match chart")
-        self.grid = grid
-        self.values = values
-        self.chart = chart
+    def ring(self):
+        """Boolean mask of the grid's shape, True on the boundary nodes."""
+        ring = np.ones(self.shape, dtype=bool)
+        ring[(slice(1, -1),) * len(self.shape)] = False
+        return ring
 
 
-def sample_to_grid(field: ExprField, grid: GridSpec) -> SampledField:
-    """Sample a field onto a grid; node values match evaluation exactly."""
-    if grid.dim != field.chart.dim:
-        raise ValueError("grid dimension does not match field chart")
-    axes = [axis.reshape([-1 if k == j else 1 for k in range(grid.dim)])
-            for j, axis in enumerate(grid.coordinates())]
-    return SampledField(grid, field.evaluate_axes(*axes), field.chart)
+def sample_to_grid(field: ExprField, grid: Grid) -> np.ndarray:
+    """The field at the grid's nodes; node values match evaluation exactly."""
+    return field.evaluate_axes(*grid.axes())
 
 
 # --- CSV serialization of sampled grids --------------------------------------
 
-def grid_to_csv(field: SampledField, path) -> None:
-    """Header row with axis specs, then row-major values (%.17g)."""
-    spec = ";".join(
-        f"{name},{lo:.17g},{hi:.17g},{n}"
-        for name, (lo, hi, n) in zip(field.chart.coords, field.grid.axes)
-    )
-    flat = field.values.reshape(-1, field.grid.shape[-1])
+def grid_to_csv(grid: Grid, values: np.ndarray, names, path) -> None:
+    """Header row with the axes, named ``names``, then the row-major
+    ``values`` on ``grid`` (%.17g)."""
+    if values.shape != grid.shape or len(names) != len(grid.shape):
+        raise ValueError(f"values of shape {values.shape} on axes {names} "
+                         f"do not fit a grid of shape {grid.shape}")
+    spec = ";".join(f"{name},{lo:.17g},{hi:.17g},{n}"
+                    for name, (lo, hi, n) in zip(names, grid.ranges))
     with open(path, "w") as handle:
         handle.write(f"# axes: {spec}\n")
-        for row in flat:
+        for row in values.reshape(-1, grid.shape[-1]):
             handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
-

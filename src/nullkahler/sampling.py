@@ -50,11 +50,14 @@ def halton(count: int, dim: int) -> np.ndarray:
 
 
 class Box:
-    """Axis-aligned sampling box: tuple of (lo, hi) per coordinate."""
+    """Axis-aligned sampling box: tuple of (lo, hi) per coordinate, each
+    edge finite with lo below hi."""
 
     def __init__(self, bounds):
         self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         for lo, hi in self.bounds:
+            if not np.isfinite((lo, hi)).all():
+                raise ValueError(f"non-finite box edge ({lo}, {hi})")
             if not hi > lo:
                 raise ValueError(f"empty box edge ({lo}, {hi})")
 

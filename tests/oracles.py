@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from nullkahler.dkp import residual_lindkp
-from nullkahler.evolver import Grid2D
-from nullkahler.fields import Chart, ExprField
+from nullkahler.fields import Chart, ExprField, Grid
 from nullkahler.geometry import (
     EPS_LOWER,
     EPS_UPPER,
@@ -309,7 +308,7 @@ def sigma_basis(coframe_values: np.ndarray):
 # recurrence; the tests assemble N from this trapezoid sum to check the
 # stage and the step bound against it
 
-def nonlocal_term(u: np.ndarray, grid: Grid2D, out: np.ndarray,
+def nonlocal_term(u: np.ndarray, grid: Grid, out: np.ndarray,
                   uyy: np.ndarray) -> np.ndarray:
     """N u = int_{x0}^{x} u_yy dx' by the trapezoid rule from the x0 row,
     with u's y-boundary columns as the Dirichlet data of u_yy, written
@@ -325,11 +324,12 @@ def nonlocal_term(u: np.ndarray, grid: Grid2D, out: np.ndarray,
     np.multiply(2.0, flat[1:-1], out=lap)
     np.subtract(flat[2:], lap, out=lap)
     lap += flat[:-2]
-    lap /= grid.dy ** 2
+    dx, dy = grid.spacing
+    lap /= dy ** 2
     uyy[:, 0] = uyy[:, -1] = 0.0
     np.cumsum(uyy, axis=0, out=out)
     uyy += uyy[0].copy()
     uyy *= 0.5
     out -= uyy
-    out *= grid.dx
+    out *= dx
     return out

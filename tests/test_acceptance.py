@@ -27,12 +27,11 @@ from nullkahler.dkp import (
     sd_two_forms,
 )
 from nullkahler.evolver import (
-    Grid2D,
     mms_convergence,
     reference_run_error,
     uniform_reference,
 )
-from nullkahler.fields import Chart, ExprField
+from nullkahler.fields import Chart, ExprField, Grid
 from nullkahler.geometry import (
     EPS_UPPER,
     dkp_coframe,
@@ -290,7 +289,7 @@ def test_criterion_10_evolver():
     orders_ok = all(order >= 1.9 for order in study["orders"])
     start = time.perf_counter()
     error = reference_run_error(uniform_reference("t"),
-                                Grid2D(-1, 1, 256, -1, 1, 256), 0.5)
+                                Grid(-1, 1, 256, -1, 1, 256), 0.5)
     elapsed = time.perf_counter() - start
     ok = orders_ok and error < 1e-3 and elapsed < 60.0
     report_line(10, ok,

@@ -140,6 +140,17 @@ def test_evolve_small_grid_writes_snapshots(tmp_path):
     assert len(list(tmp_path.glob("u_t*.csv"))) == 2
 
 
+#: sha256 of each snapshot of the 17^2 ``--reference t`` run below: the
+#: "# axes:" header and the %.17g values.  u = t stays uniform, so no BLAS
+#: product touches the bits and they are portable.
+EVOLVE_SNAPSHOT_SHA256 = {
+    "u_t0.000000.csv":
+        "04cf971893691cf3f5d5cef1f336ee2d53be24b441b5e95879cfd06d83d61022",
+    "u_t0.000300.csv":
+        "9fa9fbf52d7063175f9a59a778fda7a06a372573de860825bf8bd9cb63a99537",
+}
+
+
 def test_evolve_reference_mode(tmp_path):
     # u = t is exact: the ring and the x0 closure carry the reference rate
     code = main(["evolve", "--nx", "17", "--ny", "17", "--dt", "1e-4",
@@ -151,24 +162,30 @@ def test_evolve_reference_mode(tmp_path):
                        for line in body[1:]])
     assert values.shape == (17, 17)
     assert np.max(np.abs(values - 3e-4)) <= 1e-15
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == EVOLVE_SNAPSHOT_SHA256
 
 
-@pytest.mark.parametrize("axis, size", [("--nx", "1"), ("--nx", "2"),
-                                        ("--ny", "1"), ("--ny", "2")])
-def test_evolve_tiny_grid_exit_code(tmp_path, capsys, axis, size):
+@pytest.mark.parametrize("axis, size, message", [
+    ("--nx", "1", "degenerate grid axis (-1.0, 1.0, 1)"),
+    ("--nx", "2", "at least 3 x 3 nodes, got (2, 8)"),
+    ("--ny", "1", "degenerate grid axis (-1.0, 1.0, 1)"),
+    ("--ny", "2", "at least 3 x 3 nodes, got (8, 2)"),
+], ids=["--nx-1", "--nx-2", "--ny-1", "--ny-2"])
+def test_evolve_tiny_grid_exit_code(tmp_path, capsys, axis, size, message):
     out = tmp_path / "out"
     code = main(["evolve", "--nx", "8", "--ny", "8", axis, size,
                  "--steps", "1", "--out-dir", str(out)])
     assert code == 2
-    assert "at least 3" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("edge, value, message", [
-    ("--x1", "-1", "finite --x0 below --x1, got --x0 -1 and --x1 -1"),
-    ("--x1", "-2", "finite --x0 below --x1, got --x0 -1 and --x1 -2"),
-    ("--y0", "nan", "finite --y0 below --y1, got --y0 nan and --y1 1"),
-    ("--x1", "inf", "finite --x0 below --x1, got --x0 -1 and --x1 inf"),
+    ("--x1", "-1", "degenerate grid axis (-1.0, -1.0, 9)"),
+    ("--x1", "-2", "degenerate grid axis (-1.0, -2.0, 9)"),
+    ("--y0", "nan", "degenerate grid axis (nan, 1.0, 9)"),
+    ("--x1", "inf", "degenerate grid axis (-1.0, inf, 9)"),
 ], ids=["x1-equals-x0", "x1-below-x0", "y0-nan", "x1-inf"])
 def test_evolve_degenerate_box_exit_code(tmp_path, capsys, edge, value,
                                          message):
@@ -303,6 +320,10 @@ def test_export_quantity_kind_mismatch(tmp_path, capsys, kind, quantity):
     ("w:-1:1:3,z:-1:1,x:-1:1:3,y:-1:1:3", "malformed grid entry"),
     ("w:-1:1:3.5,z:-1:1:3,x:-1:1:3,y:-1:1:3", "malformed grid entry"),
     ("w:1:-1:3,z:-1:1:3,x:-1:1:3,y:-1:1:3", "degenerate grid axis"),
+    ("w:-1:1:3,z:-1:1:3,x:0.1:0.5:3,y:-inf:1:3",
+     "degenerate grid axis (-inf, 1.0, 3): need n >= 2 and finite lo < hi"),
+    ("w:-1:1:3,z:-1:1:3,x:0.1:nan:3,y:-1:1:3",
+     "degenerate grid axis (0.1, nan, 3): need n >= 2 and finite lo < hi"),
 ])
 def test_export_bad_grid_exit_code(tmp_path, small_cfg, capsys, grid, message):
     out = tmp_path / "out"
@@ -318,6 +339,8 @@ def test_export_bad_grid_exit_code(tmp_path, small_cfg, capsys, grid, message):
     ("box = w:-1, z:-1:1, x:-1:1, y:-1:1", "malformed box entry"),
     ("box = w:-1:one, z:-1:1, x:-1:1, y:-1:1", "malformed box entry"),
     ("box = w:1:-1, z:-1:1, x:-1:1, y:-1:1", "empty box edge"),
+    ("box = w:-1:1, z:-1:1, x:-1:inf, y:-1:1",
+     "[fixture:f] box: non-finite box edge (-1.0, inf)"),
     ("box = w:-1:1, z:-1:1, x:-1:1", "missing coordinates"),
     ("exclude = x 0.5", "malformed exclude entry"),
 ])

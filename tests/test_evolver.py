@@ -11,7 +11,6 @@ from nullkahler.evolver import (
     BoundarySource,
     CFLError,
     DKPState,
-    Grid2D,
     ImplicitSolve,
     _explicit_rhs,
     cfl_bound,
@@ -22,12 +21,12 @@ from nullkahler.evolver import (
     saved_steps,
     uniform_reference,
 )
-from nullkahler.fields import Chart, ExprField
+from nullkahler.fields import Chart, ExprField, Grid
 from oracles import nonlocal_term
 
 
 def test_zero_data_stays_zero():
-    grid = Grid2D(-1, 1, 33, -1, 1, 33)
+    grid = Grid(-1, 1, 33, -1, 1, 33)
     state = DKPState(grid, np.zeros((33, 33)))
     out = dkp_evolve(state, 0.5 * cfl_bound(state), 25)
     assert np.max(np.abs(out[-1].u)) == 0.0
@@ -35,7 +34,7 @@ def test_zero_data_stays_zero():
 
 
 def test_cfl_refusal_names_bound():
-    grid = Grid2D(-1, 1, 33, -1, 1, 33)
+    grid = Grid(-1, 1, 33, -1, 1, 33)
     state = DKPState(grid, np.zeros((33, 33)))
     bound = cfl_bound(state)
     with pytest.raises(CFLError) as err:
@@ -44,7 +43,7 @@ def test_cfl_refusal_names_bound():
 
 
 def test_blowup_detection():
-    grid = Grid2D(-1, 1, 65, -1, 1, 65)
+    grid = Grid(-1, 1, 65, -1, 1, 65)
     rng = np.random.default_rng(2)
     state = DKPState(grid, rng.uniform(-1, 1, size=(65, 65)))
     # rough data far above the resolved scales diverges quickly at a
@@ -59,9 +58,22 @@ def test_blowup_detection():
     (1e-4, 2, 0), (1e-4, 2, -1),
 ])
 def test_run_settings_refused(dt, steps, save_every):
-    state = DKPState(Grid2D(-1, 1, 9, -1, 1, 9), np.zeros((9, 9)))
+    state = DKPState(Grid(-1, 1, 9, -1, 1, 9), np.zeros((9, 9)))
     with pytest.raises(ValueError):
         dkp_evolve(state, dt, steps, save_every=save_every)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ((1, 1, 5, -1, 1, 5), "degenerate grid axis"),
+    ((-1, 1, 2, -1, 1, 5), "at least 3 x 3 nodes"),
+    ((-1, 1, 5, -1, 1, 2), "at least 3 x 3 nodes"),
+    ((-1, 1, 5, -1, 1, 5, 0, 1, 5), "an \\(x, y\\) grid"),
+], ids=["x-empty", "nx-2", "ny-2", "three-axes"])
+def test_degenerate_grid_refused_at_construction(edges, message):
+    # an empty edge made cfl_bound divide by dx = 0, and two nodes on an
+    # axis sent the one-sided x stencil out of range
+    with pytest.raises(ValueError, match=message):
+        DKPState(Grid(*edges), np.zeros(edges[2::3]))
 
 
 def test_saved_steps():
@@ -94,7 +106,7 @@ def _interior_operator(grid):
 def test_stage_solve_matches_dense_solve(c, nx, ny):
     # v is random on the x0 row and the y-boundary columns too: the stage
     # takes them as data of N v, which it never forms
-    grid = Grid2D(-1, 1, nx, -0.5, 1, ny)
+    grid = Grid(-1, 1, nx, -0.5, 1, ny)
     dense, inner = _interior_operator(grid)
     v = np.random.default_rng(5).normal(size=inner.shape)
     rhs = nonlocal_term(v, grid, np.empty_like(v), np.empty_like(v))
@@ -108,7 +120,7 @@ def test_stage_solve_matches_dense_solve(c, nx, ny):
 def test_stage_of_data_without_y_curvature_is_zero():
     # rows constant in y have a second difference of exactly 0, so every
     # product and the recurrence see zeros: the uniform pin below rests on it
-    grid = Grid2D(-1, 1, 17, -0.5, 1, 13)
+    grid = Grid(-1, 1, 17, -0.5, 1, 13)
     v = np.broadcast_to(np.random.default_rng(6).normal(size=(17, 1)),
                         (17, 13)).copy()
     out = np.random.default_rng(7).normal(size=v.shape)
@@ -119,27 +131,28 @@ def test_stage_of_data_without_y_curvature_is_zero():
 def test_stages_match_the_allocating_formulas():
     # the stages write into given arrays; each must give the bits of the
     # plain expression, which the pinned runs below rely on
-    grid = Grid2D(-1, 1, 17, -0.5, 1, 13)
+    grid = Grid(-1, 1, 17, -0.5, 1, 13)
+    dx, dy = grid.spacing
     rng = np.random.default_rng(7)
     u, source = rng.normal(size=(2, 17, 13))
     rate = rng.normal(size=2 * 17 + 2 * 11)
     uyy = np.zeros_like(u)
-    uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / grid.dy ** 2
+    uyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dy ** 2
     expected = np.cumsum(uyy, axis=0)
     expected -= 0.5 * (uyy + uyy[0])
-    expected *= grid.dx
+    expected *= dx
     scratch = np.empty_like(u)
     assert np.array_equal(
         nonlocal_term(u, grid, np.empty_like(u), scratch), expected)
     with pytest.raises(ValueError):
         nonlocal_term(u, grid, np.empty_like(u), np.empty((13, 17)).T)
     advect = np.empty_like(u)
-    advect[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dx)
-    advect[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * grid.dx)
-    advect[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * grid.dx)
+    advect[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+    advect[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
+    advect[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
     advect *= u
     advect -= advect[0].copy()
-    advect += rate[:grid.ny]
+    advect += rate[:13]
     advect += source
     advect[grid.ring()] = rate
     assert np.array_equal(
@@ -151,42 +164,44 @@ def test_sine_matrices_undo_each_other(m):
     # at c = 0 every a_k is 0, so forward = S dx / (2 dy^2) and
     # inverse = 2/(m + 1) S: S S = (m + 1)/2 I makes their product
     # dx / (2 dy^2) I to round-off
-    grid = Grid2D(0, 2, 5, 0, 2, m + 2)
+    grid = Grid(0, 2, 5, 0, 2, m + 2)
     solve = ImplicitSolve(grid, 0.0)
-    product = solve.forward @ solve.inverse / (0.5 * grid.dx / grid.dy ** 2)
+    dx, dy = grid.spacing
+    product = solve.forward @ solve.inverse / (0.5 * dx / dy ** 2)
     assert np.max(np.abs(product - np.eye(m))) <= 1e-13
 
 
 def test_nonlocal_term_is_dissipative():
     # N = V' (x) D_yy with V' + V'^T = dx 11^T: the symmetric part of N is
     # negative semidefinite, so the implicit stages contract
-    grid = Grid2D(0, 2, 13, -1, 1, 11)
+    grid = Grid(0, 2, 13, -1, 1, 11)
     dense, _ = _interior_operator(grid)
-    assert np.max(np.linalg.eigvalsh(dense + dense.T)) \
-        <= 1e-12 * grid.dx / grid.dy ** 2
+    dx, dy = grid.spacing
+    assert np.max(np.linalg.eigvalsh(dense + dense.T)) <= 1e-12 * dx / dy ** 2
 
 
 def test_nonlocal_term_is_a_non_normal_volterra_matrix():
     # one interior y-column has D_yy = -2/dy^2, so N = -(2/dy^2) V' there;
     # ||V'||_2 near 2 Lx/pi, not its eigenvalue dx/2, is why an explicit
     # step needs dt ~ dy^2/Lx
-    grid = Grid2D(0, 2, 402, -1, 1, 3)
+    grid = Grid(0, 2, 402, -1, 1, 3)
     dense, _ = _interior_operator(grid)
-    volterra = -dense * grid.dy ** 2 / 2.0
-    assert np.max(np.abs(np.diag(volterra) - grid.dx / 2)) <= 1e-15
-    assert np.max(np.abs(volterra + volterra.T - grid.dx)) <= 1e-15
+    dx, dy = grid.spacing
+    volterra = -dense * dy ** 2 / 2.0
+    assert np.max(np.abs(np.diag(volterra) - dx / 2)) <= 1e-15
+    assert np.max(np.abs(volterra + volterra.T - dx)) <= 1e-15
     assert np.linalg.norm(volterra, 2) == pytest.approx(2 * 2.0 / np.pi, rel=5e-3)
 
 
 def test_high_y_frequency_beyond_the_old_dispersive_cap():
     # 0.9 x the advective bound is 1.7 x the old cap 8 dy^2/Lx, where the
     # explicit four-stage scheme blew up at its second step
-    grid = Grid2D(-1, 1, 65, -1, 1, 65)
+    grid = Grid(-1, 1, 65, -1, 1, 65)
     u0 = ExprField.from_text("0.05*sin(24*3.141592653589793*y)*exp(-4*x^2)",
                              EVOLVER_CHART).evaluate_axes(*grid.axes(), 0.0)
     state = DKPState(grid, u0)
     dt = 0.9 * cfl_bound(state)
-    assert dt > 1.7 * 8.0 * grid.dy ** 2 / (grid.x1 - grid.x0)
+    assert dt > 1.7 * 8.0 * grid.spacing[1] ** 2 / 2.0
     final = dkp_evolve(state, dt, 200)[-1]
     assert np.max(np.abs(final.u)) <= np.max(np.abs(u0))
 
@@ -194,12 +209,12 @@ def test_high_y_frequency_beyond_the_old_dispersive_cap():
 def test_uniform_reference_exact():
     # u = t is reproduced to round-off through the boundary closure
     err = reference_run_error(uniform_reference("t"),
-                              Grid2D(-1, 1, 64, -1, 1, 64), 0.3)
+                              Grid(-1, 1, 64, -1, 1, 64), 0.3)
     assert err < 1e-12
 
 
 def test_save_every_sequence():
-    grid = Grid2D(-1, 1, 33, -1, 1, 33)
+    grid = Grid(-1, 1, 33, -1, 1, 33)
     state = DKPState(grid, np.zeros((33, 33)), 0.0, uniform_reference("t"))
     out = dkp_evolve(state, 0.5 * cfl_bound(state), 10, save_every=2)
     assert len(out) == 6  # initial + 4 intermediates + final
@@ -211,14 +226,14 @@ def _start(mode, n):
     """A smooth state on n^2: free, or on a reference with u* = t or with
     the manufactured u* and its source."""
     if mode == "free":
-        grid = Grid2D(-1, 1, n, -1, 1, n)
+        grid = Grid(-1, 1, n, -1, 1, n)
         x, y = grid.axes()
         return DKPState(grid, 0.3 * np.exp(-8 * (x ** 2 + y ** 2)))
     if mode == "uniform":
-        grid = Grid2D(-1, 1, n, -1, 1, n)
+        grid = Grid(-1, 1, n, -1, 1, n)
         return DKPState(grid, np.zeros((n, n)), 0.0, uniform_reference("t"))
     boundary = manufactured_reference(x0=0.0)
-    grid = Grid2D(0, 2, n, 0, 2, n)
+    grid = Grid(0, 2, n, 0, 2, n)
     return DKPState(grid, boundary.u_on(*grid.axes(), 0.0), 0.0, boundary)
 
 
@@ -290,7 +305,7 @@ def test_saved_states_are_apart_from_the_workspace(mode):
 
 def test_manufactured_solution_short_run():
     boundary = manufactured_reference(x0=0.0)
-    grid = Grid2D(0, 2, 64, 0, 2, 64)
+    grid = Grid(0, 2, 64, 0, 2, 64)
     err = reference_run_error(boundary, grid, 0.1)
     assert err < 1e-3
 
@@ -309,7 +324,7 @@ def test_boundary_data_read_only_on_the_ring(monkeypatch, diff_calls):
     n, steps = 33, 5
     del diff_calls[:]
     boundary = manufactured_reference(x0=0.0)
-    grid = Grid2D(0, 2, n, 0, 2, n)
+    grid = Grid(0, 2, n, 0, 2, n)
     state = DKPState(grid, boundary.u_on(*grid.mesh(), 0.0), 0.0, boundary)
     evaluated = []
     evaluate = ExprField.evaluate_axes
@@ -349,7 +364,7 @@ PINNED_FINAL_U = {
 
 @pytest.mark.parametrize("mode", sorted(PINNED_FINAL_U))
 def test_evolver_arithmetic_pinned(mode):
-    grid = Grid2D(-1, 1, 33, -1, 1, 33)
+    grid = Grid(-1, 1, 33, -1, 1, 33)
     if mode == "free":
         u0 = np.random.default_rng(3).uniform(-0.5, 0.5, (33, 33))
         state = DKPState(grid, u0)

@@ -7,9 +7,8 @@ from nullkahler.fields import (
     DomainError,
     ExcludedBand,
     ExprField,
-    GridSpec,
+    Grid,
     OrderOverflowError,
-    SampledField,
     grid_to_csv,
     sample_to_grid,
 )
@@ -111,9 +110,10 @@ def test_axis_evaluation_three_axes():
     x, y, t = (np.linspace(0, 1, n) for n in (5, 4, 3))
     on_axes = field.evaluate_axes(x[:, None, None], y[None, :, None],
                                   t[None, None, :])
-    grid = GridSpec(((0, 1, 5), (0, 1, 4), (0, 1, 3)))
-    assert np.array_equal(on_axes, field.evaluate(grid.meshpoints()).reshape(5, 4, 3))
-    assert np.array_equal(on_axes, sample_to_grid(field, grid).values)
+    grid = Grid(0, 1, 5, 0, 1, 4, 0, 1, 3)
+    points = np.stack([axis.ravel() for axis in grid.mesh()], axis=-1)
+    assert np.array_equal(on_axes, field.evaluate(points).reshape(5, 4, 3))
+    assert np.array_equal(on_axes, sample_to_grid(field, grid))
 
 
 def test_axis_evaluation_band_on_one_axis():
@@ -141,25 +141,56 @@ def test_axis_evaluation_non_finite_on_the_broadcast_grid():
 
 
 def test_sample_to_grid_nodes_exact():
-    grid = GridSpec(((0.0, 1.0, 16), (0.0, 1.0, 16)))
+    grid = Grid(0.0, 1.0, 16, 0.0, 1.0, 16)
     field = ExprField.from_text("x*y^3", CHART2)
     sampled = sample_to_grid(field, grid)
-    xs, ys = grid.coordinates()
+    xs, ys = (axis.ravel() for axis in grid.axes())
     for i in (0, 5, 15):
         for j in (0, 9, 15):
-            assert sampled.values[i, j] == xs[i] * ys[j] ** 3
+            assert sampled[i, j] == xs[i] * ys[j] ** 3
     constant = sample_to_grid(ExprField.constant(1.0, CHART2), grid)
-    assert np.all(constant.values == 1.0)
+    assert constant.shape == (16, 16)
+    assert np.all(constant == 1.0)
+    with pytest.raises(DomainError):
+        sample_to_grid(field, Grid(0.0, 1.0, 5))
+
+
+def test_grid_shape_spacing_axes_and_ring():
+    grid = Grid(-1, 1, 5, 0, 3, 4, 2, 2.5, 3)
+    assert grid.ranges == ((-1.0, 1.0, 5), (0.0, 3.0, 4), (2.0, 2.5, 3))
+    assert grid.shape == (5, 4, 3)
+    assert grid.spacing == (0.5, 1.0, 0.25)
+    assert [axis.shape for axis in grid.axes()] == [(5, 1, 1), (1, 4, 1),
+                                                    (1, 1, 3)]
+    assert np.array_equal(grid.axes()[1].ravel(), [0.0, 1.0, 2.0, 3.0])
+    x, y, t = grid.mesh()
+    assert x.shape == y.shape == t.shape == (5, 4, 3)
+    assert np.array_equal(y[2, :, 1], [0.0, 1.0, 2.0, 3.0])
+    ring = grid.ring()
+    assert ring.shape == (5, 4, 3)
+    inside = np.zeros((5, 4, 3), dtype=bool)
+    inside[1:-1, 1:-1, 1:-1] = True
+    assert np.array_equal(ring, ~inside)
+    assert Grid(0, 1, 2).ring().all()
 
 
 def test_degenerate_grid_rejected():
-    with pytest.raises(ValueError):
-        GridSpec(((1.0, 1.0, 16),))
-    grid = GridSpec(((0.0, 1.0, 5), (0.0, 1.0, 16)))
-    with pytest.raises(ValueError):
-        SampledField(grid, np.zeros((16, 5)), CHART2)
-    with pytest.raises(ValueError):
-        SampledField(grid, np.zeros((5, 16)), Chart(("x",)))
+    inf, nan = float("inf"), float("nan")
+    for edges in [(1.0, 1.0, 16), (1.0, 0.0, 16), (0.0, 1.0, 1),
+                  (0.0, 1.0, 0), (0.0, inf, 5), (-inf, 1.0, 5), (nan, 1.0, 5),
+                  (0.0, 1.0, 5, 0.0, nan, 5), (), (0.0, 1.0)]:
+        with pytest.raises(ValueError):
+            Grid(*edges)
+
+
+def test_grid_csv_refuses_values_off_the_grid(tmp_path):
+    grid = Grid(0.0, 1.0, 5, 0.0, 1.0, 16)
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="do not fit a grid of shape"):
+        grid_to_csv(grid, np.zeros((16, 5)), ("x", "y"), path)
+    with pytest.raises(ValueError, match="do not fit a grid of shape"):
+        grid_to_csv(grid, np.zeros((5, 16)), ("x",), path)
+    assert not path.exists()
 
 
 def test_linearity_both_backends():
@@ -174,10 +205,10 @@ def test_linearity_both_backends():
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     # the grid container holds the same derivative values node by node
-    grid = GridSpec(((0.3, 0.7, 9), (0.3, 0.7, 9)))
-    lhs_s = sample_to_grid(combo.differentiate(*idx), grid).values
-    rhs_s = 2.5 * sample_to_grid(f.differentiate(*idx), grid).values \
-        - 1.5 * sample_to_grid(g.differentiate(*idx), grid).values
+    grid = Grid(0.3, 0.7, 9, 0.3, 0.7, 9)
+    lhs_s = sample_to_grid(combo.differentiate(*idx), grid)
+    rhs_s = 2.5 * sample_to_grid(f.differentiate(*idx), grid) \
+        - 1.5 * sample_to_grid(g.differentiate(*idx), grid)
     np.testing.assert_allclose(lhs_s, rhs_s, atol=1e-14)
 
 
@@ -229,14 +260,14 @@ def test_backend_agreement_quartic_polynomials():
 
 
 def test_grid_csv_round_trip(tmp_path):
-    grid = GridSpec(((0.0, 1.0, 9), (0.0, 2.0, 11)))
+    grid = Grid(0.0, 1.0, 9, 0.0, 2.0, 11)
     sampled = sample_to_grid(ExprField.from_text("x*y^3 - 0.25", CHART2), grid)
     path = tmp_path / "grid.csv"
-    grid_to_csv(sampled, path)
+    grid_to_csv(grid, sampled, ("x", "y"), path)
     header = path.read_text().splitlines()[0]
     assert header.startswith("# axes: x,0,1,9;y,0,2,11")
     loaded = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(loaded, sampled.values)
+    assert np.array_equal(loaded, sampled)
 
 
 def _partials(field, order):

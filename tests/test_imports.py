@@ -27,8 +27,8 @@ TESTS = sorted(ORACLES.parent.glob("test_*.py"))
 #: the package's modules in ``sys.modules`` after importing a module in
 #: a fresh interpreter: the package imports nothing, the evolver needs
 #: only the expression trees and the fields, and the command line every
-#: module but ``__main__`` and the evolver, which its evolve command and
-#: its parser load when they run
+#: module but ``__main__`` and the evolver, which only its evolve command
+#: loads, when it runs
 LOADED_BY = {
     "nullkahler": {"nullkahler"},
     "nullkahler.evolver": {"nullkahler", "nullkahler.evolver",
@@ -40,29 +40,37 @@ LOADED_BY = {
 }
 
 
-@pytest.mark.parametrize("module", LOADED_BY)
-def test_import_loads_only_the_modules_it_needs(module):
+def _fresh_stdout(code):
+    """What ``code`` prints in a fresh interpreter that imports the
+    package from the source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    code = (f"import sys, {module}; print(*sorted(name for name in sys.modules"
-            " if name.partition('.')[0] == 'nullkahler'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == LOADED_BY[module]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", LOADED_BY)
+def test_import_loads_only_the_modules_it_needs(module):
+    code = (f"import sys, {module}; print(*sorted(name for name in sys.modules"
+            " if name.partition('.')[0] == 'nullkahler'))")
+    assert set(_fresh_stdout(code).split()) == LOADED_BY[module]
+
+
+def test_build_parser_leaves_the_evolver_unloaded():
+    # ``nullkahler check`` builds the parser too, and compiles no evolver
+    code = ("import sys, nullkahler.cli; nullkahler.cli.build_parser();"
+            " print('nullkahler.evolver' in sys.modules)")
+    assert _fresh_stdout(code).split() == ["False"]
 
 
 def test_cli_import_creates_no_dataclass():
     # a frozen dataclass execs generated source for each method when its
     # class is created, about 1 ms apiece, in every process that starts
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     code = ("import sys, numpy; before = set(sys.modules); import nullkahler.cli;"
             " print(*sorted(set(sys.modules) - before))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    added = proc.stdout.split()
+    added = _fresh_stdout(code).split()
     assert "nullkahler.cli" in added
     assert "dataclasses" not in added
 
