@@ -39,6 +39,11 @@ the memo.  A dKP fixture
 builds its metric whatever the selection, so a W_x that vanishes on the
 declared box is always a fixture error.
 
+Each check of a kind's table yields its residual per sample point, an
+array whose leading axis is the sample.  ``run_fixture`` alone reduces
+it to max|r|, judges that against the check's tolerance and writes the
+report entry; ``run_suite`` collects the entries unchanged.
+
 Reports are JSON with ``schema: 1`` and are byte-identical across runs
 with the same config and seed.  The fixtures run one after another;
 each fixture's wall time is printed to the console once, never written
@@ -127,17 +132,6 @@ class Fixture:
         seed."""
         return self.build(SamplePlan(self.box, config["samples"],
                                      config["seed"]))
-
-
-class CheckResult:
-    def __init__(self, fixture: str, name: str, max_residual: float,
-                 tolerance: float, require: str, passed: bool):
-        self.fixture = fixture
-        self.name = name
-        self.max_residual = max_residual
-        self.tolerance = tolerance
-        self.require = require
-        self.passed = passed
 
 
 def _parse_axes(text: str, what: str, *kinds) -> list:
@@ -422,7 +416,7 @@ class NKSample(_CurvedSample):
         self.coframe = nk_coframe(self.theta)
 
     @cached_property
-    def null_kahler(self):
+    def dsigma(self):
         return check_null_kahler(self.coframe, self.points, self.memo)
 
 
@@ -469,40 +463,38 @@ def _jones_tod_gap(s):
     """h of the Jones-Tod reduction against -W_x^2 times the EW h."""
     reduction = dkp_mod.jones_tod_reduce(s.metric)
     wx2 = s.w.differentiate("x").evaluate(s.points3, s.memo) ** 2
-    return _max_abs(reduction.h.evaluate(s.points3, s.memo)
-                    + wx2[:, None, None] * s.ew.h.evaluate(s.points3, s.memo))
+    return (reduction.h.evaluate(s.points3, s.memo)
+            + wx2[:, None, None] * s.ew.h.evaluate(s.points3, s.memo))
 
 
+#: per check, its residual at each sample point (leading axis)
 NK_TABLE = {
-    "nk1": lambda s: _max_abs(
-        residual_nk1(s.theta, s.f).evaluate(s.points, s.memo)),
-    "nk2": lambda s: _max_abs(
-        residual_nk2(s.theta, s.f).evaluate(s.points, s.memo)),
-    "sd_weyl": lambda s: s.oracle.max_sd(),
-    "scalar": lambda s: _max_abs(s.oracle.scalar),
-    "ricci_null": lambda s: _max_abs(s.oracle.raw.ricci_square()),
-    "dsigma00": lambda s: s.null_kahler.d_sigma00,
-    "dsigma01": lambda s: s.null_kahler.d_sigma01,
+    "nk1": lambda s: residual_nk1(s.theta, s.f).evaluate(s.points, s.memo),
+    "nk2": lambda s: residual_nk2(s.theta, s.f).evaluate(s.points, s.memo),
+    "sd_weyl": lambda s: s.oracle.c_sd,
+    "scalar": lambda s: s.oracle.scalar,
+    "ricci_null": lambda s: s.oracle.raw.ricci_square(),
+    "dsigma00": lambda s: s.dsigma[0],
+    "dsigma01": lambda s: s.dsigma[1],
     "lax": lambda s: commutator_sweep(s.solution, s.plan.count, s.plan.seed,
                                       s.points, s.memo),
-    "ricci_flat": lambda s: _max_abs(s.oracle.raw.ricci),
+    "ricci_flat": lambda s: s.oracle.raw.ricci,
 }
 
 DKP_TABLE = {
-    "heqn": lambda s: _max_abs(
-        dkp_mod.residual_heqn(s.h).evaluate(s.points3, s.memo)),
-    "lindkp": lambda s: _max_abs(
-        dkp_mod.residual_lindkp(s.h, s.w).evaluate(s.points3, s.memo)),
+    "heqn": lambda s: dkp_mod.residual_heqn(s.h).evaluate(s.points3, s.memo),
+    "lindkp": lambda s: dkp_mod.residual_lindkp(s.h, s.w).evaluate(
+        s.points3, s.memo),
     "monopole": lambda s: dkp_mod.monopole_residual(
         s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3, s.memo),
     "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3, s.memo),
-    "dkp_sd_weyl": lambda s: s.oracle.max_sd(),
-    "dkp_scalar": lambda s: _max_abs(s.oracle.scalar),
-    "dsigma00": lambda s: s.dsigma.d_sigma00,
-    "dsigma01": lambda s: s.dsigma.d_sigma01,
+    "dkp_sd_weyl": lambda s: s.oracle.c_sd,
+    "dkp_scalar": lambda s: s.oracle.scalar,
+    "dsigma00": lambda s: s.dsigma[0],
+    "dsigma01": lambda s: s.dsigma[1],
     "jones_tod": _jones_tod_gap,
-    "ricci_flat": lambda s: _max_abs(s.oracle.raw.ricci),
-    "nonvacuum": lambda s: _max_abs(s.oracle.raw.ricci),  # required above
+    "ricci_flat": lambda s: s.oracle.raw.ricci,
+    "nonvacuum": lambda s: s.oracle.raw.ricci,  # required above
 }
 
 #: per kind, the checks its sample set computes
@@ -512,26 +504,32 @@ _TABLES = {"nk": NK_TABLE, "dkp": DKP_TABLE, "ew": {"ew": DKP_TABLE["ew"]}}
 KIND_CHECKS = {kind: tuple(table) for kind, table in _TABLES.items()}
 
 
+def _entry(fixture, name, max_residual, tolerance, require, passed) -> dict:
+    return {"fixture": fixture, "name": name, "max_residual": max_residual,
+            "tolerance": tolerance, "require": require, "pass": passed}
+
+
 def run_fixture(fixture: Fixture, config) -> list:
+    """The fixture's report entries: one per selected check, then, for a
+    negative control, its ``expected_failure`` entry.  Each check's
+    residual is reduced to max|r| here and nowhere else."""
     sample = fixture.sample(config)
     scale = config.get("tolerance_scale", 1.0)
     table = _TABLES[fixture.kind]
-    values = [(name, table[name](sample)) for name in fixture.checks]
     out = []
-    for name, value in values:
+    for name in fixture.checks:
+        value = _max_abs(table[name](sample))
         require = "above" if name == "nonvacuum" else "below"
         tol = config["tolerances"][name] * scale
         passed = value > tol if require == "above" else value <= tol
-        out.append(CheckResult(fixture.name, name, float(value), tol,
-                               require, bool(passed)))
+        out.append(_entry(fixture.name, name, value, tol, require, passed))
     if fixture.expect == "fail":
         # negative control: the fixture passes when something failed
-        flipped = not all(r.passed for r in out)
-        for r in out:
-            r.passed = True
-        out.append(CheckResult(fixture.name, "expected_failure",
-                               0.0 if flipped else 1.0, 0.5, "below",
-                               flipped))
+        flipped = not all(entry["pass"] for entry in out)
+        for entry in out:
+            entry["pass"] = True
+        out.append(_entry(fixture.name, "expected_failure",
+                          0.0 if flipped else 1.0, 0.5, "below", flipped))
     return out
 
 
@@ -551,27 +549,17 @@ def run_suite(config_path, seed=None, serial=False, out_dir=None,
     per_fixture = []
     for fixture in config["fixtures"]:
         start = time.perf_counter()
-        results = run_fixture(fixture, config)
-        per_fixture.append((fixture.name, results,
+        entries = run_fixture(fixture, config)
+        per_fixture.append((fixture.name, entries,
                             (time.perf_counter() - start) * 1000.0))
-    checks = [r for _, results, _ in per_fixture for r in results]
-    passed = sum(1 for c in checks if c.passed)
+    checks = [entry for _, entries, _ in per_fixture for entry in entries]
+    passed = sum(entry["pass"] for entry in checks)
     report = {
         "schema": SCHEMA_VERSION,
         "seed": config["seed"],
         "samples": config["samples"],
         "tolerance_scale": tolerance_scale,
-        "checks": [
-            {
-                "fixture": c.fixture,
-                "name": c.name,
-                "max_residual": c.max_residual,
-                "tolerance": c.tolerance,
-                "require": c.require,
-                "pass": c.passed,
-            }
-            for c in checks
-        ],
+        "checks": checks,
         "summary": {
             "total": len(checks),
             "passed": passed,
@@ -583,13 +571,14 @@ def run_suite(config_path, seed=None, serial=False, out_dir=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(render_report(report))
-    for name, results, wall_ms in per_fixture:
+    for name, entries, wall_ms in per_fixture:
         sys.stdout.write(f"fixture {name} [{wall_ms:.0f} ms]\n")
-        for c in results:
-            status = "PASS" if c.passed else "FAIL"
+        for c in entries:
             sys.stdout.write(
-                f"{status} {c.fixture}/{c.name}: residual {c.max_residual:.3e} "
-                f"({'>' if c.require == 'above' else '<='} {c.tolerance:g})\n"
+                f"{'PASS' if c['pass'] else 'FAIL'} {c['fixture']}/{c['name']}: "
+                f"residual {c['max_residual']:.3e} "
+                f"({'>' if c['require'] == 'above' else '<='} "
+                f"{c['tolerance']:g})\n"
             )
     summary = report["summary"]
     sys.stdout.write(
@@ -612,6 +601,14 @@ def _evolve_command(args) -> int:
                           uniform_reference)
 
     if args.mms:
+        # the study sets its own grids and steps: refuse a flag it ignores
+        plain = build_parser().parse_args(["evolve", "--mms",
+                                           "--out-dir", args.out_dir])
+        ignored = ["--" + key.replace("_", "-") for key, value
+                   in vars(args).items() if value != getattr(plain, key)]
+        if ignored:
+            raise ConfigError(f"--mms runs its own grids and steps, so it "
+                              f"would ignore {', '.join(ignored)}")
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         study = mms_convergence()
@@ -786,7 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--reference", default=None,
                         help="closed-form reference for boundary data")
     evolve.add_argument("--mms", action="store_true",
-                        help="manufactured-solution convergence study")
+                        help="manufactured-solution convergence study on "
+                             "its own grids and steps; refuses the grid, "
+                             "step, data and --log flags")
     evolve.add_argument("--save-every", type=int, default=None)
     evolve.add_argument("--out-dir", required=True)
     evolve.add_argument("--log", default=None,

@@ -195,9 +195,6 @@ class CurvatureReport:
         self.path = path
         self.raw = raw
 
-    def max_sd(self) -> float:
-        return float(np.max(np.abs(self.c_sd)))
-
 
 # --- coordinate oracle --------------------------------------------------------
 
@@ -594,21 +591,13 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
 
 # --- checks --------------------------------------------------------------------
 
-class NullKahlerReport:
-    def __init__(self, d_sigma00: float, d_sigma01: float):
-        self.d_sigma00 = d_sigma00
-        self.d_sigma01 = d_sigma01
-
-
-def check_null_kahler(coframe: CoFrame, points, memo=None) -> NullKahlerReport:
-    """Residuals of the closed-form conditions d Sigma^{0'0'} = 0 and
-    d Sigma^{0'1'} = 0 at ``points``; ``memo`` is an evaluation memo of
-    ``points``.  Ricci nullness is read off the oracle's ``raw``."""
-    d00 = float(np.max(np.abs(
-        exterior_derivative(coframe.sigma(0, 0)).evaluate(points, memo))))
-    d01 = float(np.max(np.abs(
-        exterior_derivative(coframe.sigma(0, 1)).evaluate(points, memo))))
-    return NullKahlerReport(d00, d01)
+def check_null_kahler(coframe: CoFrame, points, memo=None) -> tuple:
+    """(d Sigma^{0'0'}, d Sigma^{0'1'}) at ``points``, one row of
+    three-form components per point: the residuals of the closed-form
+    conditions.  ``memo`` is an evaluation memo of ``points``.  Ricci
+    nullness is read off the oracle's ``raw``."""
+    return tuple(exterior_derivative(coframe.sigma(0, b)).evaluate(points, memo)
+                 for b in (0, 1))
 
 
 def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:

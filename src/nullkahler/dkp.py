@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import NullKahlerReport, christoffel
+from .curvature import christoffel
 from .fields import Chart, ExprField
 from .geometry import (
     CoFrame,
@@ -127,9 +127,10 @@ def weyl_connection(ew: EWStructure, points, memo=None):
     return gamma + correction, dgamma + dcorrection, hv, hinv
 
 
-def ew_residual(ew: EWStructure, points, memo=None) -> float:
-    """Max trace-free symmetrized Ricci of the Weyl connection; ``memo``
-    is an evaluation memo of ``points``."""
+def ew_residual(ew: EWStructure, points, memo=None) -> np.ndarray:
+    """The trace-free symmetrized Ricci tensor of the Weyl connection at
+    ``points``, shape (n, 3, 3); ``memo`` is an evaluation memo of
+    ``points``."""
     gamma, dgamma, hv, hinv = weyl_connection(ew, points, memo)
     ricci = (
         np.einsum("nkkij->nij", dgamma)
@@ -139,8 +140,7 @@ def ew_residual(ew: EWStructure, points, memo=None) -> float:
     )
     sym = 0.5 * (ricci + np.swapaxes(ricci, -1, -2))
     trace = np.einsum("nij,nij->n", hinv, sym)
-    tracefree = sym - np.einsum("n,nij->nij", trace / 3.0, hv)
-    return float(np.max(np.abs(tracefree)))
+    return sym - np.einsum("n,nij->nij", trace / 3.0, hv)
 
 
 # --- monopole pairs -------------------------------------------------------------
@@ -166,9 +166,9 @@ def monopole_from_w(h_pot: ExprField, w_pot: ExprField) -> MonopolePair:
 
 
 def monopole_residual(ew: EWStructure, pair: MonopolePair, points,
-                      memo=None) -> float:
-    """Max component of *_h (dV + 1/2 nu V) - d alpha over the points;
-    ``memo`` is an evaluation memo of ``points``."""
+                      memo=None) -> np.ndarray:
+    """The components of *_h (dV + 1/2 nu V) - d alpha at ``points``, one
+    row per point; ``memo`` is an evaluation memo of ``points``."""
     chart = pair.v.chart
     dv = exterior_derivative(FormField(chart, 0, {(): pair.v}))
     coupled = dv + ew.nu.mul_scalar(pair.v * 0.5)
@@ -176,7 +176,7 @@ def monopole_residual(ew: EWStructure, pair: MonopolePair, points,
     hv = ew.h.evaluate(points, memo)
     star = hodge_star_values(values, 1, hv, EW_ORIENTATION)
     dalpha = exterior_derivative(pair.alpha).evaluate(points, memo)
-    return float(np.max(np.abs(star - dalpha)))
+    return star - dalpha
 
 
 # --- circle-bundle metric and its SD two-forms ----------------------------------
@@ -190,24 +190,22 @@ def sd_two_forms(coframe: CoFrame, points, memo=None):
     """The printed SD two-form basis of a dkp coframe and the closedness
     of its first two forms.
 
-    Returns (sigma00, sigma01, sigma11, report) where the forms use the
-    display normalization Sigma^{0'0'} = e00'^e10',
+    Returns (sigma00, sigma01, sigma11, (d sigma00, d sigma01)) where the
+    forms use the display normalization Sigma^{0'0'} = e00'^e10',
     Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11', and
-    the report holds max|d Sigma^{0'0'}| and max|d Sigma^{0'1'}| at
-    ``points``.  d Sigma^{1'1'} is not closed in general; the tests
-    compare it against its closed form.  ``memo`` is an evaluation memo
-    of ``points``.
+    the pair holds the three-form components of d Sigma^{0'0'} and
+    d Sigma^{0'1'} at ``points``, one row per point.  d Sigma^{1'1'} is
+    not closed in general; the tests compare it against its closed form.
+    ``memo`` is an evaluation memo of ``points``.
     """
     e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
     e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
     sigma00 = wedge(e00, e10)
     sigma01 = wedge(e10, e01) - wedge(e00, e11)
     sigma11 = wedge(e01, e11)
-    d00 = float(np.max(np.abs(
-        exterior_derivative(sigma00).evaluate(points, memo))))
-    d01 = float(np.max(np.abs(
-        exterior_derivative(sigma01).evaluate(points, memo))))
-    return sigma00, sigma01, sigma11, NullKahlerReport(d00, d01)
+    closure = tuple(exterior_derivative(sigma).evaluate(points, memo)
+                    for sigma in (sigma00, sigma01))
+    return sigma00, sigma01, sigma11, closure
 
 
 # --- Jones-Tod reduction ---------------------------------------------------------

@@ -164,12 +164,12 @@ def _explicit_rhs(u: np.ndarray, grid: Grid, rate: np.ndarray, source,
     """The explicit part of u_t, written into ``out`` and returned:
     advection, the x0 closure and the source inside, given u_t on the ring
     points in C order (the first ny are the x0 row), which it holds on the
-    ring."""
+    ring.  The x1 row is all ring, so it takes no stencil: what it holds
+    before the ring is written is never read."""
     dx = grid.spacing[0]
     np.subtract(u[2:], u[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * dx
     out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
     out *= u
     out -= out[0].copy()
     out += rate[:u.shape[1]]

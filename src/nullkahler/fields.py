@@ -21,6 +21,8 @@ steps on; it refuses a degenerate axis when it is built.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .expressions import (
@@ -282,18 +284,21 @@ class ExprField:
 
 class Grid:
     """A uniform tensor grid: per-axis ``(lo, hi, n)``, given flat as
-    ``Grid(x0, x1, nx, y0, y1, ny, ...)``.  Every axis has at least two
-    nodes and finite edges, low below high."""
+    ``Grid(x0, x1, nx, y0, y1, ny, ...)``.  Every axis has an integer
+    count of at least two nodes and finite edges, low below high."""
 
     def __init__(self, *edges):
         if not edges or len(edges) % 3:
             raise ValueError(f"expected (lo, hi, n) per axis, got {edges}")
-        self.ranges = tuple((float(lo), float(hi), int(n)) for lo, hi, n
-                            in zip(edges[::3], edges[1::3], edges[2::3]))
-        for lo, hi, n in self.ranges:
-            if n < 2 or not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        ranges = []
+        for lo, hi, n in zip(edges[::3], edges[1::3], edges[2::3]):
+            lo, hi = float(lo), float(hi)
+            if not (isinstance(n, numbers.Integral) and n >= 2
+                    and np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"degenerate grid axis ({lo}, {hi}, {n}): "
                                  f"need n >= 2 and finite lo < hi")
+            ranges.append((lo, hi, int(n)))
+        self.ranges = tuple(ranges)
         self.shape = tuple(n for _, _, n in self.ranges)
         self.spacing = tuple((hi - lo) / (n - 1) for lo, hi, n in self.ranges)
 

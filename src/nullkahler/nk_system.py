@@ -222,8 +222,9 @@ def lax_commutator(lax: LaxFields, points, lambdas, memo=None) -> np.ndarray:
 
 
 def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240,
-                     points=None, memo=None) -> float:
-    """Max |[L0, L1]| component over a deterministic (point, lambda) sweep.
+                     points=None, memo=None) -> np.ndarray:
+    """The [L0, L1] components over a deterministic (point, lambda) sweep,
+    one row of five per point.
 
     The points are the sample plan's on the solution's box; a caller that
     holds them already passes them as ``points``, with their evaluation
@@ -233,4 +234,4 @@ def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240,
     pts = plan.points() if points is None else points
     lam = plan.rng().uniform(*LAMBDA_WINDOW, size=pts.shape[0])
     lax = lax_fields(solution.theta, solution.f)
-    return float(np.max(np.abs(lax_commutator(lax, pts, lam, memo))))
+    return lax_commutator(lax, pts, lam, memo)

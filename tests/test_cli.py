@@ -365,6 +365,16 @@ def test_evolve_mms_table(tmp_path, monkeypatch, capsys):
     assert "order = 2.000" in capsys.readouterr().out
 
 
+def test_evolve_mms_refuses_the_flags_it_would_ignore(tmp_path, capsys):
+    # the study runs on its own grids and steps; it once exited 0 here
+    out = tmp_path / "out"
+    code = main(["evolve", "--mms", "--nx", "1", "--x1", "-5", "--dt=-1",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "would ignore --nx, --x1, --dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_config_validates_tolerances(tmp_path):
     path = tmp_path / "cfg.cfg"
     path.write_text("[tolerances]\nnk1 = -1\n" + SMALL_CFG)
@@ -544,8 +554,71 @@ def test_family2_with_p_nonzero_at_y0_passes_every_check(tmp_path, p, q):
     config = load_config(path)
     results = run_fixture(config["fixtures"][0], config)
     assert len(results) >= 8
-    failed = [(r.name, r.max_residual) for r in results if not r.passed]
+    failed = [(r["name"], r["max_residual"]) for r in results if not r["pass"]]
     assert not failed
+
+
+#: one ew fixture on u = -2 + (4 + 2 (x + y - t))^(1/2), an exact dKP
+#: solution with u_xx != 0, so its Weyl form nu = -4 u_x dt is not closed
+#: (every ew and dkp fixture of paper.cfg has d nu = 0)
+OPEN_WEYL_FORM_CFG = """
+[suite]
+samples = 100
+
+[fixture:ew-travelling]
+kind = ew
+u = -2 + (4 + 2*(x + y - t))^0.5
+box = x:0:1, y:0:1, t:-1:0
+"""
+
+
+@pytest.fixture()
+def open_weyl_form_cfg(tmp_path):
+    path = tmp_path / "open_weyl_form.cfg"
+    path.write_text(OPEN_WEYL_FORM_CFG)
+    return path
+
+
+def test_ew_passes_where_the_weyl_form_is_not_closed(open_weyl_form_cfg):
+    # the symmetrised Ricci tensor of the Weyl connection differs from the
+    # plain one only where d nu != 0, so this fixture is what makes
+    # ew_residual's symmetrisation observable
+    from nullkahler.cli import run_fixture
+
+    config = load_config(open_weyl_form_cfg)
+    fixture, = config["fixtures"]
+    sample = fixture.sample(config)
+    nu_t = sample.ew.nu.component((2,))
+    assert np.min(np.abs(nu_t.differentiate("x").evaluate(sample.points3))) \
+        > 0.1
+    entry, = run_fixture(fixture, config)
+    assert entry["name"] == "ew" and entry["pass"]
+    assert entry["max_residual"] <= 1e-13
+
+
+REPORT_KEYS = {"fixture", "name", "max_residual", "tolerance", "require",
+               "pass"}
+
+
+def test_every_check_yields_one_residual_row_per_sample(open_weyl_form_cfg):
+    # each table entry returns its residual per sample point, and only
+    # run_fixture reduces it into a report entry
+    import nullkahler.cli as cli
+
+    kinds = set()
+    for path in (FIXTURES / "paper.cfg", open_weyl_form_cfg):
+        config = load_config(path)
+        for fixture in config["fixtures"]:
+            sample = fixture.sample(config)
+            for name, check in cli._TABLES[fixture.kind].items():
+                residual = check(sample)
+                assert isinstance(residual, np.ndarray), (fixture.name, name)
+                assert residual.shape[0] == config["samples"], \
+                    (fixture.name, name)
+            entries = cli.run_fixture(fixture, config)
+            assert all(set(entry) == REPORT_KEYS for entry in entries)
+            kinds.add(fixture.kind)
+    assert kinds == set(cli.KIND_CHECKS)
 
 
 def test_box_clear_of_excluded_band_loads(tmp_path):
@@ -649,8 +722,8 @@ def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
     for fixture in config["fixtures"]:
         calls.update(curvature=0, lax=0, coframe=0, wx=0)
         results = cli.run_fixture(fixture, config)
-        assert [r.name for r in results] == list(fixture.checks)
-        assert all(r.passed for r in results), fixture.name
+        assert [r["name"] for r in results] == list(fixture.checks)
+        assert all(r["pass"] for r in results), fixture.name
         counts = (calls["curvature"], calls["lax"], calls["coframe"], calls["wx"])
         assert counts == expected[fixture.name], fixture.name
 
@@ -763,7 +836,7 @@ def test_each_node_is_evaluated_once_per_point_set(monkeypatch):
     kinds = set()
     for fixture in config["fixtures"]:
         del evaluated[:]
-        assert all(r.passed for r in run_fixture(fixture, config))
+        assert all(r["pass"] for r in run_fixture(fixture, config))
         pairs = [(id(node), point_set) for node, point_set in evaluated]
         assert len(set(pairs)) == len(pairs), fixture.name
         kinds.add(fixture.kind)

@@ -149,7 +149,6 @@ def test_stages_match_the_allocating_formulas():
     advect = np.empty_like(u)
     advect[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
     advect[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-    advect[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
     advect *= u
     advect -= advect[0].copy()
     advect += rate[:13]

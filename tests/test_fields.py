@@ -183,6 +183,14 @@ def test_degenerate_grid_rejected():
             Grid(*edges)
 
 
+def test_grid_refuses_a_count_that_is_not_an_integer():
+    # Grid(0, 1, 2.9, 0, 1, 3) once truncated 2.9 to 2 nodes, shape (2, 3)
+    for n in (2.9, 3.0, float("nan"), float("inf"), "3"):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            Grid(0, 1, n, 0, 1, 3)
+    assert Grid(0, 1, np.int64(4), 0, 1, 3).ranges[0] == (0.0, 1.0, 4)
+
+
 def test_grid_csv_refuses_values_off_the_grid(tmp_path):
     grid = Grid(0.0, 1.0, 5, 0.0, 1.0, 16)
     path = tmp_path / "grid.csv"

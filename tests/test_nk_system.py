@@ -153,7 +153,7 @@ def test_lax_commutator_valid_fixtures():
                               (4, {"A": "y^3"}, BOX4),
                               (3, {"A": "s^2"}, FAMILY3_BOX)):
         sol = example_family(kind, params, box)
-        assert commutator_sweep(sol, count=100) < 1e-8
+        assert np.max(np.abs(commutator_sweep(sol, count=100))) < 1e-8
 
 
 def test_lax_commutator_negative_control():
@@ -229,14 +229,14 @@ def test_equivalence_of_formulations(pts):
 
     good = example_family(1, {"A": "y^2"})
     assert np.max(np.abs(residual_nk2(good.theta, good.f).evaluate(pts))) < 1e-10
-    assert commutator_sweep(good) < 1e-8
-    assert cartan_report(nk_coframe(good.theta), pts).max_sd() < 1e-8
+    assert np.max(np.abs(commutator_sweep(good))) < 1e-8
+    assert np.max(np.abs(cartan_report(nk_coframe(good.theta), pts).c_sd)) < 1e-8
 
     theta = field("x^2*y^2")
     bad = NKSolution(theta, induced_f(theta), BOX4)
     assert np.max(np.abs(residual_nk2(bad.theta, bad.f).evaluate(pts))) > 1e-2
-    assert commutator_sweep(bad) > 1e-2
-    assert cartan_report(nk_coframe(bad.theta), pts).max_sd() > 1e-2
+    assert np.max(np.abs(commutator_sweep(bad))) > 1e-2
+    assert np.max(np.abs(cartan_report(nk_coframe(bad.theta), pts).c_sd)) > 1e-2
 
 
 def test_box_operator_matches_nk2(pts):
@@ -250,3 +250,48 @@ def test_box_operator_matches_nk2(pts):
               - 2.0 * (txy * g.differentiate("x", "y")))
     np.testing.assert_allclose(box_operator(theta, g).evaluate(pts),
                                direct.evaluate(pts), atol=1e-14)
+
+
+def _random_polynomial(rng, degree, must_have=()):
+    """Text of a polynomial in (w, z, x, y) with integer coefficients in
+    -3..3 on each monomial of total degree <= ``degree``, plus the
+    monomials ``must_have`` (exponent tuples) with coefficients in 1..3."""
+    terms = [(int(rng.integers(-3, 4)), powers)
+             for powers in np.ndindex((degree + 1,) * 4)
+             if sum(powers) <= degree]
+    terms += [(int(rng.integers(1, 4)), powers) for powers in must_have]
+    return " + ".join(
+        "*".join([f"({c})"] + [f"{v}^{p}" for v, p in zip(CHART4.coords, powers)
+                               if p])
+        for c, powers in terms if c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_residuals_off_shell_match_the_paper_system(pts, seed):
+    # Theta and f solve nothing, and f_xw, f_yz do not vanish, so every
+    # term of both equations shows in the residuals; compared against a
+    # sympy transcription of the system as printed:
+    #   Theta_wx + Theta_zy + Theta_xx Theta_yy - Theta_xy^2 - f,
+    #   f_xw + f_yz + Theta_yy f_xx + Theta_xx f_yy - 2 Theta_xy f_xy
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(seed)
+    theta_text = _random_polynomial(rng, 4)
+    # x w and y z put f_xw and f_yz on every point
+    f_text = _random_polynomial(rng, 3, must_have=[(1, 0, 1, 0), (0, 1, 0, 1)])
+    w, z, x, y = sym = sympy.symbols("w z x y")
+    theta, f = (sympy.Poly(sympy.sympify(text.replace("^", "**"),
+                                         dict(zip("wzxy", sym))), *sym)
+                for text in (theta_text, f_text))
+    assert not f.diff(x, w).is_zero and not f.diff(y, z).is_zero
+    nk1 = (theta.diff(w, x) + theta.diff(z, y)
+           + theta.diff(x, x) * theta.diff(y, y) - theta.diff(x, y) ** 2 - f)
+    nk2 = (f.diff(x, w) + f.diff(y, z) + theta.diff(y, y) * f.diff(x, x)
+           + theta.diff(x, x) * f.diff(y, y)
+           - 2 * theta.diff(x, y) * f.diff(x, y))
+    theta_field, f_field = field(theta_text), field(f_text)
+    for residual, exact in ((residual_nk1, nk1), (residual_nk2, nk2)):
+        expected = sympy.lambdify(sym, exact.as_expr(), "numpy")(*pts.T)
+        got = residual(theta_field, f_field).evaluate(pts)
+        scale = np.max(np.abs(expected))
+        assert scale > 1.0  # off shell
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
