@@ -29,6 +29,10 @@ holds the points, metric and coframe, and computes each quantity that
 several checks share (the oracle curvature, the null-Kahler residuals,
 the Einstein-Weyl structure, the dKP coframe) once, when the first
 selected check reads it; a check that is not selected is not computed.
+The same holds inside the oracle curvature: its report computes the
+sectors the checks read (the self-dual Weyl spinor and the scalar) when
+it is built, and the anti-self-dual spinor, Phi and the Bianchi gap only
+when something reads them, which no suite check does.
 Each sample carries one evaluation memo, which every check reads
 through, so an expression node is evaluated once per sample set.  A memo
 serves the point sets that hold the same values under every coordinate
@@ -383,7 +387,7 @@ def load_config(path) -> dict:
 # --- sample sets and check tables ----------------------------------------------
 
 def _max_abs(values) -> float:
-    return float(np.max(np.abs(values)))
+    return float(np.abs(values).max())
 
 
 class _CurvedSample:

@@ -32,6 +32,7 @@ primed mirror, ``phi`` is Phi and ``scalar`` is R.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -183,6 +184,9 @@ class CurvatureReport:
     Phi_{ABA'B'} = -1/2 (trace-free Ricci), indexed by (unprimed pair,
     primed pair).  ``raw`` is the coordinate curvature the oracle path
     projected (so Ricci needs no second pass); ``None`` on the Cartan path.
+    The Cartan path sets every field when it fits; the oracle's
+    ``OracleReport`` computes ``c_asd``, ``phi`` and ``fit_residual`` on
+    first read.
     """
 
     def __init__(self, c_asd, c_sd, phi, scalar, fit_residual: float,
@@ -248,10 +252,16 @@ def coordinate_curvature(metric: MetricField, points, memo=None) -> RawCurvature
     second = ginv @ first.reshape(npts, dim, dim * dim)  # [n, f, (a, d)]
     # Gamma_{f,bc} Gamma^f_{ad} as [n, b, c, a, d]
     quad = first.reshape(npts, dim, dim * dim).transpose(0, 2, 1) @ second
-    hessian = ddg.transpose(0, 3, 1, 2, 4)  # [n, a, b, c, d] = g_{ad,bc}
-    half = (0.5 * (hessian + hessian.transpose(0, 2, 1, 4, 3))
-            + quad.reshape((npts,) + (dim,) * 4).transpose(0, 3, 1, 2, 4))
-    riem_low = half - half.transpose(0, 1, 2, 4, 3)
+    # in pair layout [n, (b, c), (a, d)] the Hessian is g_{ad,bc} and its
+    # transpose g_{bc,ad}: half[n, (b, c), (a, d)] is S_{abcd}
+    hessian = ddg.reshape(npts, dim * dim, dim * dim)
+    half = hessian + hessian.transpose(0, 2, 1)
+    half *= 0.5
+    half += quad
+    pairs = half.reshape((npts,) + (dim,) * 4)  # [n, b, c, a, d]
+    riem_low = np.subtract(pairs.transpose(0, 3, 1, 2, 4),
+                           pairs.transpose(0, 3, 1, 4, 2),
+                           out=np.empty((npts,) + (dim,) * 4))
     ricci = np.einsum("nac,nabcd->nbd", ginv, riem_low)
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
     return RawCurvature(riem_low, ricci, scalar, gv, ginv)
@@ -512,18 +522,24 @@ def _extract_slots(t: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _soldered_bivectors(dual) -> tuple:
-    """(Sigma'[n, X', Y', a, b], Sigma[n, x, y, a, b]) of the dual frame
-    D[n, x, X', a]; see ``oracle_report``."""
+def _sigma_primed(dual) -> np.ndarray:
+    """Sigma'[n, X', Y', a, b] of the dual frame D[n, x, X', a]; see
+    ``oracle_report``."""
     # Sigma'^{ab}_{XY} = D^a_{0X} D^b_{1Y} - D^a_{1X} D^b_{0Y}, [n, a, b, X, Y]
     d = dual.transpose(0, 1, 3, 2)  # d[n, x, a, X] = D^a_{xX}
-    sigma_p = (d[:, 0, :, None, :, None] * d[:, 1, None, :, None, :]
-               - d[:, 1, :, None, :, None] * d[:, 0, None, :, None, :])
+    sigma = (d[:, 0, :, None, :, None] * d[:, 1, None, :, None, :]
+             - d[:, 1, :, None, :, None] * d[:, 0, None, :, None, :])
+    return sigma.transpose(0, 3, 4, 1, 2)
+
+
+def _sigma_unprimed(dual) -> np.ndarray:
+    """Sigma[n, x, y, a, b] of the dual frame D[n, x, X', a]; see
+    ``oracle_report``."""
     # Sigma^{ab}_{xy} = D^a_{x0} D^b_{y1} - D^a_{x1} D^b_{y0}, [n, a, x, b, y]
     d = dual.transpose(0, 2, 3, 1)  # d[n, X, a, x] = D^a_{xX}
-    sigma_u = (d[:, 0, :, :, None, None] * d[:, 1, None, None, :, :]
-               - d[:, 1, :, :, None, None] * d[:, 0, None, None, :, :])
-    return sigma_p.transpose(0, 3, 4, 1, 2), sigma_u.transpose(0, 2, 4, 1, 3)
+    sigma = (d[:, 0, :, :, None, None] * d[:, 1, None, None, :, :]
+             - d[:, 1, :, :, None, None] * d[:, 0, None, None, :, :])
+    return sigma.transpose(0, 2, 4, 1, 3)
 
 
 #: flat slots (x X', y Y') of D Phi D^T that phi[u, v] reads: u is the
@@ -531,6 +547,52 @@ def _soldered_bivectors(dual) -> tuple:
 _PHI_ROWS, _PHI_COLS = (
     np.array([[2 * u[k] + v[k] for v in SYM_PAIRS] for u in SYM_PAIRS])
     for k in (0, 1))
+
+
+class OracleReport(CurvatureReport):
+    """The oracle's ``CurvatureReport``: ``c_sd`` and ``scalar`` are
+    computed when it is built, ``c_asd``, ``phi`` and ``fit_residual``
+    when they are first read (see ``oracle_report``)."""
+
+    def __init__(self, raw: RawCurvature, dual):
+        npts = dual.shape[0]
+        self.raw = raw
+        self.path = "oracle"
+        self.scalar = raw.scalar
+        self._dual = dual
+        self._riemann = raw.riemann_low.reshape(npts, 16, 16)
+        self._lam = (raw.scalar / 24.0)[:, None, None, None, None] * _EPS_SYM
+        self._c_sd_full = self._weyl_spinor(_sigma_primed(dual))
+        self.c_sd = _extract_slots(self._c_sd_full)
+
+    def _weyl_spinor(self, sigma):
+        """1/4 R_abcd S^ab_XY S^cd_ZW - (R/24) eps_sym"""
+        sigma = sigma.reshape(sigma.shape[0], 4, 16)
+        spin = sigma @ self._riemann @ sigma.transpose(0, 2, 1)
+        return 0.25 * spin.reshape(-1, 2, 2, 2, 2) - self._lam
+
+    @cached_property
+    def _c_asd_full(self):
+        return self._weyl_spinor(_sigma_unprimed(self._dual))
+
+    @cached_property
+    def c_asd(self):
+        return _extract_slots(self._c_asd_full)
+
+    @cached_property
+    def fit_residual(self):
+        return max(float(np.max(np.abs(full - full.transpose(axes))))
+                   for full in (self._c_sd_full, self._c_asd_full)
+                   for axes in ((0, 2, 1, 3, 4), (0, 1, 3, 2, 4)))
+
+    @cached_property
+    def phi(self):
+        raw = self.raw
+        phi_ab = -0.5 * (raw.ricci
+                         - 0.25 * raw.scalar[:, None, None] * raw.metric)
+        frame = self._dual.reshape(-1, 4, 4)  # rows (x, X'), columns a
+        bis = frame @ phi_ab @ frame.transpose(0, 2, 1)
+        return 0.5 * (bis + bis.transpose(0, 2, 1))[:, _PHI_ROWS, _PHI_COLS]
 
 
 def oracle_report(metric: MetricField, coframe: CoFrame, points,
@@ -552,41 +614,25 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
     Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}), D Phi D^T read into the
     symmetrised 3x3 block.  Everything carries lower spinor labels.
 
+    Only ``c_sd`` and ``scalar``, the sectors the suite's checks read,
+    are computed here.  ``c_asd``, ``phi`` and ``fit_residual`` are
+    computed when they are first read from the report (criterion 4 and
+    ``path_agreement`` read them), each once.
+
     With eps^{01} = 1 each bivector is one difference of two broadcast
-    products of dual-frame rows.  They are built in the memory layout
-    that ``einsum`` gave them (Sigma' as [n, a, b, X', Y'], Sigma as
-    [n, a, x, b, y], each transposed to [n, X, Y, a, b]): the projection
-    multiplies them as strided views, and numpy's ``@`` picks its kernel
-    by stride, so another layout moves the residuals by an ulp.
+    products of dual-frame rows, built on its own.  Each keeps the
+    memory layout that ``einsum`` gave it (Sigma' as [n, a, b, X', Y'],
+    Sigma as [n, a, x, b, y], each transposed to [n, X, Y, a, b]): the
+    projection multiplies them as strided views, and numpy's ``@`` picks
+    its kernel by stride, so another layout moves the residuals by an
+    ulp.
 
     The metric jets and the coframe are evaluated through one memo,
     ``memo`` if given (it must belong to ``points``).
     """
     memo = {} if memo is None else memo
     raw = coordinate_curvature(metric, points, memo)
-    dual = coframe.dual_vectors(points, memo)
-    npts = dual.shape[0]
-    riemann = raw.riemann_low.reshape(npts, 16, 16)
-    lam = (raw.scalar / 24.0)[:, None, None, None, None] * _EPS_SYM
-
-    def weyl_spinor(sigma):  # 1/4 R_abcd S^ab_XY S^cd_ZW - (R/24) eps_sym
-        sigma = sigma.reshape(npts, 4, 16)
-        spin = sigma @ riemann @ sigma.transpose(0, 2, 1)
-        return 0.25 * spin.reshape(npts, 2, 2, 2, 2) - lam
-
-    sigma_p, sigma_u = _soldered_bivectors(dual)
-    c_sd_full = weyl_spinor(sigma_p)
-    c_asd_full = weyl_spinor(sigma_u)
-    sym_gap = max(float(np.max(np.abs(full - full.transpose(axes))))
-                  for full in (c_sd_full, c_asd_full)
-                  for axes in ((0, 2, 1, 3, 4), (0, 1, 3, 2, 4)))
-
-    phi_ab = -0.5 * (raw.ricci - 0.25 * raw.scalar[:, None, None] * raw.metric)
-    frame = dual.reshape(npts, 4, 4)  # rows (x, X'), columns a
-    bis = frame @ phi_ab @ frame.transpose(0, 2, 1)
-    phi = 0.5 * (bis + bis.transpose(0, 2, 1))[:, _PHI_ROWS, _PHI_COLS]
-    return CurvatureReport(_extract_slots(c_asd_full), _extract_slots(c_sd_full),
-                           phi, raw.scalar, sym_gap, path="oracle", raw=raw)
+    return OracleReport(raw, coframe.dual_vectors(points, memo))
 
 
 # --- checks --------------------------------------------------------------------

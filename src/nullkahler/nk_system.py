@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import EvaluationError, Var, integrate_polynomial, parse
-from .fields import Chart, ExcludedBand, ExprField
+from .expressions import (EvaluationError, Var, integrate_polynomial,
+                          node_value, parse)
+from .fields import Chart, DomainError, ExcludedBand, ExprField
 from .sampling import Box, SamplePlan
 
 NK_COORDS = ("w", "z", "x", "y")
@@ -183,19 +184,29 @@ def lax_commutator(lax: LaxFields, points, lambdas, memo=None) -> np.ndarray:
 
     The commutator coefficients are lambda polynomials of degree <= 2
     assembled from exact field derivatives of the Lax coefficients:
-    [L0,L1]^k = L0(L1^k) - L1(L0^k).  Each Lax coefficient, and each
-    first partial of one that a component needs, is evaluated once per
-    call through one memo, ``memo`` if given (it must belong to
-    ``points``); the polynomial algebra is done on the values.  Raises
-    ``EvaluationError`` if a component is not finite.
+    [L0,L1]^k = L0(L1^k) - L1(L0^k).  The points are checked against the
+    chart's excluded bands once (``DomainError``), and each Lax
+    coefficient, and each first partial of one that a component needs
+    (``Expr.derivative`` of its tree), is evaluated with ``node_value``
+    on one coordinate environment through one memo, ``memo`` if given
+    (it must belong to ``points``).  The polynomial algebra is done on
+    the values: each term ``c1 * (sign * c2) * lambda^p`` is added to its
+    component's row, and lambda^0 = 1 multiplies nothing, since x * 1.0
+    is exact.  Raises ``EvaluationError`` if a component is not finite.
     """
     memo = {} if memo is None else memo
-    coords = lax.chart.coords
+    chart = lax.chart
+    coords = chart.coords
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != chart.dim:
+        raise DomainError(f"expected points of shape (n, {chart.dim})")
+    chart.check_domain(pts.T)
+    env = dict(zip(coords, pts.T))
     lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
+    lam_power = {1: lam, 2: lam ** 2}
 
     def evaluated(vector):
-        return {k: [(power, coeff, coeff.evaluate(pts, memo))
+        return {k: [(power, coeff.expr, node_value(coeff.expr, env, memo))
                     for power, coeff in poly] for k, poly in vector.items()}
 
     def partial(poly, j):
@@ -204,21 +215,23 @@ def lax_commutator(lax: LaxFields, points, lambdas, memo=None) -> np.ndarray:
         if j == 4:
             return [(power - 1, value * float(power))
                     for power, _, value in poly if power]
-        return [(power, coeff.differentiate(coords[j]).evaluate(pts, memo))
-                for power, coeff, _ in poly]
+        return [(power, node_value(expr.derivative(coords[j]), env, memo))
+                for power, expr, _ in poly]
 
     l0, l1 = evaluated(lax.l0), evaluated(lax.l1)
-    out = np.zeros((pts.shape[0], 5))
-    for k in range(5):
+    rows = np.zeros((5, pts.shape[0]))
+    for k, row in enumerate(rows):
         for source, target, sign in ((l0, l1, 1.0), (l1, l0, -1.0)):
             for j, coeff_j in source.items():
                 dtarget = partial(target.get(k, []), j)
                 for p1, _, c1 in coeff_j:
                     for p2, c2 in dtarget:
-                        out[:, k] += c1 * (sign * c2) * lam ** (p1 + p2)
-    if not np.isfinite(out).all():
+                        term = c1 * (sign * c2)
+                        power = p1 + p2
+                        row += term * lam_power[power] if power else term
+    if not np.isfinite(rows).all():
         raise EvaluationError("non-finite Lax commutator")
-    return out
+    return rows.T
 
 
 def commutator_sweep(solution: NKSolution, count: int = 100, seed: int = 20240,

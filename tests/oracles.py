@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from nullkahler.curvature import (
+    _EPS_SYM,
+    _PHI_COLS,
+    _PHI_ROWS,
+    CurvatureReport,
+    _extract_slots,
+    coordinate_curvature,
+)
 from nullkahler.dkp import residual_lindkp
+from nullkahler.evolver import EVOLVER_CHART, BoundarySource
+from nullkahler.expressions import EvaluationError
 from nullkahler.fields import Chart, ExprField, Grid
 from nullkahler.geometry import (
     EPS_LOWER,
@@ -31,6 +41,7 @@ from nullkahler.geometry import (
     hodge_star_values,
     wedge,
 )
+from nullkahler.nk_system import LaxFields
 from nullkahler.sampling import Box
 
 
@@ -333,3 +344,114 @@ def nonlocal_term(u: np.ndarray, grid: Grid, out: np.ndarray,
     out -= uyy
     out *= dx
     return out
+
+
+# --- the Lax commutator through field evaluations ------------------------------
+# the package evaluates the Lax coefficients and their partials as node
+# values in one coordinate environment; this route evaluates each one as
+# a field, with its own domain check and copy, and is the reference the
+# value route must equal bit for bit
+
+def lax_commutator_by_fields(lax: LaxFields, points, lambdas,
+                             memo=None) -> np.ndarray:
+    """[L0, L1] components at (point, lambda) pairs; shape (n, 5), each
+    coefficient and partial through ``ExprField.evaluate``."""
+    memo = {} if memo is None else memo
+    coords = lax.chart.coords
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
+
+    l0, l1 = ({k: [(power, coeff, coeff.evaluate(pts, memo))
+                   for power, coeff in poly] for k, poly in vector.items()}
+              for vector in (lax.l0, lax.l1))
+    out = np.zeros((pts.shape[0], 5))
+    for k in range(5):
+        for source, target, sign in ((l0, l1, 1.0), (l1, l0, -1.0)):
+            for j, coeff_j in source.items():
+                # d_j of the target's lambda polynomial; axis 4 is lambda
+                if j == 4:
+                    dtarget = [(power - 1, value * float(power))
+                               for power, _, value in target.get(k, [])
+                               if power]
+                else:
+                    dtarget = [(power, coeff.differentiate(coords[j])
+                                .evaluate(pts, memo))
+                               for power, coeff, _ in target.get(k, [])]
+                for p1, _, c1 in coeff_j:
+                    for p2, c2 in dtarget:
+                        out[:, k] += c1 * (sign * c2) * lam ** (p1 + p2)
+    if not np.isfinite(out).all():
+        raise EvaluationError("non-finite Lax commutator")
+    return out
+
+
+# --- the oracle curvature with every sector computed at once -------------------
+# the package's oracle report computes c_asd, Phi and the Bianchi gap
+# when they are first read; this one computes all of them when it is
+# built, from both bivectors made together, and is the reference the
+# deferred sectors must equal bit for bit
+
+def eager_oracle_report(metric: MetricField, coframe: CoFrame, points,
+                        memo=None) -> CurvatureReport:
+    """``oracle_report`` with every field set when it returns."""
+    memo = {} if memo is None else memo
+    raw = coordinate_curvature(metric, points, memo)
+    dual = coframe.dual_vectors(points, memo)
+    npts = dual.shape[0]
+    riemann = raw.riemann_low.reshape(npts, 16, 16)
+    lam = (raw.scalar / 24.0)[:, None, None, None, None] * _EPS_SYM
+
+    # Sigma' as [n, a, b, X', Y'] and Sigma as [n, a, x, b, y], each
+    # transposed to [n, X, Y, a, b]
+    d = dual.transpose(0, 1, 3, 2)
+    sigma_p = (d[:, 0, :, None, :, None] * d[:, 1, None, :, None, :]
+               - d[:, 1, :, None, :, None] * d[:, 0, None, :, None, :])
+    d = dual.transpose(0, 2, 3, 1)
+    sigma_u = (d[:, 0, :, :, None, None] * d[:, 1, None, None, :, :]
+               - d[:, 1, :, :, None, None] * d[:, 0, None, None, :, :])
+    fulls = []  # 1/4 R_abcd S^ab_XY S^cd_ZW - (R/24) eps_sym
+    for sigma in (sigma_p.transpose(0, 3, 4, 1, 2),
+                  sigma_u.transpose(0, 2, 4, 1, 3)):
+        flat = sigma.reshape(npts, 4, 16)
+        spin = flat @ riemann @ flat.transpose(0, 2, 1)
+        fulls.append(0.25 * spin.reshape(npts, 2, 2, 2, 2) - lam)
+    c_sd_full, c_asd_full = fulls
+    sym_gap = max(float(np.max(np.abs(full - full.transpose(axes))))
+                  for full in (c_sd_full, c_asd_full)
+                  for axes in ((0, 2, 1, 3, 4), (0, 1, 3, 2, 4)))
+
+    phi_ab = -0.5 * (raw.ricci - 0.25 * raw.scalar[:, None, None] * raw.metric)
+    frame = dual.reshape(npts, 4, 4)
+    bis = frame @ phi_ab @ frame.transpose(0, 2, 1)
+    phi = 0.5 * (bis + bis.transpose(0, 2, 1))[:, _PHI_ROWS, _PHI_COLS]
+    return CurvatureReport(_extract_slots(c_asd_full), _extract_slots(c_sd_full),
+                           phi, raw.scalar, sym_gap, path="oracle", raw=raw)
+
+
+# --- a manufactured dKP solution that only the time stepping gets wrong --------
+# every spatial operator of the evolver is exact on data quadratic in x
+# and y, so the error of a run on this solution is the time error alone,
+# and halving dt shows the order of ARS(2,3,3) apart from the grid
+
+def quadratic_reference() -> BoundarySource:
+    """u* = (x^2 + x y + y^2) s(t) + x e^{-t}/2, s(t) = sin(1 + 3t)/4,
+    with x0 = 0 and the source S that makes it an exact solution of the
+    boundary-closed evolution form
+
+        u_t(x) = [u u_x](x) - [u u_x](x0) + int_{x0}^{x} u_yy dx'
+                 + u_t(x0) + S,
+
+    worked out by hand:
+    S = u*_t(x) - u*_t(0) - [u u_x](x) + [u u_x](0) - int_0^x u*_yy dx'
+      = 3 (x^2 + x y) cos(1 + 3t)/4 - x e^{-t}/2
+        - u* ((2x + y) s + e^{-t}/2) + y^2 s (y s + e^{-t}/2) - 2 x s.
+    """
+    u_text = "(x^2 + x*y + y^2)*sin(1 + 3*t)/4 + x*exp(-t)/2"
+    source_text = (
+        "3*(x^2 + x*y)*cos(1 + 3*t)/4 - x*exp(-t)/2"
+        f" - ({u_text})*((2*x + y)*sin(1 + 3*t)/4 + exp(-t)/2)"
+        " + y^2*sin(1 + 3*t)/4*(y*sin(1 + 3*t)/4 + exp(-t)/2)"
+        " - x*sin(1 + 3*t)/2"
+    )
+    return BoundarySource(ExprField.from_text(u_text, EVOLVER_CHART),
+                          ExprField.from_text(source_text, EVOLVER_CHART))

@@ -733,12 +733,37 @@ def test_one_curvature_pass_per_fixture(tmp_path, monkeypatch, capsys):
     assert "W_x vanishes" in capsys.readouterr().err
 
 
+def test_suite_checks_leave_the_unread_oracle_sectors_uncomputed():
+    # no nk or dkp check reads c_asd, Phi or the Bianchi gap of the
+    # oracle report, so a suite run computes none of them
+    from nullkahler.cli import run_fixture
+
+    config = load_config(FIXTURES / "paper.cfg")
+    curved = [f for f in config["fixtures"] if f.kind in ("nk", "dkp")]
+    assert len(curved) == 12
+    deferred = {"c_asd", "_c_asd_full", "phi", "fit_residual"}
+    for fixture in curved:
+        samples = []
+        build = fixture.build
+        fixture.build = lambda plan, build=build: samples.append(build(plan)) \
+            or samples[-1]
+        run_fixture(fixture, config)
+        (sample,) = samples
+        report = vars(sample)["oracle"]  # the suite computed the report
+        assert not deferred & set(vars(report)), fixture.name
+        # reading one computes it, once
+        assert report.c_asd is report.c_asd
+        assert {"c_asd", "_c_asd_full"} <= set(vars(report))
+
+
 #: class-level ``Expr.diff`` and ``ExprField.evaluate_axes`` calls in one
 #: ``run_suite`` of paper.cfg: each expression node is differentiated once
 #: per variable it reads; jets evaluate their partials with ``node_value``
-#: and write constant slots unevaluated, so no jet calls ``evaluate_axes``
+#: and write constant slots unevaluated, so no jet calls ``evaluate_axes``,
+#: and neither does the Lax commutator (314 calls when it evaluated each
+#: coefficient and partial as a field)
 PAPER_SUITE_DIFFS = 1009
-PAPER_SUITE_EVALUATIONS = 328
+PAPER_SUITE_EVALUATIONS = 34
 
 
 def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import eager_oracle_report
 
 from nullkahler.curvature import (
     cartan_report,
@@ -388,7 +389,8 @@ def test_broadcast_sigma_matches_einsum_reference():
     # a zero), in their layout the projection of the Riemann tensor keeps
     # its bytes, and projecting the reference chain's Weyl tensor with
     # them gives the report's spinors to round-off
-    from nullkahler.curvature import _EPS_SYM, _extract_slots, _soldered_bivectors
+    from nullkahler.curvature import (_EPS_SYM, _extract_slots, _sigma_primed,
+                                     _sigma_unprimed)
 
     for metric, coframe, box in _criterion4_fixtures():
         sample = SamplePlan(box, count=100).points()
@@ -396,7 +398,7 @@ def test_broadcast_sigma_matches_einsum_reference():
         dual = coframe.dual_vectors(sample)
         ref_p = np.einsum("xy,nxXa,nyYb->nXYab", EPS_UPPER, dual, dual)
         ref_u = np.einsum("XY,nxXa,nyYb->nxyab", EPS_UPPER, dual, dual)
-        sigma_p, sigma_u = _soldered_bivectors(dual)
+        sigma_p, sigma_u = _sigma_primed(dual), _sigma_unprimed(dual)
         np.testing.assert_array_equal(sigma_p, ref_p)
         np.testing.assert_array_equal(sigma_u, ref_u)
         riemann = report.raw.riemann_low.reshape(-1, 16, 16)
@@ -411,6 +413,20 @@ def test_broadcast_sigma_matches_einsum_reference():
             spin = 0.25 * (flat @ weyl @ flat.transpose(0, 2, 1))
             ref = _extract_slots(spin.reshape(-1, 2, 2, 2, 2))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240])
+def test_deferred_oracle_sectors_equal_the_eager_report(seed):
+    # c_asd, Phi and the Bianchi gap are computed on first read, each
+    # chirality's bivector on its own in the layout both had when they
+    # were built together: every sector keeps its bytes
+    for metric, coframe, box in _criterion4_fixtures():
+        sample = SamplePlan(box, count=100, seed=seed).points()
+        report = oracle_report(metric, coframe, sample)
+        eager = eager_oracle_report(metric, coframe, sample)
+        for name in ("c_asd", "c_sd", "phi", "scalar", "fit_residual"):
+            got, expected = getattr(report, name), getattr(eager, name)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
 
 
 def test_weyl_spinors_subtract_the_scalar_term():

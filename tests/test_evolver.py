@@ -22,7 +22,7 @@ from nullkahler.evolver import (
     uniform_reference,
 )
 from nullkahler.fields import Chart, ExprField, Grid
-from oracles import nonlocal_term
+from oracles import nonlocal_term, quadratic_reference
 
 
 def test_zero_data_stays_zero():
@@ -312,6 +312,30 @@ def test_manufactured_solution_short_run():
 def test_mms_convergence_order():
     study = mms_convergence((32, 64), t_end=0.05)
     assert all(order > 1.7 for order in study["orders"])
+
+
+def test_time_order_apart_from_space():
+    # every spatial operator is exact on data quadratic in x and y, so on
+    # quadratic_reference only the time stepping errs: halving dt at a
+    # fixed 5 x 5 grid shows ARS(2,3,3)'s third order, which the MMS study
+    # (dt tied to dx) cannot tell from second.  At 64 to 256 steps the
+    # observed orders are 2.93 and 2.96; a stage time or weight that left
+    # the scheme second order would read about 2
+    boundary = quadratic_reference()
+    grid = Grid(0.0, 1.0, 5, 0.0, 1.0, 5)
+    xs, ys = grid.axes()
+    state = DKPState(grid, boundary.u_on(xs, ys, 0.0), 0.0, boundary)
+    t_end = 0.5
+    exact = boundary.u_on(xs, ys, t_end)
+    errors = []
+    for steps in (64, 128, 256):
+        assert t_end / steps <= cfl_bound(state)
+        final = dkp_evolve(state, t_end / steps, steps)[-1]
+        errors.append(float(np.max(np.abs(final.u - exact))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert orders[-1] >= 2.9, orders
+    # well above round-off: the smallest error is about 1e7 ulps of u*
+    assert errors[-1] > 1e6 * np.finfo(float).eps * np.max(np.abs(exact))
 
 
 def test_boundary_data_read_only_on_the_ring(monkeypatch, diff_calls):

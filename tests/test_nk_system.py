@@ -2,11 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import lax_commutator_by_fields
 
-from nullkahler.cli import load_config
-from nullkahler.curvature import coordinate_curvature
+from nullkahler.cli import NK_TABLE, NKSample, load_config
+from nullkahler.curvature import cartan_report, coordinate_curvature
 from nullkahler.expressions import EvaluationError, ExpressionError
-from nullkahler.fields import Chart, ExprField
+from nullkahler.fields import Chart, DomainError, ExprField
 from nullkahler.geometry import nk_metric
 from nullkahler.nk_system import (
     LAMBDA_WINDOW,
@@ -25,8 +26,8 @@ from nullkahler.sampling import Box, SamplePlan
 CHART4 = Chart(("w", "z", "x", "y"))
 BOX4 = Box(((-1, 1),) * 4)
 FAMILY3_BOX = Box(((-1, 1), (-1, 1), (-1, 1), (0.7, 1.7)))
-PAPER_CFG = (Path(__file__).resolve().parent.parent
-             / "src/nullkahler/fixtures/paper.cfg")
+FIXTURES = Path(__file__).resolve().parent.parent / "src/nullkahler/fixtures"
+PAPER_CFG = FIXTURES / "paper.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,41 @@ def test_lax_commutator_matches_the_product_trees():
             _tree_lax_commutator(lax, sample.points, lam, sample.memo))
 
 
+@pytest.mark.parametrize("config_name", ["paper.cfg", "negative.cfg"])
+def test_lax_commutator_equals_the_field_route(config_name):
+    # the value route evaluates each coefficient and partial as a node
+    # value, once, where the field route evaluates each as a field with
+    # its own domain check and copy; the arithmetic and its order are the
+    # same, so the two agree to the bit, at the plan's lambda draws and at
+    # lambda = 0 and the window's ends
+    config = load_config(FIXTURES / config_name)
+    samples = [fixture.sample(config) for fixture in config["fixtures"]
+               if fixture.kind == "nk"]
+    assert samples
+    for sample in samples:
+        lax = lax_fields(sample.theta, sample.f)
+        draws = sample.plan.rng().uniform(*LAMBDA_WINDOW,
+                                          size=len(sample.points))
+        for lam in (draws, 0.0, -2.0, 2.0):
+            got = lax_commutator(lax, sample.points, lam, sample.memo)
+            expected = lax_commutator_by_fields(lax, sample.points, lam)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_lax_commutator_refuses_a_point_in_an_excluded_band():
+    config = load_config(PAPER_CFG)
+    (fixture,) = (f for f in config["fixtures"] if f.name == "family3")
+    sample = fixture.sample(config)
+    lax = lax_fields(sample.theta, sample.f)
+    point = np.array([[0.1, -0.2, 0.3, 0.01]])  # inside |y| < 0.05
+    raised = []
+    for route in (lax_commutator, lax_commutator_by_fields):
+        with pytest.raises(DomainError) as info:
+            route(lax, point, 1.0)
+        raised.append(info.type)
+    assert raised[0] is raised[1] is DomainError
+
+
 def test_lax_commutator_overflow_raises():
     lax = lax_fields(field("1e200*x^2*y^2"), field("0"))
     point = np.ones((1, 4))
@@ -295,3 +331,39 @@ def test_residuals_off_shell_match_the_paper_system(pts, seed):
         scale = np.max(np.abs(expected))
         assert scale > 1.0  # off shell
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("family", ["family1", "family2", "family3", "family4"])
+def test_theta_gauge_moves_no_curvature_and_no_residual(family):
+    # Theta -> Theta + a(w,z) x + b(w,z) y + c(w,z), f -> f + a_w + b_z
+    # leaves Theta_xx, Theta_yy, Theta_xy and every x, y partial of f as
+    # they were: the trees of the metric, the coframe, box f and the Lax
+    # coefficients fold back to the same nodes, so both curvature reports
+    # and every check but nk1 agree to the bit.  nk1 adds a_w and b_z on
+    # both sides of its difference, so it agrees to round-off of its terms
+    config = load_config(PAPER_CFG)
+    (fixture,) = (f for f in config["fixtures"] if f.name == family)
+    sample = fixture.sample(config)
+    chart = sample.theta.chart
+    a, b, c, x, y = (ExprField.from_text(text, chart) for text in
+                     ("w*z + sin(w)", "z^2 - w^3", "exp(w*z)", "x", "y"))
+    theta = sample.theta + a * x + b * y + c
+    f = sample.f + a.differentiate("w") + b.differentiate("z")
+    txy = theta.differentiate("x", "y")
+    gauged = NKSample(NKSolution(theta, f, sample.solution.box), sample.plan)
+    for name, check in NK_TABLE.items():
+        before, after = check(sample), check(gauged)
+        if name != "nk1":
+            assert np.array_equal(before, after), name
+            continue
+        terms = sum(np.abs(term.evaluate(sample.points)) for term in (
+            theta.differentiate("w", "x"), theta.differentiate("z", "y"),
+            theta.differentiate("x", "x") * theta.differentiate("y", "y"),
+            txy * txy, f))
+        assert np.all(np.abs(after - before) <= 8 * np.finfo(float).eps * terms)
+    reports = ((sample.oracle, gauged.oracle),
+               (cartan_report(sample.coframe, sample.points),
+                cartan_report(gauged.coframe, gauged.points)))
+    for before, after in reports:
+        for name in ("c_asd", "c_sd", "phi", "scalar", "fit_residual"):
+            assert np.array_equal(getattr(before, name), getattr(after, name)), name
