@@ -15,8 +15,9 @@ differentiates its children through ``derivative``, so a fourth
 derivative costs one ``diff`` per distinct node and variable, not one per
 path through the unfolded tree.  A node that does not read the variable
 gets ``ZERO`` with no rule applied; the rules fold such a derivative to a
-zero constant as well.  The memo is one slot of the base class, created
-on first use and set with ``object.__setattr__``; ``==``, ``hash`` and
+zero constant as well.  The memo is one slot of the base class, a dict
+that each node's ``__init__`` creates with ``object.__setattr__``, so a
+lookup is one ``dict.get`` and never raises; ``==``, ``hash`` and
 ``repr`` read only the fields a node class names in its own
 ``__slots__``, so the memo takes no part in them.  It is the package's one
 derivative memo: ``ExprField.differentiate`` and the jets of
@@ -24,6 +25,14 @@ derivative memo: ``ExprField.differentiate`` and the jets of
 nothing themselves.  A jet stops its walk at a constant partial, whose
 partials are all ``ZERO``, and leaves a slot whose partial is the
 constant +0.0 as the zeros it starts from.
+
+The smart constructors (``add``, ``mul``, ``div``, ``neg``, ``power``)
+fold constants and drop zeros and ones; they tell a constant by its class
+(``node.__class__ is Const``).  ``Mul.diff`` with a constant factor c
+builds the one term the product rule leaves: the other term is
+``mul(ZERO, ...)``, which folds to ``ZERO``, so the derivative is
+``add(ZERO, mul(c, b'))`` (or ``add(mul(a', c), ZERO)``), the very node the
+full rule gives, down to the sign of a folded zero.
 
 Evaluation walks the same DAG, so without help a shared node is
 evaluated once per path to it.  ``evaluate(env, memo=None)`` therefore
@@ -132,29 +141,23 @@ class Expr(Frozen):
     __slots__ = ("_memo",)
     children = ()
 
-    def _memo_dict(self) -> dict:
-        """Derivatives keyed by variable name, the variable set by None."""
-        try:
-            return self._memo
-        except AttributeError:  # created on first use
-            memo = {}
-            _set(self, "_memo", memo)
-            return memo
-
     def derivative(self, var: str) -> "Expr":
         """The derivative along ``var``, built by ``diff`` once per node;
         ``ZERO`` with no rule applied when the tree does not read ``var``."""
-        memo = self._memo_dict()
-        if var not in memo:
-            memo[var] = self.diff(var) if var in self.variables() else ZERO
-        return memo[var]
+        memo = self._memo
+        found = memo.get(var)
+        if found is None:
+            found = memo[var] = (self.diff(var) if var in self.variables()
+                                 else ZERO)
+        return found
 
     def variables(self) -> frozenset:
         """The names the tree reads, computed once per node."""
-        memo = self._memo_dict()
-        if None not in memo:
-            memo[None] = self._variables()
-        return memo[None]
+        memo = self._memo
+        names = memo.get(None)
+        if names is None:
+            names = memo[None] = self._variables()
+        return names
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
@@ -215,6 +218,7 @@ class Const(Expr):
 
     def __init__(self, value):
         _set(self, "value", value)
+        _set(self, "_memo", {})
 
     def diff(self, var):
         return ZERO
@@ -234,6 +238,7 @@ class Var(Expr):
 
     def __init__(self, name):
         _set(self, "name", name)
+        _set(self, "_memo", {})
 
     def diff(self, var):
         return ONE if var == self.name else ZERO
@@ -257,6 +262,7 @@ class Add(Expr):
     def __init__(self, left, right):
         _set(self, "left", left)
         _set(self, "right", right)
+        _set(self, "_memo", {})
 
     def diff(self, var):
         return add(self.left.derivative(var), self.right.derivative(var))
@@ -281,10 +287,18 @@ class Mul(Expr):
     def __init__(self, left, right):
         _set(self, "left", left)
         _set(self, "right", right)
+        _set(self, "_memo", {})
 
     def diff(self, var):
-        return add(mul(self.left.derivative(var), self.right),
-                   mul(self.left, self.right.derivative(var)))
+        # a constant factor's term folds to ZERO; the add with ZERO stays,
+        # since it turns a folded -0.0 into +0.0 as the full rule does
+        left, right = self.left, self.right
+        if left.__class__ is Const:
+            return add(ZERO, mul(left, right.derivative(var)))
+        if right.__class__ is Const:
+            return add(mul(left.derivative(var), right), ZERO)
+        return add(mul(left.derivative(var), right),
+                   mul(left, right.derivative(var)))
 
     def evaluate(self, env, memo=None):
         return self.apply(node_value(self.left, env, memo),
@@ -307,6 +321,7 @@ class Div(Expr):
     def __init__(self, num, den):
         _set(self, "num", num)
         _set(self, "den", den)
+        _set(self, "_memo", {})
 
     def diff(self, var):
         return div(add(mul(self.num.derivative(var), self.den),
@@ -336,6 +351,7 @@ class Pow(Expr):
     def __init__(self, base, exponent):
         _set(self, "base", base)
         _set(self, "exponent", exponent)  # numeric; integer or real
+        _set(self, "_memo", {})
 
     def diff(self, var):
         n = self.exponent
@@ -369,6 +385,7 @@ class Neg(Expr):
 
     def __init__(self, arg):
         _set(self, "arg", arg)
+        _set(self, "_memo", {})
 
     def diff(self, var):
         return neg(self.arg.derivative(var))
@@ -406,6 +423,7 @@ class Call(Expr):
     def __init__(self, fn, arg):
         _set(self, "fn", fn)
         _set(self, "arg", arg)
+        _set(self, "_memo", {})
 
     def diff(self, var):
         return mul(_DERIVATIVES[self.fn](self.arg), self.arg.derivative(var))
@@ -438,50 +456,55 @@ def as_expr(value) -> Expr:
     return Const(float(value))
 
 
-def _is_const(e, value=None):
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 # Smart constructors: constant folding plus zero/one elimination only.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if a.__class__ is Const:
+        if b.__class__ is Const:
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif b.__class__ is Const and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if a.__class__ is Const:
+        if b.__class__ is Const:
+            return Const(a.value * b.value)
+        if a.value == 0.0:
+            return ZERO
+        if a.value == 1.0:
+            return b
+    elif b.__class__ is Const:
+        if b.value == 0.0:
+            return ZERO
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
-        raise ExpressionError("division by constant zero")
-    if _is_const(a, 0.0):
+    zero = a.__class__ is Const and a.value == 0.0
+    if b.__class__ is Const:
+        if b.value == 0.0:
+            raise ExpressionError("division by constant zero")
+        if zero:
+            return ZERO
+        if b.value == 1.0:
+            return a
+        if a.__class__ is Const:
+            return Const(a.value / b.value)
+    elif zero:
         return ZERO
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value / b.value)
     return Div(a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    if a.__class__ is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if a.__class__ is Neg:
         return a.arg
     return Neg(a)
 
@@ -496,7 +519,7 @@ def power(base: Expr, exponent) -> Expr:
         return ONE
     if exponent == 1.0:
         return base
-    if _is_const(base):
+    if base.__class__ is Const:
         return Const(base.value ** exponent)
     return Pow(base, exponent)
 

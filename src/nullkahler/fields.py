@@ -14,6 +14,16 @@ a :class:`Plan` of the tree instead, compiled for one shape per axis (a
 column, a row, a scalar): each array value goes into a buffer the plan
 owns, free again after its last reader, so a plan run again allocates
 nothing but its result.
+
+A field's tree reads only its chart's coordinates.  That is checked where
+a tree enters the field layer from outside: ``ExprField(expr, chart)``,
+``from_text``, ``constant``, ``on_chart`` and a bare tree given as an
+operand of field arithmetic raise ``ExpressionError`` on an unbound name.
+Field arithmetic and negation combine trees that passed the check on the
+same chart (a field on another chart raises ``DomainError``), and
+``differentiate`` reads no name its field did not, so their results are
+built without checking again.
+
 ``Grid`` is the one uniform grid, n-D, which ``export`` samples fields
 on (``sample_to_grid``), ``grid_to_csv`` writes and the dKP evolver
 steps on; it refuses a degenerate axis when it is built.
@@ -26,12 +36,17 @@ import numbers
 import numpy as np
 
 from .expressions import (
+    Const,
     EvaluationError,
     ExpressionError,
     Expr,
     Frozen,
     Var,
+    add,
     as_expr,
+    div,
+    mul,
+    neg,
     node_value,
     parse,
 )
@@ -237,7 +252,9 @@ class ExprField:
         The one derivative entry point.  The names are sorted into chart
         order, so ``("y", "x")`` and ``("x", "y")`` are one request, and
         each is applied with ``Expr.derivative``: the memo lives on the
-        expression nodes, so asking again returns the same tree.
+        expression nodes, so asking again returns the same tree.  A
+        derivative reads no name its tree did not, so it is not checked
+        against the chart again.
         """
         if len(coords) > MAX_DERIVATIVE_ORDER:
             raise OrderOverflowError(
@@ -246,40 +263,59 @@ class ExprField:
         expr = self.expr
         for name in sorted(coords, key=self.chart.axis):
             expr = expr.derivative(name)
-        return ExprField(expr, self.chart)
+        return _unchecked_field(expr, self.chart)
 
     # Field arithmetic builds new trees; handy for residual operators.
-    def _binary(self, other, op):
+    def _operand(self, other) -> Expr:
+        """The tree of ``other``: a field on this chart, a tree the chart
+        binds (checked as ``ExprField`` checks it) or a number."""
         if isinstance(other, ExprField):
             if other.chart != self.chart:
                 raise DomainError("field charts differ")
-            return ExprField(op(self.expr, other.expr), self.chart)
-        return ExprField(op(self.expr, as_expr(other)), self.chart)
+            return other.expr
+        if isinstance(other, Expr):
+            return ExprField(other, self.chart).expr
+        return Const(float(other))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return _unchecked_field(add(self.expr, self._operand(other)),
+                                self.chart)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return _unchecked_field(add(self.expr, neg(self._operand(other))),
+                                self.chart)
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
+        return _unchecked_field(add(self._operand(other), neg(self.expr)),
+                                self.chart)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return _unchecked_field(mul(self.expr, self._operand(other)),
+                                self.chart)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
+        return _unchecked_field(div(self.expr, self._operand(other)),
+                                self.chart)
 
     def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
+        return _unchecked_field(div(self._operand(other), self.expr),
+                                self.chart)
 
     def __neg__(self):
-        return ExprField(-self.expr, self.chart)
+        return _unchecked_field(neg(self.expr), self.chart)
+
+
+def _unchecked_field(expr: Expr, chart: Chart) -> ExprField:
+    """A field of ``expr``, a tree built from trees already checked on
+    ``chart`` (operands, or the tree a derivative was taken of), so it
+    reads no name the chart lacks and is not checked again."""
+    field = ExprField.__new__(ExprField)
+    field.expr, field.chart, field.plans = expr, chart, None
+    return field
 
 
 class Grid:

@@ -99,6 +99,7 @@ def hodge_star_values(omega: np.ndarray, degree: int, g: np.ndarray,
     return np.einsum(f"...{letters},...{letters}{out}->...{out}", raised, eps) / fact
 
 
+@cache
 def _merge_sign(left: tuple, right: tuple):
     """Sorted concatenation of disjoint index tuples and its parity."""
     if set(left) & set(right):
@@ -112,9 +113,16 @@ def _mirrors(axes: tuple) -> tuple:
     return tuple((slice(None),) + p for p in sorted(set(permutations(axes))))
 
 
+@cache
+def _signed_permutations(degree: int) -> tuple:
+    """``(permutation, parity)`` of every ordering of ``range(degree)``."""
+    return tuple((perm, permutation_parity(perm))
+                 for perm in permutations(range(degree)))
+
+
 def _is_plus_zero(part) -> bool:
     """Whether ``part`` is the constant +0.0 that ``np.zeros`` already holds."""
-    return (isinstance(part, Const) and part.value == 0.0
+    return (part.__class__ is Const and part.value == 0.0
             and math.copysign(1.0, part.value) > 0)
 
 
@@ -128,7 +136,7 @@ def _partials(expr, coords, order: int) -> list:
     found = [((), expr)]
     for _ in range(order):
         found = [(axes + (k,), part.derivative(coords[k]))
-                 for axes, part in found if not isinstance(part, Const)
+                 for axes, part in found if part.__class__ is not Const
                  for k in range(axes[-1] if axes else 0, len(coords))]
     return [(axes, part) for axes, part in found if not _is_plus_zero(part)]
 
@@ -137,8 +145,8 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     """Values (order 0), first (1) or second (2) partials of a field array.
 
     ``entries`` lists ``(field, [(index, sign), ...])``: the field, times
-    the sign, fills each index of an array of ``shape``; unlisted slots
-    are zero, and no slot belongs to two entries.  Returns
+    the sign (+1 or -1), fills each index of an array of ``shape``;
+    unlisted slots are zero, and no slot belongs to two entries.  Returns
     ``out[n, k..., *index]`` with ``order`` derivative axes.  Each partial
     is taken once per sorted axis tuple (k <= l), applying
     ``Expr.derivative`` along the axes in chart order (the node memo
@@ -152,44 +160,54 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     so each node is evaluated once per call.  A caller that takes several
     orders, or several fields, at the same ``points`` passes its own
     ``memo`` to every call, and a node shared across them is evaluated
-    once in all.  The memo must belong to ``points``.
+    once in all.  The memo must belong to ``points``.  Charts are told
+    apart by identity, so each chart object gets one environment.
 
     Most partials of a metric or coframe are constants, and most of those
     are zero.  A +0.0 partial writes nothing, since the array starts as
     zeros, and the walk takes no derivative below a constant.  Signed
     zeros are kept: a slot of sign -1 starts as -0.0, the value each of
     its +0.0 partials stands for, and a ``Const(-0.0)`` partial is written
-    like any other constant.  A constant is written as it is, with no tree
-    walk.  A non-finite value, constant or evaluated, raises
-    ``EvaluationError``.
+    like any other constant.  A slot of sign +1 takes a partial's values
+    as they are and a slot of sign -1 takes their negation, computed once
+    per partial: both are the bits of ``sign * values``.  A constant is
+    written as it is, with no tree walk, once ``math.isfinite`` has passed
+    it.  The evaluated partials are checked once, on the finished jet: a
+    non-finite value, constant or evaluated, raises ``EvaluationError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
     out = np.zeros((pts.shape[0],) + (dim,) * order + tuple(shape))
     memo = {} if memo is None else memo
     envs = {}
-    for chart in {field.chart for field, _ in entries}:
-        if chart.dim != dim:
-            raise DomainError(f"expected points of shape (n, {chart.dim})")
-        chart.check_domain(pts.T)
-        envs[chart] = dict(zip(chart.coords, pts.T))
+    for field, _ in entries:
+        chart = field.chart
+        if id(chart) not in envs:
+            if chart.dim != dim:
+                raise DomainError(f"expected points of shape (n, {chart.dim})")
+            chart.check_domain(pts.T)
+            envs[id(chart)] = dict(zip(chart.coords, pts.T))
     for field, slots in entries:
-        slots = [(tuple(index), sign) for index, sign in slots]
-        for index, sign in slots:
-            if sign < 0:
+        env = envs[id(field.chart)]
+        slots = [(tuple(index), sign > 0) for index, sign in slots]
+        minus = False
+        for index, plus in slots:
+            if not plus:
                 out[(Ellipsis,) + index] = -0.0
+                minus = True
         for axes, part in _partials(field.expr, field.chart.coords, order):
-            if isinstance(part, Const):
+            if part.__class__ is Const:
                 values = part.value
-                finite = math.isfinite(values)
+                if not math.isfinite(values):
+                    raise EvaluationError("non-finite field value")
             else:
-                values = node_value(part, envs[field.chart], memo)
-                finite = np.isfinite(values).all()
-            if not finite:
-                raise EvaluationError("non-finite field value")
+                values = node_value(part, env, memo)
+            negated = -values if minus else None
             for prefix in _mirrors(axes):
-                for index, sign in slots:
-                    out[prefix + index] = sign * values
+                for index, plus in slots:
+                    out[prefix + index] = values if plus else negated
+    if not np.isfinite(out).all():
+        raise EvaluationError("non-finite field value")
     return out
 
 
@@ -236,9 +254,9 @@ class FormField:
 
     def jet_entries(self) -> list:
         """``field_jet`` entries: each component in its antisymmetric slots."""
-        perms = list(permutations(range(self.degree)))
-        return [(field, [(tuple(key[p] for p in perm), permutation_parity(perm))
-                         for perm in perms])
+        perms = _signed_permutations(self.degree)
+        return [(field, [(tuple(map(key.__getitem__, perm)), sign)
+                         for perm, sign in perms])
                 for key, field in self.comps.items()]
 
     def evaluate(self, points, memo=None) -> np.ndarray:

@@ -23,7 +23,7 @@ from nullkahler.curvature import (
 )
 from nullkahler.dkp import residual_lindkp
 from nullkahler.evolver import EVOLVER_CHART, BoundarySource
-from nullkahler.expressions import EvaluationError
+from nullkahler.expressions import EvaluationError, add, mul
 from nullkahler.fields import Chart, ExprField, Grid
 from nullkahler.geometry import (
     EPS_LOWER,
@@ -383,6 +383,17 @@ def lax_commutator_by_fields(lax: LaxFields, points, lambdas,
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite Lax commutator")
     return out
+
+
+# --- the product rule without the constant-factor shortcut ---------------------
+# the package's Mul.diff builds one term when a factor is a constant; the
+# general rule builds both and lets the smart constructors fold the zero
+# one, and is the reference the shortcut's tree must equal node for node
+
+def product_rule(node, var: str):
+    """(l r)' = l' r + l r' for a ``Mul`` node, both terms built."""
+    return add(mul(node.left.derivative(var), node.right),
+               mul(node.left, node.right.derivative(var)))
 
 
 # --- the oracle curvature with every sector computed at once -------------------

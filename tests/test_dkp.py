@@ -13,6 +13,7 @@ from nullkahler.dkp import (
     residual_heqn,
     residual_lindkp,
     sd_two_forms,
+    weyl_connection,
 )
 from nullkahler.fields import Chart, ExcludedBand, ExprField
 from nullkahler.geometry import (
@@ -112,6 +113,25 @@ def test_ew_structure_examples(p3):
     np.testing.assert_allclose(nu_t, 4.0 / (p3[:, 2] - 1.0), atol=1e-12)
 
     assert np.max(np.abs(ew_residual(ew_from_u(f3("x^2")), p3))) > 1e-2
+
+
+def test_weyl_connection_derivative_is_the_derivative_of_gamma(p3):
+    # ew_residual symmetrises its Ricci tensor, and the second identity
+    # term of the correction's derivative, delta^i_k d_l nu_j, enters it
+    # only as the antisymmetric d_j nu_i - d_i nu_j, so the residual cannot
+    # see that term's sign; the derivative itself can, against a central
+    # difference of gamma
+    ew = ew_from_u(f3("x^2*y - x/(t-1)"))
+    gamma, dgamma, _, _ = weyl_connection(ew, p3)
+    step = 1e-5
+    for axis in range(3):
+        shift = np.zeros(3)
+        shift[axis] = step
+        ahead = weyl_connection(ew, p3 + shift)[0]
+        behind = weyl_connection(ew, p3 - shift)[0]
+        central = (ahead - behind) / (2.0 * step)
+        np.testing.assert_allclose(dgamma[:, axis], central, rtol=0,
+                                   atol=1e-6 * np.abs(dgamma).max())
 
 
 def test_monopole_examples(p3):

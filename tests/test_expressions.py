@@ -1,6 +1,13 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from oracles import product_rule
 
+from nullkahler import dkp
+from nullkahler.cli import load_config
+from nullkahler.nk_system import lax_fields, residual_nk1, residual_nk2
 from nullkahler.expressions import (
     _DERIVATIVES,
     FUNCTIONS,
@@ -244,3 +251,81 @@ def test_memo_leaves_bindings_and_monomials_alone():
     assert bound.derivative("y").evaluate(env) == \
         unused.diff("y").evaluate(env)
     assert bound.variables() == {"w", "y"}
+
+
+PAPER_CFG = Path(__file__).resolve().parent.parent / "src/nullkahler/fixtures/paper.cfg"
+
+
+def _paper_trees(fixture, sample):
+    """(tree, coords) of one paper.cfg fixture's metric, coframe, nk1/nk2,
+    Lax and dkp trees, with the first and second partials of each metric
+    and coframe component (the trees the jets evaluate)."""
+    fields = []
+    if fixture.kind != "ew":
+        jets = [field for row in sample.metric.comps for field in row]
+        jets += [field for row in sample.coframe.forms for form in row
+                 for field in form.comps.values()]
+        fields += jets + [field.differentiate(a, b) for field in jets
+                          for a in field.chart.coords
+                          for b in field.chart.coords]
+    if fixture.kind == "nk":
+        theta, f = sample.theta, sample.f
+        lax = lax_fields(theta, f)
+        fields += [residual_nk1(theta, f), residual_nk2(theta, f)]
+        fields += [coeff for vector in (lax.l0, lax.l1)
+                   for poly in vector.values() for _, coeff in poly]
+    else:
+        fields += [field for row in sample.ew.h.comps for field in row]
+        fields += list(sample.ew.nu.comps.values())
+    if fixture.kind == "dkp":
+        h, w = sample.h, sample.w
+        pair = dkp.monopole_from_w(h, w)
+        fields += [dkp.residual_heqn(h), dkp.residual_lindkp(h, w), pair.v]
+        fields += list(pair.alpha.comps.values())
+    return [(field.expr, field.chart.coords) for field in fields]
+
+
+def _reachable_products(roots):
+    """Each ``Mul`` node reachable from the roots, once, with the
+    coordinates of the first root's chart it was reached from."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node, coords = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = (node, coords)
+            stack += [(getattr(node, name), coords) for name in node.children]
+    return [(node, coords) for node, coords in seen.values()
+            if node.__class__ is Mul]
+
+
+def _same_node(a, b) -> bool:
+    """``==`` of two trees, and the same sign for a constant's zero."""
+    return a == b and (a.__class__ is not Const
+                       or math.copysign(1.0, a.value) == math.copysign(1.0, b.value))
+
+
+def test_constant_factor_rule_builds_the_product_rule_tree():
+    # Mul.diff builds one term when a factor is a constant; along every
+    # chart coordinate it must give the node the full product rule gives,
+    # for every product in the trees the paper.cfg suite differentiates
+    config = load_config(PAPER_CFG)
+    roots = []
+    for fixture in config["fixtures"]:
+        roots += _paper_trees(fixture, fixture.sample(config))
+    products = _reachable_products(roots)
+    constant_sides = set()
+    for node, coords in products:
+        constant_sides |= {side for side in ("left", "right")
+                           if getattr(node, side).__class__ is Const}
+        for var in coords:
+            assert _same_node(node.derivative(var), product_rule(node, var)), \
+                (str(node), var)
+    assert constant_sides == {"left", "right"}
+    assert len(products) > 500
+
+    # a factor whose derivative folds to the constant zero: the product
+    # with -3 is -0.0, and the rule's add with ZERO makes it +0.0
+    node = parse("(x - x) * -3", NAMES)
+    assert node.right == Const(-3.0)
+    assert _same_node(node.derivative("x"), product_rule(node, "x"))
+    assert math.copysign(1.0, node.derivative("x").value) == 1.0

@@ -1,7 +1,12 @@
+import operator
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nullkahler.expressions import EvaluationError, parse
+import nullkahler.fields as fields_module
+from nullkahler import cli
+from nullkahler.expressions import EvaluationError, ExpressionError, Var, parse
 from nullkahler.fields import (
     Chart,
     DomainError,
@@ -53,6 +58,55 @@ def test_differentiate_unknown_name():
         theta.differentiate("t")
     with pytest.raises(DomainError):
         theta.differentiate("x", "q")
+
+
+def test_a_tree_enters_a_chart_only_if_the_chart_binds_its_names():
+    chart3 = Chart(("x", "y", "t"))
+    tree = parse("x*z + y", ("x", "y", "z"))
+    with pytest.raises(ExpressionError, match=r"unbound variables \['z'\]"):
+        ExprField(tree, chart3)
+    with pytest.raises(ExpressionError):
+        ExprField.from_text("x*z", chart3)
+    on_four = ExprField(tree, CHART4)
+    with pytest.raises(ExpressionError, match=r"unbound variables \['w', 'z'\]"):
+        ExprField.from_text("w*z + x", CHART4).on_chart(chart3)
+    assert on_four.on_chart(Chart(("x", "y", "z"))).expr is tree
+    # a bare tree as an operand is checked as a field is
+    with pytest.raises(ExpressionError):
+        ExprField.from_text("x", chart3) + Var("z")
+    assert (ExprField.from_text("x", chart3) * Var("t")).expr.variables() == {"x", "t"}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_field_arithmetic_refuses_a_field_on_another_chart(op):
+    a = ExprField.from_text("x + 2", CHART4)
+    b = ExprField.from_text("x + 3", Chart(("w", "z", "x", "y"),
+                                           (ExcludedBand("y", 0.0),)))
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(DomainError, match="field charts differ"):
+            op(left, right)
+    assert op(a, ExprField.from_text("x + 3", CHART4)).chart is a.chart
+
+
+def test_arithmetic_and_derivatives_stay_on_their_chart(monkeypatch):
+    # field arithmetic, negation and differentiate build their results
+    # unchecked: every one built while the paper.cfg suite runs reads
+    # only its chart's coordinates
+    built = []
+    unchecked = fields_module._unchecked_field
+
+    def recorded(expr, chart):
+        built.append((expr, chart))
+        return unchecked(expr, chart)
+
+    monkeypatch.setattr(fields_module, "_unchecked_field", recorded)
+    config = cli.load_config(Path(cli.__file__).parent / "fixtures/paper.cfg")
+    for fixture in config["fixtures"]:
+        assert all(entry["pass"] for entry in cli.run_fixture(fixture, config))
+    assert len(built) > 1000
+    for expr, chart in built:
+        assert expr.variables() <= set(chart.coords), (str(expr), chart)
 
 
 def test_evaluate_examples():

@@ -74,6 +74,24 @@ def test_nk_sigma01_closed():
     assert np.max(np.abs(exterior_derivative(sigma01).evaluate(pts))) < 1e-12
 
 
+@pytest.mark.parametrize("chart", [CHART4, CHART3], ids=["4d", "3d"])
+def test_exterior_derivative_of_a_top_form_is_the_zero_top_form(chart):
+    # d of a top-degree form is zero; it is returned as the empty form of
+    # the top degree, which the chart still has, and d d of a form one
+    # degree lower lands there too
+    dim = chart.dim
+    top = FormField(chart, dim, {tuple(range(dim)): ExprField.from_text(
+        "x^2*y", chart)})
+    below = FormField(chart, dim - 1, {tuple(range(1, dim)): ExprField.from_text(
+        "x^2*y", chart)})
+    pts = SamplePlan(Box(((-1, 1),) * dim), count=4).points()
+    for form in (exterior_derivative(top),
+                 exterior_derivative(exterior_derivative(below))):
+        assert form.degree == dim and form.comps == {}
+        values = form.evaluate(pts)
+        assert values.shape == (4,) + (dim,) * dim and not values.any()
+
+
 def test_dkp_metric_flat_fixture():
     h_pot = ExprField.constant(0.0, CHART3)
     w_pot = ExprField.from_text("x", CHART3)
@@ -381,6 +399,26 @@ def test_non_finite_constant_jet_slot_raises():
         entries = [(field, [((0,), 1)])]
         with pytest.raises(EvaluationError):
             field_jet(entries, (1,), plan_points(count=3), order)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_non_finite_evaluated_jet_slot_raises(order, sign):
+    # x^3*1e308*10 is a tree, not a folded constant, and at x = 0.9 it
+    # and its first two partials along x overflow where they are
+    # evaluated; the jet is checked once, when it is finished
+    overflowing = ExprField.from_text("x^3*1e308*10", CHART4)
+    assert not isinstance(overflowing.differentiate(*("x",) * order).expr, Const)
+    pts = np.tile([0.1, 0.2, 0.9, 0.3], (3, 1))
+    finite = ExprField.from_text("x*y", CHART4)
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match="non-finite field value"):
+            field_jet([(overflowing, [((0,), sign)])], (1,), pts, order)
+        # only the second entry overflows
+        entries = [(finite, [((0,), 1)]), (overflowing, [((1,), sign)])]
+        with pytest.raises(EvaluationError, match="non-finite field value"):
+            field_jet(entries, (2,), pts, order)
+    assert np.isfinite(field_jet(entries[:1], (2,), pts, order)).all()
 
 
 def test_jet_keeps_signed_zeros():

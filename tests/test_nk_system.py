@@ -108,6 +108,11 @@ def test_family4_values():
     assert sol.f.evaluate(p) == -9.0
     # nonzero ASD Weyl witness: the fourth delta-derivative is 6
     assert sol.theta.differentiate("x", "y", "y", "y").evaluate(p) == 6.0
+    # a B of either sign solves the system, so only Theta = x A + B
+    # itself tells it from x A - B
+    with_b = example_family(4, {"A": "y^3", "B": "y^2"})
+    assert with_b.theta.evaluate(p) == 3.0
+    assert with_b.f.evaluate(p) == -9.0
 
 
 def test_family1_constant_a_is_vacuum(pts):
