@@ -49,7 +49,9 @@ it to max|r|, judges that against the check's tolerance and writes the
 report entry; ``run_suite`` collects the entries unchanged.
 
 Reports are JSON with ``schema: 1`` and are byte-identical across runs
-with the same config and seed.  The fixtures run one after another;
+with the same config and seed.  The seed is validated and echoed into
+the report, but moves no sample point and no residual yet: no check
+draws at random.  The fixtures run one after another;
 each fixture's wall time is printed to the console once, never written
 into the report.
 """
@@ -80,8 +82,8 @@ from .fields import (
     grid_to_csv,
     sample_to_grid,
 )
-from .geometry import (SYM_PAIRS, DegeneracyError, dkp_coframe, nk_coframe,
-                       nk_metric)
+from .geometry import (SYM_PAIRS, DegeneracyError, dkp_coframe, dkp_metric,
+                       nk_coframe, nk_metric)
 from .nk_system import (FAMILY_EXCLUDED, FAMILY_PARAMS, NKSolution,
                         commutator_sweep, example_family, induced_f,
                         residual_nk1, residual_nk2)
@@ -413,7 +415,6 @@ class NKSample(_CurvedSample):
     def __init__(self, solution, plan):
         self.solution = solution
         self.theta, self.f = solution.theta, solution.f
-        self.plan = plan
         self.points = plan.points()
         self.memo = {}
         self.metric = nk_metric(self.theta)
@@ -436,7 +437,7 @@ class DKPSample(_CurvedSample):
         self.points3 = self.points[:, :3]
         self.memo = {}
         # built whatever the selection: it rejects a vanishing W_x
-        self.metric = dkp_mod.build_metric(h, w, plan.box)
+        self.metric = dkp_metric(h, w, plan.box)
 
     @cached_property
     def coframe(self):
@@ -480,8 +481,7 @@ NK_TABLE = {
     "ricci_null": lambda s: s.oracle.raw.ricci_square(),
     "dsigma00": lambda s: s.dsigma[0],
     "dsigma01": lambda s: s.dsigma[1],
-    "lax": lambda s: commutator_sweep(s.solution, s.plan.count, s.plan.seed,
-                                      s.points, s.memo),
+    "lax": lambda s: commutator_sweep(s.solution, s.points, s.memo),
     "ricci_flat": lambda s: s.oracle.raw.ricci,
 }
 
@@ -762,7 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a fixture/check suite")
     check.add_argument("--config", required=True)
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=int, default=None,
+                       help="validated and echoed into the report; moves "
+                            "no sample point and no residual yet")
     check.add_argument("--serial", action="store_true",
                        help="accepted for compatibility: the checks always "
                             "run serially")

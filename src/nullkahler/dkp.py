@@ -182,7 +182,8 @@ def monopole_residual(ew: EWStructure, pair: MonopolePair, points,
 # --- circle-bundle metric and its SD two-forms ----------------------------------
 
 def build_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricField:
-    """The four-metric on (x, y, t, z); delegates to the constructor."""
+    """The four-metric on (x, y, t, z): ``geometry.dkp_metric``, kept for
+    the benchmark's ``TwoPath`` workload, its one remaining caller."""
     return dkp_metric(h_pot, w_pot, box)
 
 

@@ -435,7 +435,7 @@ def _require_dkp_chart(field: ExprField):
 def _check_nonvanishing(field: ExprField, box: Box, what: str):
     if box.dim > field.chart.dim:
         box = Box(box.bounds[: field.chart.dim])
-    plan = SamplePlan(box, count=60, seed=11)
+    plan = SamplePlan(box, count=60)
     values = field.evaluate(plan.points())
     crosses_zero = values.min() < 0.0 < values.max()
     if crosses_zero or np.min(np.abs(values)) < 1e-6:

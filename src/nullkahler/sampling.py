@@ -2,8 +2,8 @@
 
 Residual norms are taken over a fixed low-discrepancy (Halton) sequence of
 interior points, so every run of a check visits the same points in the
-same order.  A seeded generator supplies any auxiliary draws (for example
-spectral-parameter values), keeping reports reproducible.
+same order.  There are no auxiliary draws: no check samples anything at
+random, and a plan's seed does not move its points yet.
 """
 
 from __future__ import annotations
@@ -80,6 +80,3 @@ class SamplePlan:
         hi = np.array([b[1] for b in self.box.bounds])
         span = hi - lo
         return lo + span * (INTERIOR_INSET + (1 - 2 * INTERIOR_INSET) * unit)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)

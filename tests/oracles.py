@@ -352,19 +352,17 @@ def nonlocal_term(u: np.ndarray, grid: Grid, out: np.ndarray,
 # a field, with its own domain check and copy, and is the reference the
 # value route must equal bit for bit
 
-def lax_commutator_by_fields(lax: LaxFields, points, lambdas,
-                             memo=None) -> np.ndarray:
-    """[L0, L1] components at (point, lambda) pairs; shape (n, 5), each
-    coefficient and partial through ``ExprField.evaluate``."""
+def lax_commutator_by_fields(lax: LaxFields, points, memo=None) -> np.ndarray:
+    """The lambda-coefficients of [L0, L1] at ``points``; shape (n, 5, 3),
+    each coefficient and partial through ``ExprField.evaluate``."""
     memo = {} if memo is None else memo
     coords = lax.chart.coords
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
 
     l0, l1 = ({k: [(power, coeff, coeff.evaluate(pts, memo))
                    for power, coeff in poly] for k, poly in vector.items()}
               for vector in (lax.l0, lax.l1))
-    out = np.zeros((pts.shape[0], 5))
+    out = np.zeros((pts.shape[0], 5, 3))
     for k in range(5):
         for source, target, sign in ((l0, l1, 1.0), (l1, l0, -1.0)):
             for j, coeff_j in source.items():
@@ -379,7 +377,7 @@ def lax_commutator_by_fields(lax: LaxFields, points, lambdas,
                                for power, coeff, _ in target.get(k, [])]
                 for p1, _, c1 in coeff_j:
                     for p2, c2 in dtarget:
-                        out[:, k] += c1 * (sign * c2) * lam ** (p1 + p2)
+                        out[:, k, p1 + p2] += c1 * (sign * c2)
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite Lax commutator")
     return out

@@ -16,7 +16,6 @@ from nullkahler.curvature import (
     path_agreement,
 )
 from nullkahler.dkp import (
-    build_metric,
     ew_from_u,
     ew_residual,
     monopole_from_w,
@@ -35,6 +34,7 @@ from nullkahler.fields import Chart, ExprField, Grid
 from nullkahler.geometry import (
     EPS_UPPER,
     dkp_coframe,
+    dkp_metric,
     exterior_derivative,
     hodge_star_values,
     nk_coframe,
@@ -85,8 +85,7 @@ def test_criterion_01_flat_baseline():
         float(np.max(np.abs(report.scalar))),
     )
     lax = lax_fields(theta, theta)
-    lam = np.linspace(-2, 2, 100)
-    commutator = np.max(np.abs(lax_commutator(lax, pts, lam)))
+    commutator = np.max(np.abs(lax_commutator(lax, pts)))
     report_line(1, worst < 1e-10 and commutator == 0.0,
                 f"flat curvature {worst:.1e} < 1e-10, commutator exactly "
                 f"{commutator}")
@@ -122,7 +121,7 @@ def test_criterion_02_system_geometry_equivalence():
         worst["dsigma"] = max(worst["dsigma"], *(
             float(np.max(np.abs(d))) for d in check_null_kahler(coframe, pts)))
         worst["lax"] = max(worst["lax"], float(np.max(np.abs(
-            commutator_sweep(sol, count=100)))))
+            commutator_sweep(sol, pts)))))
     ok = (worst["nk"] < 1e-10 and worst["sd"] < 1e-8 and worst["scalar"] < 1e-8
           and worst["ricci2"] < 1e-8 and worst["dsigma"] < 1e-9
           and worst["lax"] < 1e-8)
@@ -146,7 +145,7 @@ def test_criterion_03_negative_control_matrix():
     other_slots = float(np.max(np.abs(report.c_sd[:, 1:])))
 
     lax_value = np.max(np.abs(lax_commutator(
-        lax_fields(theta, f), np.array([[1.0, 1.0, 1.0, 1.0]]), 1.0)))
+        lax_fields(theta, f), np.array([[1.0, 1.0, 1.0, 1.0]]))))
     ok = box_ok and spread < 1e-4 and other_slots < 1e-8 and lax_value > 1e-2
     report_line(3, ok,
                 f"box f(1,1,1,1) = {box_value:.9f}, SD/boxf spread {spread:.1e}"
@@ -176,7 +175,7 @@ def test_criterion_04_two_path_agreement():
         pts = SamplePlan(DKP_BOX, count=60).points()
         coframe = dkp_coframe(h_pot, w_pot)
         gaps = path_agreement(
-            oracle_report(build_metric(h_pot, w_pot), coframe, pts),
+            oracle_report(dkp_metric(h_pot, w_pot), coframe, pts),
             cartan_report(coframe, pts))
         worst = max(worst, *gaps.values())
     report_line(4, worst < 1e-6,
@@ -212,7 +211,7 @@ def test_criterion_06_dkp_pipeline():
     residuals["monopole"] = float(np.max(np.abs(monopole_residual(
         ew, monopole_from_w(h_pot, w_pot), pts3))))
     residuals["ew"] = float(np.max(np.abs(ew_residual(ew, pts3))))
-    metric = build_metric(h_pot, w_pot, DKP_BOX)
+    metric = dkp_metric(h_pot, w_pot, DKP_BOX)
     report = oracle_report(metric, dkp_coframe(h_pot, w_pot), pts4)
     sd = float(np.max(np.abs(report.c_sd)))
     scalar = float(np.max(np.abs(report.scalar)))
@@ -233,10 +232,10 @@ def test_criterion_07_hyperkahler_cases():
     w_half = symmetry_w(h_pot, b=0.5)
     pts4 = SamplePlan(DKP_BOX, count=100).points()
     ricci_hk = float(np.max(np.abs(coordinate_curvature(
-        build_metric(h_pot, w_half, DKP_BOX), pts4).ricci)))
+        dkp_metric(h_pot, w_half, DKP_BOX), pts4).ricci)))
 
     gh_box = Box(((-1, 1), (-1, 1), (0.25, 0.75), (-1, 1)))
-    gh = build_metric(ExprField.constant(0.0, CHART3),
+    gh = dkp_metric(ExprField.constant(0.0, CHART3),
                       ExprField.from_text("y^2 + 2*x*t", CHART3), gh_box)
     ricci_gh = float(np.max(np.abs(coordinate_curvature(
         gh, SamplePlan(gh_box, count=100).points()).ricci)))
@@ -253,7 +252,7 @@ def test_criterion_08_nonvacuum_witness():
     assert np.max(np.abs(residual_heqn(h_pot).evaluate(pts3))) < 1e-10
     assert np.max(np.abs(residual_lindkp(h_pot, w_pot).evaluate(pts3))) < 1e-10
     pts4 = SamplePlan(DKP_BOX, count=100).points()
-    metric = build_metric(h_pot, w_pot, DKP_BOX)
+    metric = dkp_metric(h_pot, w_pot, DKP_BOX)
     raw = coordinate_curvature(metric, pts4)
     report = oracle_report(metric, dkp_coframe(h_pot, w_pot), pts4)
     max_ricci = float(np.max(np.abs(raw.ricci)))

@@ -782,24 +782,24 @@ def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):
 
 
 #: sha256 of ``render_report`` for the shipped configs, with ``serial``
-#: set or not; recorded when the oracle began to build the lowered
-#: Riemann tensor in one pass and to take the Weyl spinors as its Sigma
-#: projection less the R/24 term, which moved 21 of the 110 paper.cfg
-#: residuals and 2 of the 8 negative.cfg ones at round-off and no verdict
-#: (perfbench/report_sha256.json still holds the older paper.cfg values)
+#: set or not; recorded when the Lax check began to read the commutator's
+#: lambda-coefficients in place of its value at one drawn lambda per
+#: point, which moved only the ``lax`` entries of nk fixtures, at
+#: round-off, and no verdict (perfbench/report_sha256.json still holds
+#: older paper.cfg values)
 REPORT_SHA256 = {
     ("paper.cfg", 0):
-        "28ea82a8c2736deaf87d0a9ae40b39b2ce826e21ebd68c10943d1e9b811d8cfa",
+        "73ad2d1a29feeb8bed8072b5446225aa85a006f4d04855f98d865b9b9a6a3ad9",
     ("paper.cfg", 7):
-        "c9c122e78c5f8f0c9f3d2771a90d00c9e3eeb6bf715ee177f5e7c856e93061ab",
+        "82b93a8c8edab0b59c6de68c9984c6898a20f742a356abdb8b13c2ffb2146ea0",
     ("paper.cfg", 20240):
-        "2cbebfb54f7ad4f7d931cd0fb1ff9395a8388ba2334ca037df7e7a5a8482141f",
+        "a02ab1b39abb499384743dd220ff2343ca9e4e65e10b1e46c92277aa42b85117",
     ("negative.cfg", 0):
         "4590e0598a1635dac33aab146555cf62a666431ff87c5b839b7633ff60f3ebc9",
     ("negative.cfg", 7):
         "88c66981b1392747520cb3c99ed88dd271ab49c4d9a20d5974947c9c1d28021a",
     ("negative.cfg", 20240):
-        "95591c1272b267462a4716cff5876d8a9616786a828ec3ca4863f1391a29e2d4",
+        "0b82b6ae60f8c527e0d4234b46547e36b67cea204041db8629195088b275037e",
 }
 
 

@@ -15,12 +15,12 @@ from nullkahler.curvature import (
     path_agreement,
     spin_connection,
 )
-from nullkahler.dkp import build_metric
 from nullkahler.fields import Chart, ExprField
 from nullkahler.geometry import (
     EPS_UPPER,
     DegeneracyError,
     dkp_coframe,
+    dkp_metric,
     inverse_metric_values,
     nk_coframe,
     nk_metric,
@@ -106,7 +106,7 @@ def test_gibbons_hawking_is_vacuum():
     h_pot = ExprField.constant(0.0, CHART3)
     w_pot = ExprField.from_text("y^2 + 2*x*t", CHART3)
     box = Box(((-1, 1), (-1, 1), (0.25, 0.75), (-1, 1)))
-    metric = build_metric(h_pot, w_pot, box)
+    metric = dkp_metric(h_pot, w_pot, box)
     raw = coordinate_curvature(metric, SamplePlan(box, count=60).points())
     assert np.max(np.abs(raw.ricci)) < 1e-7
 
@@ -287,7 +287,7 @@ def test_path_equivalence_dkp():
     h_pot = ExprField.from_text("-x^2/(2*(t-1))", CHART3)
     for w_text in ("-x/(t-1)", "x^3 + 2*x"):
         w_pot = ExprField.from_text(w_text, CHART3)
-        metric = build_metric(h_pot, w_pot)
+        metric = dkp_metric(h_pot, w_pot)
         coframe = dkp_coframe(h_pot, w_pot)
         sample = SamplePlan(DKP_BOX, count=40).points()
         gaps = path_agreement(oracle_report(metric, coframe, sample),
@@ -306,7 +306,7 @@ def test_paths_agree_without_conversion(pts):
                 ("x*y^3", "x^2*y^2", "x^2*y^2 + w*x*y + z*x^3/2 + y^4*w/4")]
     h_pot = ExprField.from_text("x*t + y^2/2", CHART3)
     w_pot = ExprField.from_text("x^3 + 2*x", CHART3)
-    fixtures.append((build_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot),
+    fixtures.append((dkp_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot),
                      SamplePlan(DKP_BOX, count=40).points()))
     sectors = ("c_asd", "c_sd", "phi", "scalar")
     live = set()
@@ -368,7 +368,7 @@ def _criterion4_fixtures():
     h_pot = ExprField.from_text("-x^2/(2*(t-1))", CHART3)
     for w_text in ("-x/(t-1)", "x^3 + 2*x"):
         w_pot = ExprField.from_text(w_text, CHART3)
-        fixtures.append((build_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot),
+        fixtures.append((dkp_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot),
                          DKP_BOX))
     return fixtures
 
@@ -436,7 +436,7 @@ def test_weyl_spinors_subtract_the_scalar_term():
     # sign leaves a gap of about |R|/12 against the reference Weyl tensor
     h_pot = ExprField.from_text("-x^2/(2*(t-1))", CHART3)
     w_pot = ExprField.from_text("x^3 + 2*x", CHART3)
-    metric, coframe = build_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot)
+    metric, coframe = dkp_metric(h_pot, w_pot), dkp_coframe(h_pot, w_pot)
     sample = SamplePlan(DKP_BOX, count=100).points()
     report = oracle_report(metric, coframe, sample)
     c_asd, c_sd = _weyl_spinors_slot_by_slot(metric, coframe, sample)
@@ -726,11 +726,11 @@ def test_two_routes_agree_on_non_polynomial_theta(theta_text):
 def test_two_routes_agree_on_off_shell_dkp(h_text, slope, w_text):
     # H and W solve neither dKP equation, so the scalar curvature, and
     # with it the (R/24) term of the oracle's Weyl spinors, is live; W
-    # must keep W_x away from zero on the box, as build_metric checks
+    # must keep W_x away from zero on the box, as dkp_metric checks
     h_pot = ExprField.from_text(h_text, CHART3)
     w_pot = ExprField.from_text(f"{slope}*x + {w_text}", CHART3)
     try:
-        metric = build_metric(h_pot, w_pot, DKP_BOX)
+        metric = dkp_metric(h_pot, w_pot, DKP_BOX)
     except DegeneracyError:
         assume(False)
     _assert_routes_agree(metric, dkp_coframe(h_pot, w_pot),
@@ -742,11 +742,11 @@ def test_two_routes_agree_on_off_shell_dkp(h_text, slope, w_text):
        _transcendentals(("x", "y", "t")))
 def test_two_routes_agree_on_non_polynomial_dkp(h_text, slope, w_text):
     # H and W carry sin, exp and log terms off shell; draws whose W_x
-    # meets zero on the box are refused by build_metric, as above
+    # meets zero on the box are refused by dkp_metric, as above
     h_pot = ExprField.from_text(h_text, CHART3)
     w_pot = ExprField.from_text(f"{slope}*x + {w_text}", CHART3)
     try:
-        metric = build_metric(h_pot, w_pot, DKP_BOX)
+        metric = dkp_metric(h_pot, w_pot, DKP_BOX)
     except DegeneracyError:
         assume(False)
     _assert_routes_agree(metric, dkp_coframe(h_pot, w_pot),

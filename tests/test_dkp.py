@@ -4,7 +4,6 @@ import pytest
 from nullkahler.curvature import coordinate_curvature, oracle_report
 from nullkahler.dkp import (
     MonopolePair,
-    build_metric,
     ew_from_u,
     ew_residual,
     jones_tod_reduce,
@@ -20,6 +19,7 @@ from nullkahler.geometry import (
     DegeneracyError,
     FormField,
     dkp_coframe,
+    dkp_metric,
     exterior_derivative,
 )
 from nullkahler.sampling import Box, SamplePlan
@@ -83,7 +83,7 @@ def test_symmetry_w_examples(p3):
     w0 = symmetry_w(h2)
     assert np.max(np.abs(w0.evaluate(p3))) == 0.0
     with pytest.raises(DegeneracyError):
-        build_metric(h2, w0, BOX4)  # degenerate W_x flagged
+        dkp_metric(h2, w0, BOX4)  # degenerate W_x flagged
 
 
 def test_symmetry_orbit_solves_lindkp(p3):
@@ -189,7 +189,7 @@ def test_sigma11_rhs_closed_form(p4):
 
 def test_jones_tod_round_trip(p3, p4):
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
-    metric = build_metric(h_pot, w_pot, BOX4)
+    metric = dkp_metric(h_pot, w_pot, BOX4)
     reduction = jones_tod_reduce(metric)
     ew = ew_from_u(h_pot.differentiate("x"))
     wx2 = w_pot.differentiate("x").evaluate(p3) ** 2
@@ -201,7 +201,7 @@ def test_jones_tod_nu_gauge(p4):
     # recovered nu = -4 H_xx dt + d ln(Wx^2): the EW one-form modulo the
     # conformal-gauge term of the factor -Wx^2
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
-    metric = build_metric(h_pot, w_pot, BOX4)
+    metric = dkp_metric(h_pot, w_pot, BOX4)
     nu = jones_tod_reduce(metric).nu_at(p4)
     chart4 = metric.chart
     wx = w_pot.differentiate("x")
@@ -220,7 +220,7 @@ def test_jones_tod_nu_gauge(p4):
 
 
 def test_jones_tod_flat_fixture(p3):
-    metric = build_metric(ExprField.constant(0.0, CHART3), f3("x"), BOX4)
+    metric = dkp_metric(ExprField.constant(0.0, CHART3), f3("x"), BOX4)
     reduction = jones_tod_reduce(metric)
     hv = reduction.h.evaluate(p3)
     expected = np.zeros((len(p3), 3, 3))
@@ -231,7 +231,7 @@ def test_jones_tod_flat_fixture(p3):
 
 def test_jones_tod_requires_killing_vector():
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
-    metric = build_metric(h_pot, w_pot, BOX4)
+    metric = dkp_metric(h_pot, w_pot, BOX4)
     metric.comps[3][3] = ExprField.from_text("-1/(1 - t) + z/10", metric.chart)
     with pytest.raises(ValueError):
         jones_tod_reduce(metric)
@@ -240,7 +240,7 @@ def test_jones_tod_requires_killing_vector():
 def test_hyperkahler_specialization(p4):
     h_pot = f3(H_MAIN)
     special = hyperkahler_specialize(h_pot, BOX4)
-    direct = build_metric(h_pot, symmetry_w(h_pot, b=0.5), BOX4)
+    direct = dkp_metric(h_pot, symmetry_w(h_pot, b=0.5), BOX4)
     assert np.max(np.abs(special.evaluate(p4) - direct.evaluate(p4))) < 1e-10
     raw = coordinate_curvature(special, p4)
     assert np.max(np.abs(raw.ricci)) < 1e-7
@@ -253,7 +253,7 @@ def test_scalar_flatness(p4):
                              ("y^3 - x^2/(2*(t-1)) + 3*(t-1)*x*y", {"e": 0.5})):
         h_pot = f3(h_text)
         w_pot = symmetry_w(h_pot, **w_kwargs)
-        metric = build_metric(h_pot, w_pot, BOX4)
+        metric = dkp_metric(h_pot, w_pot, BOX4)
         raw = coordinate_curvature(metric, p4)
         assert np.max(np.abs(raw.scalar)) < 1e-7
 
@@ -262,7 +262,7 @@ def test_scalar_curvature_tracks_lindkp(p4):
     # R = 0 is a consequence of the linearised equation: the invalid W
     # below breaks it and the scalar curvature responds
     h_pot, w_pot = f3("x*t + y^2/2"), f3("x^3 + 2*x")
-    metric = build_metric(h_pot, w_pot, BOX4)
+    metric = dkp_metric(h_pot, w_pot, BOX4)
     raw = coordinate_curvature(metric, p4)
     assert np.max(np.abs(raw.scalar)) > 1e-1
 
@@ -270,7 +270,7 @@ def test_scalar_curvature_tracks_lindkp(p4):
 def test_non_vacuum_witness(p4):
     h_pot = f3("y^3 - x^2/(2*(t-1)) + 3*(t-1)*x*y")
     w_pot = symmetry_w(h_pot, e=0.5)  # W = H_y/2
-    metric = build_metric(h_pot, w_pot, BOX4)
+    metric = dkp_metric(h_pot, w_pot, BOX4)
     coframe = dkp_coframe(h_pot, w_pot)
     raw = coordinate_curvature(metric, p4)
     report = oracle_report(metric, coframe, p4)
@@ -301,7 +301,7 @@ def test_pipeline_coherence_negative_controls(p3, p4):
             ew_from_u(h_pot.differentiate("x")), monopole_from_w(h_pot, w_pot),
             p3)))
         coframe = dkp_coframe(h_pot, w_pot)
-        report = oracle_report(build_metric(h_pot, w_pot), coframe, p4)
+        report = oracle_report(dkp_metric(h_pot, w_pot), coframe, p4)
         if name in ("bad-H", "bad-both"):
             assert heqn > 1e-2 and ew > 1e-2
         if name in ("bad-W", "bad-both"):

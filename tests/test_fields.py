@@ -361,7 +361,7 @@ def test_memo_evaluation_is_byte_equal_on_family3(a_text):
 
 
 def test_memo_evaluation_is_byte_equal_on_dkp_quotients():
-    from nullkahler.dkp import build_metric
+    from nullkahler.geometry import dkp_metric
     from nullkahler.geometry import dkp_coframe
     from nullkahler.sampling import Box, SamplePlan
 
@@ -371,7 +371,7 @@ def test_memo_evaluation_is_byte_equal_on_dkp_quotients():
     coframe = dkp_coframe(h_pot, w_pot)
     fields = [field for a in range(2) for ap in range(2)
               for field in coframe.form(a, ap).comps.values()]
-    fields += [field for row in build_metric(h_pot, w_pot).comps for field in row]
+    fields += [field for row in dkp_metric(h_pot, w_pot).comps for field in row]
     points = SamplePlan(Box(((-1, 1), (-1, 1), (-1, 0.5), (-1, 1))), 30).points()
     _assert_memo_byte_equal([part for field in fields for part in _partials(field, 2)],
                             points)

@@ -10,7 +10,6 @@ from nullkahler.expressions import EvaluationError, ExpressionError
 from nullkahler.fields import Chart, DomainError, ExprField
 from nullkahler.geometry import nk_metric
 from nullkahler.nk_system import (
-    LAMBDA_WINDOW,
     NKSolution,
     box_operator,
     commutator_sweep,
@@ -135,8 +134,7 @@ def test_lax_flat_exact():
     assert lax.l0[0][0][1].evaluate(np.zeros(4)) == 1.0
     assert lax.l1[1][0][1].evaluate(np.zeros(4)) == 1.0
     pts = SamplePlan(BOX4, count=10).points()
-    lams = np.linspace(-2, 2, 10)
-    assert np.max(np.abs(lax_commutator(lax, pts, lams))) == 0.0
+    assert np.max(np.abs(lax_commutator(lax, pts))) == 0.0
 
 
 def test_lax_coefficients_xy3():
@@ -159,45 +157,94 @@ def test_lax_commutator_valid_fixtures():
                               (4, {"A": "y^3"}, BOX4),
                               (3, {"A": "s^2"}, FAMILY3_BOX)):
         sol = example_family(kind, params, box)
-        assert np.max(np.abs(commutator_sweep(sol, count=100))) < 1e-8
+        pts = SamplePlan(box, count=100).points()
+        assert np.max(np.abs(commutator_sweep(sol, pts))) < 1e-8
 
 
-def test_lax_commutator_negative_control():
-    theta = field("x^2*y^2")
-    bad = NKSolution(theta, induced_f(theta), BOX4)
-    value = lax_commutator(lax_fields(bad.theta, bad.f),
-                           np.array([[1.0, 1.0, 1.0, 1.0]]), 1.0)
-    assert np.max(np.abs(value)) > 1e-2
-    # the nonvanishing component is the spectral one: -box f
-    np.testing.assert_allclose(value[0, 4], -288.0, atol=1e-10)
-    assert np.max(np.abs(value[0, :2])) == 0.0
-
-
-def _tree_lax_commutator(lax, points, lambdas, memo=None):
-    """[L0, L1] with one ExprField product tree per lambda-polynomial
-    term, each evaluated on its own: the reference for the value-array
-    algebra of ``lax_commutator``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (pts.shape[0],))
-
+def _lax_term_trees(lax):
+    """(component, lambda power, product tree) of every term of [L0, L1],
+    in the order ``lax_commutator`` adds them."""
     def derivative(poly, j):
         if j < 4:
             return [(p, c.differentiate(c.chart.coords[j])) for p, c in poly]
         return [(p - 1, c * float(p)) for p, c in poly if p]
 
-    memo = {} if memo is None else memo
-    out = np.zeros((pts.shape[0], 5))
+    terms = []
     for k in range(5):
-        terms = []
         for j, coeff_j in lax.l0.items():
-            terms += [(p1 + p2, c1 * c2) for p1, c1 in coeff_j
+            terms += [(k, p1 + p2, c1 * c2) for p1, c1 in coeff_j
                       for p2, c2 in derivative(lax.l1.get(k, []), j)]
         for j, coeff_j in lax.l1.items():
-            terms += [(p1 + p2, c1 * (c2 * -1.0)) for p1, c1 in coeff_j
+            terms += [(k, p1 + p2, c1 * (c2 * -1.0)) for p1, c1 in coeff_j
                       for p2, c2 in derivative(lax.l0.get(k, []), j)]
-        for power, coeff in terms:
-            out[:, k] += coeff.evaluate(pts, memo) * lam ** power
+    return terms
+
+
+def _tree_lax_commutator(lax, points, memo=None):
+    """The lambda-coefficients of [L0, L1] with one ExprField product tree
+    per term, each evaluated on its own: the reference for the
+    value-array algebra of ``lax_commutator``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    memo = {} if memo is None else memo
+    out = np.zeros((pts.shape[0], 5, 3))
+    for k, power, tree in _lax_term_trees(lax):
+        out[:, k, power] += tree.evaluate(pts, memo)
     return out
+
+
+def _lax_term_sizes(lax, points):
+    """Per point, component and lambda power, the sum of |term| that the
+    coefficient adds up."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((pts.shape[0], 5, 3))
+    for k, power, tree in _lax_term_trees(lax):
+        out[:, k, power] += np.abs(tree.evaluate(pts))
+    return out
+
+
+def _off_shell_control():
+    theta = field("x^2*y^2")
+    return NKSolution(theta, induced_f(theta), BOX4)
+
+
+def test_lax_commutator_negative_control():
+    bad = _off_shell_control()
+    value = lax_commutator(lax_fields(bad.theta, bad.f),
+                           np.array([[1.0, 1.0, 1.0, 1.0]]))
+    assert value.shape == (1, 5, 3)
+    assert np.max(np.abs(value)) > 1e-2
+    # the nonvanishing coefficient is the spectral lambda^0 one: -box f
+    np.testing.assert_allclose(value[0, 4, 0], -288.0, atol=1e-10)
+    assert np.max(np.abs(value[0, :2])) == 0.0
+    # every lambda^1 and lambda^2 coefficient cancels here exactly
+    assert np.max(np.abs(value[0, :, 1:])) == 0.0
+
+
+@pytest.mark.parametrize("config_name", ["paper.cfg", "negative.cfg"])
+def test_lax_lambda_rows_vanish_to_round_off(config_name):
+    # the lambda^2 coefficients are products with a partial of a constant,
+    # and the lambda^1 ones cancel for every Theta and f by equality of
+    # mixed partials (lambda Theta_xyy - lambda Theta_xyy on the x
+    # component, lambda f_xy - lambda f_xy on the spectral one), so only
+    # the rounding of their terms is left: as for nk1 under the gauge
+    # move, at most 8 eps times the sum of the terms' sizes (measured:
+    # 2.5 eps, on family3's lambda^1 row), and 0 where every term is 0.
+    # The off-shell control fails only in its lambda^0 row.
+    config = load_config(FIXTURES / config_name)
+    samples = [fixture.sample(config) for fixture in config["fixtures"]
+               if fixture.kind == "nk"]
+    assert samples
+    control = _off_shell_control()
+    control_points = SamplePlan(control.box).points()
+    cases = [(sample.solution, sample.points) for sample in samples]
+    cases.append((control, control_points))
+    eps = np.finfo(float).eps
+    for solution, points in cases:
+        lax = lax_fields(solution.theta, solution.f)
+        rows = np.abs(lax_commutator(lax, points)[:, :, 1:])
+        assert np.all(rows <= 8 * eps * _lax_term_sizes(lax, points)[:, :, 1:])
+    lax = lax_fields(control.theta, control.f)
+    assert np.max(np.abs(lax_commutator(lax, control_points)[:, :, 0])) > 1e-2
 
 
 def test_lax_commutator_matches_the_product_trees():
@@ -207,13 +254,12 @@ def test_lax_commutator_matches_the_product_trees():
     assert "control-theta" in samples  # theta = x^2*y^2, expect = fail
     for sample in samples.values():
         lax = lax_fields(sample.theta, sample.f)
-        lam = sample.plan.rng().uniform(*LAMBDA_WINDOW, size=len(sample.points))
-        expected = _tree_lax_commutator(lax, sample.points, lam)
-        assert np.array_equal(lax_commutator(lax, sample.points, lam), expected)
+        expected = _tree_lax_commutator(lax, sample.points)
+        assert np.array_equal(lax_commutator(lax, sample.points), expected)
         # through one memo for both, as a suite's sample set shares one
         assert np.array_equal(
-            lax_commutator(lax, sample.points, lam, sample.memo),
-            _tree_lax_commutator(lax, sample.points, lam, sample.memo))
+            lax_commutator(lax, sample.points, sample.memo),
+            _tree_lax_commutator(lax, sample.points, sample.memo))
 
 
 @pytest.mark.parametrize("config_name", ["paper.cfg", "negative.cfg"])
@@ -221,20 +267,17 @@ def test_lax_commutator_equals_the_field_route(config_name):
     # the value route evaluates each coefficient and partial as a node
     # value, once, where the field route evaluates each as a field with
     # its own domain check and copy; the arithmetic and its order are the
-    # same, so the two agree to the bit, at the plan's lambda draws and at
-    # lambda = 0 and the window's ends
+    # same, so the two agree to the bit in every lambda-coefficient
     config = load_config(FIXTURES / config_name)
     samples = [fixture.sample(config) for fixture in config["fixtures"]
                if fixture.kind == "nk"]
     assert samples
     for sample in samples:
         lax = lax_fields(sample.theta, sample.f)
-        draws = sample.plan.rng().uniform(*LAMBDA_WINDOW,
-                                          size=len(sample.points))
-        for lam in (draws, 0.0, -2.0, 2.0):
-            got = lax_commutator(lax, sample.points, lam, sample.memo)
-            expected = lax_commutator_by_fields(lax, sample.points, lam)
-            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        got = lax_commutator(lax, sample.points, sample.memo)
+        expected = lax_commutator_by_fields(lax, sample.points)
+        assert got.shape == (len(sample.points), 5, 3)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_lax_commutator_refuses_a_point_in_an_excluded_band():
@@ -246,7 +289,7 @@ def test_lax_commutator_refuses_a_point_in_an_excluded_band():
     raised = []
     for route in (lax_commutator, lax_commutator_by_fields):
         with pytest.raises(DomainError) as info:
-            route(lax, point, 1.0)
+            route(lax, point)
         raised.append(info.type)
     assert raised[0] is raised[1] is DomainError
 
@@ -257,9 +300,9 @@ def test_lax_commutator_overflow_raises():
     # every coefficient is finite (about 1e200); their products are not
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError):
-            _tree_lax_commutator(lax, point, 1.0)
+            _tree_lax_commutator(lax, point)
         with pytest.raises(EvaluationError):
-            lax_commutator(lax, point, 1.0)
+            lax_commutator(lax, point)
 
 
 def test_equivalence_of_formulations(pts):
@@ -270,13 +313,14 @@ def test_equivalence_of_formulations(pts):
 
     good = example_family(1, {"A": "y^2"})
     assert np.max(np.abs(residual_nk2(good.theta, good.f).evaluate(pts))) < 1e-10
-    assert np.max(np.abs(commutator_sweep(good))) < 1e-8
+    box_pts = SamplePlan(BOX4).points()
+    assert np.max(np.abs(commutator_sweep(good, box_pts))) < 1e-8
     assert np.max(np.abs(cartan_report(nk_coframe(good.theta), pts).c_sd)) < 1e-8
 
     theta = field("x^2*y^2")
     bad = NKSolution(theta, induced_f(theta), BOX4)
     assert np.max(np.abs(residual_nk2(bad.theta, bad.f).evaluate(pts))) > 1e-2
-    assert np.max(np.abs(commutator_sweep(bad))) > 1e-2
+    assert np.max(np.abs(commutator_sweep(bad, box_pts))) > 1e-2
     assert np.max(np.abs(cartan_report(nk_coframe(bad.theta), pts).c_sd)) > 1e-2
 
 
@@ -355,7 +399,8 @@ def test_theta_gauge_moves_no_curvature_and_no_residual(family):
     theta = sample.theta + a * x + b * y + c
     f = sample.f + a.differentiate("w") + b.differentiate("z")
     txy = theta.differentiate("x", "y")
-    gauged = NKSample(NKSolution(theta, f, sample.solution.box), sample.plan)
+    plan = SamplePlan(fixture.box, config["samples"], config["seed"])
+    gauged = NKSample(NKSolution(theta, f, sample.solution.box), plan)
     for name, check in NK_TABLE.items():
         before, after = check(sample), check(gauged)
         if name != "nk1":
