@@ -159,14 +159,22 @@ _MODEL_PINV = np.linalg.pinv(_MODEL_M)
 
 
 class RawCurvature:
-    """Coordinate-oracle curvature at a batch of points."""
+    """Coordinate-oracle curvature at a batch of points.
 
-    def __init__(self, riemann_low, ricci, scalar, metric, metric_inv):
+    ``christoffel[n, f, a, d]`` holds the Levi-Civita symbols of the
+    second kind, Gamma^f_{ad} = g^{fe} Gamma_{e,ad}, symmetric in (a, d):
+    the ones the Riemann tensor was built from, kept for covariant
+    derivatives at the same points.
+    """
+
+    def __init__(self, riemann_low, ricci, scalar, metric, metric_inv,
+                 christoffel):
         self.riemann_low = riemann_low  # R_{abcd}
         self.ricci = ricci              # R_{ab}
         self.scalar = scalar            # R
         self.metric = metric
         self.metric_inv = metric_inv
+        self.christoffel = christoffel  # Gamma^f_{ad}
 
     def ricci_square(self) -> np.ndarray:
         """Ric_ab Ric^ab at each point."""
@@ -201,31 +209,6 @@ class CurvatureReport:
 
 
 # --- coordinate oracle --------------------------------------------------------
-
-def christoffel(dg, ddg, ginv) -> tuple:
-    """Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), its
-    partials d_k Gamma^a_{bc} and d_k g^{ab}, exact given exact metric
-    derivatives."""
-    n, dim = ginv.shape[:2]
-    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
-    bracket = (
-        np.einsum("nbdc->nbcd", dg)
-        + np.einsum("ncbd->nbcd", dg)
-        - np.einsum("ndbc->nbcd", dg)
-    )
-    dbracket = (
-        np.einsum("nkbdc->nkbcd", ddg)
-        + np.einsum("nkcbd->nkbcd", ddg)
-        - np.einsum("nkdbc->nkbcd", ddg)
-    )
-    # the contractions over d are batched products with one column per (b, c)
-    columns = bracket.reshape(n, dim * dim, dim).swapaxes(-1, -2)
-    dcolumns = dbracket.reshape(n, dim, dim * dim, dim).swapaxes(-1, -2)
-    gamma = 0.5 * (ginv @ columns).reshape((n,) + (dim,) * 3)
-    dgamma = 0.5 * (dginv @ columns[:, None] + ginv[:, None] @ dcolumns).reshape(
-        (n, dim) + (dim,) * 3)
-    return gamma, dgamma, dginv
-
 
 def coordinate_curvature(metric: MetricField, points, memo=None) -> RawCurvature:
     """Independent curvature oracle from coordinate formulas.
@@ -264,7 +247,8 @@ def coordinate_curvature(metric: MetricField, points, memo=None) -> RawCurvature
                            out=np.empty((npts,) + (dim,) * 4))
     ricci = np.einsum("nac,nabcd->nbd", ginv, riem_low)
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
-    return RawCurvature(riem_low, ricci, scalar, gv, ginv)
+    return RawCurvature(riem_low, ricci, scalar, gv, ginv,
+                        second.reshape((npts,) + (dim,) * 3))
 
 
 # --- cartan path ---------------------------------------------------------------

@@ -11,13 +11,25 @@ nu = -4 u_x dt is Einstein-Weyl exactly when u solves dKP, and
 (V = W_x, alpha = -W_x dy - 2 W_y dt) solves the generalised monopole
 equation on it.  The four-metric built from (H, W) is then ASD
 null-Kahler with the Killing vector along z.
+
+The Weyl connection D is the torsion-free connection with D h = nu x h.
+In n dimensions its symmetrized Ricci tensor is
+
+    Ric^D_(ij) = Ric^h_ij + (n-2)/2 nabla_(i nu_j) + (n-2)/4 nu_i nu_j
+                 + (a multiple of h_ij)
+
+with nabla the Levi-Civita connection of h (Pedersen & Tod, Adv. Math.
+97, 1993), so at n = 3 the coefficients are 1/2 and 1/4.  (h, nu) is
+Einstein-Weyl when the trace-free part vanishes, and ``ew_residual``
+reads it off the curvature of h and the first jet of nu; D itself is
+never formed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curvature import christoffel
+from .curvature import coordinate_curvature
 from .fields import Chart, ExprField
 from .geometry import (
     CoFrame,
@@ -28,7 +40,6 @@ from .geometry import (
     exterior_derivative,
     field_jet,
     hodge_star_values,
-    inverse_metric_values,
     wedge,
 )
 from .sampling import Box
@@ -90,57 +101,28 @@ def ew_from_u(u: ExprField) -> EWStructure:
     return EWStructure(h, nu)
 
 
-def weyl_connection(ew: EWStructure, points, memo=None):
-    """Weyl connection coefficients, their exact first derivatives, h, h^{-1}.
-
-    gamma^i_jk = LC(h) - 1/2 (d^i_j nu_k + d^i_k nu_j - h_jk nu^i),
-    the unique torsion-free connection with D h = nu x h.  Every jet is
-    evaluated through one memo, ``memo`` if given (it must belong to
-    ``points``).
-    """
-    memo = {} if memo is None else memo
-    hv = ew.h.evaluate(points, memo)
-    hinv = inverse_metric_values(hv)
-    dh = ew.h.first_derivatives(points, memo)
-    ddh = ew.h.second_derivatives(points, memo)
-    gamma, dgamma, dhinv = christoffel(dh, ddh, hinv)
-    n = hv.shape[-1]
-    nu = ew.nu.evaluate(points, memo)
-    dnu = field_jet(ew.nu.jet_entries(), (n,), points, 1, memo)
-
-    eye = np.eye(n)
-    nu_up = np.einsum("nij,nj->ni", hinv, nu)
-    correction = -0.5 * (
-        np.einsum("ij,nk->nijk", eye, nu)
-        + np.einsum("ik,nj->nijk", eye, nu)
-        - np.einsum("njk,ni->nijk", hv, nu_up)
-    )
-    dnu_up = np.einsum("nkij,nj->nki", dhinv, nu) + np.einsum(
-        "nij,nkj->nki", hinv, dnu
-    )
-    dcorrection = -0.5 * (
-        np.einsum("ij,nlk->nlijk", eye, dnu)
-        + np.einsum("ik,nlj->nlijk", eye, dnu)
-        - np.einsum("nljk,ni->nlijk", dh, nu_up)
-        - np.einsum("njk,nli->nlijk", hv, dnu_up)
-    )
-    return gamma + correction, dgamma + dcorrection, hv, hinv
-
-
 def ew_residual(ew: EWStructure, points, memo=None) -> np.ndarray:
     """The trace-free symmetrized Ricci tensor of the Weyl connection at
-    ``points``, shape (n, 3, 3); ``memo`` is an evaluation memo of
-    ``points``."""
-    gamma, dgamma, hv, hinv = weyl_connection(ew, points, memo)
-    ricci = (
-        np.einsum("nkkij->nij", dgamma)
-        - np.einsum("nikkj->nij", dgamma)
-        + np.einsum("nkkl,nlij->nij", gamma, gamma)
-        - np.einsum("nkil,nlkj->nij", gamma, gamma)
-    )
-    sym = 0.5 * (ricci + np.swapaxes(ricci, -1, -2))
-    trace = np.einsum("nij,nij->n", hinv, sym)
-    return sym - np.einsum("n,nij->nij", trace / 3.0, hv)
+    ``points``, shape (n, 3, 3), in closed form from the Levi-Civita
+    connection of h (see the module docstring):
+
+        Ric^h_ij + 1/2 nabla_(i nu_j) + 1/4 nu_i nu_j,  less its h-trace,
+
+    with Ric^h and Gamma^k_ij from ``coordinate_curvature`` and
+    nabla_i nu_j = d_i nu_j - Gamma^k_ij nu_k from nu's first jet.
+    ``memo`` is an evaluation memo of ``points``.
+    """
+    memo = {} if memo is None else memo
+    raw = coordinate_curvature(ew.h, points, memo)
+    nu = ew.nu.evaluate(points, memo)
+    n, dim = nu.shape
+    dnu = field_jet(ew.nu.jet_entries(), (dim,), points, 1, memo)
+    gamma = raw.christoffel.reshape(n, dim, dim * dim)
+    cov = dnu - (nu[:, None, :] @ gamma).reshape(n, dim, dim)
+    ricci = (raw.ricci + 0.25 * (cov + np.swapaxes(cov, -1, -2))
+             + 0.25 * nu[:, :, None] * nu[:, None, :])
+    trace = np.einsum("nij,nij->n", raw.metric_inv, ricci)
+    return ricci - (trace / 3.0)[:, None, None] * raw.metric
 
 
 # --- monopole pairs -------------------------------------------------------------

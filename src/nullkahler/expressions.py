@@ -62,11 +62,17 @@ Grammar accepted by :func:`parse`::
 
 NAME is a declared variable, a bound name (replaced by its value, an
 ``Expr`` or a number, as the text is parsed) or one of ``sin cos exp
-log``.  Exponents must fold to a numeric constant.
+log``.  Exponents must fold to a numeric constant.  Every constant the
+parser folds (a number, a power or a function of a constant, an
+arithmetic operation on two constants) must be a finite real: ``1e400``,
+``0^-1``, ``10^400``, ``(-1)^0.5``, ``log(0)`` and ``exp(1000)`` raise
+:class:`ExpressionError`, since a check evaluates only derivatives of a
+constant and would never see its value.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
 import numpy as np
@@ -520,8 +526,20 @@ def power(base: Expr, exponent) -> Expr:
     if exponent == 1.0:
         return base
     if base.__class__ is Const:
-        return Const(base.value ** exponent)
+        try:
+            value = base.value ** exponent
+        except ArithmeticError:  # 0^-1 divides by zero, 10^400 overflows
+            value = math.nan
+        return _real_constant(value, f"({base.value!r})^{exponent!r}")
     return Pow(base, exponent)
+
+
+def _real_constant(value, text, offset=None) -> Const:
+    """The folded constant ``text`` of value ``value``, refused with an
+    ``ExpressionError`` unless it is a finite real."""
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ExpressionError(f"constant {text} is not a finite real", offset)
+    return Const(value)
 
 
 # --- parser -----------------------------------------------------------------
@@ -556,7 +574,7 @@ def _tokenize(text):
                 value = float(text[i:j])
             except ValueError:
                 raise ExpressionError(f"bad number {text[i:j]!r}", i) from None
-            tokens.append(("num", value, i))
+            tokens.append(("num", _real_constant(value, text[i:j], i), i))
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -603,22 +621,26 @@ class _Parser:
     def expr(self):
         e = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
                 e = add(e, rhs) if value == "+" else add(e, neg(rhs))
+                if e.__class__ is Const:
+                    _real_constant(e.value, repr(e.value), offset)
             else:
                 return e
 
     def term(self):
         e = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.unary()
                 e = mul(e, rhs) if value == "*" else div(e, rhs)
+                if e.__class__ is Const:
+                    _real_constant(e.value, repr(e.value), offset)
             else:
                 return e
 
@@ -644,7 +666,7 @@ class _Parser:
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Const(value)
+            return value
         if kind == "name":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
@@ -653,6 +675,11 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
+                if arg.__class__ is Const:
+                    with np.errstate(all="ignore"):
+                        folded = _NUMPY_FN[value](arg.value)
+                    return _real_constant(float(folded),
+                                          f"{value}({arg.value!r})", offset)
                 return Call(value, arg)
             if value in self.bindings:
                 return as_expr(self.bindings[value])

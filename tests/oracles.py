@@ -21,7 +21,7 @@ from nullkahler.curvature import (
     _extract_slots,
     coordinate_curvature,
 )
-from nullkahler.dkp import residual_lindkp
+from nullkahler.dkp import EWStructure, residual_lindkp
 from nullkahler.evolver import EVOLVER_CHART, BoundarySource
 from nullkahler.expressions import EvaluationError, add, mul
 from nullkahler.fields import Chart, ExprField, Grid
@@ -38,7 +38,9 @@ from nullkahler.geometry import (
     _zero_field,
     dkp_metric,
     exterior_derivative,
+    field_jet,
     hodge_star_values,
+    inverse_metric_values,
     wedge,
 )
 from nullkahler.nk_system import LaxFields
@@ -464,3 +466,96 @@ def quadratic_reference() -> BoundarySource:
     )
     return BoundarySource(ExprField.from_text(u_text, EVOLVER_CHART),
                           ExprField.from_text(source_text, EVOLVER_CHART))
+
+
+# --- the Weyl connection, formed ---------------------------------------------
+# the package reads the Einstein-Weyl residual off the Levi-Civita curvature
+# of h in closed form and never forms the Weyl connection; this route forms
+# it, with the Christoffel symbols and their partials, and takes the Ricci
+# tensor of the connection itself.  It is the reference the closed form
+# must agree with, and the tests' second derivation of the Riemann tensor
+
+def christoffel(dg, ddg, ginv) -> tuple:
+    """Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), its
+    partials d_k Gamma^a_{bc} and d_k g^{ab}, exact given exact metric
+    derivatives."""
+    n, dim = ginv.shape[:2]
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    bracket = (
+        np.einsum("nbdc->nbcd", dg)
+        + np.einsum("ncbd->nbcd", dg)
+        - np.einsum("ndbc->nbcd", dg)
+    )
+    dbracket = (
+        np.einsum("nkbdc->nkbcd", ddg)
+        + np.einsum("nkcbd->nkbcd", ddg)
+        - np.einsum("nkdbc->nkbcd", ddg)
+    )
+    # the contractions over d are batched products with one column per (b, c)
+    columns = bracket.reshape(n, dim * dim, dim).swapaxes(-1, -2)
+    dcolumns = dbracket.reshape(n, dim, dim * dim, dim).swapaxes(-1, -2)
+    gamma = 0.5 * (ginv @ columns).reshape((n,) + (dim,) * 3)
+    dgamma = 0.5 * (dginv @ columns[:, None] + ginv[:, None] @ dcolumns).reshape(
+        (n, dim) + (dim,) * 3)
+    return gamma, dgamma, dginv
+
+
+def weyl_connection(ew: EWStructure, points, memo=None):
+    """Weyl connection coefficients, their exact first derivatives, h, h^{-1}.
+
+    gamma^i_jk = LC(h) - 1/2 (d^i_j nu_k + d^i_k nu_j - h_jk nu^i),
+    the unique torsion-free connection with D h = nu x h.  Every jet is
+    evaluated through one memo, ``memo`` if given (it must belong to
+    ``points``).
+    """
+    memo = {} if memo is None else memo
+    hv = ew.h.evaluate(points, memo)
+    hinv = inverse_metric_values(hv)
+    dh = ew.h.first_derivatives(points, memo)
+    ddh = ew.h.second_derivatives(points, memo)
+    gamma, dgamma, dhinv = christoffel(dh, ddh, hinv)
+    n = hv.shape[-1]
+    nu = ew.nu.evaluate(points, memo)
+    dnu = field_jet(ew.nu.jet_entries(), (n,), points, 1, memo)
+
+    eye = np.eye(n)
+    nu_up = np.einsum("nij,nj->ni", hinv, nu)
+    correction = -0.5 * (
+        np.einsum("ij,nk->nijk", eye, nu)
+        + np.einsum("ik,nj->nijk", eye, nu)
+        - np.einsum("njk,ni->nijk", hv, nu_up)
+    )
+    dnu_up = np.einsum("nkij,nj->nki", dhinv, nu) + np.einsum(
+        "nij,nkj->nki", hinv, dnu
+    )
+    dcorrection = -0.5 * (
+        np.einsum("ij,nlk->nlijk", eye, dnu)
+        + np.einsum("ik,nlj->nlijk", eye, dnu)
+        - np.einsum("nljk,ni->nlijk", dh, nu_up)
+        - np.einsum("njk,nli->nlijk", hv, dnu_up)
+    )
+    return gamma + correction, dgamma + dcorrection, hv, hinv
+
+
+def weyl_ricci(ew: EWStructure, points, memo=None) -> tuple:
+    """The Ricci tensor R_ij = d_k G^k_ij - d_i G^k_kj + G^k_kl G^l_ij
+    - G^k_il G^l_kj of the Weyl connection G, not symmetrized, with h
+    and h^{-1} at ``points``."""
+    gamma, dgamma, hv, hinv = weyl_connection(ew, points, memo)
+    ricci = (
+        np.einsum("nkkij->nij", dgamma)
+        - np.einsum("nikkj->nij", dgamma)
+        + np.einsum("nkkl,nlij->nij", gamma, gamma)
+        - np.einsum("nkil,nlkj->nij", gamma, gamma)
+    )
+    return ricci, hv, hinv
+
+
+def weyl_ew_residual(ew: EWStructure, points, memo=None) -> np.ndarray:
+    """The trace-free part of the Weyl connection's symmetrized Ricci
+    tensor, shape (n, 3, 3): what ``dkp.ew_residual`` computes in closed
+    form."""
+    ricci, hv, hinv = weyl_ricci(ew, points, memo)
+    sym = 0.5 * (ricci + np.swapaxes(ricci, -1, -2))
+    trace = np.einsum("nij,nij->n", hinv, sym)
+    return sym - np.einsum("n,nij->nij", trace / 3.0, hv)

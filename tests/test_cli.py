@@ -351,6 +351,23 @@ def test_malformed_box_or_exclude_exit_code(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", [
+    "x*y^3 + 0^-1", "x*y^3 + 10^400", "x*y^3*(-1)^0.5", "x*y^3 + (-1)^0.5",
+    "x*y^3 + log(0)", "x*y^3 + exp(1000)", "x*y^3 + 1e400",
+    "x*y^3 + 1e400*x", "x*y^3 + 1e200*1e200",
+])
+def test_non_finite_folded_constant_exit_code(tmp_path, capsys, theta):
+    # the checks evaluate only derivatives of a constant, so a non-finite
+    # one passed every check, and a fold that raised ended in a traceback
+    # with the "check failed" exit code
+    path = tmp_path / "const.cfg"
+    path.write_text(f"[fixture:a]\nkind = nk\ntheta = {theta}\n")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: constant ")
+    assert "is not a finite real" in err
+
+
 def test_evolve_mms_table(tmp_path, monkeypatch, capsys):
     import nullkahler.evolver as evolver
 
@@ -580,9 +597,9 @@ def open_weyl_form_cfg(tmp_path):
 
 
 def test_ew_passes_where_the_weyl_form_is_not_closed(open_weyl_form_cfg):
-    # the symmetrised Ricci tensor of the Weyl connection differs from the
-    # plain one only where d nu != 0, so this fixture is what makes
-    # ew_residual's symmetrisation observable
+    # nabla_i nu_j - nabla_j nu_i = (d nu)_ij, so nabla nu is symmetric
+    # only where d nu = 0, and this fixture is what makes ew_residual's
+    # symmetrised nabla_(i nu_j) observable
     from nullkahler.cli import run_fixture
 
     config = load_config(open_weyl_form_cfg)
@@ -782,18 +799,19 @@ def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):
 
 
 #: sha256 of ``render_report`` for the shipped configs, with ``serial``
-#: set or not; recorded when the Lax check began to read the commutator's
-#: lambda-coefficients in place of its value at one drawn lambda per
-#: point, which moved only the ``lax`` entries of nk fixtures, at
-#: round-off, and no verdict (perfbench/report_sha256.json still holds
-#: older paper.cfg values)
+#: set or not; paper.cfg's recorded when the EW residual began to be read
+#: off the Levi-Civita curvature of h in closed form, which moved only the
+#: ``ew`` entries of dkp and ew fixtures, at round-off, and no verdict;
+#: negative.cfg's, which runs no ``ew`` check, when the Lax check began
+#: to read the commutator's lambda-coefficients
+#: (perfbench/report_sha256.json still holds older paper.cfg values)
 REPORT_SHA256 = {
     ("paper.cfg", 0):
-        "73ad2d1a29feeb8bed8072b5446225aa85a006f4d04855f98d865b9b9a6a3ad9",
+        "fd7dde3d8d7862f44bd6aada6ee6e503882ebb32d15956fb077dad4fcd2af1ef",
     ("paper.cfg", 7):
-        "82b93a8c8edab0b59c6de68c9984c6898a20f742a356abdb8b13c2ffb2146ea0",
+        "59bf0f10f74d0e5029aad4b82b2a7d8a1a08a8d6c81a4de62d04c5be2530babe",
     ("paper.cfg", 20240):
-        "a02ab1b39abb499384743dd220ff2343ca9e4e65e10b1e46c92277aa42b85117",
+        "a3bdfe6f978600a2c39d8afdc67c1b04cbbcebae7b204a369ddc6cd4ecd4c7ba",
     ("negative.cfg", 0):
         "4590e0598a1635dac33aab146555cf62a666431ff87c5b839b7633ff60f3ebc9",
     ("negative.cfg", 7):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import eager_oracle_report
+from oracles import christoffel, eager_oracle_report
 
 from nullkahler.curvature import (
     cartan_report,
     check_null_kahler,
-    christoffel,
     coordinate_curvature,
     curvature_two_forms,
     decompose_curvature,

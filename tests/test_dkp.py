@@ -12,7 +12,6 @@ from nullkahler.dkp import (
     residual_heqn,
     residual_lindkp,
     sd_two_forms,
-    weyl_connection,
 )
 from nullkahler.fields import Chart, ExcludedBand, ExprField
 from nullkahler.geometry import (
@@ -28,6 +27,9 @@ from oracles import (
     sigma11_rhs,
     signature_counts,
     symmetry_w,
+    weyl_connection,
+    weyl_ew_residual,
+    weyl_ricci,
 )
 
 CHART3 = Chart(("x", "y", "t"))
@@ -116,11 +118,12 @@ def test_ew_structure_examples(p3):
 
 
 def test_weyl_connection_derivative_is_the_derivative_of_gamma(p3):
-    # ew_residual symmetrises its Ricci tensor, and the second identity
-    # term of the correction's derivative, delta^i_k d_l nu_j, enters it
-    # only as the antisymmetric d_j nu_i - d_i nu_j, so the residual cannot
-    # see that term's sign; the derivative itself can, against a central
-    # difference of gamma
+    # the Weyl connection is the reference route of the EW residual, which
+    # symmetrises its Ricci tensor; the second identity term of the
+    # correction's derivative, delta^i_k d_l nu_j, enters it only as the
+    # antisymmetric d_j nu_i - d_i nu_j, so the residual cannot see that
+    # term's sign; the derivative itself can, against a central difference
+    # of gamma
     ew = ew_from_u(f3("x^2*y - x/(t-1)"))
     gamma, dgamma, _, _ = weyl_connection(ew, p3)
     step = 1e-5
@@ -133,6 +136,39 @@ def test_weyl_connection_derivative_is_the_derivative_of_gamma(p3):
         np.testing.assert_allclose(dgamma[:, axis], central, rtol=0,
                                    atol=1e-6 * np.abs(dgamma).max())
 
+
+
+#: u on which the two EW routes are compared, with the box each is sampled
+#: on: control-ew's u, two generic polynomials, and the travelling wave of
+#: tests/test_cli.py, an exact dKP solution whose Weyl form is not closed
+EW_ROUTE_CASES = (
+    ("x^2", BOX3),
+    ("x^2*y + 3*y*t^2 - x*t", BOX3),
+    ("x^3 - 2*x*y^2 + t*y + 1", BOX3),
+    ("-2 + (4 + 2*(x + y - t))^0.5", Box(((0, 1), (0, 1), (-1, 0)))),
+)
+
+
+@pytest.mark.parametrize("text, box", EW_ROUTE_CASES,
+                         ids=[text for text, _ in EW_ROUTE_CASES])
+def test_closed_form_ew_residual_equals_the_weyl_connection_route(text, box):
+    # ew_residual reads the Pedersen-Tod closed form off the Levi-Civita
+    # curvature of h; the reference forms the Weyl connection and its Ricci
+    # tensor.  The gap is taken relative to that Ricci tensor, the terms
+    # the trace-free part cancels: the travelling wave is Einstein-Weyl,
+    # so its residual is itself round-off.  A few dozen roundings of terms
+    # of that size stay under 32 eps; the gap measured 2 to 7.4 eps
+    points = SamplePlan(box, count=100).points()
+    ew = ew_from_u(f3(text))
+    closed = ew_residual(ew, points)
+    reference = weyl_ew_residual(ew, points)
+    scale = np.abs(weyl_ricci(ew, points)[0]).max()
+    gap = np.abs(closed - reference).max()
+    assert gap <= 32 * np.finfo(float).eps * scale
+    nu_t = ew.nu.component((2,))
+    assert np.abs(nu_t.differentiate("x").evaluate(points)).max() > 0.1
+    einstein_weyl = text.startswith("-2 + ")
+    assert (np.abs(reference).max() < 1e-13) == einstein_weyl
 
 def test_monopole_examples(p3):
     h_pot, w_pot = f3(H_MAIN), symmetry_w(f3(H_MAIN), b=1.0)

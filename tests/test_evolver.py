@@ -9,6 +9,7 @@ from nullkahler.evolver import (
     EVOLVER_CHART,
     BlowUpError,
     BoundarySource,
+    REFERENCE_CFL_FACTOR,
     CFLError,
     DKPState,
     ImplicitSolve,
@@ -337,6 +338,41 @@ def test_time_order_apart_from_space():
     # well above round-off: the smallest error is about 1e7 ulps of u*
     assert errors[-1] > 1e6 * np.finfo(float).eps * np.max(np.abs(exact))
 
+
+
+def _travelling_wave_orders(shift: float, t_end: float):
+    """Observed orders of the max error at t_end of runs on 17^2, 33^2 and
+    65^2 grids of [0, 1]^2, each in equal steps of at most 0.9 times the
+    CFL bound of its initial state, against u*(x, y, t - shift) for the
+    travelling wave u* = -2 + (4 + 2 (x + y - t))^(1/2).  u* solves dKP
+    exactly, since (2 + u*) u*_s = 1 along s = x + y - t, and it is smooth
+    for x + y - t > -2."""
+    boundary = uniform_reference(f"-2 + (4 + 2*(x + y - t + {shift}))^0.5")
+    errors = []
+    for n in (17, 33, 65):
+        grid = Grid(0.0, 1.0, n, 0.0, 1.0, n)
+        xs, ys = grid.axes()
+        state = DKPState(grid, boundary.u_on(xs, ys, 0.0), 0.0, boundary)
+        steps = int(np.ceil(t_end / (REFERENCE_CFL_FACTOR * cfl_bound(state))))
+        final = dkp_evolve(state, t_end / steps, steps)[-1]
+        errors.append(np.max(np.abs(final.u - boundary.u_on(xs, ys, t_end))))
+    return np.log2(np.array(errors[:-1]) / errors[1:])
+
+
+def test_travelling_wave_order_where_u_stays_non_negative():
+    # over t in [-1.5, 0], u* >= 0 on the box; max errors 4.0e-6, 8.4e-7
+    # and 1.8e-7 on the three grids, orders 2.26 and 2.18
+    orders = _travelling_wave_orders(1.5, 1.5)
+    assert np.all(orders >= 1.9), orders
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: the evolver diverges once u* < 0 at x0, where x0 is "
+    "an inflow boundary of u_t = u u_x; max errors 4.8e-4, 1.2e-3, 3.4e-2"))
+def test_travelling_wave_order_where_u_turns_negative_at_x0():
+    # over t in [0, 1], u* < 0 in the corner x + y < t
+    orders = _travelling_wave_orders(0.0, 1.0)
+    assert np.all(orders >= 1.9), orders
 
 def test_boundary_data_read_only_on_the_ring(monkeypatch, diff_calls):
     # u* and u*_t are evaluated on the 4n - 4 ring points, the source on

@@ -3,7 +3,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nullkahler.expressions import Const, EvaluationError
+from nullkahler.expressions import (
+    Const,
+    EvaluationError,
+    ExpressionError,
+    Var,
+    mul,
+    power,
+)
 from nullkahler.fields import Chart, DomainError, ExcludedBand, ExprField
 from nullkahler.geometry import (
     SYM_PAIRS,
@@ -389,10 +396,14 @@ def test_constant_jet_slot_in_excluded_band_raises(order):
 
 def test_non_finite_constant_jet_slot_raises():
     # at each order the partial along x folds to the constant inf, which
-    # is checked without being evaluated
+    # is checked without being evaluated; the parser refuses the text
+    # 1e308*10*x, so the trees are built with the smart constructors
+    inf = mul(Const(1e308), Const(10.0))
     fields = (ExprField.constant(float("inf"), CHART4),
-              ExprField.from_text("1e308*10*x", CHART4),
-              ExprField.from_text("1e308*10*x^2", CHART4))
+              ExprField(mul(inf, Var("x")), CHART4),
+              ExprField(mul(inf, power(Var("x"), 2)), CHART4))
+    with pytest.raises(ExpressionError, match="not a finite real"):
+        ExprField.from_text("1e308*10*x", CHART4)
     for order, field in enumerate(fields):
         part = field.differentiate(*("x",) * order).expr
         assert isinstance(part, Const) and part.value == float("inf")
