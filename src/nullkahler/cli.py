@@ -17,11 +17,12 @@ reads, a key that neither its kind nor its family reads, a ``[suite]``
 key other than ``seed`` and ``samples``, a seed
 that is not an integer at least 0 (in the config or from ``--seed``), a
 sample count below 1, a tolerance or ``--tolerance-scale`` that is not a
-finite number above 0, and a section other than ``[suite]``,
-``[tolerances]`` and ``[fixture:*]`` are config errors; a box that meets
-an excluded band, declared on the ``exclude`` line or carried by a
-solution family's chart, is a fixture error, refused before any fixture
-runs).
+finite number above 0, a section other than ``[suite]``,
+``[tolerances]`` and ``[fixture:*]``, and an expression that does not
+parse, reported as ``[fixture:<id>] <key>: ...``, are config errors; a
+box that meets an excluded band, declared on the ``exclude`` line or
+carried by a solution family's chart, is a fixture error, refused before
+any fixture runs).
 
 Each fixture is checked on one sample set: its ``build`` takes the sample
 plan on the fixture's box and returns the kind's sample object, which
@@ -33,6 +34,9 @@ The same holds inside the oracle curvature: its report computes the
 sectors the checks read (the self-dual Weyl spinor and the scalar) when
 it is built, and the anti-self-dual spinor, Phi and the Bianchi gap only
 when something reads them, which no suite check does.
+Both curved kinds check d Sigma^{0'0'} and d Sigma^{0'1'} of
+``CoFrame.sigma``, read off the coframe's jet by ``check_null_kahler``,
+so ``dsigma01`` measures one quantity on nk and dkp fixtures alike.
 Each sample carries one evaluation memo, which every check reads
 through, so an expression node is evaluated once per sample set.  A memo
 serves the point sets that hold the same values under every coordinate
@@ -135,9 +139,20 @@ class Fixture:
 
     def sample(self, config):
         """The sample set on this fixture's box at the config's count and
-        seed."""
-        return self.build(SamplePlan(self.box, config["samples"],
-                                     config["seed"]))
+        seed; a parse error in one of its expressions names the fixture."""
+        try:
+            return self.build(SamplePlan(self.box, config["samples"],
+                                         config["seed"]))
+        except ExpressionError as err:
+            raise ExpressionError(f"[fixture:{self.name}] {err}") from None
+
+
+def _field(section, key, chart) -> ExprField:
+    """The expression ``key`` on ``chart``; a parse error names the key."""
+    try:
+        return ExprField.from_text(section[key], chart)
+    except ExpressionError as err:
+        raise ExpressionError(f"{key}: {err}") from None
 
 
 def _parse_axes(text: str, what: str, *kinds) -> list:
@@ -262,9 +277,8 @@ def _nk_fixture(name, section) -> Fixture:
             return NKSample(NKSolution(solution.theta.on_chart(chart),
                                        solution.f.on_chart(chart), box), plan)
         chart = Chart(("w", "z", "x", "y"), excluded)
-        theta = ExprField.from_text(section["theta"], chart)
-        f_text = section.get("f", "")
-        f = ExprField.from_text(f_text, chart) if f_text else induced_f(theta)
+        theta = _field(section, "theta", chart)
+        f = _field(section, "f", chart) if section.get("f") else induced_f(theta)
         return NKSample(NKSolution(theta, f, box), plan)
 
     checks = _parse_checks(name, "nk", section, NK_CHECKS)
@@ -280,8 +294,8 @@ def _dkp_fixture(name, section) -> Fixture:
 
     def build(plan):
         chart = Chart(("x", "y", "t"), excluded)
-        return DKPSample(ExprField.from_text(section["h"], chart),
-                         ExprField.from_text(section["w"], chart), plan)
+        return DKPSample(_field(section, "H", chart),
+                         _field(section, "W", chart), plan)
 
     default = list(DKP_CHECKS)
     vacuum = section.get("vacuum", "").lower()
@@ -304,7 +318,7 @@ def _ew_fixture(name, section) -> Fixture:
 
     def build(plan):
         chart = Chart(("x", "y", "t"), excluded)
-        return EWSample(ExprField.from_text(section["u"], chart), plan)
+        return EWSample(_field(section, "u", chart), plan)
 
     checks = _parse_checks(name, "ew", section, EW_CHECKS)
     return Fixture(name, "ew", checks, section.get("expect", "pass"), box,
@@ -407,6 +421,10 @@ class _CurvedSample:
     def oracle(self):
         return oracle_report(self.metric, self.coframe, self.points, self.memo)
 
+    @cached_property
+    def dsigma(self):
+        return check_null_kahler(self.coframe, self.points, self.memo)
+
 
 class NKSample(_CurvedSample):
     """An nk fixture's points with their memo, and the metric and coframe
@@ -419,10 +437,6 @@ class NKSample(_CurvedSample):
         self.memo = {}
         self.metric = nk_metric(self.theta)
         self.coframe = nk_coframe(self.theta)
-
-    @cached_property
-    def dsigma(self):
-        return check_null_kahler(self.coframe, self.points, self.memo)
 
 
 class DKPSample(_CurvedSample):
@@ -448,10 +462,6 @@ class DKPSample(_CurvedSample):
     def ew(self):
         return dkp_mod.ew_from_u(self.h.differentiate("x"))
 
-    @cached_property
-    def dsigma(self):
-        return dkp_mod.sd_two_forms(self.coframe, self.points, self.memo)[3]
-
 
 class EWSample:
     """An ew fixture's points on (x, y, t) and their evaluation memo,
@@ -466,9 +476,9 @@ class EWSample:
 
 def _jones_tod_gap(s):
     """h of the Jones-Tod reduction against -W_x^2 times the EW h."""
-    reduction = dkp_mod.jones_tod_reduce(s.metric)
+    h = dkp_mod.jones_tod_reduce(s.metric)
     wx2 = s.w.differentiate("x").evaluate(s.points3, s.memo) ** 2
-    return (reduction.h.evaluate(s.points3, s.memo)
+    return (h.evaluate(s.points3, s.memo)
             + wx2[:, None, None] * s.ew.h.evaluate(s.points3, s.memo))
 
 

@@ -33,7 +33,7 @@ primed mirror, ``phi`` is Phi and ``scalar`` is R.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .geometry import (
     CoFrame,
     MetricField,
     dual_vector_values,
-    exterior_derivative,
     inverse_metric_values,
 )
 
@@ -198,13 +197,12 @@ class CurvatureReport:
     """
 
     def __init__(self, c_asd, c_sd, phi, scalar, fit_residual: float,
-                 path: str, raw: RawCurvature | None):
+                 raw: RawCurvature | None):
         self.c_asd = c_asd
         self.c_sd = c_sd
         self.phi = phi
         self.scalar = scalar
         self.fit_residual = fit_residual
-        self.path = path
         self.raw = raw
 
 
@@ -488,8 +486,7 @@ def decompose_curvature(r_unprimed, r_primed, dual_vectors) -> CurvatureReport:
     c_sd = theta[:, 5:10]
     phi = theta[:, 10:19].reshape(npts, 3, 3)
     scalar = theta[:, 19]
-    return CurvatureReport(c_asd, c_sd, phi, scalar, fit, path="cartan",
-                           raw=None)
+    return CurvatureReport(c_asd, c_sd, phi, scalar, fit, raw=None)
 
 
 def cartan_report(coframe: CoFrame, points) -> CurvatureReport:
@@ -541,7 +538,6 @@ class OracleReport(CurvatureReport):
     def __init__(self, raw: RawCurvature, dual):
         npts = dual.shape[0]
         self.raw = raw
-        self.path = "oracle"
         self.scalar = raw.scalar
         self._dual = dual
         self._riemann = raw.riemann_low.reshape(npts, 16, 16)
@@ -622,12 +618,36 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
 # --- checks --------------------------------------------------------------------
 
 def check_null_kahler(coframe: CoFrame, points, memo=None) -> tuple:
-    """(d Sigma^{0'0'}, d Sigma^{0'1'}) at ``points``, one row of
-    three-form components per point: the residuals of the closed-form
-    conditions.  ``memo`` is an evaluation memo of ``points``.  Ricci
-    nullness is read off the oracle's ``raw``."""
-    return tuple(exterior_derivative(coframe.sigma(0, b)).evaluate(points, memo)
-                 for b in (0, 1))
+    """(d Sigma^{0'0'}, d Sigma^{0'1'}) at ``points``, one row per point of
+    the three-form components at kappa < mu < nu, for the Sigma^{A'B'} of
+    ``CoFrame.sigma``: the residuals of the closed-form conditions.
+
+    Both are read off the coframe's values and first jet, with no form
+    tree.  With F^{AA'}_{k mu} = d_k e^{AA'}_mu - d_mu e^{AA'}_k,
+
+        d Sigma^{0'j} = 1/2 (F^{00'} ^ e^{1j} - F^{1j} ^ e^{00'}
+                             - F^{10'} ^ e^{0j} + F^{0j} ^ e^{10'}),
+
+    and (F ^ e)_{kappa mu nu} = F_{kappa mu} e_nu + F_{mu nu} e_kappa
+    + F_{nu kappa} e_mu.  ``memo`` is an evaluation memo of ``points``.
+    Ricci nullness is read off the oracle's ``raw``."""
+    memo = {} if memo is None else memo
+    # e[A, A', n, mu] and F[A, A', n, k, mu], the labels (A, A') leading
+    e = coframe.evaluate(points, memo).transpose(1, 2, 0, 3)
+    de = coframe.first_derivatives(points, memo).transpose(2, 3, 0, 1, 4)
+    f = de - de.swapaxes(-1, -2)
+    # each factor read once at the triples kappa < mu < nu
+    k, m, v = np.array(list(combinations(range(4), 3))).T
+    fkm, fmv, fvk = f[..., k, m], f[..., m, v], f[..., v, k]
+    ek, em, ev = e[..., k], e[..., m], e[..., v]
+
+    def wedge(a, b):
+        """F^a ^ e^b at each triple; a and b are (A, A') labels."""
+        return fkm[a] * ev[b] + fmv[a] * ek[b] + fvk[a] * em[b]
+
+    return tuple(0.5 * (wedge((0, 0), (1, j)) - wedge((1, j), (0, 0))
+                        - wedge((1, 0), (0, j)) + wedge((0, j), (1, 0)))
+                 for j in (0, 1))
 
 
 def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:

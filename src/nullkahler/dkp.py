@@ -1,5 +1,6 @@
 """Symmetry reduction: dKP potentials, Einstein-Weyl structures,
-monopole pairs, and the circle-bundle metric they assemble into.
+monopole pairs, the circle-bundle metric they assemble into, and the
+Jones-Tod three-metric read back off it.
 
 Potentials H(x, y, t) and W(x, y, t) satisfy
 
@@ -10,7 +11,9 @@ With u = H_x the Weyl structure h = dy^2 - 4 dx dt - 4 u dt^2,
 nu = -4 u_x dt is Einstein-Weyl exactly when u solves dKP, and
 (V = W_x, alpha = -W_x dy - 2 W_y dt) solves the generalised monopole
 equation on it.  The four-metric built from (H, W) is then ASD
-null-Kahler with the Killing vector along z.
+null-Kahler with the Killing vector along z; its SD two-forms are the
+``CoFrame.sigma`` forms of ``geometry.dkp_coframe``, in the normalization
+every curved fixture is checked in.
 
 The Weyl connection D is the torsion-free connection with D h = nu x h.
 In n dimensions its symmetrized Ricci tensor is
@@ -29,9 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import coordinate_curvature
+from .curvature import check_null_kahler, coordinate_curvature
 from .fields import Chart, ExprField
 from .geometry import (
+    SYM_PAIRS,
     CoFrame,
     FormField,
     MetricField,
@@ -40,7 +44,6 @@ from .geometry import (
     exterior_derivative,
     field_jet,
     hodge_star_values,
-    wedge,
 )
 from .sampling import Box
 
@@ -49,11 +52,6 @@ EW_CHART = Chart(("x", "y", "t"))
 #: orientation of the Einstein-Weyl chart (x, y, t); fixed by the
 #: closed-form star relations *dt = dt^dy, *dy = 2 dt^dx
 EW_ORIENTATION = 1
-
-#: orientation used inside the Jones-Tod one-form; the opposite choice
-#: flips nu, and this one reproduces nu = -4 u_x dt modulo the gauge
-#: term d ln(Wx^2) on every circle-bundle fixture
-JONES_TOD_ORIENTATION = 1
 
 
 def residual_heqn(h_pot: ExprField) -> ExprField:
@@ -170,45 +168,24 @@ def build_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricF
 
 
 def sd_two_forms(coframe: CoFrame, points, memo=None):
-    """The printed SD two-form basis of a dkp coframe and the closedness
-    of its first two forms.
+    """The SD two-forms of a dkp coframe and the closedness of the first
+    two, kept for the benchmark's tracer, which names it.
 
-    Returns (sigma00, sigma01, sigma11, (d sigma00, d sigma01)) where the
-    forms use the display normalization Sigma^{0'0'} = e00'^e10',
-    Sigma^{0'1'} = e10'^e01' - e00'^e11', Sigma^{1'1'} = e01'^e11', and
-    the pair holds the three-form components of d Sigma^{0'0'} and
-    d Sigma^{0'1'} at ``points``, one row per point.  d Sigma^{1'1'} is
-    not closed in general; the tests compare it against its closed form.
-    ``memo`` is an evaluation memo of ``points``.
+    Returns (sigma00, sigma01, sigma11, (d sigma00, d sigma01)): the
+    forms are ``CoFrame.sigma`` in the pair order ``SYM_PAIRS``, and the
+    pair is ``check_null_kahler``'s.  ``memo`` is an evaluation memo of
+    ``points``.
     """
-    e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
-    e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
-    sigma00 = wedge(e00, e10)
-    sigma01 = wedge(e10, e01) - wedge(e00, e11)
-    sigma11 = wedge(e01, e11)
-    closure = tuple(exterior_derivative(sigma).evaluate(points, memo)
-                    for sigma in (sigma00, sigma01))
-    return sigma00, sigma01, sigma11, closure
+    return (*(coframe.sigma(*pair) for pair in SYM_PAIRS),
+            check_null_kahler(coframe, points, memo))
 
 
 # --- Jones-Tod reduction ---------------------------------------------------------
 
-class JonesTodReduction:
-    """EW data recovered from a four-metric with the Killing vector d_z.
-
-    ``h`` carries exact component fields on (x, y, t); the one-form is
-    built and evaluated pointwise by ``nu_at`` when it is called (its
-    derivatives are never needed by the round-trip contracts).
-    """
-
-    def __init__(self, h: MetricField, nu_at):
-        self.h = h
-        self.nu_at = nu_at  # callable(points4) -> (n, 4) component array
-
-
-def jones_tod_reduce(metric: MetricField) -> JonesTodReduction:
-    """h = |K|^{-2} g - |K|^{-4} Kb o Kb, nu = 2 |K|^{-2} *_g (Kb ^ dKb)
-    for K = d_z; the metric components must not depend on z."""
+def jones_tod_reduce(metric: MetricField) -> MetricField:
+    """The three-metric h = |K|^{-2} g - |K|^{-4} Kb o Kb on (x, y, t) of
+    the Jones-Tod reduction along K = d_z, with exact component fields;
+    the metric components must not depend on z."""
     chart4 = metric.chart
     if chart4.coords != ("x", "y", "t", "z"):
         raise ValueError("jones_tod_reduce expects the chart (x, y, t, z)")
@@ -227,19 +204,4 @@ def jones_tod_reduce(metric: MetricField) -> JonesTodReduction:
             kj = metric.component(zi, j)
             entry = gij / norm2 - (ki * kj) / (norm2 * norm2)
             comps3[i][j] = ExprField(entry.expr, chart3)
-    h = MetricField(chart3, comps3)
-
-    def nu_at(points4) -> np.ndarray:
-        kflat = FormField(chart4, 1, {
-            (mu,): metric.component(zi, mu) for mu in range(4)
-        })
-        three_form = wedge(kflat, exterior_derivative(kflat))
-        pts = np.atleast_2d(np.asarray(points4, dtype=float))
-        gv = metric.evaluate(pts)
-        star = hodge_star_values(three_form.evaluate(pts), 3, gv,
-                                 JONES_TOD_ORIENTATION)
-        scale = 2.0 / norm2.on_chart(chart4).evaluate(pts)
-        return star * scale[:, None]
-
-    return JonesTodReduction(h, nu_at)
-
+    return MetricField(chart3, comps3)

@@ -241,9 +241,6 @@ class FormField:
             comps[key] = comps[key] + value if key in comps else value
         return FormField(self.chart, self.degree, comps)
 
-    def __sub__(self, other: "FormField") -> "FormField":
-        return self + other.scaled(-1.0)
-
     def scaled(self, factor) -> "FormField":
         comps = {key: value * factor for key, value in self.comps.items()}
         return FormField(self.chart, self.degree, comps)

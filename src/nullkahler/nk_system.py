@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import (EvaluationError, Var, integrate_polynomial,
-                          node_value, parse)
+from .expressions import (EvaluationError, ExpressionError, Var,
+                          integrate_polynomial, node_value, parse)
 from .fields import Chart, DomainError, ExcludedBand, ExprField
 from .sampling import Box
 
@@ -104,16 +104,25 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
     3. Theta = A(x/y) for an arbitrary expression A(s); f is induced.
        The locus y = 0 is excluded from the chart.
     4. Theta = x A(y) + B(y), f = -(A')^2.
+
+    A parse error names the parameter it is in.
     """
+    def param(key, names, bindings=None):
+        try:
+            return parse(params[key] if key in FAMILY_PARAMS[kind][0]
+                         else params.get(key, "0"), names, bindings)
+        except ExpressionError as err:
+            raise ExpressionError(f"{key}: {err}") from None
+
     if kind == 1:
-        a = parse(params["A"], ("w", "y"))
-        b = parse(params.get("B", "0"), ("w", "y"))
+        a = param("A", ("w", "y"))
+        b = param("B", ("w", "y"))
         theta = b + Var("z") * integrate_polynomial(a, "y")
         chart = _nk_chart()
         return NKSolution(ExprField(theta, chart), ExprField(a, chart), box)
     if kind == 2:
-        p = parse(params["P"], ("w", "y"))
-        q = parse(params.get("Q", "0"), ("w", "y"))
+        p = param("P", ("w", "y"))
+        q = param("Q", ("w", "y"))
         n_zz = integrate_polynomial(
             integrate_polynomial(p - p.derivative("w"), "y") + p * p, "y")
         n_q = integrate_polynomial(integrate_polynomial(q, "y"), "y")
@@ -123,13 +132,13 @@ def example_family(kind: int, params: dict, box: Box = DEFAULT_NK_BOX) -> NKSolu
         theta_field = ExprField(theta, chart)
         return NKSolution(theta_field, theta_field.differentiate("x"), box)
     if kind == 3:
-        theta = parse(params["A"], (), {"s": Var("x") / Var("y")})
+        theta = param("A", (), {"s": Var("x") / Var("y")})
         chart = _nk_chart(FAMILY_EXCLUDED[3])
         theta_field = ExprField(theta, chart)
         return NKSolution(theta_field, induced_f(theta_field), box)
     if kind == 4:
-        a = parse(params["A"], ("y",))
-        b = parse(params.get("B", "0"), ("y",))
+        a = param("A", ("y",))
+        b = param("B", ("y",))
         theta = Var("x") * a + b
         a_y = a.derivative("y")
         chart = _nk_chart()

@@ -11,6 +11,8 @@ Sigma^{A'B'} = (1/2) epsilon_{AB} e^{AA'} ^ e^{BB'}.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from nullkahler.curvature import (
@@ -112,6 +114,51 @@ def sigma11_rhs(h_pot: ExprField, w_pot: ExprField) -> FormField:
     dxdydt = FormField(chart4, 3, {(x, y, t): ExprField.constant(1.0, chart4)})
     lind = residual_lindkp(h_pot, w_pot).on_chart(chart4)
     return wedge(df, dt_dz) + dxdydt.mul_scalar(lind * -2.0)
+
+
+# --- the closure of Sigma through form trees ----------------------------------
+# the package reads d Sigma^{0'0'} and d Sigma^{0'1'} off the coframe's
+# values and first jet; this route builds Sigma^{0'b} = ``CoFrame.sigma``
+# as a form tree and takes its exact exterior derivative, and is the
+# reference the jet route must agree with
+
+def sigma_closure_by_forms(coframe: CoFrame, points) -> tuple:
+    """(d Sigma^{0'0'}, d Sigma^{0'1'}) at ``points`` in the layout of
+    ``check_null_kahler``: one row per point of the components at
+    kappa < mu < nu."""
+    kappa, mu, nu = zip(*combinations(range(4), 3))
+    return tuple(
+        exterior_derivative(coframe.sigma(0, b)).evaluate(points)[
+            :, kappa, mu, nu]
+        for b in (0, 1))
+
+
+# --- the Jones-Tod one-form ------------------------------------------------------
+# the suite compares only the reduced three-metric h with the EW h; the
+# tests check the recovered one-form against nu = -4 u_x dt modulo the
+# conformal-gauge term
+
+#: orientation used inside the Jones-Tod one-form; the opposite choice
+#: flips nu, and this one reproduces nu = -4 u_x dt modulo the gauge
+#: term d ln(Wx^2) on every circle-bundle fixture
+JONES_TOD_ORIENTATION = 1
+
+
+def jones_tod_nu(metric: MetricField, points4,
+                 orientation: int = JONES_TOD_ORIENTATION) -> np.ndarray:
+    """nu = 2 |K|^{-2} *_g (Kb ^ dKb) for K = d_z, as an (n, 4) component
+    array at ``points4`` on (x, y, t, z), with the star of ``orientation``."""
+    chart4 = metric.chart
+    norm2 = metric.component(3, 3)  # |K|^2 = g_zz
+    kflat = FormField(chart4, 1, {
+        (mu,): metric.component(3, mu) for mu in range(4)
+    })
+    three_form = wedge(kflat, exterior_derivative(kflat))
+    pts = np.atleast_2d(np.asarray(points4, dtype=float))
+    gv = metric.evaluate(pts)
+    star = hodge_star_values(three_form.evaluate(pts), 3, gv, orientation)
+    scale = 2.0 / norm2.on_chart(chart4).evaluate(pts)
+    return star * scale[:, None]
 
 
 # --- cross-checks of what the checks take as given ----------------------------
@@ -436,7 +483,7 @@ def eager_oracle_report(metric: MetricField, coframe: CoFrame, points,
     bis = frame @ phi_ab @ frame.transpose(0, 2, 1)
     phi = 0.5 * (bis + bis.transpose(0, 2, 1))[:, _PHI_ROWS, _PHI_COLS]
     return CurvatureReport(_extract_slots(c_asd_full), _extract_slots(c_sd_full),
-                           phi, raw.scalar, sym_gap, path="oracle", raw=raw)
+                           phi, raw.scalar, sym_gap, raw=raw)
 
 
 # --- a manufactured dKP solution that only the time stepping gets wrong --------

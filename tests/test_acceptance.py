@@ -23,7 +23,6 @@ from nullkahler.dkp import (
     jones_tod_reduce,
     residual_heqn,
     residual_lindkp,
-    sd_two_forms,
 )
 from nullkahler.evolver import (
     mms_convergence,
@@ -33,6 +32,7 @@ from nullkahler.evolver import (
 from nullkahler.fields import Chart, ExprField, Grid
 from nullkahler.geometry import (
     EPS_UPPER,
+    SYM_PAIRS,
     dkp_coframe,
     dkp_metric,
     exterior_derivative,
@@ -215,10 +215,10 @@ def test_criterion_06_dkp_pipeline():
     report = oracle_report(metric, dkp_coframe(h_pot, w_pot), pts4)
     sd = float(np.max(np.abs(report.c_sd)))
     scalar = float(np.max(np.abs(report.scalar)))
-    reduction = jones_tod_reduce(metric)
+    h_reduced = jones_tod_reduce(metric)
     wx2 = w_pot.differentiate("x").evaluate(pts3) ** 2
     jt = float(np.max(np.abs(
-        reduction.h.evaluate(pts3) + wx2[:, None, None] * ew.h.evaluate(pts3))))
+        h_reduced.evaluate(pts3) + wx2[:, None, None] * ew.h.evaluate(pts3))))
     ok = (max(residuals.values()) < 1e-6 and sd < 1e-7 and scalar < 1e-7
           and jt < 1e-8)
     report_line(6, ok,
@@ -271,12 +271,14 @@ def test_criterion_09_sigma_identities():
     worst_quad = 0.0
     for w_text in ("-x/(t-1)", "x^3 + 2*x + y^2/3"):
         w_pot = ExprField.from_text(w_text, CHART3)
-        s00, s01, s11, _ = sd_two_forms(dkp_coframe(h_pot, w_pot), pts4)
+        coframe = dkp_coframe(h_pot, w_pot)
+        s00, s01, s11 = (coframe.sigma(*pair) for pair in SYM_PAIRS)
         d11 = exterior_derivative(s11).evaluate(pts4)
         rhs = sigma11_rhs(h_pot, w_pot).evaluate(pts4)
         worst_rhs = max(worst_rhs, float(np.max(np.abs(d11 - rhs))))
-        quad = wedge(s00, s11).scaled(-2.0).evaluate(pts4) \
-            - wedge(s01, s01).evaluate(pts4)
+        # Sigma^{0'0'} ^ Sigma^{1'1'} + 2 Sigma^{0'1'} ^ Sigma^{0'1'} = 0
+        quad = wedge(s00, s11).evaluate(pts4) \
+            + 2.0 * wedge(s01, s01).evaluate(pts4)
         worst_quad = max(worst_quad, float(np.max(np.abs(quad))))
     ok = worst_rhs < 1e-8 and worst_quad < 1e-10
     report_line(9, ok,

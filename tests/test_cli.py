@@ -364,8 +364,26 @@ def test_non_finite_folded_constant_exit_code(tmp_path, capsys, theta):
     path.write_text(f"[fixture:a]\nkind = nk\ntheta = {theta}\n")
     assert main(["check", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: constant ")
+    assert err.startswith("error: [fixture:a] theta: constant ")
     assert "is not a finite real" in err
+
+
+@pytest.mark.parametrize("body, prefix", [
+    ("kind = nk\ntheta = x +", "theta"),
+    ("kind = nk\ntheta = x*y^3\nf = 0^-1", "f"),
+    ("kind = nk_family\nfamily = 1\nA = y^", "A"),
+    ("kind = nk_family\nfamily = 2\nP = w\nQ = (y", "Q"),
+    ("kind = dkp\nH = x +\nW = x", "H"),
+    ("kind = dkp\nH = 0\nW = x*(", "W"),
+    ("kind = ew\nu = y^", "u"),
+])
+def test_expression_parse_error_names_fixture_and_key(tmp_path, capsys, body,
+                                                      prefix):
+    path = tmp_path / "parse.cfg"
+    path.write_text(f"[fixture:ok]\nkind = nk\ntheta = 0\n\n"
+                    f"[fixture:bad]\n{body}\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [fixture:bad] {prefix}: ")
 
 
 def test_evolve_mms_table(tmp_path, monkeypatch, capsys):
@@ -773,6 +791,38 @@ def test_suite_checks_leave_the_unread_oracle_sectors_uncomputed():
         assert {"c_asd", "_c_asd_full"} <= set(vars(report))
 
 
+def test_sigma_checks_build_no_form_tree(tmp_path, monkeypatch):
+    # d Sigma is read off the coframe's values and first jet: a fixture
+    # that selects only the closure checks builds no wedge and takes no
+    # exterior derivative, under any name a package module binds them to
+    from nullkahler import geometry
+
+    calls = []
+    for name in ("exterior_derivative", "wedge"):
+        original = getattr(geometry, name)
+
+        def recorded(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("nullkahler")
+                    and vars(module).get(name) is original):
+                monkeypatch.setattr(module, name, recorded)
+    path = tmp_path / "sigma.cfg"
+    path.write_text("[fixture:nk]\nkind = nk_family\nfamily = 4\nA = y^3\n"
+                    "checks = dsigma00, dsigma01\n\n"
+                    "[fixture:dkp]\nkind = dkp\nH = -x^2/(2*(t-1))\n"
+                    "W = -x/(t-1)\nchecks = dsigma00, dsigma01\n")
+    report, code = run_suite(path)
+    assert code == 0 and report["summary"]["total"] == 4
+    assert calls == []
+    # the recorders are live: building Sigma as a form tree is seen
+    config = load_config(path)
+    config["fixtures"][0].sample(config).coframe.sigma(0, 1)
+    assert "wedge" in calls
+
+
 #: class-level ``Expr.diff`` and ``ExprField.evaluate_axes`` calls in one
 #: ``run_suite`` of paper.cfg: each expression node is differentiated once
 #: per variable it reads; jets evaluate their partials with ``node_value``
@@ -799,19 +849,20 @@ def test_paper_suite_work_does_not_grow(diff_calls, monkeypatch):
 
 
 #: sha256 of ``render_report`` for the shipped configs, with ``serial``
-#: set or not; paper.cfg's recorded when the EW residual began to be read
-#: off the Levi-Civita curvature of h in closed form, which moved only the
-#: ``ew`` entries of dkp and ew fixtures, at round-off, and no verdict;
-#: negative.cfg's, which runs no ``ew`` check, when the Lax check began
-#: to read the commutator's lambda-coefficients
+#: set or not; paper.cfg's recorded when d Sigma began to be read off the
+#: coframe jet with the Sigma of ``CoFrame.sigma`` on every curved kind,
+#: which halved each dkp ``dsigma01`` entry (the display Sigma^{0'1'} was
+#: -2 times it) and moved no other entry and no verdict; negative.cfg's,
+#: which has no dkp fixture, when the Lax check began to read the
+#: commutator's lambda-coefficients
 #: (perfbench/report_sha256.json still holds older paper.cfg values)
 REPORT_SHA256 = {
     ("paper.cfg", 0):
-        "fd7dde3d8d7862f44bd6aada6ee6e503882ebb32d15956fb077dad4fcd2af1ef",
+        "8598e44299bcb03a55030e0038b61e4b53447387f6d604534084282b59214c37",
     ("paper.cfg", 7):
-        "59bf0f10f74d0e5029aad4b82b2a7d8a1a08a8d6c81a4de62d04c5be2530babe",
+        "f49fd93f3f80394bb3d85c87443224393b285a47ecd3fe880dd2524c7e1c33b2",
     ("paper.cfg", 20240):
-        "a3bdfe6f978600a2c39d8afdc67c1b04cbbcebae7b204a369ddc6cd4ecd4c7ba",
+        "294e8197a50b4dfd5a2fdb170476900e34628e94b57ad0bc882a6dac22509524",
     ("negative.cfg", 0):
         "4590e0598a1635dac33aab146555cf62a666431ff87c5b839b7633ff60f3ebc9",
     ("negative.cfg", 7):
@@ -848,8 +899,9 @@ def test_python_m_entry_point(tmp_path, checks, expected):
 #: when the dkp closure check also evaluated d Sigma^{1'1'} and its closed
 #: form, 2,424 with one memo per point set of a dkp sample, 5,590 with
 #: one memo per check, 36,572 when every tree was walked on its own,
-#: 1,977 when each term of the Lax commutator was a product tree)
-PAPER_SUITE_NODE_EVALUATIONS = 1762
+#: 1,977 when each term of the Lax commutator was a product tree, 1,762
+#: when d Sigma was the exterior derivative of a form tree)
+PAPER_SUITE_NODE_EVALUATIONS = 1738
 
 
 def test_paper_suite_node_evaluations_do_not_grow(evaluate_calls):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import christoffel, eager_oracle_report
+from oracles import christoffel, eager_oracle_report, sigma_closure_by_forms
 
 from nullkahler.curvature import (
     cartan_report,
@@ -17,7 +17,9 @@ from nullkahler.curvature import (
 from nullkahler.fields import Chart, ExprField
 from nullkahler.geometry import (
     EPS_UPPER,
+    CoFrame,
     DegeneracyError,
+    FormField,
     dkp_coframe,
     dkp_metric,
     inverse_metric_values,
@@ -268,6 +270,47 @@ def test_dkp_null_kahler_closure():
     d00, d01 = check_null_kahler(coframe, pts)
     assert np.max(np.abs(d00)) < 1e-9
     assert np.max(np.abs(d01)) < 1e-9
+
+
+def _generic_coframe():
+    """A coframe on (w, z, x, y) with no closed Sigma: every d Sigma^{0'b}
+    is O(1) on the unit box."""
+    def form(comps):
+        return FormField(CHART4, 1, {(k,): ExprField.from_text(text, CHART4)
+                                     for k, text in comps.items()})
+
+    return CoFrame(CHART4, [
+        [form({0: "1 + x*y", 1: "sin(z)", 3: "w^2"}),
+         form({1: "exp(x/2)", 2: "y*z", 3: "1 - w*x"})],
+        [form({0: "cos(y)", 2: "1 + z^2", 3: "x*w"}),
+         form({0: "y^3", 1: "1 + w*z", 2: "sin(x + y)"})],
+    ])
+
+
+def test_sigma_closure_jet_route_matches_form_trees():
+    # the jet route against the exterior derivative of CoFrame.sigma's
+    # form trees, within 32 eps of max|d Sigma|, on every curved
+    # paper.cfg fixture and on a coframe whose Sigma is not closed
+    from pathlib import Path
+
+    from nullkahler import cli
+
+    config = cli.load_config(Path(cli.__file__).parent / "fixtures/paper.cfg")
+    samples = [(f.name, f.sample(config)) for f in config["fixtures"]
+               if f.kind in ("nk", "dkp")]
+    assert len(samples) == 12
+    cases = [(name, s.coframe, s.points) for name, s in samples]
+    cases.append(("generic", _generic_coframe(),
+                  SamplePlan(BOX4, count=40).points()))
+    for name, coframe, points in cases:
+        jet = check_null_kahler(coframe, points)
+        tree = sigma_closure_by_forms(coframe, points)
+        for j, t in zip(jet, tree):
+            assert j.shape == (len(points), 4), name
+            scale = float(np.max(np.abs(t)))
+            assert np.max(np.abs(j - t)) <= 32 * np.finfo(float).eps * scale, name
+    # the generic coframe's closures are O(1), so the bound is relative
+    assert min(np.max(np.abs(t)) for t in tree) > 0.1
 
 
 def test_path_equivalence_across_fixtures(pts):

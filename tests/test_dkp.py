@@ -15,15 +15,19 @@ from nullkahler.dkp import (
 )
 from nullkahler.fields import Chart, ExcludedBand, ExprField
 from nullkahler.geometry import (
+    SYM_PAIRS,
     DegeneracyError,
     FormField,
     dkp_coframe,
     dkp_metric,
     exterior_derivative,
+    wedge,
 )
 from nullkahler.sampling import Box, SamplePlan
 from oracles import (
+    JONES_TOD_ORIENTATION,
     hyperkahler_specialize,
+    jones_tod_nu,
     sigma11_rhs,
     signature_counts,
     symmetry_w,
@@ -195,9 +199,12 @@ def test_sd_two_forms_report(p4):
     d11 = exterior_derivative(s11).evaluate(p4)
     assert np.max(np.abs(d11 - sigma11_rhs(h_pot, w_pot).evaluate(p4))) < 1e-8
     assert np.max(np.abs(d11)) > 1e-1  # open unless W = H_x/2 + f(t)
-    # Sigma^{0'0'} = dz ^ dt
+    # Sigma^{0'0'} = dz ^ dt; the forms are CoFrame.sigma's
     values = s00.evaluate(p4)
     assert np.max(np.abs(values[:, 3, 2] - 1.0)) < 1e-12
+    for form, pair in zip((s00, s01, s11), SYM_PAIRS):
+        assert np.array_equal(form.evaluate(p4),
+                              coframe.sigma(*pair).evaluate(p4))
 
 
 def test_sd_two_forms_parallel_frame(p4):
@@ -214,9 +221,6 @@ def test_sigma11_rhs_closed_form(p4):
     # derivative for an asymmetric, invalid W
     h_pot, w_pot = f3("x*t + y^2/2"), f3("x^3 + 2*x + y^2/3")
     coframe = dkp_coframe(h_pot, w_pot)
-    sigma11 = None
-    from nullkahler.geometry import wedge
-
     sigma11 = wedge(coframe.form(0, 1), coframe.form(1, 1))
     lhs = exterior_derivative(sigma11).evaluate(p4)
     rhs = sigma11_rhs(h_pot, w_pot).evaluate(p4)
@@ -226,10 +230,10 @@ def test_sigma11_rhs_closed_form(p4):
 def test_jones_tod_round_trip(p3, p4):
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
     metric = dkp_metric(h_pot, w_pot, BOX4)
-    reduction = jones_tod_reduce(metric)
+    h_reduced = jones_tod_reduce(metric)
     ew = ew_from_u(h_pot.differentiate("x"))
     wx2 = w_pot.differentiate("x").evaluate(p3) ** 2
-    gap = reduction.h.evaluate(p3) + wx2[:, None, None] * ew.h.evaluate(p3)
+    gap = h_reduced.evaluate(p3) + wx2[:, None, None] * ew.h.evaluate(p3)
     assert np.max(np.abs(gap)) < 1e-8
 
 
@@ -238,7 +242,7 @@ def test_jones_tod_nu_gauge(p4):
     # conformal-gauge term of the factor -Wx^2
     h_pot, w_pot = f3(H_MAIN), f3(W_MAIN)
     metric = dkp_metric(h_pot, w_pot, BOX4)
-    nu = jones_tod_reduce(metric).nu_at(p4)
+    nu = jones_tod_nu(metric, p4)
     chart4 = metric.chart
     wx = w_pot.differentiate("x")
 
@@ -253,12 +257,14 @@ def test_jones_tod_nu_gauge(p4):
         np.zeros(len(p4)),
     ], axis=1)
     assert np.max(np.abs(nu - expected)) < 1e-8
+    # the opposite orientation flips nu
+    flipped = jones_tod_nu(metric, p4, -JONES_TOD_ORIENTATION)
+    assert np.array_equal(flipped, -nu)
 
 
 def test_jones_tod_flat_fixture(p3):
     metric = dkp_metric(ExprField.constant(0.0, CHART3), f3("x"), BOX4)
-    reduction = jones_tod_reduce(metric)
-    hv = reduction.h.evaluate(p3)
+    hv = jones_tod_reduce(metric).evaluate(p3)
     expected = np.zeros((len(p3), 3, 3))
     expected[:, 1, 1] = -1.0          # -(dy^2 - 4 dx dt) for W_x = 1
     expected[:, 0, 2] = expected[:, 2, 0] = 2.0

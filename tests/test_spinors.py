@@ -203,7 +203,7 @@ def test_display_basis_quadratic_identity():
     e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
     e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
     s00 = wedge(e00, e10)
-    s01 = wedge(e10, e01) - wedge(e00, e11)
+    s01 = wedge(e10, e01) + wedge(e00, e11).scaled(-1.0)
     s11 = wedge(e01, e11)
     pts = SamplePlan(Box(((-1, 1), (-1, 1), (-1, 0.5), (-1, 1))), count=40).points()
     lhs = wedge(s00, s11).scaled(-2.0).evaluate(pts)
