@@ -139,12 +139,9 @@ class Fixture:
 
     def sample(self, config):
         """The sample set on this fixture's box at the config's count and
-        seed; a parse error in one of its expressions names the fixture."""
-        try:
-            return self.build(SamplePlan(self.box, config["samples"],
-                                         config["seed"]))
-        except ExpressionError as err:
-            raise ExpressionError(f"[fixture:{self.name}] {err}") from None
+        seed."""
+        return self.build(SamplePlan(self.box, config["samples"],
+                                     config["seed"]))
 
 
 def _field(section, key, chart) -> ExprField:
@@ -267,23 +264,21 @@ def _nk_fixture(name, section) -> Fixture:
                                   "w:-1:1, z:-1:1, x:-1:1, y:-1:1",
                                   ("w", "z", "x", "y"),
                                   FAMILY_EXCLUDED.get(family, ()))
-
-    def build(plan):
-        if family is not None:
-            solution = example_family(family, params, box)
-            # the family's own bands, then the declared ones
-            chart = Chart(solution.theta.chart.coords,
-                          solution.theta.chart.excluded + excluded)
-            return NKSample(NKSolution(solution.theta.on_chart(chart),
-                                       solution.f.on_chart(chart), box), plan)
+    checks = _parse_checks(name, "nk", section, NK_CHECKS)
+    if family is not None:
+        solution = example_family(family, params, box)
+        # the family's own bands, then the declared ones
+        chart = Chart(solution.theta.chart.coords,
+                      solution.theta.chart.excluded + excluded)
+        solution = NKSolution(solution.theta.on_chart(chart),
+                              solution.f.on_chart(chart), box)
+    else:
         chart = Chart(("w", "z", "x", "y"), excluded)
         theta = _field(section, "theta", chart)
         f = _field(section, "f", chart) if section.get("f") else induced_f(theta)
-        return NKSample(NKSolution(theta, f, box), plan)
-
-    checks = _parse_checks(name, "nk", section, NK_CHECKS)
+        solution = NKSolution(theta, f, box)
     return Fixture(name, "nk", checks, section.get("expect", "pass"), box,
-                   build)
+                   lambda plan: NKSample(solution, plan))
 
 
 def _dkp_fixture(name, section) -> Fixture:
@@ -291,12 +286,6 @@ def _dkp_fixture(name, section) -> Fixture:
     box, excluded = _parse_domain(name, section,
                                   "x:-1:1, y:-1:1, t:-1:0.5, z:-1:1",
                                   ("x", "y", "t", "z"))
-
-    def build(plan):
-        chart = Chart(("x", "y", "t"), excluded)
-        return DKPSample(_field(section, "H", chart),
-                         _field(section, "W", chart), plan)
-
     default = list(DKP_CHECKS)
     vacuum = section.get("vacuum", "").lower()
     if vacuum in ("true", "1", "yes"):
@@ -307,22 +296,21 @@ def _dkp_fixture(name, section) -> Fixture:
         raise ConfigError(f"[fixture:{name}] vacuum = {section['vacuum']!r} "
                           "is not one of true, false, 1, 0, yes, no")
     checks = _parse_checks(name, "dkp", section, default)
+    chart = Chart(("x", "y", "t"), excluded)
+    h, w = _field(section, "H", chart), _field(section, "W", chart)
+    # W_x is checked on the box when a sample builds the metric
     return Fixture(name, "dkp", checks, section.get("expect", "pass"), box,
-                   build)
+                   lambda plan: DKPSample(h, w, plan))
 
 
 def _ew_fixture(name, section) -> Fixture:
     _check_keys(name, section, ("u",))
     box, excluded = _parse_domain(name, section, "x:-1:1, y:-1:1, t:-1:0.5",
                                   ("x", "y", "t"))
-
-    def build(plan):
-        chart = Chart(("x", "y", "t"), excluded)
-        return EWSample(_field(section, "u", chart), plan)
-
     checks = _parse_checks(name, "ew", section, EW_CHECKS)
+    u = _field(section, "u", Chart(("x", "y", "t"), excluded))
     return Fixture(name, "ew", checks, section.get("expect", "pass"), box,
-                   build)
+                   lambda plan: EWSample(u, plan))
 
 
 def _suite_int(suite, key, default, minimum=None) -> int:
@@ -389,7 +377,10 @@ def load_config(path) -> dict:
         if expect not in ("pass", "fail"):
             raise ConfigError(f"[{section_name}] expect = {expect!r} is "
                               "neither pass nor fail")
-        fixtures.append(builders[kind](name, section))
+        try:
+            fixtures.append(builders[kind](name, section))
+        except ExpressionError as err:
+            raise ExpressionError(f"[{section_name}] {err}") from None
     if not fixtures:
         raise ConfigError("config declares no [fixture:*] sections")
     return {

@@ -13,7 +13,8 @@ Cartan path: spin connection from the first structure equations (a
 24x24 system per point, solved in the frame basis, where its matrix is
 one constant, and differentiated implicitly for exactness: the four first
 partials of Gamma solve the same system), curvature two-forms
-R = dGamma + Gamma ^ Gamma, then expansion in the Sigma basis.
+R = dGamma + Gamma ^ Gamma, then each curvature spinor read off the
+forms soldered with the dual frame by one eps contraction.
 
 Both paths report one convention, so their components agree with no
 conversion factor.  The Riemann tensor is the one of R = dGamma +
@@ -33,7 +34,7 @@ primed mirror, ``phi`` is Phi and ``scalar`` is R.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -53,108 +54,9 @@ PAIRS6 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 #: slots of a totally symmetric rank-4 spinor, by number of 1-indices
 WEYL_SLOTS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1))
 
-def _soldered_sigma() -> tuple:
-    """Sigma bases in bispinor slots: universal constant arrays.
-
-    e^{EA'}_mu D^mu_{CC'} = delta^E_C delta^{A'}_{C'} makes the soldered
-    Sigma coframe-independent:
-    Sigma^{EF}[CC'DD'] = 1/2 eps_{C'D'} (d^E_C d^F_D + d^E_D d^F_C),
-    and the primed mirror.  Index layout: [E, F, C, C', D, D'].
-    """
-    delta = np.eye(2)
-    sig_u = 0.5 * (
-        np.einsum("pr,ec,fd->efcpdr", EPS_LOWER, delta, delta)
-        + np.einsum("pr,ed,fc->efcpdr", EPS_LOWER, delta, delta)
-    )
-    sig_p = 0.5 * (
-        np.einsum("cd,ep,fr->efcpdr", EPS_LOWER, delta, delta)
-        + np.einsum("cd,er,fp->efcpdr", EPS_LOWER, delta, delta)
-    )
-    return sig_u, sig_p
-
-
-_SIG_U_SOLD, _SIG_P_SOLD = _soldered_sigma()
-
-
-def _sym4_basis(slot) -> np.ndarray:
-    t = np.zeros((2, 2, 2, 2))
-    for perm in set(permutations(slot)):
-        t[perm] = 1.0
-    return t
-
-
-def _phi_basis(u_pair, p_pair) -> np.ndarray:
-    t = np.zeros((2, 2, 2, 2))
-    for (a, b) in {u_pair, u_pair[::-1]}:
-        for (c, d) in {p_pair, p_pair[::-1]}:
-            t[a, b, c, d] = 1.0
-    return t
-
-
 #: eps_{AC} eps_{BD} + eps_{AD} eps_{BC}, the Lambda = R/24 term of X_{ABCD}
 _EPS_SYM = (np.einsum("ac,bd->abcd", EPS_LOWER, EPS_LOWER)
             + np.einsum("ad,bc->abcd", EPS_LOWER, EPS_LOWER))
-
-
-def _model_block(x_spinor, phi, sig_same, sig_other) -> np.ndarray:
-    """Soldered structure-equation block R^A_B from lowered spinors.
-
-    The lowered block is R_{AB} = X_{ABCD} Sigma^{CD} + Phi_{ABC'D'}
-    Sigma^{C'D'}.  The structure equations carry delta^{A'}_{B'} beside
-    Gamma^A_B, and g_{ab} = eps_{AB} eps_{A'B'} lowers it to
-    eps_{B'A'} = -eps_{A'B'}; R_{ab} = R_{AB} eps_{A'B'} + eps_{AB} R_{A'B'}
-    therefore holds for R_{AB} = eps_{AC} R^C_B, so R^A_B = R_{EB} eps^{EA}.
-    """
-    lowered = (np.einsum("abcd,cdCPDR->abCPDR", x_spinor, sig_same)
-               + np.einsum("abcd,cdCPDR->abCPDR", phi, sig_other))
-    return np.einsum("ea,ebCPDR->abCPDR", EPS_UPPER, lowered)
-
-
-def _model_unprimed(c_asd, phi, r_scalar) -> np.ndarray:
-    """Soldered R^A_B from (Psi_{ABCD}, Phi_{ABC'D'}, R), lower-index inputs.
-
-    X_{ABCD} = Psi_{ABCD} + (R/24)(eps_{AC} eps_{BD} + eps_{AD} eps_{BC}).
-    """
-    return _model_block(c_asd + (r_scalar / 24.0) * _EPS_SYM, phi,
-                        _SIG_U_SOLD, _SIG_P_SOLD)
-
-
-def _model_primed(c_sd, phi, r_scalar) -> np.ndarray:
-    """Soldered R^{A'}_{B'}; shares Phi (stored [A, B, A', B']) and R."""
-    return _model_block(c_sd + (r_scalar / 24.0) * _EPS_SYM,
-                        np.einsum("cdab->abcd", phi), _SIG_P_SOLD, _SIG_U_SOLD)
-
-
-def _curvature_model_matrix() -> np.ndarray:
-    """Constant 128x20 map (C_asd5, C_sd5, Phi9, R) -> soldered forms."""
-    zero4 = np.zeros((2, 2, 2, 2))
-    columns = []
-    for slot in WEYL_SLOTS:
-        columns.append(np.concatenate([
-            _model_unprimed(_sym4_basis(slot), zero4, 0.0).ravel(),
-            np.zeros(64),
-        ]))
-    for slot in WEYL_SLOTS:
-        columns.append(np.concatenate([
-            np.zeros(64),
-            _model_primed(_sym4_basis(slot), zero4, 0.0).ravel(),
-        ]))
-    for u_pair in SYM_PAIRS:
-        for p_pair in SYM_PAIRS:
-            phi = _phi_basis(u_pair, p_pair)
-            columns.append(np.concatenate([
-                _model_unprimed(zero4, phi, 0.0).ravel(),
-                _model_primed(zero4, phi, 0.0).ravel(),
-            ]))
-    columns.append(np.concatenate([
-        _model_unprimed(zero4, zero4, 1.0).ravel(),
-        _model_primed(zero4, zero4, 1.0).ravel(),
-    ]))
-    return np.stack(columns, axis=-1)
-
-
-_MODEL_M = _curvature_model_matrix()
-_MODEL_PINV = np.linalg.pinv(_MODEL_M)
 
 
 class RawCurvature:
@@ -191,9 +93,12 @@ class CurvatureReport:
     Phi_{ABA'B'} = -1/2 (trace-free Ricci), indexed by (unprimed pair,
     primed pair).  ``raw`` is the coordinate curvature the oracle path
     projected (so Ricci needs no second pass); ``None`` on the Cartan path.
-    The Cartan path sets every field when it fits; the oracle's
-    ``OracleReport`` computes ``c_asd``, ``phi`` and ``fit_residual`` on
-    first read.
+    ``fit_residual`` is the largest structural gap of the curvature the
+    report was read from: the first Bianchi identity on each path, and
+    on the Cartan path also the two chirality blocks' disagreement on R
+    and Phi.  The Cartan path sets every field when it reads the forms;
+    the oracle's ``OracleReport`` computes ``c_asd``, ``phi`` and
+    ``fit_residual`` on first read.
     """
 
     def __init__(self, c_asd, c_sd, phi, scalar, fit_residual: float,
@@ -358,9 +263,9 @@ def _structure_matrix(e: np.ndarray) -> np.ndarray:
 #: inverse of the structure matrix of the unit coframe: the structure
 #: equations in frame components, where their matrix is constant.  Its
 #: entries are multiples of 1/4, so rounding makes it exact.  It is taken
-#: by ``pinv``, which the import already runs for ``_MODEL_PINV``: a first
-#: ``inv`` call would raise every process's peak memory by about 0.3 MB
-_FRAME_INV = np.round(4 * np.linalg.pinv(
+#: by ``inv``: ``pinv`` gives the same rounded matrix, but raises the peak
+#: memory of ``import nullkahler.cli`` by about 0.7 MB
+_FRAME_INV = np.round(4 * np.linalg.inv(
     _structure_matrix(np.eye(4).reshape(1, 2, 2, 4))[0])) / 4
 
 
@@ -464,29 +369,69 @@ def curvature_two_forms(conn: SpinConnection):
     return r_unprimed, r_primed
 
 
+#: 1/2 eps^{C'D'} and 1/2 eps^{CD} as one (16, 8) map: a soldered form
+#: over (C, C', D, D') to its contraction over the primed pair, indexed
+#: (C, D), then its contraction over the unprimed pair, indexed (C', D')
+_EPS_READ = 0.5 * np.concatenate([
+    np.einsum("pq,cx,dy->cpdqxy", EPS_UPPER, np.eye(2), np.eye(2)).reshape(16, 4),
+    np.einsum("cd,px,qy->cpdqxy", EPS_UPPER, np.eye(2), np.eye(2)).reshape(16, 4),
+], axis=1)
+
+#: 4 eps^{AC} eps^{BD} over (A, B, C, D): R = 4 X_{ABCD} eps^{AC} eps^{BD}
+_SCALAR_READ = 4.0 * np.einsum("ac,bd->abcd", EPS_UPPER, EPS_UPPER).ravel()
+
+#: flat index 2A + B of each pair in SYM_PAIRS
+_SYM_FLAT = np.array([2 * a + b for a, b in SYM_PAIRS])
+
+
 def decompose_curvature(r_unprimed, r_primed, dual_vectors) -> CurvatureReport:
     """Read (C_ABCD, C_A'B'C'D', Phi, R) off the curvature two-forms.
 
-    The forms are soldered into bispinor slots with the dual frame
-    (where the Sigma basis becomes a universal constant array) and the
-    two-form decomposition is inverted as one overdetermined linear fit:
-    128 soldered components against 20 unknowns shared across both
-    chirality blocks.  The fit residual is the structural error of the
-    decomposition and is reported.
+    Each form's index A is lowered with R_{EB} = eps_{EA} R^A_B, and the
+    forms are soldered into bispinor slots with the dual frame,
+    S[n, E, B, C, C', D, D'] = D^m_{CC'} R_{EB,mk} D^k_{DD'}.  The
+    lowering inverts R^A_B = R_{EB} eps^{EA}, the raising the structure
+    equations fix: they carry delta^{A'}_{B'} beside Gamma^A_B, which
+    g_{ab} = eps_{AB} eps_{A'B'} lowers to eps_{B'A'} = -eps_{A'B'}, so
+    R_{ab} = R_{AB} eps_{A'B'} + eps_{AB} R_{A'B'} holds for these
+    R_{AB}.  The lowered unprimed block is
+
+        R_{AB}[CC'DD'] = X_{ABCD} eps_{C'D'} + Phi_{ABC'D'} eps_{CD}
+
+    and the primed block swaps the two pairs, so one eps contraction
+    reads each part (Penrose & Rindler vol. 1, sec. 4.6):
+    X_{ABCD} = 1/2 eps^{C'D'} R_{AB}[CC'DD'],
+    Phi_{ABC'D'} = 1/2 eps^{CD} R_{AB}[CC'DD'] and
+    R = 4 X_{ABCD} eps^{AC} eps^{BD}.  ``scalar`` and ``phi`` are the
+    means of the two blocks' readings, and each Weyl spinor is its X
+    less (R/24) eps_sym.  ``fit_residual`` is the largest structural
+    gap: between the two blocks' R, between their Phi, and each X's
+    asymmetry under pair exchange (the first Bianchi identity).
     """
     npts = r_unprimed.shape[0]
+    # A lowered, R_{EB} = eps_{EA} R^A_B: row 0 is R^1_B, row 1 is -R^0_B
+    forms = np.stack([r_unprimed[:, 1], -r_unprimed[:, 0],
+                      r_primed[:, 1], -r_primed[:, 0]], axis=1)
     # D R D^T per (A, B) block: [n, AB, CC', DD'] = D^m_{CC'} R_{mk} D^k_{DD'}
     dual = dual_vectors.reshape(npts, 1, 4, 4)
-    forms = np.concatenate([r_unprimed.reshape(npts, 4, 4, 4),
-                            r_primed.reshape(npts, 4, 4, 4)], axis=1)
-    data = (dual @ forms @ dual.transpose(0, 1, 3, 2)).reshape(npts, 128)
-    theta = data @ _MODEL_PINV.T
-    fit = float(np.max(np.abs(data - theta @ _MODEL_M.T)))
-    c_asd = theta[:, :5]
-    c_sd = theta[:, 5:10]
-    phi = theta[:, 10:19].reshape(npts, 3, 3)
-    scalar = theta[:, 19]
-    return CurvatureReport(c_asd, c_sd, phi, scalar, fit, raw=None)
+    soldered = dual @ forms.reshape(npts, 8, 4, 4) @ dual.transpose(0, 1, 3, 2)
+    # both eps contractions of each (A, B) block:
+    # read[n, block, (A, B), (C, D) then (C', D')]
+    read = (soldered.reshape(-1, 16) @ _EPS_READ).reshape(npts, 2, 4, 8)
+    # x[n, block, (A, B), (C, D)]: the unprimed X, then the primed one
+    x = np.stack([read[:, 0, :, :4], read[:, 1, :, 4:]], axis=1)
+    phi_u = read[:, 0, :, 4:]                     # [n, (A, B), (C', D')]
+    phi_p = read[:, 1, :, :4].transpose(0, 2, 1)  # [n, (C, D), (A', B')]
+    r = x.reshape(npts, 2, 16) @ _SCALAR_READ
+    scalar = 0.5 * (r[:, 0] + r[:, 1])
+    weyl = (x.reshape(npts, 2, 2, 2, 2, 2)
+            - (scalar / 24.0)[:, None, None, None, None, None] * _EPS_SYM)
+    phi = 0.5 * (phi_u + phi_p)[:, _SYM_FLAT[:, None], _SYM_FLAT]
+    fit = max(float(np.max(np.abs(r[:, 0] - r[:, 1]))),
+              float(np.max(np.abs(phi_u - phi_p))),
+              float(np.max(np.abs(x - x.transpose(0, 1, 3, 2)))))
+    return CurvatureReport(_extract_slots(weyl[:, 0]), _extract_slots(weyl[:, 1]),
+                           phi, scalar, fit, raw=None)
 
 
 def cartan_report(coframe: CoFrame, points) -> CurvatureReport:
@@ -654,9 +599,8 @@ def path_agreement(oracle: CurvatureReport, cartan: CurvatureReport) -> dict:
     """Relative disagreement per sector, components compared directly.
 
     Both reports carry the module convention, so no factor enters: the
-    Cartan fit raises the lowered block with R^A_B = R_{EB} eps^{EA}
-    (the delta^{A'}_{B'} of the structure equations lowers to
-    -eps_{A'B'}), and the oracle projects the Riemann tensor as
+    Cartan read lowers the block with R_{EB} = eps_{EA} R^A_B (see
+    ``decompose_curvature``), and the oracle projects the Riemann tensor as
     1/4 R_{abcd} Sigma^{ab} Sigma^{cd} less (R/24)(eps_{AC} eps_{BD} +
     eps_{AD} eps_{BC}) and the trace-free Ricci tensor as
     Phi_{ab} = -1/2 (R_{ab} - 1/4 R g_{ab}).

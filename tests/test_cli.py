@@ -386,6 +386,25 @@ def test_expression_parse_error_names_fixture_and_key(tmp_path, capsys, body,
     assert capsys.readouterr().err.startswith(f"error: [fixture:bad] {prefix}: ")
 
 
+def test_parse_error_in_last_fixture_exits_before_any_fixture_runs(
+        tmp_path, capsys, monkeypatch):
+    # expressions are parsed when the config is loaded, so a bad last
+    # fixture costs none of the shipped ones
+    import nullkahler.cli as cli
+
+    calls = []
+    run_fixture = cli.run_fixture
+    monkeypatch.setattr(cli, "run_fixture",
+                        lambda *args: calls.append(1) or run_fixture(*args))
+    path = tmp_path / "late.cfg"
+    path.write_text((FIXTURES / "paper.cfg").read_text()
+                    + "\n[fixture:zz-bad]\nkind = nk\ntheta = x +\n")
+    assert main(["check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [fixture:zz-bad] theta: ")
+    assert out == "" and calls == []
+
+
 def test_evolve_mms_table(tmp_path, monkeypatch, capsys):
     import nullkahler.evolver as evolver
 

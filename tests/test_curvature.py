@@ -204,11 +204,135 @@ def test_curvature_two_forms_abelian():
     assert np.max(np.abs(r_p)) == 0.0
 
 
+#: eps_{AB} = eps^{AB} with eps_{01} = 1, the test's own copy
+EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
+ULP = np.finfo(float).eps
+#: eps_{AC} eps_{BD} + eps_{AD} eps_{BC}
+EPS_SYM = np.einsum("ac,bd->abcd", EPS, EPS) + np.einsum("ad,bc->abcd", EPS, EPS)
+
+
+def _symmetric4(comps):
+    """[n, 2, 2, 2, 2] totally symmetric spinors whose component with k
+    1-indices is comps[:, k]."""
+    out = np.empty((len(comps), 2, 2, 2, 2))
+    for slot in np.ndindex(2, 2, 2, 2):
+        out[(slice(None),) + slot] = comps[:, sum(slot)]
+    return out
+
+
+def _pair_symmetric(block):
+    """[n, 2, 2, 2, 2] Phi_{ABC'D'}, symmetric in each pair, from its
+    3x3 block over (A + B, C' + D')."""
+    out = np.empty((len(block), 2, 2, 2, 2))
+    for slot in np.ndindex(2, 2, 2, 2):
+        out[(slice(None),) + slot] = block[:, slot[0] + slot[1], slot[2] + slot[3]]
+    return out
+
+
+def _soldered_forms(x_u, phi_u, x_p, phi_p, flip=None):
+    """Soldered curvature forms [n, 128] of both blocks, R^A_B[CC'DD']
+    then R^{A'}_{B'}[CC'DD'], from lowered spinors: the split
+    R_{AB}[CC'DD'] = X_{ABCD} eps_{C'D'} + Phi_{ABC'D'} eps_{CD}, its
+    primed mirror R_{A'B'} = X'_{A'B'C'D'} eps_{CD} + Phi'_{A'B'CD}
+    eps_{C'D'}, each raised with R^A_B = R_{EB} eps^{EA}.  ``flip``
+    names one eps factor ("x", "phi" or "raise") to reverse."""
+    eps_x, eps_phi, eps_raise = (-EPS if flip == name else EPS
+                                 for name in ("x", "phi", "raise"))
+    low_u = (np.einsum("nabcd,pq->nabcpdq", x_u, eps_x)
+             + np.einsum("nabpq,cd->nabcpdq", phi_u, eps_phi))
+    low_p = (np.einsum("nabpq,cd->nabcpdq", x_p, eps_x)
+             + np.einsum("nabcd,pq->nabcpdq", phi_p, eps_phi))
+    return np.concatenate([
+        np.einsum("nebcpdq,ea->nabcpdq", low, eps_raise).reshape(-1, 64)
+        for low in (low_u, low_p)], axis=1)
+
+
+def _spinor_blocks(theta):
+    """(X, Phi, X', Phi') of theta[n] = (Psi 5, Psi' 5, Phi 9, R): each X
+    is Psi + (R/24)(eps_{AC} eps_{BD} + eps_{AD} eps_{BC}), and the
+    primed block's Phi has its pairs swapped."""
+    lam = (theta[:, 19] / 24.0)[:, None, None, None, None] * EPS_SYM
+    phi = _pair_symmetric(theta[:, 10:19].reshape(-1, 3, 3))
+    return (_symmetric4(theta[:, :5]) + lam, phi,
+            _symmetric4(theta[:, 5:10]) + lam, phi.transpose(0, 3, 4, 1, 2))
+
+
+def _soldered_model(theta, flip=None):
+    """``_soldered_forms`` of the spinors of theta[n, 20]."""
+    return _soldered_forms(*_spinor_blocks(theta), flip)
+
+
+def _decompose_soldered(data):
+    """``decompose_curvature`` of soldered forms data[n, 128] in the unit
+    frame, where the forms are their own soldering."""
+    npts = len(data)
+    dual = np.tile(np.eye(4), (npts, 1, 1)).reshape(npts, 2, 2, 4)
+    r_u, r_p = data.reshape(npts, 2, 2, 2, 4, 4).transpose(1, 0, 2, 3, 4, 5)
+    return decompose_curvature(r_u, r_p, dual)
+
+
+def _round_trip(flip=None):
+    """(report, theta, scale): random spinors theta[n, 20] soldered by
+    the model and read back; scale is the largest soldered component."""
+    theta = np.random.default_rng(17).uniform(-1, 1, (60, 20))
+    data = _soldered_model(theta, flip)
+    return _decompose_soldered(data), theta, float(np.max(np.abs(data)))
+
+
+def _gaps(report, theta):
+    return {"c_asd": np.max(np.abs(report.c_asd - theta[:, :5])),
+            "c_sd": np.max(np.abs(report.c_sd - theta[:, 5:10])),
+            "phi": np.max(np.abs(report.phi.reshape(-1, 9) - theta[:, 10:19])),
+            "scalar": np.max(np.abs(report.scalar - theta[:, 19]))}
+
+
 def test_decompose_fit_is_exact(pts):
+    # the Cartan forms of a metric meet every structural fact the read
+    # tests: both blocks carry one R and one Phi, and X is symmetric
+    # under pair exchange, each to round-off
     for text in ("x*y^3", "x^2*y^2 + w*x*y + z*x^3/2 + y^4*w/4"):
         _, coframe, _ = nk_fixture(text)
         report = cartan_report(coframe, pts)
-        assert report.fit_residual < 1e-10
+        scale = max(1.0, *(float(np.max(np.abs(getattr(report, name))))
+                           for name in ("c_asd", "c_sd", "phi", "scalar")))
+        assert report.fit_residual <= 16 * ULP * scale
+
+
+def test_decompose_reads_back_the_spinors_it_was_soldered_from():
+    report, theta, scale = _round_trip()
+    gaps = _gaps(report, theta)
+    assert max(gaps.values()) <= 16 * ULP * scale, gaps
+    assert report.fit_residual <= 16 * ULP * scale
+
+
+@pytest.mark.parametrize("flip", ["x", "phi", "raise"])
+def test_decompose_round_trip_sees_each_eps_sign(flip):
+    # reversing any eps factor of the forward model moves some sector by
+    # O(1), so the round trip pins every sign of the read
+    report, theta, scale = _round_trip(flip)
+    assert max(_gaps(report, theta).values()) > 0.1 * scale
+
+
+@pytest.mark.parametrize("broken", ["pair-exchange", "scalar", "phi"])
+def test_decompose_fit_residual_sees_each_structural_gap(broken):
+    # forms that break one structural fact of a Riemann tensor in the
+    # unprimed block leave an O(1) fit_residual: X asymmetric under pair
+    # exchange (a_{AB} b_{CD} - b_{AB} a_{CD}, which keeps R and Phi),
+    # an R of its own (eps_sym added to X), or a Phi of its own
+    rng = np.random.default_rng(23)
+    npts = 10
+    x_u, phi_u, x_p, phi_p = _spinor_blocks(rng.uniform(-1, 1, (npts, 20)))
+    if broken == "pair-exchange":
+        a, b = (m + m.transpose(0, 2, 1)
+                for m in rng.uniform(-1, 1, (2, npts, 2, 2)))
+        x_u = x_u + (np.einsum("nab,ncd->nabcd", a, b)
+                     - np.einsum("nab,ncd->nabcd", b, a))
+    elif broken == "scalar":
+        x_u = x_u + EPS_SYM
+    else:
+        phi_u = phi_u + _pair_symmetric(rng.uniform(-1, 1, (npts, 3, 3)))
+    report = _decompose_soldered(_soldered_forms(x_u, phi_u, x_p, phi_p))
+    assert report.fit_residual > 0.1
 
 
 def test_asd_weyl_value_xy3(pts):
@@ -648,13 +772,9 @@ def _two_forms_by_einsum(conn):
 def _cartan_reference(coframe, points):
     """Reference Cartan route: one LAPACK solve for Gamma and one per
     partial d_l Gamma with the assembled M(e) and M(d_l e), the two-forms
-    by einsum, and the forms soldered with three-operand einsums."""
-    from nullkahler.curvature import (
-        _MODEL_M,
-        _MODEL_PINV,
-        SpinConnection,
-        _structure_matrix,
-    )
+    by einsum, the forms soldered with three-operand einsums, and the
+    spinors fitted by least squares against the test's forward model."""
+    from nullkahler.curvature import SpinConnection, _structure_matrix
     from nullkahler.geometry import dual_vector_values
 
     e = coframe.evaluate(points)
@@ -676,19 +796,21 @@ def _cartan_reference(coframe, points):
     data = np.concatenate([
         np.einsum("nabmk,ncpm,ndrk->nabcpdr", form, dual, dual).reshape(npts, 64)
         for form in _two_forms_by_einsum(conn)], axis=1)
-    theta = data @ _MODEL_PINV.T
+    model = _soldered_model(np.eye(20)).T  # 128 x 20, one column per unknown
+    theta = np.linalg.lstsq(model, data.T, rcond=None)[0].T
     return conn, {
         "c_asd": theta[:, :5], "c_sd": theta[:, 5:10],
         "phi": theta[:, 10:19].reshape(npts, 3, 3), "scalar": theta[:, 19],
-        "fit_residual": np.max(np.abs(data - theta @ _MODEL_M.T)),
+        "fit_residual": np.max(np.abs(data - theta @ model.T)),
     }
 
 
 def test_cartan_route_matches_per_partial_reference():
     # Gamma and its four partials by the frame-basis solve, the forms by
-    # broadcast products and soldered as D R D^T: the same connection and
-    # report as one LAPACK solve per partial and einsum forms and
-    # soldering, and the two routes still agree to round-off
+    # broadcast products and soldered as D R D^T, the spinors read by eps
+    # contractions: the same connection and report as one LAPACK solve
+    # per partial, einsum forms and soldering and a least-squares fit,
+    # and the two routes still agree to round-off
     def close(new, old):
         scale = max(1.0, float(np.max(np.abs(old))))
         return float(np.max(np.abs(new - old))) <= 1e-12 * scale
