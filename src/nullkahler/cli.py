@@ -666,18 +666,19 @@ def _evolve_command(args) -> int:
 
 def _write_step_log(path, states, dt) -> None:
     """One CSV row per returned state: t, dt, the CFL margin
-    dt / cfl_bound, max|u| and max|u - u*| on the ring (0 in free mode)."""
+    dt / cfl_bound, max|u|, then max|u - u*| on the ring and over the
+    whole grid (0 and nan in free mode, which has no u*)."""
     from .evolver import cfl_bound
 
     ring = states[0].grid.ring()
-    lines = ["t,dt,cfl_margin,max_abs_u,ring_mismatch"]
+    lines = ["t,dt,cfl_margin,max_abs_u,ring_mismatch,max_abs_error"]
     for state in states:
-        mismatch = 0.0
+        mismatch, error = 0.0, math.nan
         if state.boundary is not None:
-            exact = state.boundary.u_on(*state.grid.axes(), state.t)
-            mismatch = _max_abs((state.u - exact)[ring])
-        lines.append(",".join(f"{v:.17g}" for v in (
-            state.t, dt, dt / cfl_bound(state), _max_abs(state.u), mismatch)))
+            error = state.u - state.boundary.u_on(*state.grid.axes(), state.t)
+            mismatch, error = _max_abs(error[ring]), _max_abs(error)
+        row = (state.t, dt, dt / cfl_bound(state), _max_abs(state.u))
+        lines.append(",".join(f"{v:.17g}" for v in (*row, mismatch, error)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -796,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--save-every", type=int, default=None)
     evolve.add_argument("--out-dir", required=True)
     evolve.add_argument("--log", default=None,
-                        help="CSV step log, one row per snapshot: t, dt, "
-                             "CFL margin, max|u|, ring mismatch")
+                        help="CSV step log, one row per snapshot: t, dt, CFL "
+                             "margin, max|u|, max|u - u*| on ring and grid")
 
     export = sub.add_parser("export", help="export fixture grids as CSV")
     export.add_argument("--config", required=True)

@@ -48,6 +48,11 @@ REFERENCE_CFL_FACTOR = 0.9
 #: (x0, x1, y0, y1) of the manufactured-solution study
 MMS_BOX = (0.0, 2.0, 0.0, 2.0)
 
+#: the manufactured u* and its source S; see ``manufactured_reference``
+MMS_SOLUTION = "(sin(x)*exp(-t))*cos(y)"
+MMS_SOURCE = ("cos(y)*((sin(x0) - sin(x) + cos(x0) - cos(x))*exp(-t)"
+              " + ((sin(x0)*cos(x0) - sin(x)*cos(x))*exp(-2*t))*cos(y))")
+
 
 class CFLError(ValueError):
     """Requested time step exceeds the documented stability bound."""
@@ -197,13 +202,14 @@ class ImplicitSolve:
     products with m x m matrices built once per solver: ``forward`` =
     S diag(dx / (2 dy^2 (1 + a_k))) takes row i of v's second difference
     in y, dy^2 v_yy, to (dx/2) y_i / (1 + a_k), and ``inverse`` =
-    2/(m + 1) S.  The solver owns the (nx - 1) x m buffer that holds the
-    transformed rows, then n, so a stage allocates nothing.
+    2/(m + 1) S.  Those two and the m recurrence factors ``carry`` are all
+    the solver holds: a stage works in the caller's ``out`` and
+    ``scratch`` grids and allocates nothing.
     """
 
     def __init__(self, grid: Grid, c: float):
-        (nx, ny), (dx, dy) = grid.shape, grid.spacing
-        m = ny - 2
+        dx, dy = grid.spacing
+        m = grid.shape[1] - 2
         k = np.arange(1, m + 1)
         mu = (2.0 / dy * np.sin(0.5 * np.pi * k / (m + 1))) ** 2
         a = 0.5 * c * dx * mu
@@ -216,22 +222,25 @@ class ImplicitSolve:
         del index
         self.forward = self.inverse * (0.5 * dx / dy ** 2 / (1.0 + a))
         self.inverse *= 2.0 / (m + 1)
-        self.modes = np.empty((nx - 1, m))
 
     def stage(self, v: np.ndarray, out: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
-        """n for the stage value ``v``, written into ``out`` and returned;
-        ``v`` and ``scratch`` are C-contiguous grids, and ``scratch`` ends
-        holding the recurrence's pair sums inside."""
+        """n for the stage value ``v``, written into ``out`` and returned.
+        ``v``, ``out`` and ``scratch`` are C-contiguous grids: ``out`` holds
+        v's second difference, then the recurrence's pair sums inside, then
+        n; the leading (nx - 1) m entries of ``scratch`` hold the
+        transformed rows, then n's modes."""
         # the second difference runs over the flattened rows 0..nx-2, where
         # the operands are contiguous; its values across a row break land
         # on the y-boundary columns, which the product does not read
-        flat, diff = v[:-1].reshape(-1), scratch[:-1].reshape(-1)[1:-1]
+        flat, diff = v[:-1].reshape(-1), out[:-1].reshape(-1)[1:-1]
         np.multiply(2.0, flat[1:-1], out=diff)
         np.subtract(flat[2:], diff, out=diff)
         diff += flat[:-2]
-        y = np.matmul(scratch[:-1, 1:-1], self.forward, out=self.modes)
-        pairs = np.add(y[1:], y[:-1], out=scratch[1:-1, 1:-1])
+        rows, m = len(v) - 1, len(self.carry)
+        y = scratch.reshape(-1)[:rows * m].reshape(rows, m)
+        np.matmul(out[:-1, 1:-1], self.forward, out=y)
+        pairs = np.add(y[1:], y[:-1], out=out[1:-1, 1:-1])
         y[0] = 0.0
         for before, row, pair in zip(y, y[1:], pairs):
             np.multiply(self.carry, before, out=row)
@@ -266,19 +275,20 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
 
     A run holds six (nx, ny) arrays, all allocated before its first step:
     u, the stage value v, the explicit stages f1 and f2 (the third stage
-    reuses f1), the implicit stage n (n2, then n3) and one scratch array,
-    which holds v's second difference in y and then the recurrence's pair
-    sums during an implicit stage.  Every stage writes into them in place,
+    reuses f1), the implicit stage n (n2, then n3) and one scratch array.
+    An implicit stage works in n and the scratch array alone (see
+    ``ImplicitSolve.stage``); the solver holds its two m x m sine matrices
+    (m = ny - 2) and no buffer.  Every stage writes into these in place,
     with the same operations in the same order at each node as stages that
-    allocate their results, so the values are the same to the bit.  With
-    the solver's two m x m sine matrices and its (nx - 1) x m buffer
-    (m = ny - 2) that is about nine grids: at 256^2 a free run or one on
-    ``uniform_reference("t")`` peaks under 9.25 grids in tracemalloc,
+    allocate their results, so the values are the same to the bit.  That
+    is about eight grids: at 256^2 a free run or one on
+    ``uniform_reference("t")`` peaks under 8.25 grids in tracemalloc,
     whatever the step count.  The plans of ``boundary.held()`` live as
     long as the run: u* and u*_t on the ring, and a manufactured source on
-    the grid, written into the scratch array, whose plan owns one grid more
-    (a peak under 10.5 grids, against 11.3 when each stage evaluated it
-    into new grids).  No run allocates a grid after its second stage.
+    the grid, written into the scratch array.  The source's plan owns no
+    grid, since its result array serves every full-shape step (see
+    ``manufactured_reference``), so that run peaks under 8.5 grids.  No
+    run allocates a grid after its second stage.
     The caller's ``state.u`` is not written; each saved state but the last
     is a copy, and the last holds the run's own u, which no later step
     writes.
@@ -355,17 +365,26 @@ def dkp_evolve(state: DKPState, dt: float, steps: int,
 # --- manufactured and closed-form references -----------------------------------
 
 def manufactured_reference(x0: float):
-    """u* = sin(x) cos(y) exp(-t) with the forcing that makes it an
-    exact solution of the boundary-closed evolution form."""
-    u_star = ExprField.from_text("sin(x)*cos(y)*exp(-t)", EVOLVER_CHART)
-    source_text = (
-        "-(sin(x) - sin(x0))*cos(y)*exp(-t)"
-        " - (sin(x)*cos(x) - sin(x0)*cos(x0))*cos(y)^2*exp(-2*t)"
-        " - (cos(x) - cos(x0))*cos(y)*exp(-t)"
-    )
-    source = ExprField(parse(source_text, EVOLVER_CHART.coords, {"x0": x0}),
+    """u* = sin(x) cos(y) exp(-t) (``MMS_SOLUTION``) with the forcing
+    ``MMS_SOURCE``, x0 bound to ``x0``, that makes it an exact solution of
+    the boundary-closed evolution form:
+
+        S = u*_t - [u* u*_x](x) + [u* u*_x](x0) - int_{x0}^{x} u*_yy dx'
+            - u*_t(x0)
+          = cos(y) (a(x) exp(-t) + b(x) exp(-2t) cos(y)),
+
+    a(x) = sin(x0) - sin(x) + cos(x0) - cos(x) (the integral is closed,
+    since u*_yy = -u*) and b(x) = sin(x0) cos(x0) - sin(x) cos(x).  Each
+    text combines its x and t factors first and multiplies by cos(y)
+    last, so on a grid every full-shape step is a column times a row or a
+    column plus a grid: a source evaluation makes three passes over the
+    grid, and its plan owns no grid, since the result array serves every
+    full-shape step (see ``fields.Plan``).
+    """
+    source = ExprField(parse(MMS_SOURCE, EVOLVER_CHART.coords, {"x0": x0}),
                        EVOLVER_CHART)
-    return BoundarySource(u_star, source)
+    return BoundarySource(ExprField.from_text(MMS_SOLUTION, EVOLVER_CHART),
+                          source)
 
 
 def uniform_reference(expr_text: str):

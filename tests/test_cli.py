@@ -235,15 +235,31 @@ def test_evolve_step_log(tmp_path):
         assert (tmp_path / "plain" / name).read_bytes() \
             == (tmp_path / "logged" / name).read_bytes()
     header, *rows = log.read_text().splitlines()
-    assert header == "t,dt,cfl_margin,max_abs_u,ring_mismatch"
+    assert header == "t,dt,cfl_margin,max_abs_u,ring_mismatch,max_abs_error"
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(table[:, 0], [0.0, 2e-3, 4e-3, 6e-3])
     assert np.all(table[:, 1] == 1e-3)
     # u0 = x on the ring, where u* = t = 0: max|x| = 1; later the ring is u*
     assert table[0, 4] == 1.0 and np.all(table[1:, 4] == 0.0)
     assert table[0, 3] == 1.0
+    # u0 - u* = x over the whole grid at t = 0; the interior keeps x's
+    # slope as the ring is reset to u*, so the error stays O(1)
+    assert table[0, 5] == 1.0 and np.all(table[1:, 5] > 0.5)
     # dt / (0.25 dx / (1 + max|u|)) with dx = 1/8
     assert table[0, 2] == pytest.approx(1e-3 / (0.25 / 8 / 2.0), rel=1e-12)
+
+
+def test_evolve_step_log_error_of_an_exact_run(tmp_path):
+    # u = t is exact for the scheme (no x or y variation), so the error
+    # over the grid stays at round-off in every row
+    log = tmp_path / "steps.csv"
+    assert main(["evolve", "--nx", "17", "--ny", "13", "--dt", "1e-3",
+                 "--steps", "6", "--save-every", "2", "--initial", "t",
+                 "--reference", "t", "--out-dir", str(tmp_path / "out"),
+                 "--log", str(log)]) == 0
+    rows = log.read_text().splitlines()[1:]
+    errors = [float(row.split(",")[5]) for row in rows]
+    assert len(errors) == 4 and max(errors) <= 1e-15
 
 
 def test_evolve_log_free_mode_has_no_mismatch(tmp_path):
@@ -252,7 +268,7 @@ def test_evolve_log_free_mode_has_no_mismatch(tmp_path):
                  "--initial", "x*y", "--out-dir", str(tmp_path / "out"),
                  "--log", str(log)]) == 0
     rows = log.read_text().splitlines()[1:]
-    assert [row.split(",")[4] for row in rows] == ["0", "0"]
+    assert [row.split(",")[4:] for row in rows] == [["0", "nan"]] * 2
 
 
 def test_evolve_cfl_refusal(tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 from nullkahler import evolver
 from nullkahler.evolver import (
     EVOLVER_CHART,
+    MMS_SOLUTION,
+    MMS_SOURCE,
     BlowUpError,
     BoundarySource,
     REFERENCE_CFL_FACTOR,
@@ -22,6 +24,7 @@ from nullkahler.evolver import (
     saved_steps,
     uniform_reference,
 )
+from nullkahler.expressions import parse
 from nullkahler.fields import Chart, ExprField, Grid
 from oracles import nonlocal_term, quadratic_reference
 
@@ -251,16 +254,21 @@ def _traced_grids(state, steps):
 
 @pytest.mark.parametrize("mode", ["free", "uniform", "manufactured"])
 def test_run_works_in_a_fixed_workspace(mode, monkeypatch):
-    # the dkp_evolve docstring: six grids of workspace and about three of
-    # solver, under 9.25 grids at 256^2 whatever the step count, and one
-    # more for the plan of a manufactured source (stages that each
-    # allocated their arrays peaked at 11.28, and a source evaluated into
-    # new grids at every stage at 11.32); no plan outlives its run.
+    # the dkp_evolve docstring: six grids of workspace and the solver's
+    # two m x m matrices, under 8.25 grids at 256^2 whatever the step
+    # count (8.17 to 8.20).  The solver keeps no buffer of its own, and the
+    # plan of a manufactured source owns no grid, so that run peaks under
+    # 8.5 (8.38 to 8.40).  No plan outlives its run.
     # numpy keeps small blocks that fill as a run goes; with a manufactured
-    # source they add up to 0.03 grids between 2 and 10 steps.
+    # source they add up to 0.013 grids between 2 and 10 steps.
     state = _start(mode, 256)
+    m = state.grid.shape[1] - 2
+    solve = ImplicitSolve(state.grid, 0.1)
+    arrays = {name: value.shape for name, value in vars(solve).items()
+              if isinstance(value, np.ndarray)}
+    assert arrays == {"forward": (m, m), "inverse": (m, m), "carry": (m,)}
     runs = [_traced_grids(state, steps) for steps in (2, 10)]
-    assert max(peak for peak, _ in runs) <= (10.5 if mode == "manufactured" else 9.25)
+    assert max(peak for peak, _ in runs) <= (8.5 if mode == "manufactured" else 8.25)
     assert runs[1][0] == pytest.approx(
         runs[0][0], abs=0.05 if mode == "manufactured" else 0.01)
     assert max(held for _, held in runs) < 0.5
@@ -310,9 +318,63 @@ def test_manufactured_solution_short_run():
     assert err < 1e-3
 
 
+#: mms_convergence((32, 64), t_end=0.05) errors.  A change to the scheme or
+#: to what the manufactured texts compute moves them by far more than 1e-10
+#: relative; regrouping the texts' arithmetic moved them by 1.1e-12
+PINNED_MMS_ERRORS = [1.2854408538713167e-05, 3.2388548134917135e-06]
+
+
 def test_mms_convergence_order():
     study = mms_convergence((32, 64), t_end=0.05)
     assert all(order > 1.7 for order in study["orders"])
+    assert study["errors"] == pytest.approx(PINNED_MMS_ERRORS, rel=1e-10)
+
+
+#: the manufactured texts as first written, term by term, against which
+#: the regrouped texts are checked
+FIRST_MMS_SOLUTION = "sin(x)*cos(y)*exp(-t)"
+FIRST_MMS_SOURCE = ("-(sin(x) - sin(x0))*cos(y)*exp(-t)"
+                    " - (sin(x)*cos(x) - sin(x0)*cos(x0))*cos(y)^2*exp(-2*t)"
+                    " - (cos(x) - cos(x0))*cos(y)*exp(-t)")
+
+
+def test_manufactured_source_is_exact_for_any_x0():
+    # S = u*_t - [u* u*_x](x) + [u* u*_x](x0) - int_{x0}^{x} u*_yy dx'
+    #     - u*_t(x0), the evolution form solved for S, with x0 a symbol
+    sympy = pytest.importorskip("sympy")
+    from test_certificates import to_sympy
+
+    names = (*EVOLVER_CHART.coords, "x0")
+    x, y, t, x0, s = sympy.symbols("x y t x0 s")
+    u = to_sympy(parse(MMS_SOLUTION, names))
+    source = to_sympy(parse(MMS_SOURCE, names))
+    flux, rate = u * sympy.diff(u, x), sympy.diff(u, t)
+    integral = sympy.integrate(sympy.diff(u, y, 2).subs(x, s), (s, x0, x))
+    expected = rate - flux + flux.subs(x, x0) - integral - rate.subs(x, x0)
+    assert sympy.simplify(source - expected) == 0
+
+
+def test_manufactured_texts_match_the_first_ones_on_the_mms_grid():
+    # the texts are rewritten for fewer grid passes, not changed: on the
+    # 256^2 MMS grid, at the three stage times of the 256^2 study's last
+    # step, u*, u*_t and S agree with the first texts to round-off
+    x0, x1, y0, y1 = evolver.MMS_BOX
+    grid = Grid(x0, x1, 256, y0, y1, 256)
+    xs, ys = grid.axes()
+    boundary = manufactured_reference(x0)
+    first = BoundarySource(
+        ExprField.from_text(FIRST_MMS_SOLUTION, EVOLVER_CHART),
+        ExprField(parse(FIRST_MMS_SOURCE, EVOLVER_CHART.coords, {"x0": x0}),
+                  EVOLVER_CHART))
+    t_end = 0.1
+    state = DKPState(grid, boundary.u_on(xs, ys, 0.0), 0.0, boundary)
+    dt = t_end / np.ceil(t_end / (0.5 * cfl_bound(state)))
+    gdt, eps = evolver.GAMMA * dt, np.finfo(float).eps
+    for t in t_end - dt + np.array([0.0, gdt, dt - gdt]):
+        for name in ("u_on", "udot_on", "source_on"):
+            new = getattr(boundary, name)(xs, ys, t)
+            old = getattr(first, name)(xs, ys, t)
+            assert np.max(np.abs(new - old)) <= 8 * eps * np.max(np.abs(old))
 
 
 def test_time_order_apart_from_space():
