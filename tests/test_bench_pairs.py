@@ -15,7 +15,7 @@ def test_a_clear_gain_is_claimable():
     change = [p - 0.1 for p in PARENT]
     row = bench_pairs.verdict(PARENT, change, "lower", 0.25)
     assert (row["wins"], row["losses"], row["pairs"]) == (10, 0, 10)
-    assert row["gain_claimable"] and row["within_bound"]
+    assert row["gain_claimable"] and row["against_bound"] == "within"
     assert row["parent"]["median"] == pytest.approx(1.0)
     assert row["relative_change"] == pytest.approx(-0.1)
 
@@ -39,7 +39,21 @@ def test_a_gap_inside_the_parents_spread_is_no_gain():
 def test_the_better_direction_and_the_bound():
     worse = [1.3 * p for p in PARENT]
     row = bench_pairs.verdict(PARENT, worse, "lower", 0.25)
-    assert row["losses"] == 10 and not row["within_bound"]
-    assert bench_pairs.verdict(PARENT, worse, "lower", 0.35)["within_bound"]
+    assert row["losses"] == 10 and row["against_bound"] == "beyond"
+    assert bench_pairs.verdict(PARENT, worse, "lower", 0.35)["against_bound"] == "within"
     row = bench_pairs.verdict(PARENT, worse, "higher", 0.25)
     assert row["wins"] == 10 and row["gain_claimable"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # the parent's interquartile range, 0.02, is wider than a 1 % bound
+    assert bench_pairs.verdict(PARENT, PARENT, "lower", 0.01)["against_bound"] == "unresolved"
+    assert bench_pairs.verdict(PARENT, PARENT, "lower", 0.05)["against_bound"] == "within"
+    # unless every change run reads better than every parent run
+    for better, step in (("lower", -0.1), ("higher", 0.1)):
+        change = [p + step for p in PARENT]
+        row = bench_pairs.verdict(PARENT, change, better, 0.01)
+        assert row["against_bound"] == "within"
+        nearly = change[:9] + [PARENT[9] + step / 20]
+        row = bench_pairs.verdict(PARENT, nearly, better, 0.01)
+        assert row["wins"] == 10 and row["against_bound"] == "unresolved"
