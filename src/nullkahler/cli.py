@@ -34,9 +34,11 @@ The same holds inside the oracle curvature: its report computes the
 sectors the checks read (the self-dual Weyl spinor and the scalar) when
 it is built, and the anti-self-dual spinor, Phi and the Bianchi gap only
 when something reads them, which no suite check does.
-Both curved kinds check d Sigma^{0'0'} and d Sigma^{0'1'} of
-``CoFrame.sigma``, read off the coframe's jet by ``check_null_kahler``,
-so ``dsigma01`` measures one quantity on nk and dkp fixtures alike.
+Both curved kinds check d Sigma^{0'0'} and d Sigma^{0'1'} for the one
+Sigma convention, Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}, read off
+the coframe's jet by ``check_null_kahler``, so ``dsigma01`` measures one
+quantity on nk and dkp fixtures alike; ``export --quantity sigma`` forms
+Sigma from the coframe's values on the grid (``dkp.sd_two_forms``).
 Each sample carries one evaluation memo, which every check reads
 through, so an expression node is evaluated once per sample set.  A memo
 serves the point sets that hold the same values under every coordinate
@@ -491,7 +493,7 @@ DKP_TABLE = {
     "lindkp": lambda s: dkp_mod.residual_lindkp(s.h, s.w).evaluate(
         s.points3, s.memo),
     "monopole": lambda s: dkp_mod.monopole_residual(
-        s.ew, dkp_mod.monopole_from_w(s.h, s.w), s.points3, s.memo),
+        s.ew, s.w, s.points3, s.memo),
     "ew": lambda s: dkp_mod.ew_residual(s.ew, s.points3, s.memo),
     "dkp_sd_weyl": lambda s: s.oracle.c_sd,
     "dkp_scalar": lambda s: s.oracle.scalar,
@@ -736,11 +738,18 @@ def _export_command(args) -> int:
         sys.stdout.write(f"wrote curvature table to {out}\n")
         return 0
     if args.quantity == "sigma":
-        for i, j in SYM_PAIRS:
-            for key, comp in sample.coframe.sigma(i, j).comps.items():
-                tag = "".join(coords[k] for k in key)
-                grid_to_csv(grid, sample_to_grid(comp, grid), coords,
-                            out / f"sigma{i}{j}_{tag}.csv")
+        pts = np.stack([axis.ravel() for axis in grid.mesh()], axis=-1)
+        *sigmas, _ = dkp_mod.sd_two_forms(sample.coframe, pts)
+        e = sample.coframe.fields
+        for (i, j), values in zip(SYM_PAIRS, sigmas):
+            # the components mu < nu that a product of coframe entries
+            # e^{0i}_mu e^{1j}_nu or e^{1i}_mu e^{0j}_nu reaches
+            pairs = {tuple(sorted((m, n)))
+                     for a, b in ((e[0][i], e[1][j]), (e[1][i], e[0][j]))
+                     for m in a for n in b if m != n}
+            for m, n in pairs:
+                grid_to_csv(grid, values[:, m, n].reshape(grid.shape), coords,
+                            out / f"sigma{i}{j}_{coords[m]}{coords[n]}.csv")
         sys.stdout.write(f"wrote sigma component grids to {out}\n")
         return 0
     for i in range(3):
@@ -748,8 +757,8 @@ def _export_command(args) -> int:
             component = sample.ew.h.component(i, j)
             grid_to_csv(grid, sample_to_grid(component, grid), coords,
                         out / f"h_{coords[i]}{coords[j]}.csv")
-    nu_t = sample.ew.nu.component((2,))
-    grid_to_csv(grid, sample_to_grid(nu_t, grid), coords, out / "nu_t.csv")
+    grid_to_csv(grid, sample_to_grid(sample.ew.nu, grid), coords,
+                out / "nu_t.csv")
     sys.stdout.write(f"wrote ew component grids to {out}\n")
     return 0
 

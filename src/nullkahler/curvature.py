@@ -45,6 +45,7 @@ from .geometry import (
     CoFrame,
     MetricField,
     dual_vector_values,
+    exterior_derivative,
     inverse_metric_values,
 )
 
@@ -564,11 +565,13 @@ def oracle_report(metric: MetricField, coframe: CoFrame, points,
 
 def check_null_kahler(coframe: CoFrame, points, memo=None) -> tuple:
     """(d Sigma^{0'0'}, d Sigma^{0'1'}) at ``points``, one row per point of
-    the three-form components at kappa < mu < nu, for the Sigma^{A'B'} of
-    ``CoFrame.sigma``: the residuals of the closed-form conditions.
+    the three-form components at kappa < mu < nu, for
+    Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}: the residuals of the
+    closed-form conditions.
 
-    Both are read off the coframe's values and first jet, with no form
-    tree.  With F^{AA'}_{k mu} = d_k e^{AA'}_mu - d_mu e^{AA'}_k,
+    Both are read off the coframe's values and first jet.  With
+    F^{AA'} = d e^{AA'} (``exterior_derivative`` of the jet),
+    F^{AA'}_{k mu} = d_k e^{AA'}_mu - d_mu e^{AA'}_k,
 
         d Sigma^{0'j} = 1/2 (F^{00'} ^ e^{1j} - F^{1j} ^ e^{00'}
                              - F^{10'} ^ e^{0j} + F^{0j} ^ e^{10'}),
@@ -580,7 +583,7 @@ def check_null_kahler(coframe: CoFrame, points, memo=None) -> tuple:
     # e[A, A', n, mu] and F[A, A', n, k, mu], the labels (A, A') leading
     e = coframe.evaluate(points, memo).transpose(1, 2, 0, 3)
     de = coframe.first_derivatives(points, memo).transpose(2, 3, 0, 1, 4)
-    f = de - de.swapaxes(-1, -2)
+    f = exterior_derivative(de)
     # each factor read once at the triples kappa < mu < nu
     k, m, v = np.array(list(combinations(range(4), 3))).T
     fkm, fmv, fvk = f[..., k, m], f[..., m, v], f[..., v, k]

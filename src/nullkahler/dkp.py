@@ -11,9 +11,11 @@ With u = H_x the Weyl structure h = dy^2 - 4 dx dt - 4 u dt^2,
 nu = -4 u_x dt is Einstein-Weyl exactly when u solves dKP, and
 (V = W_x, alpha = -W_x dy - 2 W_y dt) solves the generalised monopole
 equation on it.  The four-metric built from (H, W) is then ASD
-null-Kahler with the Killing vector along z; its SD two-forms are the
-``CoFrame.sigma`` forms of ``geometry.dkp_coframe``, in the normalization
-every curved fixture is checked in.
+null-Kahler with the Killing vector along z; its SD two-forms
+Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'} are formed from the values
+of ``geometry.dkp_coframe`` (``sd_two_forms``), the one Sigma convention
+every curved fixture is checked in.  The monopole residual reads V, alpha
+and nu off the values and first jets of W_x, W_y and nu_t.
 
 The Weyl connection D is the torsion-free connection with D h = nu x h.
 In n dimensions its symmetrized Ricci tensor is
@@ -37,7 +39,6 @@ from .fields import Chart, ExprField
 from .geometry import (
     SYM_PAIRS,
     CoFrame,
-    FormField,
     MetricField,
     _require_dkp_chart,
     dkp_metric,
@@ -76,11 +77,17 @@ def residual_lindkp(h_pot: ExprField, w_pot: ExprField) -> ExprField:
 # --- Einstein-Weyl structures --------------------------------------------------
 
 class EWStructure:
-    """Three-metric h and one-form nu on the chart (x, y, t)."""
+    """Three-metric h and the field nu_t of the one-form nu = nu_t dt on
+    the chart (x, y, t)."""
 
-    def __init__(self, h: MetricField, nu: FormField):
+    def __init__(self, h: MetricField, nu: ExprField):
         self.h = h
         self.nu = nu
+
+    def nu_jet(self, points, order: int, memo=None) -> np.ndarray:
+        """nu's components nu[n, mu] (order 0) or first jet
+        dnu[n, k, mu] = d_k nu_mu (order 1) at ``points``."""
+        return field_jet([(self.nu, [(2,)])], (3,), points, order, memo)
 
 
 def ew_from_u(u: ExprField) -> EWStructure:
@@ -94,9 +101,7 @@ def ew_from_u(u: ExprField) -> EWStructure:
     comps[y][y] = one
     comps[x][t] = comps[t][x] = ExprField.constant(-2.0, chart)
     comps[t][t] = -4.0 * u
-    h = MetricField(chart, comps)
-    nu = FormField(chart, 1, {(t,): -4.0 * u.differentiate("x")})
-    return EWStructure(h, nu)
+    return EWStructure(MetricField(chart, comps), -4.0 * u.differentiate("x"))
 
 
 def ew_residual(ew: EWStructure, points, memo=None) -> np.ndarray:
@@ -112,9 +117,9 @@ def ew_residual(ew: EWStructure, points, memo=None) -> np.ndarray:
     """
     memo = {} if memo is None else memo
     raw = coordinate_curvature(ew.h, points, memo)
-    nu = ew.nu.evaluate(points, memo)
+    nu = ew.nu_jet(points, 0, memo)
     n, dim = nu.shape
-    dnu = field_jet(ew.nu.jet_entries(), (dim,), points, 1, memo)
+    dnu = ew.nu_jet(points, 1, memo)
     gamma = raw.christoffel.reshape(n, dim, dim * dim)
     cov = dnu - (nu[:, None, :] @ gamma).reshape(n, dim, dim)
     ricci = (raw.ricci + 0.25 * (cov + np.swapaxes(cov, -1, -2))
@@ -125,38 +130,30 @@ def ew_residual(ew: EWStructure, points, memo=None) -> np.ndarray:
 
 # --- monopole pairs -------------------------------------------------------------
 
-class MonopolePair:
-    """Function V of conformal weight -1 and connection one-form alpha."""
-
-    def __init__(self, v: ExprField, alpha: FormField):
-        self.v = v
-        self.alpha = alpha
-
-
-def monopole_from_w(h_pot: ExprField, w_pot: ExprField) -> MonopolePair:
-    """V = W_x with alpha = -W_x dy - 2 W_y dt (the gauge used by the
-    circle-bundle metric)."""
-    _require_dkp_chart(w_pot)
-    x, y, t = 0, 1, 2
-    alpha = FormField(w_pot.chart, 1, {
-        (y,): -1.0 * w_pot.differentiate("x"),
-        (t,): -2.0 * w_pot.differentiate("y"),
-    })
-    return MonopolePair(w_pot.differentiate("x"), alpha)
-
-
-def monopole_residual(ew: EWStructure, pair: MonopolePair, points,
+def monopole_residual(ew: EWStructure, w_pot: ExprField, points,
                       memo=None) -> np.ndarray:
     """The components of *_h (dV + 1/2 nu V) - d alpha at ``points``, one
-    row per point; ``memo`` is an evaluation memo of ``points``."""
-    chart = pair.v.chart
-    dv = exterior_derivative(FormField(chart, 0, {(): pair.v}))
-    coupled = dv + ew.nu.mul_scalar(pair.v * 0.5)
-    values = coupled.evaluate(points, memo)
-    hv = ew.h.evaluate(points, memo)
-    star = hodge_star_values(values, 1, hv, EW_ORIENTATION)
-    dalpha = exterior_derivative(pair.alpha).evaluate(points, memo)
-    return star - dalpha
+    row per point, for V = W_x and alpha = -W_x dy - 2 W_y dt (the gauge
+    used by the circle-bundle metric); ``memo`` is an evaluation memo of
+    ``points``.
+
+    V, nu and the first jets of W_x and W_y are read through ``memo``.
+    The coupled one-form is dV + nu (V * 0.5), and d alpha is
+    ``exterior_derivative`` of alpha's jet, d_k alpha_y = -1 * d_k W_x
+    and d_k alpha_t = -2 * d_k W_y: the operations, in their order, of
+    the same quantities built as form trees and differentiated exactly.
+    """
+    _require_dkp_chart(w_pot)
+    memo = {} if memo is None else memo
+    wx, wy = w_pot.differentiate("x"), w_pot.differentiate("y")
+    v = field_jet([(wx, [()])], (), points, 0, memo)
+    dv = exterior_derivative(field_jet([(wx, [()])], (), points, 1, memo))
+    coupled = dv + ew.nu_jet(points, 0, memo) * (v * 0.5)[:, None]
+    star = hodge_star_values(coupled, 1, ew.h.evaluate(points, memo),
+                             EW_ORIENTATION)
+    alpha_entries = [(wx, [(1,)]), (wy, [(2,)])]
+    alpha_jet = field_jet(alpha_entries, (3,), points, 1, memo) * (0.0, -1.0, -2.0)
+    return star - exterior_derivative(alpha_jet)
 
 
 # --- circle-bundle metric and its SD two-forms ----------------------------------
@@ -168,15 +165,25 @@ def build_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricF
 
 
 def sd_two_forms(coframe: CoFrame, points, memo=None):
-    """The SD two-forms of a dkp coframe and the closedness of the first
-    two, kept for the benchmark's tracer, which names it.
+    """The SD two-forms of a coframe at ``points`` and the closedness of
+    the first two; the Sigma export reads the forms, and the benchmark's
+    tracer names this routine.
 
-    Returns (sigma00, sigma01, sigma11, (d sigma00, d sigma01)): the
-    forms are ``CoFrame.sigma`` in the pair order ``SYM_PAIRS``, and the
-    pair is ``check_null_kahler``'s.  ``memo`` is an evaluation memo of
+    Returns (sigma00, sigma01, sigma11, (d sigma00, d sigma01)).  Each
+    Sigma^{A'B'}[n, mu, nu] = 1/2 (e^{0A'} ^ e^{1B'} - e^{1A'} ^ e^{0B'}),
+    in the pair order ``SYM_PAIRS``, is formed from the coframe's values,
+    with (a ^ b)_{mu nu} = a_mu b_nu - a_nu b_mu; the pair is
+    ``check_null_kahler``'s.  ``memo`` is an evaluation memo of
     ``points``.
     """
-    return (*(coframe.sigma(*pair) for pair in SYM_PAIRS),
+    memo = {} if memo is None else memo
+    e = coframe.evaluate(points, memo)
+
+    def wedge(a, b):
+        return a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]
+
+    return (*(0.5 * wedge(e[:, 0, i], e[:, 1, j])
+              - 0.5 * wedge(e[:, 1, i], e[:, 0, j]) for i, j in SYM_PAIRS),
             check_null_kahler(coframe, points, memo))
 
 

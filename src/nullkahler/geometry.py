@@ -1,10 +1,14 @@
-"""Coframes, metric fields and exterior calculus on a single chart, with
+"""Metric fields and coframes on a single chart, their jets at points, and
 the two-spinor conventions and the Hodge star they are checked by.
 
-Forms are stored in coordinate components (dictionaries keyed by strictly
-increasing index tuples); frame quantities are converted to coordinate
-components at evaluation points.  Line-element products are symmetrized,
-so a displayed ``dw dx`` contributes 1/2 to each of g_wx and g_xw.
+A metric holds its component fields; a coframe holds each one-form
+e^{AA'} as an {axis: field} dict of its coordinate components.  Values
+and exact first and second partials at points come from one routine,
+``field_jet``, and frame quantities are formed from those values.
+Line-element products are symmetrized, so a displayed ``dw dx``
+contributes 1/2 to each of g_wx and g_xw.  There is one exterior
+derivative, ``exterior_derivative``, which reads d of a function or a
+one-form off its first jet.
 
 Two-spinor conventions:
 
@@ -18,7 +22,10 @@ Two-spinor conventions:
   ((0, 0), (0, 1), (1, 1)).
 * Sigma^{A'B'} = (1/2) epsilon_{AB} e^{AA'} ^ e^{BB'} and the mirror
   formula for Sigma^{AB}; this normalization satisfies the coframe
-  reconstruction identity exactly.
+  reconstruction identity exactly.  The package forms it from the
+  coframe's values (``dkp.sd_two_forms``) and reads its exterior
+  derivative off the coframe's first jet (``curvature.check_null_kahler``),
+  so the coframe jet is its one source.
 """
 
 from __future__ import annotations
@@ -100,24 +107,9 @@ def hodge_star_values(omega: np.ndarray, degree: int, g: np.ndarray,
 
 
 @cache
-def _merge_sign(left: tuple, right: tuple):
-    """Sorted concatenation of disjoint index tuples and its parity."""
-    if set(left) & set(right):
-        return None, 0
-    return tuple(sorted(left + right)), permutation_parity(left + right)
-
-
-@cache
 def _mirrors(axes: tuple) -> tuple:
     """Slot prefixes ``out[:, k, l, ...]`` of every ordering of ``axes``."""
     return tuple((slice(None),) + p for p in sorted(set(permutations(axes))))
-
-
-@cache
-def _signed_permutations(degree: int) -> tuple:
-    """``(permutation, parity)`` of every ordering of ``range(degree)``."""
-    return tuple((perm, permutation_parity(perm))
-                 for perm in permutations(range(degree)))
 
 
 def _is_plus_zero(part) -> bool:
@@ -144,14 +136,16 @@ def _partials(expr, coords, order: int) -> list:
 def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
     """Values (order 0), first (1) or second (2) partials of a field array.
 
-    ``entries`` lists ``(field, [(index, sign), ...])``: the field, times
-    the sign (+1 or -1), fills each index of an array of ``shape``;
-    unlisted slots are zero, and no slot belongs to two entries.  Returns
-    ``out[n, k..., *index]`` with ``order`` derivative axes.  Each partial
-    is taken once per sorted axis tuple (k <= l), applying
-    ``Expr.derivative`` along the axes in chart order (the node memo
-    returns the same tree as ``ExprField.differentiate``), and is mirrored
-    into the symmetric slots.
+    ``entries`` lists ``(field, [index, ...])``: the field fills each index
+    (a tuple) of an array of ``shape``; unlisted slots are zero, and no
+    slot belongs to two entries.  Returns ``out[n, k..., *index]`` with
+    ``order`` derivative axes.  Each partial is taken once per sorted axis
+    tuple (k <= l), applying ``Expr.derivative`` along the axes in chart
+    order (the node memo returns the same tree as
+    ``ExprField.differentiate``), and is mirrored into the symmetric
+    slots.  No slot takes a sign: the one antisymmetric object, Sigma, is
+    formed from the coframe's values and its d read off the coframe's
+    first jet (see the module docstring).
 
     The points are checked against each chart's excluded bands once per
     call, and every partial of a chart is evaluated with ``node_value`` on
@@ -165,15 +159,11 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
 
     Most partials of a metric or coframe are constants, and most of those
     are zero.  A +0.0 partial writes nothing, since the array starts as
-    zeros, and the walk takes no derivative below a constant.  Signed
-    zeros are kept: a slot of sign -1 starts as -0.0, the value each of
-    its +0.0 partials stands for, and a ``Const(-0.0)`` partial is written
-    like any other constant.  A slot of sign +1 takes a partial's values
-    as they are and a slot of sign -1 takes their negation, computed once
-    per partial: both are the bits of ``sign * values``.  A constant is
-    written as it is, with no tree walk, once ``math.isfinite`` has passed
-    it.  The evaluated partials are checked once, on the finished jet: a
-    non-finite value, constant or evaluated, raises ``EvaluationError``.
+    zeros, and the walk takes no derivative below a constant.  Any other
+    constant, a ``Const(-0.0)`` included, is written as it is, with no
+    tree walk, once ``math.isfinite`` has passed it.  The evaluated
+    partials are checked once, on the finished jet: a non-finite value,
+    constant or evaluated, raises ``EvaluationError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
@@ -189,12 +179,6 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
             envs[id(chart)] = dict(zip(chart.coords, pts.T))
     for field, slots in entries:
         env = envs[id(field.chart)]
-        slots = [(tuple(index), sign > 0) for index, sign in slots]
-        minus = False
-        for index, plus in slots:
-            if not plus:
-                out[(Ellipsis,) + index] = -0.0
-                minus = True
         for axes, part in _partials(field.expr, field.chart.coords, order):
             if part.__class__ is Const:
                 values = part.value
@@ -202,95 +186,24 @@ def field_jet(entries, shape, points, order: int, memo=None) -> np.ndarray:
                     raise EvaluationError("non-finite field value")
             else:
                 values = node_value(part, env, memo)
-            negated = -values if minus else None
             for prefix in _mirrors(axes):
-                for index, plus in slots:
-                    out[prefix + index] = values if plus else negated
+                for index in slots:
+                    out[prefix + index] = values
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite field value")
     return out
 
 
-def _zero_field(chart: Chart) -> ExprField:
-    return ExprField.constant(0.0, chart)
+def exterior_derivative(jet) -> np.ndarray:
+    """d of a function or of a one-form at points, from its first jet.
 
-
-class FormField:
-    """Differential form of degree p with scalar-field components."""
-
-    def __init__(self, chart: Chart, degree: int, comps=None):
-        if not 0 <= degree <= chart.dim:
-            raise DomainError(f"degree {degree} out of range on {chart.coords}")
-        self.chart = chart
-        self.degree = degree
-        self.comps = {}
-        for key, value in (comps or {}).items():
-            key = tuple(key)
-            if len(key) != degree or list(key) != sorted(set(key)):
-                raise DomainError(f"bad component key {key} for degree {degree}")
-            self.comps[key] = value
-
-    def component(self, key) -> ExprField:
-        return self.comps.get(tuple(key), _zero_field(self.chart))
-
-    def __add__(self, other: "FormField") -> "FormField":
-        if other.degree != self.degree or other.chart != self.chart:
-            raise DomainError("form degree/chart mismatch")
-        comps = dict(self.comps)
-        for key, value in other.comps.items():
-            comps[key] = comps[key] + value if key in comps else value
-        return FormField(self.chart, self.degree, comps)
-
-    def scaled(self, factor) -> "FormField":
-        comps = {key: value * factor for key, value in self.comps.items()}
-        return FormField(self.chart, self.degree, comps)
-
-    def mul_scalar(self, field: ExprField) -> "FormField":
-        comps = {key: value * field for key, value in self.comps.items()}
-        return FormField(self.chart, self.degree, comps)
-
-    def jet_entries(self) -> list:
-        """``field_jet`` entries: each component in its antisymmetric slots."""
-        perms = _signed_permutations(self.degree)
-        return [(field, [(tuple(map(key.__getitem__, perm)), sign)
-                         for perm, sign in perms])
-                for key, field in self.comps.items()]
-
-    def evaluate(self, points, memo=None) -> np.ndarray:
-        """Dense antisymmetric component array of shape (n, 4, ..., 4)."""
-        return field_jet(self.jet_entries(), (self.chart.dim,) * self.degree,
-                         points, 0, memo)
-
-
-def wedge(a: FormField, b: FormField) -> FormField:
-    if a.chart != b.chart:
-        raise DomainError("wedge across different charts")
-    degree = a.degree + b.degree
-    if degree > a.chart.dim:
-        raise DomainError("wedge degree exceeds chart dimension")
-    comps = {}
-    for ka, fa in a.comps.items():
-        for kb, fb in b.comps.items():
-            key, sign = _merge_sign(ka, kb)
-            if key is None:
-                continue
-            term = (fa * fb) * float(sign)
-            comps[key] = comps[key] + term if key in comps else term
-    return FormField(a.chart, degree, comps)
-
-
-def exterior_derivative(a: FormField) -> FormField:
-    if a.degree >= a.chart.dim:
-        return FormField(a.chart, min(a.degree + 1, a.chart.dim))
-    comps = {}
-    for key, field in a.comps.items():
-        for axis in range(a.chart.dim):
-            if axis in key:
-                continue
-            new_key, sign = _merge_sign((axis,), key)
-            term = field.differentiate(field.chart.coords[axis]) * float(sign)
-            comps[new_key] = comps[new_key] + term if new_key in comps else term
-    return FormField(a.chart, a.degree + 1, comps)
+    A function's jet ``jet[n, k]`` = d_k f, of two axes, is its d and is
+    returned as it is.  A one-form's jet ``jet[..., n, k, mu]`` =
+    d_k a_mu, with any label axes leading, gives the two-form
+    (d a)_{k mu} = d_k a_mu - d_mu a_k on its last two axes.
+    """
+    jet = np.asarray(jet)
+    return jet if jet.ndim == 2 else jet - jet.swapaxes(-1, -2)
 
 
 class MetricField:
@@ -300,7 +213,7 @@ class MetricField:
         self.chart = chart
         n = chart.dim
         self.comps = [list(row) for row in comps]
-        self._entries = [(self.comps[i][j], [((i, j), 1), ((j, i), 1)])
+        self._entries = [(self.comps[i][j], [(i, j), (j, i)])
                          for i in range(n) for j in range(i, n)]
 
     def component(self, i: int, j: int) -> ExprField:
@@ -322,17 +235,15 @@ class MetricField:
 
 
 class CoFrame:
-    """Null tetrad of one-forms e^{AA'} with scalar-field components."""
+    """Null tetrad of one-forms e^{AA'}, each held as an {axis: field}
+    dict of its coordinate components; an axis it lacks is zero."""
 
-    def __init__(self, chart: Chart, forms):
+    def __init__(self, chart: Chart, fields):
         self.chart = chart
-        self.forms = forms  # forms[A][Ap] is a degree-1 FormField
-        self._entries = [(field, [((a, ap, mu), 1)])
+        self.fields = fields  # fields[A][Ap] is the {axis: ExprField} of e^{AA'}
+        self._entries = [(field, [(a, ap, mu)])
                          for a in range(2) for ap in range(2)
-                         for (mu,), field in forms[a][ap].comps.items()]
-
-    def form(self, a: int, ap: int) -> FormField:
-        return self.forms[a][ap]
+                         for mu, field in fields[a][ap].items()]
 
     def evaluate(self, points, memo=None) -> np.ndarray:
         """E[n, A, A', mu]."""
@@ -345,15 +256,6 @@ class CoFrame:
     def second_derivatives(self, points, memo=None) -> np.ndarray:
         """ddE[n, k, l, A, A', mu], exact."""
         return field_jet(self._entries, (2, 2, self.chart.dim), points, 2, memo)
-
-    def sigma(self, i: int, j: int) -> FormField:
-        """Sigma^{A'B'} for (A', B') = (i, j) as an exact form field.
-
-        Same normalization as ``sigma_basis`` in ``tests/oracles.py``:
-        Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'}, with eps_{01} = 1.
-        """
-        return (wedge(self.form(0, i), self.form(1, j)).scaled(0.5)
-                + wedge(self.form(1, i), self.form(0, j)).scaled(-0.5))
 
     def dual_vectors(self, points, memo=None) -> np.ndarray:
         """Frame vectors D[n, A, A', mu] with e^{BB'}(D_{AA'}) = delta."""
@@ -387,7 +289,7 @@ def nk_metric(theta: ExprField) -> MetricField:
         raise DomainError("nk metric expects the chart (w, z, x, y)")
     txx, tyy, txy = theta_blocks(theta)
     half = ExprField.constant(0.5, chart)
-    zero = _zero_field(chart)
+    zero = ExprField.constant(0.0, chart)
     w, z, x, y = 0, 1, 2, 3
     comps = [[zero for _ in range(4)] for _ in range(4)]
     comps[w][x] = comps[x][w] = half
@@ -411,13 +313,12 @@ def nk_coframe(theta: ExprField) -> CoFrame:
         raise DomainError("nk coframe expects the chart (w, z, x, y)")
     txx, tyy, txy = theta_blocks(theta)
     one = ExprField.constant(1.0, chart)
-    zero = _zero_field(chart)
     w, z, x, y = 0, 1, 2, 3
 
-    e00 = FormField(chart, 1, {(w,): one})
-    e10 = FormField(chart, 1, {(z,): one})
-    e01 = FormField(chart, 1, {(y,): one * -0.5, (w,): txy * -0.5, (z,): txx * 0.5})
-    e11 = FormField(chart, 1, {(x,): one * 0.5, (w,): tyy * -0.5, (z,): txy * 0.5})
+    e00 = {w: one}
+    e10 = {z: one}
+    e01 = {y: one * -0.5, w: txy * -0.5, z: txx * 0.5}
+    e11 = {x: one * 0.5, w: tyy * -0.5, z: txy * 0.5}
     return CoFrame(chart, [[e00, e01], [e10, e11]])
 
 
@@ -457,7 +358,7 @@ def dkp_metric(h_pot: ExprField, w_pot: ExprField, box: Box = None) -> MetricFie
     chart4, hx4, wx4, wy4 = _dkp_blocks(h_pot, w_pot)
     if box is not None:
         _check_nonvanishing(w_pot.differentiate("x"), box, "W_x")
-    zero = _zero_field(chart4)
+    zero = ExprField.constant(0.0, chart4)
     x, y, t, z = 0, 1, 2, 3
     comps = [[zero for _ in range(4)] for _ in range(4)]
     comps[x][t] = comps[t][x] = -2.0 * wx4
@@ -488,16 +389,8 @@ def dkp_coframe(h_pot: ExprField, w_pot: ExprField) -> CoFrame:
     one = ExprField.constant(1.0, chart4)
     x, y, t, z = 0, 1, 2, 3
 
-    e00 = FormField(chart4, 1, {(t,): -2.0 * wx4})
-    e10 = FormField(chart4, 1, {(z,): 0.5 / wx4, (t,): -1.0 * wy4 / wx4})
-    e01 = FormField(chart4, 1, {
-        (z,): one,
-        (y,): -2.0 * wx4,
-        (t,): -2.0 * wy4 + zc * (-2.0 * wx4),
-    })
-    e11 = FormField(chart4, 1, {
-        (x,): one,
-        (t,): hx4 + zc * (-1.0 * wy4 / wx4),
-        (z,): zc * (0.5 / wx4),
-    })
+    e00 = {t: -2.0 * wx4}
+    e10 = {z: 0.5 / wx4, t: -1.0 * wy4 / wx4}
+    e01 = {z: one, y: -2.0 * wx4, t: -2.0 * wy4 + zc * (-2.0 * wx4)}
+    e11 = {x: one, t: hx4 + zc * (-1.0 * wy4 / wx4), z: zc * (0.5 / wx4)}
     return CoFrame(chart4, [[e00, e01], [e10, e11]])

@@ -11,7 +11,7 @@ Sigma^{A'B'} = (1/2) epsilon_{AB} e^{AA'} ^ e^{BB'}.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from nullkahler.curvature import (
     _extract_slots,
     coordinate_curvature,
 )
-from nullkahler.dkp import EWStructure, residual_lindkp
+from nullkahler.dkp import EW_ORIENTATION, EWStructure, residual_lindkp
 from nullkahler.evolver import EVOLVER_CHART, BoundarySource
 from nullkahler.expressions import EvaluationError, add, mul
 from nullkahler.fields import Chart, ExprField, Grid
@@ -33,20 +33,110 @@ from nullkahler.geometry import (
     SYM_PAIRS,
     CoFrame,
     DegeneracyError,
-    FormField,
     MetricField,
     _check_nonvanishing,
     _require_dkp_chart,
-    _zero_field,
     dkp_metric,
-    exterior_derivative,
-    field_jet,
     hodge_star_values,
     inverse_metric_values,
-    wedge,
+    permutation_parity,
 )
 from nullkahler.nk_system import LaxFields
 from nullkahler.sampling import Box
+
+
+# --- exterior calculus on form trees -------------------------------------------
+# the package holds each coframe one-form as an {axis: field} dict and
+# reads Sigma, d Sigma and the monopole's dV and d alpha off values and
+# first jets; these form trees build the same objects symbolically, by
+# exact differentiation, and evaluate each component on its own, so they
+# are an independent reference for those value routes
+
+class FormField:
+    """Differential form of degree p with scalar-field components, keyed
+    by strictly increasing index tuples."""
+
+    def __init__(self, chart: Chart, degree: int, comps=None):
+        if not 0 <= degree <= chart.dim:
+            raise ValueError(f"degree {degree} out of range on {chart.coords}")
+        self.chart = chart
+        self.degree = degree
+        self.comps = {}
+        for key, value in (comps or {}).items():
+            key = tuple(key)
+            if len(key) != degree or list(key) != sorted(set(key)):
+                raise ValueError(f"bad component key {key} for degree {degree}")
+            self.comps[key] = value
+
+    def component(self, key) -> ExprField:
+        return self.comps.get(tuple(key), ExprField.constant(0.0, self.chart))
+
+    def __add__(self, other: "FormField") -> "FormField":
+        comps = dict(self.comps)
+        for key, value in other.comps.items():
+            comps[key] = comps[key] + value if key in comps else value
+        return FormField(self.chart, self.degree, comps)
+
+    def scaled(self, factor) -> "FormField":
+        return FormField(self.chart, self.degree,
+                         {key: value * factor for key, value in self.comps.items()})
+
+    def evaluate(self, points) -> np.ndarray:
+        """Dense antisymmetric component array of shape (n, dim, ..., dim):
+        each component evaluated as a field, times the parity of each
+        ordering of its key."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros((len(pts),) + (self.chart.dim,) * self.degree)
+        for key, field in self.comps.items():
+            values = field.evaluate(pts)
+            for perm in permutations(range(self.degree)):
+                index = tuple(key[k] for k in perm)
+                out[(slice(None),) + index] = permutation_parity(perm) * values
+        return out
+
+
+def wedge(a: FormField, b: FormField) -> FormField:
+    degree = a.degree + b.degree
+    if degree > a.chart.dim:
+        raise ValueError("wedge degree exceeds chart dimension")
+    comps = {}
+    for ka, fa in a.comps.items():
+        for kb, fb in b.comps.items():
+            if set(ka) & set(kb):
+                continue
+            key, sign = tuple(sorted(ka + kb)), permutation_parity(ka + kb)
+            term = (fa * fb) * float(sign)
+            comps[key] = comps[key] + term if key in comps else term
+    return FormField(a.chart, degree, comps)
+
+
+def exterior_derivative(a: FormField) -> FormField:
+    """d of a form tree, by exact differentiation of its components."""
+    if a.degree >= a.chart.dim:
+        return FormField(a.chart, a.chart.dim)
+    comps = {}
+    for key, field in a.comps.items():
+        for axis in range(a.chart.dim):
+            if axis in key:
+                continue
+            new_key = tuple(sorted((axis,) + key))
+            sign = permutation_parity((axis,) + key)
+            term = field.differentiate(field.chart.coords[axis]) * float(sign)
+            comps[new_key] = comps[new_key] + term if new_key in comps else term
+    return FormField(a.chart, a.degree + 1, comps)
+
+
+def coframe_form(coframe: CoFrame, a: int, ap: int) -> FormField:
+    """e^{AA'} for (A, A') = (a, ap) as a one-form tree."""
+    return FormField(coframe.chart, 1, {(mu,): field for mu, field
+                                        in coframe.fields[a][ap].items()})
+
+
+def coframe_sigma(coframe: CoFrame, i: int, j: int) -> FormField:
+    """Sigma^{A'B'} = 1/2 eps_{AB} e^{AA'} ^ e^{BB'} for (A', B') = (i, j)
+    as a form tree, with eps_{01} = 1."""
+    return (wedge(coframe_form(coframe, 0, i), coframe_form(coframe, 1, j)).scaled(0.5)
+            + wedge(coframe_form(coframe, 1, i), coframe_form(coframe, 0, j)).scaled(-0.5))
 
 
 # --- paper constructions the tests use as fixtures ----------------------------
@@ -111,15 +201,14 @@ def sigma11_rhs(h_pot: ExprField, w_pot: ExprField) -> FormField:
     f0 = (2.0 * w_pot - h_pot.differentiate("x")).on_chart(chart4)
     df = exterior_derivative(FormField(chart4, 0, {(): f0}))
     dt_dz = FormField(chart4, 2, {(t, z): ExprField.constant(1.0, chart4)})
-    dxdydt = FormField(chart4, 3, {(x, y, t): ExprField.constant(1.0, chart4)})
     lind = residual_lindkp(h_pot, w_pot).on_chart(chart4)
-    return wedge(df, dt_dz) + dxdydt.mul_scalar(lind * -2.0)
+    return wedge(df, dt_dz) + FormField(chart4, 3, {(x, y, t): lind * -2.0})
 
 
 # --- the closure of Sigma through form trees ----------------------------------
 # the package reads d Sigma^{0'0'} and d Sigma^{0'1'} off the coframe's
-# values and first jet; this route builds Sigma^{0'b} = ``CoFrame.sigma``
-# as a form tree and takes its exact exterior derivative, and is the
+# values and first jet; this route builds Sigma^{0'b} as a form tree
+# (``coframe_sigma``) and takes its exact exterior derivative, and is the
 # reference the jet route must agree with
 
 def sigma_closure_by_forms(coframe: CoFrame, points) -> tuple:
@@ -128,9 +217,28 @@ def sigma_closure_by_forms(coframe: CoFrame, points) -> tuple:
     kappa < mu < nu."""
     kappa, mu, nu = zip(*combinations(range(4), 3))
     return tuple(
-        exterior_derivative(coframe.sigma(0, b)).evaluate(points)[
+        exterior_derivative(coframe_sigma(coframe, 0, b)).evaluate(points)[
             :, kappa, mu, nu]
         for b in (0, 1))
+
+
+# --- the monopole residual through form trees ---------------------------------
+# the package reads V, alpha and nu off first jets; this route builds
+# dV, nu V / 2 and d alpha as form trees and evaluates them
+
+def monopole_residual_by_forms(ew: EWStructure, w_pot: ExprField,
+                               points) -> np.ndarray:
+    """*_h (dV + 1/2 nu V) - d alpha at ``points`` for V = W_x and
+    alpha = -W_x dy - 2 W_y dt, in the layout of ``monopole_residual``."""
+    chart = w_pot.chart
+    v = w_pot.differentiate("x")
+    alpha = FormField(chart, 1, {(1,): -1.0 * w_pot.differentiate("x"),
+                                 (2,): -2.0 * w_pot.differentiate("y")})
+    coupled = exterior_derivative(FormField(chart, 0, {(): v})) \
+        + FormField(chart, 1, {(2,): ew.nu * (v * 0.5)})
+    star = hodge_star_values(coupled.evaluate(points), 1,
+                             ew.h.evaluate(points), EW_ORIENTATION)
+    return star - exterior_derivative(alpha).evaluate(points)
 
 
 # --- the Jones-Tod one-form ------------------------------------------------------
@@ -169,10 +277,10 @@ def metric_from_coframe(e: CoFrame) -> MetricField:
     """g = 2(e^{00'} e^{11'} - e^{10'} e^{01'}), symmetrized products."""
     chart = e.chart
     n = chart.dim
-    zero = _zero_field(chart)
+    zero = ExprField.constant(0.0, chart)
     comps = [[zero for _ in range(n)] for _ in range(n)]
-    e00, e11 = e.form(0, 0), e.form(1, 1)
-    e10, e01 = e.form(1, 0), e.form(0, 1)
+    e00, e11 = coframe_form(e, 0, 0), coframe_form(e, 1, 1)
+    e10, e01 = coframe_form(e, 1, 0), coframe_form(e, 0, 1)
     for i in range(n):
         for j in range(i, n):
             acc = (
@@ -195,8 +303,8 @@ def signature_counts(metric: MetricField, points):
 def volume_form(coframe: CoFrame) -> FormField:
     """nu = e^{01'} ^ e^{10'} ^ e^{11'} ^ e^{00'} (orientation fix)."""
     return wedge(
-        wedge(coframe.form(0, 1), coframe.form(1, 0)),
-        wedge(coframe.form(1, 1), coframe.form(0, 0)),
+        wedge(coframe_form(coframe, 0, 1), coframe_form(coframe, 1, 0)),
+        wedge(coframe_form(coframe, 1, 1), coframe_form(coframe, 0, 0)),
     )
 
 
@@ -562,8 +670,11 @@ def weyl_connection(ew: EWStructure, points, memo=None):
     ddh = ew.h.second_derivatives(points, memo)
     gamma, dgamma, dhinv = christoffel(dh, ddh, hinv)
     n = hv.shape[-1]
-    nu = ew.nu.evaluate(points, memo)
-    dnu = field_jet(ew.nu.jet_entries(), (n,), points, 1, memo)
+    nu = np.zeros((len(hv), n))
+    nu[:, 2] = ew.nu.evaluate(points, memo)
+    dnu = np.zeros((len(hv), n, n))
+    for k, name in enumerate(ew.nu.chart.coords):
+        dnu[:, k, 2] = ew.nu.differentiate(name).evaluate(points, memo)
 
     eye = np.eye(n)
     nu_up = np.einsum("nij,nj->ni", hinv, nu)

@@ -18,7 +18,6 @@ from nullkahler.curvature import (
 from nullkahler.dkp import (
     ew_from_u,
     ew_residual,
-    monopole_from_w,
     monopole_residual,
     jones_tod_reduce,
     residual_heqn,
@@ -35,11 +34,9 @@ from nullkahler.geometry import (
     SYM_PAIRS,
     dkp_coframe,
     dkp_metric,
-    exterior_derivative,
     hodge_star_values,
     nk_coframe,
     nk_metric,
-    wedge,
 )
 from nullkahler.nk_system import (
     NKSolution,
@@ -52,7 +49,15 @@ from nullkahler.nk_system import (
     residual_nk2,
 )
 from nullkahler.sampling import Box, SamplePlan
-from oracles import sigma11_rhs, sigma_basis, symmetry_w, vector_to_bispinor
+from oracles import (
+    coframe_sigma,
+    exterior_derivative,
+    sigma11_rhs,
+    sigma_basis,
+    symmetry_w,
+    vector_to_bispinor,
+    wedge,
+)
 
 CHART4 = Chart(("w", "z", "x", "y"))
 CHART3 = Chart(("x", "y", "t"))
@@ -209,7 +214,7 @@ def test_criterion_06_dkp_pipeline():
     }
     ew = ew_from_u(h_pot.differentiate("x"))
     residuals["monopole"] = float(np.max(np.abs(monopole_residual(
-        ew, monopole_from_w(h_pot, w_pot), pts3))))
+        ew, w_pot, pts3))))
     residuals["ew"] = float(np.max(np.abs(ew_residual(ew, pts3))))
     metric = dkp_metric(h_pot, w_pot, DKP_BOX)
     report = oracle_report(metric, dkp_coframe(h_pot, w_pot), pts4)
@@ -272,7 +277,7 @@ def test_criterion_09_sigma_identities():
     for w_text in ("-x/(t-1)", "x^3 + 2*x + y^2/3"):
         w_pot = ExprField.from_text(w_text, CHART3)
         coframe = dkp_coframe(h_pot, w_pot)
-        s00, s01, s11 = (coframe.sigma(*pair) for pair in SYM_PAIRS)
+        s00, s01, s11 = (coframe_sigma(coframe, *pair) for pair in SYM_PAIRS)
         d11 = exterior_derivative(s11).evaluate(pts4)
         rhs = sigma11_rhs(h_pot, w_pot).evaluate(pts4)
         worst_rhs = max(worst_rhs, float(np.max(np.abs(d11 - rhs))))

@@ -57,3 +57,16 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
         nearly = change[:9] + [PARENT[9] + step / 20]
         row = bench_pairs.verdict(PARENT, nearly, better, 0.01)
         assert row["wins"] == 10 and row["against_bound"] == "unresolved"
+
+
+def test_checkouts_that_are_not_siblings_are_refused(tmp_path, capsys):
+    # a run's peak RSS follows the checkout's location, so both sides must
+    # sit in one parent directory; the refusal names both parents and
+    # comes before any file is read or any run starts
+    parent, change = tmp_path / "a" / "parent", tmp_path / "b" / "change"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(parent), str(change), "--workload", "two-path",
+                          "--seed", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert all(str((tmp_path / side).resolve()) in err for side in "ab")

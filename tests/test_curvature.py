@@ -19,7 +19,6 @@ from nullkahler.geometry import (
     EPS_UPPER,
     CoFrame,
     DegeneracyError,
-    FormField,
     dkp_coframe,
     dkp_metric,
     inverse_metric_values,
@@ -400,8 +399,7 @@ def _generic_coframe():
     """A coframe on (w, z, x, y) with no closed Sigma: every d Sigma^{0'b}
     is O(1) on the unit box."""
     def form(comps):
-        return FormField(CHART4, 1, {(k,): ExprField.from_text(text, CHART4)
-                                     for k, text in comps.items()})
+        return {k: ExprField.from_text(text, CHART4) for k, text in comps.items()}
 
     return CoFrame(CHART4, [
         [form({0: "1 + x*y", 1: "sin(z)", 3: "w^2"}),
@@ -412,9 +410,10 @@ def _generic_coframe():
 
 
 def test_sigma_closure_jet_route_matches_form_trees():
-    # the jet route against the exterior derivative of CoFrame.sigma's
-    # form trees, within 32 eps of max|d Sigma|, on every curved
-    # paper.cfg fixture and on a coframe whose Sigma is not closed
+    # the jet route against the exterior derivative of Sigma's form trees,
+    # built by the oracles from the coframe's field dicts, within 32 eps
+    # of max|d Sigma|, on every curved paper.cfg fixture and on a coframe
+    # whose Sigma is not closed
     from pathlib import Path
 
     from nullkahler import cli
@@ -737,14 +736,9 @@ def test_frame_basis_solve_matches_lapack():
 def test_spin_connection_refuses_a_frame_degenerate_at_one_point():
     # e^{00'} = x dw degenerates on x = 0; the other sample points are
     # regular, and the frame inversion refuses the set that meets x = 0
-    from nullkahler.geometry import CoFrame, DegeneracyError, FormField
-
     one = ExprField.constant(1.0, CHART4)
     x = ExprField.from_text("x", CHART4)
-    coframe = CoFrame(CHART4, [
-        [FormField(CHART4, 1, {(0,): x}), FormField(CHART4, 1, {(1,): one})],
-        [FormField(CHART4, 1, {(2,): one}), FormField(CHART4, 1, {(3,): one})],
-    ])
+    coframe = CoFrame(CHART4, [[{0: x}, {1: one}], [{2: one}, {3: one}]])
     sample = np.array([[0.1, 0.2, 0.5, 0.3], [0.4, -0.2, 0.0, 0.6],
                        [-0.3, 0.7, -0.8, 0.1]])
     assert spin_connection(coframe, sample[[0, 2]]).residual < 1e-12

@@ -3,11 +3,9 @@ import pytest
 
 from nullkahler.curvature import coordinate_curvature, oracle_report
 from nullkahler.dkp import (
-    MonopolePair,
     ew_from_u,
     ew_residual,
     jones_tod_reduce,
-    monopole_from_w,
     monopole_residual,
     residual_heqn,
     residual_lindkp,
@@ -17,20 +15,22 @@ from nullkahler.fields import Chart, ExcludedBand, ExprField
 from nullkahler.geometry import (
     SYM_PAIRS,
     DegeneracyError,
-    FormField,
     dkp_coframe,
     dkp_metric,
-    exterior_derivative,
-    wedge,
 )
 from nullkahler.sampling import Box, SamplePlan
 from oracles import (
     JONES_TOD_ORIENTATION,
+    coframe_form,
+    coframe_sigma,
+    exterior_derivative,
     hyperkahler_specialize,
     jones_tod_nu,
+    monopole_residual_by_forms,
     sigma11_rhs,
     signature_counts,
     symmetry_w,
+    wedge,
     weyl_connection,
     weyl_ew_residual,
     weyl_ricci,
@@ -106,8 +106,7 @@ def test_ew_structure_examples(p3):
     assert np.max(np.abs(ew_residual(flat, p3))) < 1e-10
     pos, neg = signature_counts(flat.h, p3)
     assert np.all(pos == 2) and np.all(neg == 1)
-    nu_t = flat.nu.component((2,))
-    assert np.max(np.abs(nu_t.evaluate(p3))) == 0.0
+    assert np.max(np.abs(flat.nu.evaluate(p3))) == 0.0
 
     u = f3(H_MAIN).differentiate("x")
     ew = ew_from_u(u)
@@ -115,7 +114,7 @@ def test_ew_structure_examples(p3):
     assert np.all(pos == 2) and np.all(neg == 1)
     assert np.max(np.abs(ew_residual(ew, p3))) < 1e-6
     # nu = -4 u_x dt: for u = -x/(t-1), u_x = -1/(t-1)
-    nu_t = ew.nu.component((2,)).evaluate(p3)
+    nu_t = ew.nu.evaluate(p3)
     np.testing.assert_allclose(nu_t, 4.0 / (p3[:, 2] - 1.0), atol=1e-12)
 
     assert np.max(np.abs(ew_residual(ew_from_u(f3("x^2")), p3))) > 1e-2
@@ -169,25 +168,46 @@ def test_closed_form_ew_residual_equals_the_weyl_connection_route(text, box):
     scale = np.abs(weyl_ricci(ew, points)[0]).max()
     gap = np.abs(closed - reference).max()
     assert gap <= 32 * np.finfo(float).eps * scale
-    nu_t = ew.nu.component((2,))
-    assert np.abs(nu_t.differentiate("x").evaluate(points)).max() > 0.1
+    assert np.abs(ew.nu.differentiate("x").evaluate(points)).max() > 0.1
     einstein_weyl = text.startswith("-2 + ")
     assert (np.abs(reference).max() < 1e-13) == einstein_weyl
 
 def test_monopole_examples(p3):
     h_pot, w_pot = f3(H_MAIN), symmetry_w(f3(H_MAIN), b=1.0)
     ew = ew_from_u(h_pot.differentiate("x"))
-    pair = monopole_from_w(h_pot, w_pot)
-    assert np.max(np.abs(monopole_residual(ew, pair, p3))) < 1e-8
+    assert np.max(np.abs(monopole_residual(ew, w_pot, p3))) < 1e-8
 
+    # W = x on the flat structure: V = 1 and alpha = -dy, so dV, nu V
+    # and d alpha all vanish
     flat = ew_from_u(ExprField.constant(0.0, CHART3))
-    unit = MonopolePair(ExprField.constant(1.0, CHART3),
-                        FormField(CHART3, 1, {}))
-    assert np.max(np.abs(monopole_residual(flat, unit, p3))) == 0.0
+    assert np.max(np.abs(monopole_residual(flat, f3("x"), p3))) == 0.0
 
-    perturbed = MonopolePair(pair.v, pair.alpha + FormField(
-        CHART3, 1, {(1,): f3("x")}))
+    # W + y^2 keeps V and adds -4y dt to alpha, so d alpha gains -4 dy ^ dt
+    perturbed = w_pot + f3("y^2")
     assert np.max(np.abs(monopole_residual(ew, perturbed, p3))) > 1e-2
+
+
+def test_monopole_jet_route_matches_form_trees():
+    # the residual read off the jets of W_x, W_y and nu_t against the form
+    # trees of dV, nu V / 2 and d alpha, on every dkp fixture of paper.cfg
+    # and on a W that solves nothing: each sum and product is taken in
+    # the trees' order, so the values agree exactly (a zero may differ in
+    # sign where an absent tree term stands against a computed zero)
+    from pathlib import Path
+
+    from nullkahler import cli
+
+    config = cli.load_config(Path(cli.__file__).parent / "fixtures/paper.cfg")
+    cases = [(f.name, f.sample(config)) for f in config["fixtures"]
+             if f.kind == "dkp"]
+    assert len(cases) == 5
+    cases = [(name, s.ew, s.w, s.points3) for name, s in cases]
+    cases.append(("generic", ew_from_u(f3("x^2*y - x/(t-1)")),
+                  f3("x^3*t + y^2*x - t*y"), SamplePlan(BOX3, 60).points()))
+    for name, ew, w_pot, points in cases:
+        got = monopole_residual(ew, w_pot, points)
+        assert np.array_equal(got, monopole_residual_by_forms(ew, w_pot, points)), name
+    assert np.abs(got).max() > 0.1
 
 
 def test_sd_two_forms_report(p4):
@@ -196,22 +216,22 @@ def test_sd_two_forms_report(p4):
     s00, s01, s11, (d00, d01) = sd_two_forms(coframe, p4)
     assert np.max(np.abs(d00)) < 1e-9
     assert np.max(np.abs(d01)) < 1e-9
-    d11 = exterior_derivative(s11).evaluate(p4)
+    d11 = exterior_derivative(coframe_sigma(coframe, 1, 1)).evaluate(p4)
     assert np.max(np.abs(d11 - sigma11_rhs(h_pot, w_pot).evaluate(p4))) < 1e-8
     assert np.max(np.abs(d11)) > 1e-1  # open unless W = H_x/2 + f(t)
-    # Sigma^{0'0'} = dz ^ dt; the forms are CoFrame.sigma's
-    values = s00.evaluate(p4)
-    assert np.max(np.abs(values[:, 3, 2] - 1.0)) < 1e-12
-    for form, pair in zip((s00, s01, s11), SYM_PAIRS):
-        assert np.array_equal(form.evaluate(p4),
-                              coframe.sigma(*pair).evaluate(p4))
+    # Sigma^{0'0'} = dz ^ dt; the values are those of Sigma's form trees
+    assert np.max(np.abs(s00[:, 3, 2] - 1.0)) < 1e-12
+    for values, pair in zip((s00, s01, s11), SYM_PAIRS):
+        assert np.array_equal(values,
+                              coframe_sigma(coframe, *pair).evaluate(p4))
 
 
 def test_sd_two_forms_parallel_frame(p4):
     h_pot = f3(H_MAIN)
     w_half = symmetry_w(h_pot, b=0.5)  # W = H_x/2
     coframe = dkp_coframe(h_pot, w_half)
-    _, _, s11, (d00, d01) = sd_two_forms(coframe, p4)
+    _, _, _, (d00, d01) = sd_two_forms(coframe, p4)
+    s11 = coframe_sigma(coframe, 1, 1)
     assert np.max(np.abs(exterior_derivative(s11).evaluate(p4))) < 1e-8
     assert np.max(np.abs(d00)) < 1e-9 and np.max(np.abs(d01)) < 1e-9
 
@@ -221,7 +241,7 @@ def test_sigma11_rhs_closed_form(p4):
     # derivative for an asymmetric, invalid W
     h_pot, w_pot = f3("x*t + y^2/2"), f3("x^3 + 2*x + y^2/3")
     coframe = dkp_coframe(h_pot, w_pot)
-    sigma11 = wedge(coframe.form(0, 1), coframe.form(1, 1))
+    sigma11 = wedge(coframe_form(coframe, 0, 1), coframe_form(coframe, 1, 1))
     lhs = exterior_derivative(sigma11).evaluate(p4)
     rhs = sigma11_rhs(h_pot, w_pot).evaluate(p4)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -340,8 +360,7 @@ def test_pipeline_coherence_negative_controls(p3, p4):
         lind = np.max(np.abs(residual_lindkp(h_pot, w_pot).evaluate(p3)))
         ew = np.max(np.abs(ew_residual(ew_from_u(h_pot.differentiate("x")), p3)))
         mono = np.max(np.abs(monopole_residual(
-            ew_from_u(h_pot.differentiate("x")), monopole_from_w(h_pot, w_pot),
-            p3)))
+            ew_from_u(h_pot.differentiate("x")), w_pot, p3)))
         coframe = dkp_coframe(h_pot, w_pot)
         report = oracle_report(dkp_metric(h_pot, w_pot), coframe, p4)
         if name in ("bad-H", "bad-both"):

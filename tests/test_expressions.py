@@ -263,8 +263,8 @@ def _paper_trees(fixture, sample):
     fields = []
     if fixture.kind != "ew":
         jets = [field for row in sample.metric.comps for field in row]
-        jets += [field for row in sample.coframe.forms for form in row
-                 for field in form.comps.values()]
+        jets += [field for row in sample.coframe.fields for form in row
+                 for field in form.values()]
         fields += jets + [field.differentiate(a, b) for field in jets
                           for a in field.chart.coords
                           for b in field.chart.coords]
@@ -276,12 +276,11 @@ def _paper_trees(fixture, sample):
                    for poly in vector.values() for _, coeff in poly]
     else:
         fields += [field for row in sample.ew.h.comps for field in row]
-        fields += list(sample.ew.nu.comps.values())
+        fields.append(sample.ew.nu)
     if fixture.kind == "dkp":
         h, w = sample.h, sample.w
-        pair = dkp.monopole_from_w(h, w)
-        fields += [dkp.residual_heqn(h), dkp.residual_lindkp(h, w), pair.v]
-        fields += list(pair.alpha.comps.values())
+        fields += [dkp.residual_heqn(h), dkp.residual_lindkp(h, w),
+                   w.differentiate("x"), w.differentiate("y")]
     return [(field.expr, field.chart.coords) for field in fields]
 
 

@@ -15,23 +15,24 @@ from nullkahler.fields import Chart, DomainError, ExcludedBand, ExprField
 from nullkahler.geometry import (
     SYM_PAIRS,
     DegeneracyError,
-    FormField,
     dkp_coframe,
     dkp_metric,
-    exterior_derivative,
     field_jet,
     nk_coframe,
     nk_metric,
-    wedge,
 )
-from nullkahler.dkp import ew_from_u
+from nullkahler.dkp import ew_from_u, sd_two_forms
 from nullkahler.sampling import Box, SamplePlan
 from oracles import (
+    FormField,
+    coframe_sigma,
+    exterior_derivative,
     hodge_star,
     metric_from_coframe,
     orientation_sign,
     signature_counts,
     volume_form,
+    wedge,
 )
 
 CHART4 = Chart(("w", "z", "x", "y"))
@@ -76,7 +77,7 @@ def test_nk_coframe_reproduces_metric():
 
 def test_nk_sigma01_closed():
     theta = ExprField.from_text("x^2*y^2 + w*x*y", CHART4)
-    sigma01 = nk_coframe(theta).sigma(0, 1)
+    sigma01 = coframe_sigma(nk_coframe(theta), 0, 1)
     pts = plan_points()
     assert np.max(np.abs(exterior_derivative(sigma01).evaluate(pts))) < 1e-12
 
@@ -137,7 +138,7 @@ def test_dkp_coframe_flat_component():
     h_pot = ExprField.constant(0.0, CHART3)
     w_pot = ExprField.from_text("x", CHART3)
     coframe = dkp_coframe(h_pot, w_pot)
-    e00 = coframe.form(0, 0).evaluate(np.array([[0.1, 0.2, 0.3, 0.4]]))[0]
+    e00 = coframe.evaluate(np.array([[0.1, 0.2, 0.3, 0.4]]))[0, 0, 0]
     np.testing.assert_allclose(e00, [0.0, 0.0, -2.0, 0.0], atol=1e-15)
 
 
@@ -210,7 +211,7 @@ def test_dkp_sigma_closedness():
     coframe = dkp_coframe(h_pot, w_pot)
     pts = SamplePlan(DKP_BOX, count=60).points()
     for pair in ((0, 0), (0, 1)):
-        sigma = coframe.sigma(*pair)
+        sigma = coframe_sigma(coframe, *pair)
         assert np.max(np.abs(exterior_derivative(sigma).evaluate(pts))) < 1e-12
 
 
@@ -275,24 +276,17 @@ def test_nk_orientation_sign():
 def reference_jet(component, shape, pts, order):
     """out[n, k..., *index]: each slot's field differentiated on its own.
 
-    ``component(index)`` returns (field, sign) for one slot.
+    ``component(index)`` returns the field of one slot.
     """
     dim = pts.shape[1]
     out = np.empty((pts.shape[0],) + (dim,) * order + shape)
     for axes in product(range(dim), repeat=order):
         for index in np.ndindex(*shape):
-            field, sign = component(index)
+            field = component(index)
             names = (field.chart.coords[k] for k in axes)
             out[(slice(None),) + axes + index] = \
-                sign * field.differentiate(*names).evaluate(pts)
+                field.differentiate(*names).evaluate(pts)
     return out
-
-
-def two_form_slot(form, index):
-    key = tuple(sorted(index))
-    if key not in form.comps:  # the diagonal included: a +0 slot
-        return form.component(key), 1
-    return form.comps[key], 1 if index == key else -1
 
 
 @pytest.mark.parametrize("build", [
@@ -305,8 +299,13 @@ def two_form_slot(form, index):
              DKP_BOX),
 ], ids=["nk", "dkp"])
 def test_jets_match_per_component_reference(build):
+    # the metric and coframe jets against each slot differentiated on its
+    # own, to the bit; Sigma, formed from the coframe's values, against
+    # the form tree of its components (equal values: a slot whose terms
+    # cancel to zero may differ from the tree in the sign of that zero)
     make_metric, make_coframe, potentials, box = build()
     metric, coframe = make_metric(*potentials), make_coframe(*potentials)
+    zero = ExprField.constant(0.0, coframe.chart)
     pts = plan_points(box, count=7)
     metric_jets = (metric.evaluate, metric.first_derivatives,
                    metric.second_derivatives)
@@ -314,23 +313,20 @@ def test_jets_match_per_component_reference(build):
                     coframe.second_derivatives)
     for order in range(3):
         got = metric_jets[order](pts)
-        ref = reference_jet(lambda ij: (metric.component(*ij), 1), (4, 4),
+        ref = reference_jet(lambda ij: metric.component(*ij), (4, 4),
                             pts, order)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
         got = coframe_jets[order](pts)
         ref = reference_jet(
-            lambda slot: (coframe.form(*slot[:2]).component(slot[2:]), 1),
+            lambda slot: coframe.fields[slot[0]][slot[1]].get(slot[2], zero),
             (2, 2, 4), pts, order)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
-        for form in (coframe.sigma(*pair) for pair in SYM_PAIRS):
-            got = field_jet(form.jet_entries(), (4, 4), pts, order)
-            ref = reference_jet(lambda ij: two_form_slot(form, ij), (4, 4),
-                                pts, order)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-            if order == 0:
-                assert form.evaluate(pts).tobytes() == ref.tobytes()
+    *sigmas, _ = sd_two_forms(coframe, pts)
+    for pair, got in zip(SYM_PAIRS, sigmas):
+        ref = coframe_sigma(coframe, *pair).evaluate(pts)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_coframe_jets_are_memoised(diff_calls):
@@ -387,7 +383,7 @@ def test_constant_jet_slot_in_excluded_band_raises(order):
     chart = Chart(("w", "z", "x", "y"), (ExcludedBand("y", 0.0),))
     pts = plan_points(count=5)
     pts[2, 3] = 0.01
-    entries = [(ExprField.constant(2.0, chart), [((0,), 1)])]
+    entries = [(ExprField.constant(2.0, chart), [(0,)])]
     with pytest.raises(DomainError):
         field_jet(entries, (1,), pts, order)
     assert field_jet(entries, (1,), pts[:2], 0).tobytes() == \
@@ -407,7 +403,7 @@ def test_non_finite_constant_jet_slot_raises():
     for order, field in enumerate(fields):
         part = field.differentiate(*("x",) * order).expr
         assert isinstance(part, Const) and part.value == float("inf")
-        entries = [(field, [((0,), 1)])]
+        entries = [(field, [(0,)])]
         with pytest.raises(EvaluationError):
             field_jet(entries, (1,), plan_points(count=3), order)
 
@@ -415,30 +411,31 @@ def test_non_finite_constant_jet_slot_raises():
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_non_finite_evaluated_jet_slot_raises(order, sign):
-    # x^3*1e308*10 is a tree, not a folded constant, and at x = 0.9 it
-    # and its first two partials along x overflow where they are
-    # evaluated; the jet is checked once, when it is finished
-    overflowing = ExprField.from_text("x^3*1e308*10", CHART4)
+    # sign*x^3*1e308*10 is a tree, not a folded constant, and at x = 0.9
+    # it and its first two partials along x overflow to sign*inf where
+    # they are evaluated; the jet is checked once, when it is finished
+    overflowing = ExprField.from_text(f"{sign}*x^3*1e308*10", CHART4)
     assert not isinstance(overflowing.differentiate(*("x",) * order).expr, Const)
     pts = np.tile([0.1, 0.2, 0.9, 0.3], (3, 1))
     finite = ExprField.from_text("x*y", CHART4)
     with np.errstate(over="ignore"):
         with pytest.raises(EvaluationError, match="non-finite field value"):
-            field_jet([(overflowing, [((0,), sign)])], (1,), pts, order)
+            field_jet([(overflowing, [(0,)])], (1,), pts, order)
         # only the second entry overflows
-        entries = [(finite, [((0,), 1)]), (overflowing, [((1,), sign)])]
+        entries = [(finite, [(0,)]), (overflowing, [(1,)])]
         with pytest.raises(EvaluationError, match="non-finite field value"):
             field_jet(entries, (2,), pts, order)
     assert np.isfinite(field_jet(entries[:1], (2,), pts, order)).all()
 
 
 def test_jet_keeps_signed_zeros():
-    # -1 times a +0.0 partial is -0.0, and so is +1 times Const(-0.0):
-    # these slots are written, not left to the array's +0.0
-    xy = ExprField.from_text("x*y", CHART4)
-    negative_zero = ExprField.constant(-0.0, CHART4)
-    slots = [(xy, 1), (xy, -1), (negative_zero, 1), (negative_zero, -1)]
-    entries = [(field, [((i,), sign)]) for i, (field, sign) in enumerate(slots)]
+    # a partial that folds to Const(-0.0) is written, not left to the
+    # array's +0.0: the constant itself at order 0, the x-partial of
+    # -(x - x) at order 1 and the xx-partial of -(x*x - x*x) at order 2
+    slots = [ExprField.from_text(text, CHART4)
+             for text in ("x*y", "-(x - x)", "-(x*x - x*x)")]
+    slots.append(ExprField.constant(-0.0, CHART4))
+    entries = [(field, [(i,)]) for i, field in enumerate(slots)]
     pts = plan_points(count=5)
     for order in range(3):
         got = field_jet(entries, (4,), pts, order)

@@ -9,7 +9,6 @@ from nullkahler.geometry import (
     hodge_star_values,
     nk_coframe,
     nk_metric,
-    wedge,
 )
 from nullkahler.sampling import Box, SamplePlan
 from oracles import (
@@ -17,12 +16,14 @@ from oracles import (
     SpinorError,
     TwoFormValue,
     bispinor_to_vector,
+    coframe_form,
     contract,
     orientation_sign,
     raise_lower,
     sd_asd_split,
     sigma_basis,
     vector_to_bispinor,
+    wedge,
 )
 
 CHART4 = Chart(("w", "z", "x", "y"))
@@ -200,8 +201,8 @@ def test_display_basis_quadratic_identity():
     h_pot = ExprField.from_text("-x^2/(2*(t-1))", chart3)
     w_pot = ExprField.from_text("-x/(t-1)", chart3)
     coframe = dkp_coframe(h_pot, w_pot)
-    e00, e01 = coframe.form(0, 0), coframe.form(0, 1)
-    e10, e11 = coframe.form(1, 0), coframe.form(1, 1)
+    e00, e01 = coframe_form(coframe, 0, 0), coframe_form(coframe, 0, 1)
+    e10, e11 = coframe_form(coframe, 1, 0), coframe_form(coframe, 1, 1)
     s00 = wedge(e00, e10)
     s01 = wedge(e10, e01) + wedge(e00, e11).scaled(-1.0)
     s11 = wedge(e01, e11)

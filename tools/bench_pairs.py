@@ -4,9 +4,12 @@
         --seed N [--json OUT]
 
 PARENT and CHANGE are the roots of two checkouts, each with its own
-``perfbench/`` and ``BENCHMARK.json`` (make the parent one with
-``git archive <commit> | tar -x -C PARENT``).  Their benchmark files must
-be identical, so both sides are measured by the same code.  Each of
+``perfbench/`` and ``BENCHMARK.json`` (make each with
+``git archive <commit> | tar -x -C DIR``).  They must be sibling
+directories of one parent directory, since a run's ``peak_rss_mb``
+follows the checkout's location as well as its code, and their
+benchmark files must be identical, so both sides are measured by the
+same code.  Each of
 ``PAIRS`` pairs runs ``perfbench/run.py --workload NAME --seed N
 --seconds S`` once in each checkout, one after the other, the parent
 first in even pairs; ``S`` is ``run_seconds`` of ``BENCHMARK.json``.
@@ -117,6 +120,10 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path, default=None)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if roots["parent"].parent != roots["change"].parent:
+        parser.error(f"the checkouts must be sibling directories: PARENT is "
+                     f"in {roots['parent'].parent}, CHANGE in "
+                     f"{roots['change'].parent}")
     for name in BENCHMARK_FILES:
         if (roots["parent"] / name).read_bytes() != (roots["change"] / name).read_bytes():
             parser.error(f"{name} differs between the checkouts")
